@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check lint fmt vet build test race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak fuzz-smoke
+.PHONY: all check lint fmt vet build test perfbench-test race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak fuzz-smoke
 
 all: check
 
-check: lint build race bench obs-smoke verifyd-smoke
+check: lint build perfbench-test race bench obs-smoke verifyd-smoke
 
 # Static checks only — no tests. CI's lint job runs exactly this.
 lint: fmt vet printcheck staticcheck
@@ -25,6 +25,11 @@ build:
 # order-dependent tests fail loudly instead of passing by accident.
 test:
 	$(GO) test -shuffle=on ./...
+
+# perfbench is its own Go module (perfbench/go.mod), so the root ./...
+# patterns never compile it; vet and test it inside its directory.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -79,8 +84,9 @@ batch-smoke:
 	$(GO) run ./cmd/batchverify -seed 1 -n 64 -workers 8
 
 # End-to-end observability smoke, in two halves. First the journal
-# schema check: a full synthesis with -journal, validated line by line
-# (including the causal-trace span invariants). Then the live plane: a
+# schema check: a single-component and a two-component (legint -multi)
+# synthesis with -journal, each validated line by line (including the
+# causal-trace span invariants). Then the live plane: a
 # batchverify with -http and -linger runs in the background, /progress is
 # polled until the pool drains, /healthz, /metrics (Prometheus), and the
 # final /progress snapshot are scraped and asserted, the process is shut
@@ -94,6 +100,8 @@ obs-smoke:
 	@set -e; rm -rf "$(OBS_SMOKE_DIR)"; mkdir -p "$(OBS_SMOKE_DIR)"; \
 	$(GO) run ./cmd/legint -scenario correct -journal "$(OBS_SMOKE_DIR)/legint.jsonl" >/dev/null; \
 	$(GO) run ./cmd/obscheck "$(OBS_SMOKE_DIR)/legint.jsonl"; \
+	$(GO) run ./cmd/legint -multi -journal "$(OBS_SMOKE_DIR)/multi.jsonl" >/dev/null; \
+	$(GO) run ./cmd/obscheck "$(OBS_SMOKE_DIR)/multi.jsonl"; \
 	$(GO) build -o "$(OBS_SMOKE_DIR)/batchverify" ./cmd/batchverify; \
 	"$(OBS_SMOKE_DIR)/batchverify" -seed 1 -n 16 -workers 4 \
 		-store "$(OBS_SMOKE_DIR)/store" -sample-interval 100ms \

@@ -376,12 +376,9 @@ func BenchmarkChaosEncoding(b *testing.B) {
 // BenchmarkMultiLegacy (extension, §7): parallel learning of two legacy
 // components.
 func BenchmarkMultiLegacy(b *testing.B) {
-	ctxA := multiCoordinator()
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewMulti(ctxA,
-			[]legacy.Component{newPonger("1"), newPonger("2")},
-			[]legacy.Interface{pongerIface("1"), pongerIface("2")},
-			core.Options{})
+		coordinator, comps, ifaces := experiments.TwoServiceDemo(false)
+		m, err := core.NewMulti(coordinator, comps, ifaces, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -445,50 +442,6 @@ func BenchmarkModelChecker(b *testing.B) {
 		for _, p := range props {
 			checker.Holds(p)
 		}
-	}
-}
-
-// --- helpers for BenchmarkMultiLegacy (mirrors internal/core tests) ---
-
-func multiCoordinator() *automata.Automaton {
-	c := automata.New("coordinator",
-		automata.NewSignalSet("pong1", "pong2"),
-		automata.NewSignalSet("ping1", "ping2"))
-	c0 := c.MustAddState("askFirst")
-	c1 := c.MustAddState("awaitFirst")
-	c2 := c.MustAddState("askSecond")
-	c3 := c.MustAddState("awaitSecond")
-	c.MustAddTransition(c0, automata.Interact(nil, []automata.Signal{"ping1"}), c1)
-	c.MustAddTransition(c1, automata.Interact([]automata.Signal{"pong1"}, nil), c2)
-	c.MustAddTransition(c2, automata.Interact(nil, []automata.Signal{"ping2"}), c3)
-	c.MustAddTransition(c3, automata.Interact([]automata.Signal{"pong2"}, nil), c0)
-	c.MarkInitial(c0)
-	return c
-}
-
-func newPonger(idx string) legacy.Component {
-	ping := "ping" + idx
-	pong := "pong" + idx
-	return &legacy.FuncComponent{
-		Name:    "service" + idx,
-		Initial: "idle",
-		Next: map[string]map[string]legacy.FuncStep{
-			"idle": {
-				"":   {To: "idle"},
-				ping: {To: "got"},
-			},
-			"got": {
-				"": {Out: []automata.Signal{automata.Signal(pong)}, To: "idle"},
-			},
-		},
-	}
-}
-
-func pongerIface(idx string) legacy.Interface {
-	return legacy.Interface{
-		Name:    "service" + idx,
-		Inputs:  automata.NewSignalSet(automata.Signal("ping" + idx)),
-		Outputs: automata.NewSignalSet(automata.Signal("pong" + idx)),
 	}
 }
 

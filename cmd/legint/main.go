@@ -6,6 +6,7 @@
 //
 //	legint -scenario correct|eager|blocking [-verbose] [-paper-literal]
 //	legint -context ctx.json -legacy impl.json [-property "A[] not (a and b)"]
+//	legint -multi [-property "A[] not service1.got"]
 //	legint ... -dump-model model.json
 //	legint ... -journal run.jsonl -metrics [-cpuprofile cpu.pprof]
 package main
@@ -18,6 +19,7 @@ import (
 	"muml/internal/automata"
 	"muml/internal/core"
 	"muml/internal/ctl"
+	"muml/internal/experiments"
 	"muml/internal/legacy"
 	"muml/internal/obs"
 	"muml/internal/railcab"
@@ -49,18 +51,19 @@ func run() error {
 	)
 	flag.Parse()
 
-	if *multi {
-		return runMulti()
-	}
-
 	var (
-		comp    legacy.Component
+		comps   []legacy.Component
 		context *automata.Automaton
-		iface   legacy.Interface
+		ifaces  []legacy.Interface
 		prop    ctl.Formula
 		title   string
 	)
 	switch {
+	case *multi:
+		// The Section 7 extension: a coordinator context polling two
+		// independent black-box services, both learned in one loop.
+		context, comps, ifaces = experiments.TwoServiceDemo(false)
+		title = "service1 ‖ service2"
 	case *contextFile != "" || *legacyFile != "":
 		if *contextFile == "" || *legacyFile == "" {
 			return fmt.Errorf("-context and -legacy must be given together")
@@ -78,10 +81,11 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("legacy model must be function-deterministic: %w", err)
 		}
-		comp = wrapped
-		iface = wrapped.InterfaceOf()
-		title = fmt.Sprintf("%s (from %s)", iface.Name, *legacyFile)
+		comps = []legacy.Component{wrapped}
+		ifaces = []legacy.Interface{wrapped.InterfaceOf()}
+		title = fmt.Sprintf("%s (from %s)", ifaces[0].Name, *legacyFile)
 	default:
+		var comp legacy.Component
 		switch *scenario {
 		case "correct":
 			comp = &railcab.CorrectShuttle{}
@@ -93,9 +97,13 @@ func run() error {
 			return fmt.Errorf("unknown scenario %q", *scenario)
 		}
 		context = railcab.FrontRole()
-		iface = railcab.RearInterface(railcab.RearRoleName)
+		comps = []legacy.Component{comp}
+		ifaces = []legacy.Interface{railcab.RearInterface(railcab.RearRoleName)}
 		prop = railcab.Constraint()
 		title = *scenario
+	}
+	if *dumpModel != "" && len(comps) > 1 {
+		return fmt.Errorf("-dump-model writes a single learned model; it cannot be combined with -multi")
 	}
 	if *property != "" {
 		var err error
@@ -134,7 +142,7 @@ func run() error {
 		Metrics:              run.Registry,
 		PhaseProfiling:       *cpuProfile != "",
 	}
-	synth, err := core.New(context, comp, iface, opts)
+	synth, err := core.NewMulti(context, comps, ifaces, opts)
 	if err != nil {
 		return err
 	}
@@ -166,7 +174,9 @@ func run() error {
 	if report.Verdict == core.VerdictViolation {
 		fmt.Printf(" (%v)\nwitness:\n%s", report.Kind, report.WitnessText)
 	}
-	fmt.Printf("\nfinal learned model:\n%s", trace.RenderModel(report.Model))
+	for _, model := range report.Models {
+		fmt.Printf("\nfinal learned model:\n%s", trace.RenderModel(model))
+	}
 	fmt.Printf("\nstats: %+v\n", report.Stats)
 	if *metrics {
 		fmt.Printf("\nmetrics:\n")
@@ -192,59 +202,4 @@ func loadAutomaton(path string) (*automata.Automaton, error) {
 		return nil, err
 	}
 	return automata.DecodeJSON(data)
-}
-
-// runMulti demonstrates the Section 7 extension: a coordinator context
-// polling two independent black-box services, both learned in parallel.
-func runMulti() error {
-	coordinator := automata.New("coordinator",
-		automata.NewSignalSet("pong1", "pong2"),
-		automata.NewSignalSet("ping1", "ping2"))
-	c0 := coordinator.MustAddState("askFirst")
-	c1 := coordinator.MustAddState("awaitFirst")
-	c2 := coordinator.MustAddState("askSecond")
-	c3 := coordinator.MustAddState("awaitSecond")
-	coordinator.MustAddTransition(c0, automata.Interact(nil, []automata.Signal{"ping1"}), c1)
-	coordinator.MustAddTransition(c1, automata.Interact([]automata.Signal{"pong1"}, nil), c2)
-	coordinator.MustAddTransition(c2, automata.Interact(nil, []automata.Signal{"ping2"}), c3)
-	coordinator.MustAddTransition(c3, automata.Interact([]automata.Signal{"pong2"}, nil), c0)
-	coordinator.MarkInitial(c0)
-
-	service := func(idx string) (legacy.Component, legacy.Interface) {
-		ping := automata.Signal("ping" + idx)
-		pong := automata.Signal("pong" + idx)
-		comp := &legacy.FuncComponent{
-			Name:    "service" + idx,
-			Initial: "idle",
-			Next: map[string]map[string]legacy.FuncStep{
-				"idle": {"": {To: "idle"}, string(ping): {To: "got"}},
-				"got":  {"": {Out: []automata.Signal{pong}, To: "idle"}},
-			},
-		}
-		iface := legacy.Interface{
-			Name:    "service" + idx,
-			Inputs:  automata.NewSignalSet(ping),
-			Outputs: automata.NewSignalSet(pong),
-		}
-		return comp, iface
-	}
-	c1comp, i1 := service("1")
-	c2comp, i2 := service("2")
-
-	m, err := core.NewMulti(coordinator,
-		[]legacy.Component{c1comp, c2comp},
-		[]legacy.Interface{i1, i2}, core.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Println("multi-component synthesis (Section 7 extension): coordinator ‖ service1 ‖ service2")
-	report, err := m.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("verdict: %v after %d iterations\n\n", report.Verdict, report.Iterations)
-	for i, model := range report.Models {
-		fmt.Printf("learned model of component %d:\n%s\n", i+1, trace.RenderModel(model))
-	}
-	return nil
 }

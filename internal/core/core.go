@@ -1,13 +1,15 @@
 // Package core implements the paper's primary contribution: the iterative
 // behavior synthesis that combines compositional formal verification and
-// counterexample-guided testing to decide whether a black-box legacy
-// component integrates correctly into a Mechatronic UML context
-// (Sections 3-5).
+// counterexample-guided testing to decide whether one or more black-box
+// legacy components integrate correctly into a Mechatronic UML context
+// (Sections 3-5, and the multi-component extension of Section 7).
 //
 // Given an abstract context model M_a^c and a deterministic legacy
 // implementation M_r with known structural interface, the loop maintains a
 // series of incomplete automata M_l^i whose chaotic closures M_a^i =
-// chaos(M_l^i) are safe abstractions of M_r (Theorem 1). Each iteration:
+// chaos(M_l^i) are safe abstractions of M_r (Theorem 1). With several
+// legacy components the loop keeps one learned model per component and
+// checks M_a^c ‖ chaos(M_1^i) ‖ … ‖ chaos(M_k^i). Each iteration:
 //
 //  1. model checks M_a^c ‖ M_a^i ⊨ φ ∧ ¬δ; success proves the property
 //     for the real system M_r^c ‖ M_r (Lemma 5) — verdict Proven;
@@ -133,9 +135,6 @@ type Options struct {
 	// never be eliminated and the loop can cycle; enable this flag only
 	// for the paper-literal ablation.
 	PaperLiteralLearning bool
-	// Labeler assigns propositions to learned state names. Defaults to
-	// QualifiedLabeler(interface name).
-	Labeler func(state string) []automata.Proposition
 	// DisableIncremental forces a from-scratch chaotic closure and
 	// composition every iteration instead of patching the previous
 	// iteration's system (the pre-incremental behavior; kept for
@@ -158,7 +157,8 @@ type Options struct {
 	// costs one branch and no allocation.
 	Journal *obs.Journal
 	// TraceID names this run's trace in the journal; all events of the
-	// run carry it. Defaults to the component interface's name.
+	// run carry it. Defaults to the component interface's name (the
+	// names joined by "+" for several components).
 	TraceID string
 	// Metrics, when non-nil, receives the run's span timers
 	// (core.compose, core.check, core.replay, core.probe) and the bound
@@ -176,25 +176,28 @@ type Options struct {
 	// component's actual behavior, divergent-but-allowed observations are
 	// merged into the learned fragment (journaled as ioco_merge), and only
 	// out-set escapes — outputs the fragment explicitly refutes, or
-	// hypotheses missed across a completeness budget of fair
-	// re-executions — decide verdicts. Requires a component with a fair
-	// branch schedule (e.g. legacy.NondetComponent). Off by default; the
+	// hypotheses missed across nondetCompleteness fair re-executions —
+	// decide verdicts. Requires a single component with a fair branch
+	// schedule (e.g. legacy.NondetComponent). Off by default; the
 	// deterministic path is untouched when false.
 	Nondet bool
-	// NondetAttempts bounds how many record/replay re-executions one
-	// counterexample is given to reproduce the hypothesized run before the
-	// iteration concludes with what it learned (default 48).
-	NondetAttempts int
-	// NondetCompleteness is the complete-testing budget: a hypothesized
-	// output at a (state, input) is refuted only after this many fair
-	// visits produced something else, and a deadlock offer is dismissed
-	// only after this many accepted probes without the matching output
-	// (default 8; must exceed the component's branching degree per
-	// (state, input) pair).
-	NondetCompleteness int
 }
 
-func (o *Options) withDefaults(ifaceName string) Options {
+// Budgets of the nondeterministic path (Options.Nondet).
+const (
+	// nondetAttempts bounds how many record/replay re-executions one
+	// counterexample is given to reproduce the hypothesized run before the
+	// iteration concludes with what it learned.
+	nondetAttempts = 48
+	// nondetCompleteness is the complete-testing budget: a hypothesized
+	// output at a (state, input) is refuted only after this many fair
+	// visits produced something else, and a deadlock offer is dismissed
+	// only after this many accepted probes without the matching output. It
+	// must exceed the component's branching degree per (state, input).
+	nondetCompleteness = 8
+)
+
+func (o *Options) withDefaults(traceID string) Options {
 	out := *o
 	if out.Universe == nil {
 		out.Universe = automata.Universe(automata.UniverseSingleton)
@@ -205,17 +208,8 @@ func (o *Options) withDefaults(ifaceName string) Options {
 	if out.CounterexampleBatch < 1 {
 		out.CounterexampleBatch = 1
 	}
-	if out.Labeler == nil {
-		out.Labeler = QualifiedLabeler(ifaceName)
-	}
 	if out.TraceID == "" {
-		out.TraceID = ifaceName
-	}
-	if out.NondetAttempts == 0 {
-		out.NondetAttempts = 48
-	}
-	if out.NondetCompleteness == 0 {
-		out.NondetCompleteness = 8
+		out.TraceID = traceID
 	}
 	return out
 }
@@ -277,7 +271,8 @@ func (t TestOutcome) String() string {
 type Iteration struct {
 	Index int
 
-	// Model sizes before this iteration's learning.
+	// Model sizes before this iteration's learning, summed over the
+	// components.
 	ModelStates, ModelTransitions, ModelBlocked int
 	// ClosureStates and SystemStates measure the verification problem.
 	ClosureStates, SystemStates int
@@ -298,7 +293,8 @@ type Iteration struct {
 	CexRunWitnessed bool
 
 	Test TestOutcome
-	// Recording and ReplayTrace document the test (Listings 1.2/1.3).
+	// Recording and ReplayTrace document the test of the first component
+	// (Listings 1.2/1.3).
 	Recording   *replay.Recording
 	ReplayTrace *replay.Trace
 	// Probes document the deadlock confirmation attempts.
@@ -370,24 +366,29 @@ type Report struct {
 	WitnessSystem *automata.Automaton
 	// WitnessText is the rendered witness.
 	WitnessText string
-	// Model is the final learned incomplete automaton M_l^n.
+	// Model is the final learned incomplete automaton M_l^n (of the first
+	// component; Models[0]).
 	Model *automata.Incomplete
-	Stats Stats
+	// Models holds the final learned model of every component, in the
+	// order the components were given to NewMulti.
+	Models []*automata.Incomplete
+	Stats  Stats
 }
 
-// Synthesizer drives the iterative behavior synthesis for one legacy
-// component in one context.
+// Synthesizer drives the iterative behavior synthesis for one or more
+// legacy components in one context.
 type Synthesizer struct {
 	context *automata.Automaton
-	comp    legacy.Component
-	iface   legacy.Interface
-	opts    Options
+	comps   []*component
+	// inputs and outputs are the union of the components' alphabets.
+	inputs, outputs automata.SignalSet
+	opts            Options
 
-	model *automata.Incomplete
 	stats Stats
 
 	// inc carries the composed system across iterations; nil until the
-	// first iteration, or permanently when unsupported/disabled.
+	// first iteration, or permanently when unsupported/disabled (always for
+	// several components, whose product is rebuilt every iteration).
 	inc            *automata.IncrementalSystem
 	incUnsupported bool
 	// pending is the learn delta accumulated since the last system
@@ -398,9 +399,9 @@ type Synthesizer struct {
 	// across iterations of the nondeterministic path (nil otherwise). The
 	// component's round-robin schedule cycles every duplicate branch of a
 	// (state, input) within branching-degree consecutive visits, so after
-	// Options.NondetCompleteness observed visits the out-set and successor
-	// set there are complete: unobserved outputs become refusals and
-	// learned labels become settled (chaos escapes removed).
+	// nondetCompleteness observed visits the out-set and successor set
+	// there are complete: unobserved outputs become refusals and learned
+	// labels become settled (chaos escapes removed).
 	nondetVisits map[nondetVisitKey]*nondetVisit
 
 	// checker is reused (rebound) across iterations so its predecessor
@@ -419,29 +420,86 @@ type Synthesizer struct {
 	hCompose, hCheck, hReplay, hProbe *obs.Histogram
 }
 
-// New validates the inputs and prepares the initial model M_l^0 of
-// Section 3: the single known initial state (determined by resetting the
-// component and reading its probe) with empty T and T̄; its chaotic
-// closure is the initial safe abstraction M_a^0 (Lemma 4, Fig. 4).
+// component is one legacy component under synthesis: the black box, its
+// structural interface, its learned incomplete automaton M_l^i, and the
+// labeler naming the propositions of learned states ("iface.state").
+type component struct {
+	comp    legacy.Component
+	iface   legacy.Interface
+	model   *automata.Incomplete
+	labeler func(string) []automata.Proposition
+	// rec and observed are the recording and observed run of the
+	// counterexample under test; deadlock probes replay them as prefix.
+	rec      replay.Recording
+	observed automata.ObservedRun
+}
+
+// New prepares the synthesis for a single legacy component; it is NewMulti
+// over one component.
 func New(context *automata.Automaton, comp legacy.Component, iface legacy.Interface, opts Options) (*Synthesizer, error) {
-	if context == nil || comp == nil {
+	return NewMulti(context, []legacy.Component{comp}, []legacy.Interface{iface}, opts)
+}
+
+// NewMulti validates the inputs and prepares, per component, the initial
+// model M_l^0 of Section 3: the single known initial state (determined by
+// resetting the component and reading its probe) with empty T and T̄; its
+// chaotic closure is the initial safe abstraction M_a^0 (Lemma 4, Fig. 4).
+//
+// Several components realize the extension of the paper's conclusion
+// (Section 7): "the iterative synthesis will then improve all these models
+// in parallel." The components must communicate only with the context
+// (pairwise disjoint alphabets), which keeps deadlock-confirmation probes
+// per component, and their names must differ from each other and from the
+// context's leaves, because counterexamples are projected onto components
+// by leaf name. Options.Nondet needs a single component.
+func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []legacy.Interface, opts Options) (*Synthesizer, error) {
+	if context == nil || len(comps) == 0 {
 		return nil, errors.New("core: context and component are required")
 	}
-	if err := iface.Validate(); err != nil {
-		return nil, err
+	if len(comps) != len(ifaces) {
+		return nil, fmt.Errorf("core: %d components but %d interfaces", len(comps), len(ifaces))
 	}
 	if err := context.Validate(); err != nil {
 		return nil, fmt.Errorf("core: context: %w", err)
 	}
-	if !context.Inputs().Disjoint(iface.Inputs) || !context.Outputs().Disjoint(iface.Outputs) {
-		return nil, fmt.Errorf("core: context and component alphabets must be composable (I∩I' = O∩O' = ∅)")
+	for i, iface := range ifaces {
+		if comps[i] == nil {
+			return nil, errors.New("core: context and component are required")
+		}
+		if err := iface.Validate(); err != nil {
+			return nil, err
+		}
+		if !context.Inputs().Disjoint(iface.Inputs) || !context.Outputs().Disjoint(iface.Outputs) {
+			return nil, fmt.Errorf("core: context and component alphabets must be composable (I∩I' = O∩O' = ∅)")
+		}
+		if _, _, clash := context.LeafAlphabet(iface.Name); clash {
+			return nil, fmt.Errorf("core: component name %q clashes with a leaf of context %q; counterexamples are projected by leaf name",
+				iface.Name, context.Name())
+		}
+		for _, prev := range ifaces[:i] {
+			if prev.Name == iface.Name {
+				return nil, fmt.Errorf("core: two components are named %q; counterexamples are projected by leaf name", iface.Name)
+			}
+			if !prev.Inputs.Union(prev.Outputs).Disjoint(iface.Inputs.Union(iface.Outputs)) {
+				return nil, fmt.Errorf(
+					"core: components %q and %q share signals; multi-component learning requires them to communicate only with the context",
+					prev.Name, iface.Name)
+			}
+		}
 	}
-	o := opts.withDefaults(iface.Name)
+	if opts.Nondet && len(comps) > 1 {
+		return nil, errors.New("core: Nondet needs a single component")
+	}
+	traceID := ifaces[0].Name
+	for _, iface := range ifaces[1:] {
+		traceID += "+" + iface.Name
+	}
+	o := opts.withDefaults(traceID)
 	if o.Property != nil && !ctl.IsACTL(o.Property) {
 		return nil, fmt.Errorf("core: property %s is not ACTL; only ACTL is compositional (Section 2.4)", o.Property)
 	}
 
-	s := &Synthesizer{context: context, comp: comp, iface: iface, opts: o}
+	s := &Synthesizer{context: context, opts: o}
 	s.tCompose = o.Metrics.Timer("core.compose")
 	s.tCheck = o.Metrics.Timer("core.check")
 	s.tReplay = o.Metrics.Timer("core.replay")
@@ -454,6 +512,9 @@ func New(context *automata.Automaton, comp legacy.Component, iface legacy.Interf
 		s.weakProperty = ctl.WeakenForChaos(o.Property)
 	}
 	s.noDeadlock = ctl.NoDeadlock()
+	// Delta patching maintains a binary product; several components
+	// rebuild theirs from the memoized closures every iteration.
+	s.incUnsupported = len(comps) > 1
 	if o.Nondet {
 		// Merged branches violate the single-successor invariant the
 		// delta-patching machinery relies on; the nondet path always
@@ -461,17 +522,24 @@ func New(context *automata.Automaton, comp legacy.Component, iface legacy.Interf
 		s.incUnsupported = true
 		s.nondetVisits = make(map[nondetVisitKey]*nondetVisit)
 	}
-	init := legacy.InitialStateName(comp)
-	s.stats.ResetsUsed++
-	a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
-	id := a.MustAddState(init, o.Labeler(init)...)
-	a.MarkInitial(id)
-	s.model = automata.NewIncomplete(a)
+	for i, iface := range ifaces {
+		c := &component{comp: comps[i], iface: iface, labeler: QualifiedLabeler(iface.Name)}
+		init := legacy.InitialStateName(c.comp)
+		s.stats.ResetsUsed++
+		a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
+		id := a.MustAddState(init, c.labeler(init)...)
+		a.MarkInitial(id)
+		c.model = automata.NewIncomplete(a)
+		s.comps = append(s.comps, c)
+		s.inputs = s.inputs.Union(iface.Inputs)
+		s.outputs = s.outputs.Union(iface.Outputs)
+	}
 	return s, nil
 }
 
-// Model returns the current learned incomplete automaton M_l^i.
-func (s *Synthesizer) Model() *automata.Incomplete { return s.model }
+// Model returns the current learned incomplete automaton M_l^i of the first
+// component.
+func (s *Synthesizer) Model() *automata.Incomplete { return s.comps[0].model }
 
 // runCtx returns the run's bound context (Background when none was given).
 func (s *Synthesizer) runCtx() context.Context {
@@ -495,7 +563,10 @@ func (s *Synthesizer) Run() (*Report, error) {
 		}
 		report.Iterations = append(report.Iterations, *it)
 		if done {
-			report.Model = s.model
+			for _, c := range s.comps {
+				report.Models = append(report.Models, c.model)
+			}
+			report.Model = report.Models[0]
 			s.stats.Iterations = len(report.Iterations)
 			if s.checker != nil {
 				s.stats.CTLWordsScanned = s.checker.WordsScanned()
@@ -509,7 +580,7 @@ func (s *Synthesizer) Run() (*Report, error) {
 			// completeness budget; the budget itself bounds how long that
 			// can go on.
 			noProgress++
-			if !s.opts.Nondet || noProgress > s.opts.NondetCompleteness {
+			if !s.opts.Nondet || noProgress > nondetCompleteness {
 				return nil, fmt.Errorf(
 					"core: iteration %d made no progress (counterexample not confirmed, nothing learned); "+
 						"disable PaperLiteralLearning or widen the universe", i)
@@ -524,11 +595,11 @@ func (s *Synthesizer) Run() (*Report, error) {
 // step performs one iteration. It fills the report's verdict fields when
 // done.
 func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) {
-	it := &Iteration{
-		Index:            index,
-		ModelStates:      s.model.Automaton().NumStates(),
-		ModelTransitions: s.model.Automaton().NumTransitions(),
-		ModelBlocked:     s.model.NumBlocked(),
+	it := &Iteration{Index: index}
+	for _, c := range s.comps {
+		it.ModelStates += c.model.Automaton().NumStates()
+		it.ModelTransitions += c.model.Automaton().NumTransitions()
+		it.ModelBlocked += c.model.NumBlocked()
 	}
 	// iterSpan is the iteration's span: the round's events parent to it.
 	var iterSpan uint64
@@ -552,10 +623,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 	}); err != nil {
 		return nil, false, err
 	}
-	it.ComposeDuration = time.Since(composeStart)
-	s.stats.ComposeTime += it.ComposeDuration
-	s.tCompose.Observe(it.ComposeDuration)
-	s.hCompose.Observe(it.ComposeDuration)
+	book(time.Since(composeStart), &it.ComposeDuration, &s.stats.ComposeTime, s.tCompose, s.hCompose)
 	if it.SystemStates > s.stats.PeakSystemStates {
 		s.stats.PeakSystemStates = it.SystemStates
 	}
@@ -616,10 +684,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 	}); err != nil {
 		return nil, false, err
 	}
-	it.CheckDuration = time.Since(checkStart)
-	s.stats.CheckTime += it.CheckDuration
-	s.tCheck.Observe(it.CheckDuration)
-	s.hCheck.Observe(it.CheckDuration)
+	book(time.Since(checkStart), &it.CheckDuration, &s.stats.CheckTime, s.tCheck, s.hCheck)
 	if j := s.opts.Journal; j.Enabled() {
 		j.Emit(obs.Event{Kind: obs.KindCheckResult, Iter: index, DurNS: int64(it.CheckDuration),
 			Trace: s.opts.TraceID, Parent: iterSpan,
@@ -738,6 +803,70 @@ func (s *Synthesizer) phase(name string, f func() error) error {
 	return f()
 }
 
+// book records one measured duration of a phase in its four sinks: the
+// iteration's and the run's totals, and the phase's core.* timer and
+// histogram.
+func book(d time.Duration, iter, run *time.Duration, t *obs.Timer, h *obs.Histogram) {
+	*iter += d
+	*run += d
+	t.Observe(d)
+	h.Observe(d)
+}
+
+// replayed books one replay execution of component c that took d and
+// journals it as a replay_step event under cexSpan; fill adds the
+// execution's fields and runs only when a journal is attached.
+func (s *Synthesizer) replayed(it *Iteration, c *component, d time.Duration, cexSpan uint64, tr *replay.Trace, fill func(n map[string]int64)) {
+	book(d, &it.ReplayDuration, &s.stats.ReplayTime, s.tReplay, s.hReplay)
+	if j := s.opts.Journal; j.Enabled() {
+		e := obs.Event{Kind: obs.KindReplayStep, Iter: it.Index, DurNS: int64(d),
+			Trace: s.opts.TraceID, Parent: cexSpan,
+			N: map[string]int64{}, S: map[string]string{"trace": tr.Render()}}
+		fill(e.N)
+		s.tagComponent(e.S, c)
+		j.Emit(e)
+	}
+}
+
+// probed records one deadlock-confirmation probe of component c that took
+// d in the iteration and Stats and journals it as a probe_result event
+// under cexSpan. The probe section's total time is booked by probesDone.
+func (s *Synthesizer) probed(it *Iteration, c *component, result replay.ProbeResult, d time.Duration, cexSpan uint64) {
+	it.Probes = append(it.Probes, result)
+	s.stats.ProbesRun++
+	if j := s.opts.Journal; j.Enabled() {
+		e := obs.Event{Kind: obs.KindProbeResult, Iter: it.Index, DurNS: int64(d),
+			Trace: s.opts.TraceID, Parent: cexSpan,
+			N: map[string]int64{
+				"accepted": b2i(result.Accepted),
+			}, S: map[string]string{
+				"state":  result.State,
+				"input":  result.Input.String(),
+				"output": result.Output.String(),
+				"after":  result.After,
+			}}
+		if s.opts.Nondet {
+			e.N["quiescent"] = b2i(result.Quiescent)
+		}
+		s.tagComponent(e.S, c)
+		j.Emit(e)
+	}
+}
+
+// probesDone books the probe section of one counterexample test, begun at
+// start.
+func (s *Synthesizer) probesDone(it *Iteration, start time.Time) {
+	book(time.Since(start), &it.ProbeDuration, &s.stats.ProbeTime, s.tProbe, s.hProbe)
+}
+
+// tagComponent names the component a journal event is about when there is
+// more than one.
+func (s *Synthesizer) tagComponent(fields map[string]string, c *component) {
+	if len(s.comps) > 1 {
+		fields["component"] = c.iface.Name
+	}
+}
+
 func (s *Synthesizer) emitVerdict(index int, iterSpan uint64, v Verdict, kind ViolationKind, reason string) {
 	if j := s.opts.Journal; j.Enabled() {
 		j.Emit(obs.Event{Kind: obs.KindVerdict, Iter: index,
@@ -758,13 +887,13 @@ func b2i(b bool) int64 {
 }
 
 // buildSystem produces this iteration's verification system M_a^c ‖
-// chaos(M_l^i) — incrementally patched from the previous iteration's
-// system when possible, built from scratch otherwise — and fills the
-// iteration's size fields.
+// chaos(M_1^i) ‖ … ‖ chaos(M_k^i) — for a single component incrementally
+// patched from the previous iteration's system when possible, built from
+// scratch otherwise — and fills the iteration's size fields.
 func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 	if !s.opts.DisableIncremental && !s.incUnsupported {
 		if s.inc == nil {
-			inc, err := automata.NewIncrementalSystemWith(s.runCtx(), s.context, s.model, s.opts.Universe, s.opts.Memo)
+			inc, err := automata.NewIncrementalSystemWith(s.runCtx(), s.context, s.comps[0].model, s.opts.Universe, s.opts.Memo)
 			switch {
 			case errors.Is(err, automata.ErrIncrementalUnsupported):
 				s.incUnsupported = true
@@ -803,24 +932,39 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 	}
 
 	s.pending = automata.LearnDelta{}
-	var closure *automata.Automaton
-	var err error
-	if s.opts.Nondet {
+	switch {
+	case s.opts.Nondet:
 		it.BuildReason = "nondet"
-		closure, err = automata.ChaoticClosureNondetCtx(s.runCtx(), s.model, s.opts.Universe)
-	} else {
-		if s.incUnsupported {
-			it.BuildReason = "incremental-unsupported"
+	case s.incUnsupported:
+		it.BuildReason = "incremental-unsupported"
+	default:
+		it.BuildReason = "incremental-disabled"
+	}
+	parts := make([]*automata.Automaton, 1, 1+len(s.comps))
+	parts[0] = s.context
+	for _, c := range s.comps {
+		var closure *automata.Automaton
+		var err error
+		if s.opts.Nondet {
+			closure, err = automata.ChaoticClosureNondetCtx(s.runCtx(), c.model, s.opts.Universe)
 		} else {
-			it.BuildReason = "incremental-disabled"
+			closure, err = automata.ChaoticClosureCtx(s.runCtx(), c.model, s.opts.Universe, s.opts.Memo)
 		}
-		closure, err = automata.ChaoticClosureCtx(s.runCtx(), s.model, s.opts.Universe, s.opts.Memo)
+		if err != nil {
+			return nil, fmt.Errorf("core: closure: %w", err)
+		}
+		it.ClosureStates += closure.NumStates()
+		parts = append(parts, closure)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("core: closure: %w", err)
+	var sys *automata.Automaton
+	var err error
+	if len(parts) == 2 {
+		sys, err = automata.ComposeCtx(s.runCtx(), "system", parts[0], parts[1], s.opts.Memo)
+	} else {
+		// The n-ary product of Definition 3 (a fold of the binary one
+		// would be wrong); it is neither memoized nor cancellable.
+		sys, err = automata.ComposeAll("system", parts...)
 	}
-	it.ClosureStates = closure.NumStates()
-	sys, err := automata.ComposeCtx(s.runCtx(), "system", s.context, closure, s.opts.Memo)
 	if err != nil {
 		return nil, fmt.Errorf("core: compose: %w", err)
 	}
@@ -829,58 +973,56 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 	return sys, nil
 }
 
-// testCounterexample executes the counterexample against the legacy
+// testCounterexample executes the counterexample against every legacy
 // component (Section 4.2 / Section 5) and learns from the observations.
 // It reports whether the counterexample was confirmed as real. cexSpan is
 // the journal span of the counterexample's cex_classified event; the
 // replay and probe events nest under it.
 func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.Run, kind ViolationKind, it *Iteration, cexSpan uint64) (bool, error) {
-	proj, err := sys.ProjectRun(*cex, s.iface.Name)
-	if err != nil {
-		return false, fmt.Errorf("core: project counterexample: %w", err)
-	}
-	inputs := make([]automata.SignalSet, len(proj.Steps))
-	for i, step := range proj.Steps {
-		inputs[i] = step.In
-	}
+	diverged := false
+	for i, c := range s.comps {
+		proj, err := sys.ProjectRun(*cex, c.iface.Name)
+		if err != nil {
+			return false, fmt.Errorf("core: project counterexample: %w", err)
+		}
+		inputs := make([]automata.SignalSet, len(proj.Steps))
+		for k, step := range proj.Steps {
+			inputs[k] = step.In
+		}
 
-	// Record with minimal probes, then replay with full instrumentation
-	// (Section 5).
-	replayStart := time.Now()
-	rec := replay.Record(s.comp, s.iface, inputs)
-	s.stats.TestsRun++
-	s.stats.ResetsUsed += 2
-	trace, observed, err := replay.Replay(s.comp, rec)
-	if err != nil {
-		return false, fmt.Errorf("core: deterministic replay failed: %w", err)
-	}
-	it.Recording = &rec
-	it.ReplayTrace = &trace
+		// Record with minimal probes, then replay with full
+		// instrumentation (Section 5).
+		replayStart := time.Now()
+		rec := replay.Record(c.comp, c.iface, inputs)
+		s.stats.TestsRun++
+		s.stats.ResetsUsed += 2
+		tr, obsRun, err := replay.Replay(c.comp, rec)
+		if err != nil {
+			return false, fmt.Errorf("core: deterministic replay failed: %w", err)
+		}
+		if i == 0 {
+			it.Recording = &rec
+			it.ReplayTrace = &tr
+		}
+		if err := s.learnObservation(c, obsRun, it); err != nil {
+			return false, err
+		}
+		s.replayed(it, c, time.Since(replayStart), cexSpan, &tr, func(n map[string]int64) {
+			n["periods"] = int64(len(rec.Outputs))
+			n["blocked_at"] = int64(rec.BlockedAt)
+		})
+		c.rec, c.observed = rec, obsRun
 
-	if err := s.learnObservation(observed, it); err != nil {
-		return false, err
-	}
-	replayDur := time.Since(replayStart)
-	it.ReplayDuration += replayDur
-	s.stats.ReplayTime += replayDur
-	s.tReplay.Observe(replayDur)
-	s.hReplay.Observe(replayDur)
-	if j := s.opts.Journal; j.Enabled() {
-		j.Emit(obs.Event{Kind: obs.KindReplayStep, Iter: it.Index, DurNS: int64(replayDur),
-			Trace: s.opts.TraceID, Parent: cexSpan,
-			N: map[string]int64{
-				"periods":    int64(len(rec.Outputs)),
-				"blocked_at": int64(rec.BlockedAt),
-			}, S: map[string]string{"trace": trace.Render()}})
-	}
-
-	// Divergence: blocked early, or outputs departing from the
-	// counterexample's projection.
-	diverged := !rec.Completed()
-	for i := range rec.Outputs {
-		if !rec.Outputs[i].Equal(proj.Steps[i].Out) {
+		// Divergence: blocked early, or outputs departing from the
+		// counterexample's projection.
+		if !rec.Completed() {
 			diverged = true
-			break
+		}
+		for k := range rec.Outputs {
+			if !rec.Outputs[k].Equal(proj.Steps[k].Out) {
+				diverged = true
+				break
+			}
 		}
 	}
 	if diverged {
@@ -901,75 +1043,68 @@ func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.
 	// deadlock — either the δ check itself, or a temporal violation whose
 	// witness path stops early). Probe every interaction the context
 	// offers at the end of the run: the stop is real iff no offer can
-	// form a joint step with the implementation's deterministic reaction.
-	return s.probeDeadlock(sys, cex, rec, observed, it, cexSpan)
+	// form a joint step with the implementations' deterministic reactions.
+	return s.probeDeadlock(sys, cex, it, cexSpan)
 }
 
 // probeDeadlock checks whether the composed deadlock at the end of the
-// counterexample is real. For each distinct input the context would hand
-// to the component at its final state, the executor replays the prefix and
-// performs one probe step (Section 5's replay makes the repeated
-// re-execution deterministic); the reactions are learned.
-func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, rec replay.Recording, observed automata.ObservedRun, it *Iteration, cexSpan uint64) (bool, error) {
-	probeStart := time.Now()
-	defer func() {
-		d := time.Since(probeStart)
-		it.ProbeDuration += d
-		s.stats.ProbeTime += d
-		s.tProbe.Observe(d)
-		s.hProbe.Observe(d)
-	}()
-	ctxState, err := s.contextStateAt(sys, cex.States[len(cex.States)-1])
+// counterexample is real. For each distinct share of an offer the context
+// would hand to a component at its final state, the executor replays the
+// component's prefix and performs one probe step (Section 5's replay makes
+// the repeated re-execution deterministic); the reactions are learned.
+func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, it *Iteration, cexSpan uint64) (bool, error) {
+	defer s.probesDone(it, time.Now())
+	ctxState, err := ContextStateAt(s.context, sys, cex.States[len(cex.States)-1])
 	if err != nil {
 		return false, err
 	}
-	finalState := observed.Initial
-	if n := len(observed.Steps); n > 0 {
-		finalState = observed.Steps[n-1].To
-	}
 
+	type probeKey struct {
+		comp int
+		in   string
+	}
 	jointPossible := false
-	probed := make(map[string]replay.ProbeResult)
+	cache := make(map[probeKey]replay.ProbeResult)
 	for _, offer := range s.context.TransitionsFrom(ctxState) {
-		// The component's input under this offer is what the context
-		// sends; the offer is only realizable if everything the context
-		// sends reaches the component.
-		if !offer.Label.Out.SubsetOf(s.iface.Inputs) {
+		// The offer is only realizable if everything the context sends
+		// reaches some component.
+		if !offer.Label.Out.SubsetOf(s.inputs) {
 			continue
 		}
-		in := offer.Label.Out
-		result, ok := probed[in.Key()]
-		if !ok {
-			var err error
-			probeOne := time.Now()
-			result, err = replay.Probe(s.comp, rec, in)
-			probeOneDur := time.Since(probeOne)
-			if err != nil {
-				return false, fmt.Errorf("core: probe: %w", err)
+		accepted := true
+		out := automata.EmptySet
+		for i, c := range s.comps {
+			// The component's input under this offer is its share of what
+			// the context sends (all of it for a single component).
+			in := offer.Label.Out
+			if len(s.comps) > 1 {
+				in = in.Intersect(c.iface.Inputs)
 			}
-			probed[in.Key()] = result
-			it.Probes = append(it.Probes, result)
-			s.stats.ProbesRun++
-			s.stats.ResetsUsed++
-			if j := s.opts.Journal; j.Enabled() {
-				j.Emit(obs.Event{Kind: obs.KindProbeResult, Iter: it.Index, DurNS: int64(probeOneDur),
-					Trace: s.opts.TraceID, Parent: cexSpan,
-					N: map[string]int64{
-						"accepted": b2i(result.Accepted),
-					}, S: map[string]string{
-						"state":  result.State,
-						"input":  result.Input.String(),
-						"output": result.Output.String(),
-						"after":  result.After,
-					}})
+			key := probeKey{comp: i, in: in.Key()}
+			result, ok := cache[key]
+			if !ok {
+				probeStart := time.Now()
+				result, err = replay.Probe(c.comp, c.rec, in)
+				probeDur := time.Since(probeStart)
+				if err != nil {
+					return false, fmt.Errorf("core: probe: %w", err)
+				}
+				cache[key] = result
+				s.stats.ResetsUsed++
+				s.probed(it, c, result, probeDur, cexSpan)
+				if err := s.learnProbe(c, c.observed, result, finalState(c.observed), it); err != nil {
+					return false, err
+				}
 			}
-			if err := s.learnProbe(observed, result, finalState, it); err != nil {
-				return false, err
+			if !result.Accepted {
+				accepted = false
+				break
 			}
+			out = out.Union(result.Output)
 		}
 		// Joint step condition of Definition 3: the context's expected
-		// inputs from the component must equal the component's outputs.
-		if result.Accepted && offer.Label.In.Intersect(s.iface.Outputs).Equal(result.Output) {
+		// inputs from the components must equal their combined outputs.
+		if accepted && offer.Label.In.Intersect(s.outputs).Equal(out) {
 			jointPossible = true
 		}
 	}
@@ -982,36 +1117,33 @@ func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, 
 	return true, nil
 }
 
-// learnObservation merges a full observed run into the model, including
+// learnObservation merges a full observed run into c's model, including
 // function-refusal expansion when enabled.
 //
-// Note: with the default single-component pipeline the Blocked branch is
-// defensive — counterexample plans consist solely of already-learned
-// steps (the chaos-weakened property is satisfied at s_∀, and (s,0)
-// deadlocks precede s_δ ones in the shortest-counterexample search), so
-// recordings never block mid-plan; refusal hypotheses are decided by the
-// final-state probes instead. The branch matters for callers feeding
-// externally constructed plans.
-func (s *Synthesizer) learnObservation(observed automata.ObservedRun, it *Iteration) error {
+// Note: with a single component the Blocked branch is defensive —
+// counterexample plans consist solely of already-learned steps (the
+// chaos-weakened property is satisfied at s_∀, and (s,0) deadlocks precede
+// s_δ ones in the shortest-counterexample search), so recordings never
+// block mid-plan; refusal hypotheses are decided by the final-state probes
+// instead. The branch matters with several components, where a
+// counterexample runs on past one component's chaotic states while the
+// others still move, and for callers feeding externally constructed plans.
+func (s *Synthesizer) learnObservation(c *component, observed automata.ObservedRun, it *Iteration) error {
 	// When the component blocked an input entirely, every output
 	// hypothesis under that input is refuted.
 	if observed.Blocked != nil && !s.opts.PaperLiteralLearning {
-		base := *observed.Blocked
+		blocked := observed.Blocked.In
 		run := observed
 		run.Blocked = nil
-		delta, err := s.model.Learn(run, s.opts.Labeler)
+		delta, err := c.model.Learn(run, c.labeler)
 		if err != nil {
 			return fmt.Errorf("core: learn: %w", err)
 		}
 		s.accumulate(delta, it)
-		final := run.Initial
-		if n := len(run.Steps); n > 0 {
-			final = run.Steps[n-1].To
-		}
-		return s.blockAllOutputs(final, base.In, it)
+		return s.refuse(c, finalState(run), blocked, nil, false, it)
 	}
 
-	delta, err := s.model.Learn(observed, s.opts.Labeler)
+	delta, err := c.model.Learn(observed, c.labeler)
 	if err != nil {
 		return fmt.Errorf("core: learn: %w", err)
 	}
@@ -1022,7 +1154,7 @@ func (s *Synthesizer) learnObservation(observed automata.ObservedRun, it *Iterat
 		// B' ≠ B.
 		cur := observed.Initial
 		for _, step := range observed.Steps {
-			if err := s.blockOtherOutputs(cur, step.Label, it); err != nil {
+			if err := s.refuse(c, cur, step.Label.In, &step.Label.Out, false, it); err != nil {
 				return err
 			}
 			cur = step.To
@@ -1031,8 +1163,8 @@ func (s *Synthesizer) learnObservation(observed automata.ObservedRun, it *Iterat
 	return nil
 }
 
-// learnProbe merges one probe reaction (prefix + one step) into the model.
-func (s *Synthesizer) learnProbe(prefix automata.ObservedRun, result replay.ProbeResult, finalState string, it *Iteration) error {
+// learnProbe merges one probe reaction (prefix + one step) into c's model.
+func (s *Synthesizer) learnProbe(c *component, prefix automata.ObservedRun, result replay.ProbeResult, finalState string, it *Iteration) error {
 	if result.Accepted {
 		run := prefix
 		run.Blocked = nil
@@ -1040,25 +1172,25 @@ func (s *Synthesizer) learnProbe(prefix automata.ObservedRun, result replay.Prob
 			Label: automata.Interaction{In: result.Input, Out: result.Output},
 			To:    result.After,
 		})
-		delta, err := s.model.Learn(run, s.opts.Labeler)
+		delta, err := c.model.Learn(run, c.labeler)
 		if err != nil {
 			return fmt.Errorf("core: learn probe: %w", err)
 		}
 		s.accumulate(delta, it)
 		if !s.opts.PaperLiteralLearning {
-			return s.blockOtherOutputs(finalState, automata.Interaction{In: result.Input, Out: result.Output}, it)
+			return s.refuse(c, finalState, result.Input, &result.Output, false, it)
 		}
 		return nil
 	}
 	if !s.opts.PaperLiteralLearning {
-		return s.blockAllOutputs(finalState, result.Input, it)
+		return s.refuse(c, finalState, result.Input, nil, false, it)
 	}
 	// Paper-literal learning: record the single refused hypothesis (the
 	// empty-output variant stands for the offered interaction).
 	run := prefix
 	blocked := automata.Interaction{In: result.Input}
 	run.Blocked = &blocked
-	delta, err := s.model.Learn(run, s.opts.Labeler)
+	delta, err := c.model.Learn(run, c.labeler)
 	if err != nil {
 		return fmt.Errorf("core: learn refusal: %w", err)
 	}
@@ -1066,21 +1198,35 @@ func (s *Synthesizer) learnProbe(prefix automata.ObservedRun, result replay.Prob
 	return nil
 }
 
-// blockOtherOutputs records, at the named state, refusals of every
-// universe interaction sharing the observed input but differing in output.
-func (s *Synthesizer) blockOtherOutputs(state string, observed automata.Interaction, it *Iteration) error {
-	id := s.model.Automaton().State(state)
+// refuse records, at the named learned state of c, refusals (T̄) of the
+// universe interactions under input in that are neither learned nor
+// already refused. With observed non-nil the component answered in with
+// *observed, so only the other outputs are refuted; with observed nil it
+// refused in entirely. settle additionally certifies the learned labels
+// under in as successor-complete (the nondeterministic path's
+// completeness rule), removing their chaos escapes from the next closure.
+func (s *Synthesizer) refuse(c *component, state string, in automata.SignalSet, observed *automata.SignalSet, settle bool, it *Iteration) error {
+	id := c.model.Automaton().State(state)
 	if id == automata.NoState {
 		return fmt.Errorf("core: unknown learned state %q", state)
 	}
-	for _, x := range s.opts.Universe.Enumerate(s.iface.Inputs, s.iface.Outputs) {
-		if !x.In.Equal(observed.In) || x.Out.Equal(observed.Out) {
+	for _, x := range s.opts.Universe.Enumerate(c.iface.Inputs, c.iface.Outputs) {
+		if !x.In.Equal(in) || (observed != nil && x.Out.Equal(*observed)) {
 			continue
 		}
-		if s.model.IsBlocked(id, x) || len(s.model.Automaton().Successors(id, x)) > 0 {
+		if len(c.model.Automaton().Successors(id, x)) > 0 {
+			if settle && !c.model.IsSettled(id, x) {
+				if err := c.model.SettleLabel(id, x); err != nil {
+					return err
+				}
+				it.Delta.Settled++
+			}
 			continue
 		}
-		if err := s.model.Block(id, x); err != nil {
+		if c.model.IsBlocked(id, x) {
+			continue
+		}
+		if err := c.model.Block(id, x); err != nil {
 			return err
 		}
 		it.Delta.Blocked++
@@ -1090,35 +1236,12 @@ func (s *Synthesizer) blockOtherOutputs(state string, observed automata.Interact
 	return nil
 }
 
-// blockAllOutputs records refusals of every universe interaction with the
-// given input at the named state (the component refused the input
-// entirely).
-func (s *Synthesizer) blockAllOutputs(state string, in automata.SignalSet, it *Iteration) error {
-	id := s.model.Automaton().State(state)
-	if id == automata.NoState {
-		return fmt.Errorf("core: unknown learned state %q", state)
+// finalState names the state an observed run ends in.
+func finalState(run automata.ObservedRun) string {
+	if n := len(run.Steps); n > 0 {
+		return run.Steps[n-1].To
 	}
-	for _, x := range s.opts.Universe.Enumerate(s.iface.Inputs, s.iface.Outputs) {
-		if !x.In.Equal(in) {
-			continue
-		}
-		if s.model.IsBlocked(id, x) || len(s.model.Automaton().Successors(id, x)) > 0 {
-			continue
-		}
-		if err := s.model.Block(id, x); err != nil {
-			return err
-		}
-		it.Delta.Blocked++
-		it.Delta.NewBlocked = append(it.Delta.NewBlocked, automata.BlockedEntry{State: id, Label: x})
-		s.stats.RefusalsLearned++
-	}
-	return nil
-}
-
-// contextStateAt resolves the context automaton's own state matching the
-// context leaves of a composed system state.
-func (s *Synthesizer) contextStateAt(sys *automata.Automaton, composed automata.StateID) (automata.StateID, error) {
-	return ContextStateAt(s.context, sys, composed)
+	return run.Initial
 }
 
 // ContextStateAt resolves the context automaton's own state matching the

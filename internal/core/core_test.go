@@ -240,6 +240,31 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(clash, &railcab.CorrectShuttle{}, iface, Options{}); err == nil {
 		t.Fatal("overlapping alphabets accepted")
 	}
+	// Leaf-name clashes: counterexamples are projected by leaf name, so a
+	// component named like a context leaf or like another component would
+	// be projected onto the wrong automaton.
+	namesake := automata.New("service1", automata.NewSignalSet("pong1"), automata.NewSignalSet("ping1"))
+	n0 := namesake.MustAddState("ask")
+	n1 := namesake.MustAddState("await")
+	namesake.MustAddTransition(n0, automata.Interact(nil, []automata.Signal{"ping1"}), n1)
+	namesake.MustAddTransition(n1, automata.Interact([]automata.Signal{"pong1"}, nil), n0)
+	namesake.MarkInitial(n0)
+	if _, err := New(namesake, &ponger{idx: "1"}, pongIface("1"), Options{}); err == nil ||
+		!strings.Contains(err.Error(), `"service1"`) {
+		t.Fatalf("component named like a context leaf: err = %v, want a clash naming service1", err)
+	}
+	twin := pongIface("2")
+	twin.Name = "service1"
+	if _, err := NewMulti(multiContext(), []legacy.Component{&ponger{idx: "1"}, &ponger{idx: "2"}},
+		[]legacy.Interface{pongIface("1"), twin}, Options{}); err == nil ||
+		!strings.Contains(err.Error(), `"service1"`) {
+		t.Fatalf("two components named alike: err = %v, want a clash naming service1", err)
+	}
+	// The nondeterministic path takes a single component.
+	if _, err := NewMulti(multiContext(), []legacy.Component{&ponger{idx: "1"}, &ponger{idx: "2"}},
+		[]legacy.Interface{pongIface("1"), pongIface("2")}, Options{Nondet: true}); err == nil {
+		t.Fatal("Nondet with two components accepted")
+	}
 }
 
 func TestQualifiedLabeler(t *testing.T) {

@@ -56,21 +56,35 @@ func TestJournalGoldenRailCabCorrect(t *testing.T) {
 	}
 }
 
-// TestJournalEventsValidate runs every built-in shuttle scenario with a
-// JSONL journal and passes the output through the schema validator —
-// the same check `make obs-smoke` performs on the CLI.
+// TestJournalEventsValidate runs every built-in shuttle scenario and the
+// two-service coordinator (healthy and with a mute second service) with a
+// JSONL journal and passes the output through the schema validator — the
+// same check `make obs-smoke` performs on the CLI.
 func TestJournalEventsValidate(t *testing.T) {
-	for name, comp := range map[string]func() legacy.Component{
-		"correct":  func() legacy.Component { return &railcab.CorrectShuttle{} },
-		"eager":    func() legacy.Component { return &railcab.EagerShuttle{} },
-		"blocking": func() legacy.Component { return &railcab.BlockingShuttle{} },
+	shuttle := func(comp legacy.Component) func(*obs.Journal) (*Synthesizer, error) {
+		return func(j *obs.Journal) (*Synthesizer, error) {
+			return New(railcab.FrontRole(), comp, railcab.RearInterface(railcab.RearRoleName),
+				Options{Property: railcab.Constraint(), Journal: j})
+		}
+	}
+	services := func(mute bool) func(*obs.Journal) (*Synthesizer, error) {
+		return func(j *obs.Journal) (*Synthesizer, error) {
+			return NewMulti(multiContext(),
+				[]legacy.Component{&ponger{idx: "1"}, &ponger{idx: "2", mute: mute}},
+				[]legacy.Interface{pongIface("1"), pongIface("2")}, Options{Journal: j})
+		}
+	}
+	for name, newSynth := range map[string]func(*obs.Journal) (*Synthesizer, error){
+		"correct":       shuttle(&railcab.CorrectShuttle{}),
+		"eager":         shuttle(&railcab.EagerShuttle{}),
+		"blocking":      shuttle(&railcab.BlockingShuttle{}),
+		"two-services":  services(false),
+		"mute-services": services(true),
 	} {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
 			j := obs.NewJournal(obs.NewJSONLSink(&buf))
-			synth, err := New(railcab.FrontRole(), comp(),
-				railcab.RearInterface(railcab.RearRoleName),
-				Options{Property: railcab.Constraint(), Journal: j})
+			synth, err := newSynth(j)
 			if err != nil {
 				t.Fatal(err)
 			}

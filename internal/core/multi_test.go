@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"muml/internal/automata"
+	"muml/internal/ctl"
 	"muml/internal/legacy"
 )
 
@@ -86,7 +89,7 @@ func TestMultiSynthesisProvesTwoComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	if report.Verdict != VerdictProven {
-		t.Fatalf("verdict = %v (%v) after %d iterations", report.Verdict, report.Kind, report.Iterations)
+		t.Fatalf("verdict = %v (%v) after %d iterations", report.Verdict, report.Kind, len(report.Iterations))
 	}
 	if len(report.Models) != 2 {
 		t.Fatalf("models = %d", len(report.Models))
@@ -97,7 +100,48 @@ func TestMultiSynthesisProvesTwoComponents(t *testing.T) {
 		}
 	}
 	t.Logf("multi-component proof after %d iterations; learned %d+%d states",
-		report.Iterations, report.Models[0].Automaton().NumStates(), report.Models[1].Automaton().NumStates())
+		len(report.Iterations), report.Models[0].Automaton().NumStates(), report.Models[1].Automaton().NumStates())
+}
+
+// TestMultiSynthesisRefutesReachableState: service1 does reach "got", so
+// AG ¬service1.got must come back violated. Learned states must carry their
+// component's qualified labels: under unqualified ones (".got") the
+// property holds vacuously on every learned model and is falsely proven.
+func TestMultiSynthesisRefutesReachableState(t *testing.T) {
+	m, err := NewMulti(multiContext(),
+		[]legacy.Component{&ponger{idx: "1"}, &ponger{idx: "2"}},
+		[]legacy.Interface{pongIface("1"), pongIface("2")},
+		Options{Property: ctl.AG(ctl.Not(ctl.Atom("service1.got")))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Verdict != VerdictViolation || report.Kind != ViolationConstraint {
+		t.Fatalf("verdict = %v/%v after %d iterations, want violation/constraint violation",
+			report.Verdict, report.Kind, len(report.Iterations))
+	}
+	for i, model := range report.Models {
+		a := model.Automaton()
+		prefix := fmt.Sprintf("service%d.", i+1)
+		for id := 0; id < a.NumStates(); id++ {
+			labels := a.Labels(automata.StateID(id))
+			if len(labels) == 0 {
+				t.Fatalf("component %d: state %q unlabelled", i, a.StateName(automata.StateID(id)))
+			}
+			for _, p := range labels {
+				if !strings.HasPrefix(string(p), prefix) {
+					t.Fatalf("component %d: state %q labelled %q, want prefix %q",
+						i, a.StateName(automata.StateID(id)), p, prefix)
+				}
+			}
+		}
+	}
+	if got := report.Models[0].Automaton().State("got"); got == automata.NoState {
+		t.Fatal("service1 never learned its got state")
+	}
 }
 
 func TestMultiSynthesisFindsDeadlockInSecondComponent(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // refutes, it merely shows *one* element of the out-set. Following ioco,
 // this path:
 //
-//   - re-executes a counterexample up to Options.NondetAttempts times,
+//   - re-executes a counterexample up to nondetAttempts times,
 //     merging every observed run into the learned fragment with
 //     LearnNondet (divergent-but-allowed branches become ioco_merge
 //     events, not failures);
@@ -27,7 +27,7 @@ import (
 //     per-occurrence round-robin schedule advances the pair's
 //     first-occurrence cursor exactly once per such run, cycling every
 //     duplicate branch within branching-degree consecutive visits, so
-//     after Options.NondetCompleteness visits the out-set and successor
+//     after nondetCompleteness visits the out-set and successor
 //     set there are complete — unobserved outputs become refusals and
 //     learned labels are settled, removing their chaos escapes from the
 //     next closure (the complete-testing assumption realized by
@@ -51,7 +51,7 @@ type nondetVisitKey struct {
 // replay attempts and probe tries alike — is observed and learned. Each
 // such run advances the key's first-occurrence round-robin cursor exactly
 // once (a run's first visit of a pair is occurrence zero by definition),
-// so NondetCompleteness consecutive visits provably cycle through every
+// so nondetCompleteness consecutive visits provably cycle through every
 // duplicate branch of the component model. Deeper occurrences within one
 // run carry no cycling guarantee — a single long run can repeat one
 // branch at every depth — which is why repeat visits inside a run do not
@@ -119,7 +119,8 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 		}
 	}
 
-	proj, err := sys.ProjectRun(*cex, s.iface.Name)
+	c := s.comps[0]
+	proj, err := sys.ProjectRun(*cex, c.iface.Name)
 	if err != nil {
 		return false, fmt.Errorf("core: project counterexample: %w", err)
 	}
@@ -136,17 +137,17 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 	// live Record pass monitors messages only (no state probes), so its
 	// scheduler turns would be invisible to the fair-visit counters and
 	// shift the round-robin phase out from under the completeness budget.
-	rec := replay.Recording{Iface: s.iface, Inputs: inputs, Outputs: outputs, BlockedAt: -1}
+	rec := replay.Recording{Iface: c.iface, Inputs: inputs, Outputs: outputs, BlockedAt: -1}
 	it.Recording = &rec
 
-	for attempt := 0; attempt < s.opts.NondetAttempts; attempt++ {
+	for attempt := 0; attempt < nondetAttempts; attempt++ {
 		if err := s.runCtx().Err(); err != nil {
 			return false, fmt.Errorf("core: nondet test aborted: %w", err)
 		}
 		replayStart := time.Now()
 		s.stats.TestsRun++
 		s.stats.ResetsUsed++
-		trace, observed, divs, err := replay.ReplayNondet(s.comp, rec, s.model)
+		tr, observed, divs, err := replay.ReplayNondet(c.comp, rec, c.model)
 		if err != nil {
 			return false, fmt.Errorf("core: nondet replay failed: %w", err)
 		}
@@ -160,25 +161,18 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 			}
 		}
 		if attempt == 0 {
-			it.ReplayTrace = &trace
+			it.ReplayTrace = &tr
 		}
-		if err := s.learnObservationNondet(observed, it); err != nil {
+		if err := s.learnObservationNondet(c, observed, it); err != nil {
 			return false, err
 		}
-		replayDur := time.Since(replayStart)
-		it.ReplayDuration += replayDur
-		s.stats.ReplayTime += replayDur
-		s.tReplay.Observe(replayDur)
-		s.hReplay.Observe(replayDur)
+		s.replayed(it, c, time.Since(replayStart), cexSpan, &tr, func(n map[string]int64) {
+			n["periods"] = int64(len(observed.Steps))
+			n["blocked_at"] = int64(rec.BlockedAt)
+			n["diverged"] = int64(len(divs))
+			n["attempt"] = int64(attempt)
+		})
 		if j := s.opts.Journal; j.Enabled() {
-			j.Emit(obs.Event{Kind: obs.KindReplayStep, Iter: it.Index, DurNS: int64(replayDur),
-				Trace: s.opts.TraceID, Parent: cexSpan,
-				N: map[string]int64{
-					"periods":    int64(len(observed.Steps)),
-					"blocked_at": int64(rec.BlockedAt),
-					"diverged":   int64(len(divs)),
-					"attempt":    int64(attempt),
-				}, S: map[string]string{"trace": trace.Render()}})
 			for _, d := range divs {
 				recorded := d.Recorded.String()
 				if d.RecordedRefused {
@@ -208,11 +202,7 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 				it.Test = TestRealizable
 				return true, nil
 			}
-			finalState := observed.Initial
-			if n := len(observed.Steps); n > 0 {
-				finalState = observed.Steps[n-1].To
-			}
-			return s.probeDeadlockNondet(sys, cex, inputs, finalState, it, cexSpan)
+			return s.probeDeadlockNondet(sys, cex, inputs, finalState(observed), it, cexSpan)
 		}
 	}
 
@@ -232,7 +222,7 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 	if kind == ViolationDeadlock || sys.IsDeadlock(cex.States[len(cex.States)-1]) {
 		name := proj.StateNames[len(proj.StateNames)-1]
 		if name != automata.ChaosAllState && name != automata.ChaosDeltaState &&
-			s.model.Automaton().State(name) != automata.NoState {
+			c.model.Automaton().State(name) != automata.NoState {
 			return s.probeDeadlockNondet(sys, cex, inputs, name, it, cexSpan)
 		}
 	}
@@ -270,34 +260,34 @@ func (s *Synthesizer) matchProjection(proj automata.ProjectedRun, observed autom
 // about (s, A, B') when outputs race — but a refusal still refutes every
 // output hypothesis under its input, because refusals are per-(state,
 // input) deterministic in the component model.
-func (s *Synthesizer) learnObservationNondet(observed automata.ObservedRun, it *Iteration) error {
+func (s *Synthesizer) learnObservationNondet(c *component, observed automata.ObservedRun, it *Iteration) error {
 	run := observed
 	run.Blocked = nil
-	delta, err := s.model.LearnNondet(run, s.opts.Labeler)
+	delta, err := c.model.LearnNondet(run, c.labeler)
 	if err != nil {
 		return fmt.Errorf("core: learn (nondet): %w", err)
 	}
 	s.accumulate(delta, it)
 	if observed.Blocked != nil {
-		final := run.Initial
-		if n := len(run.Steps); n > 0 {
-			final = run.Steps[n-1].To
-		}
-		if err := s.blockAllOutputs(final, observed.Blocked.In, it); err != nil {
+		if err := s.refuse(c, finalState(run), observed.Blocked.In, nil, false, it); err != nil {
 			return err
 		}
 	}
 	// Visits are counted only after the whole run is in the model, so a
 	// maturity triggered by an early step already sees branches the same
 	// run revealed later.
-	return s.noteFairVisits(run, it)
+	return s.noteFairVisits(c, run, it)
 }
 
 // noteFairVisits advances the fair-visit counter of every (state, input)
 // the run stepped through — once per pair, however often the run revisited
 // it — and settles each pair whose counter reaches the completeness
-// budget.
-func (s *Synthesizer) noteFairVisits(run automata.ObservedRun, it *Iteration) error {
+// budget: after nondetCompleteness fair visits every duplicate branch
+// under the input has appeared, so unobserved outputs become refusals (T̄)
+// and each learned label is settled. A branch surfacing after its label
+// was refuted falsifies the budget and is surfaced by LearnNondet as a
+// contradiction.
+func (s *Synthesizer) noteFairVisits(c *component, run automata.ObservedRun, it *Iteration) error {
 	cur := run.Initial
 	seen := make(map[nondetVisitKey]bool)
 	for _, step := range run.Steps {
@@ -313,49 +303,12 @@ func (s *Synthesizer) noteFairVisits(run automata.ObservedRun, it *Iteration) er
 			s.nondetVisits[k] = v
 		}
 		v.n++
-		if !v.matured && v.n >= s.opts.NondetCompleteness {
+		if !v.matured && v.n >= nondetCompleteness {
 			v.matured = true
-			if err := s.settleInput(k.state, v.in, it); err != nil {
+			if err := s.refuse(c, k.state, v.in, nil, true, it); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// settleInput certifies (state, input) as out- and successor-complete:
-// after NondetCompleteness fair visits every duplicate branch under the
-// input has appeared, so unobserved outputs become refusals (T̄) and each
-// learned label is settled — both remove chaos hypotheses from the next
-// closure. A branch surfacing after its label was refuted falsifies the
-// budget and is surfaced by LearnNondet as a contradiction.
-func (s *Synthesizer) settleInput(state string, in automata.SignalSet, it *Iteration) error {
-	id := s.model.Automaton().State(state)
-	if id == automata.NoState {
-		return nil
-	}
-	for _, x := range s.opts.Universe.Enumerate(s.iface.Inputs, s.iface.Outputs) {
-		if !x.In.Equal(in) {
-			continue
-		}
-		if len(s.model.Automaton().Successors(id, x)) > 0 {
-			if !s.model.IsSettled(id, x) {
-				if err := s.model.SettleLabel(id, x); err != nil {
-					return err
-				}
-				it.Delta.Settled++
-			}
-			continue
-		}
-		if s.model.IsBlocked(id, x) {
-			continue
-		}
-		if err := s.model.Block(id, x); err != nil {
-			return err
-		}
-		it.Delta.Blocked++
-		it.Delta.NewBlocked = append(it.Delta.NewBlocked, automata.BlockedEntry{State: id, Label: x})
-		s.stats.RefusalsLearned++
 	}
 	return nil
 }
@@ -371,21 +324,15 @@ func (s *Synthesizer) settleInput(state string, in automata.SignalSet, it *Itera
 // learned, so fair-visit maturity converges the model until the deadlock
 // is either certified chaos-free or gone.
 func (s *Synthesizer) probeDeadlockNondet(sys *automata.Automaton, cex *automata.Run, inputs []automata.SignalSet, final string, it *Iteration, cexSpan uint64) (bool, error) {
-	probeStart := time.Now()
-	defer func() {
-		d := time.Since(probeStart)
-		it.ProbeDuration += d
-		s.stats.ProbeTime += d
-		s.tProbe.Observe(d)
-		s.hProbe.Observe(d)
-	}()
-	ctxState, err := s.contextStateAt(sys, cex.States[len(cex.States)-1])
+	defer s.probesDone(it, time.Now())
+	c := s.comps[0]
+	ctxState, err := ContextStateAt(s.context, sys, cex.States[len(cex.States)-1])
 	if err != nil {
 		return false, err
 	}
 	// A synthetic recording: ProbeNondet only needs the input plan (its
 	// prefix re-executions follow actual behavior, not recorded outputs).
-	recProbe := replay.Recording{Iface: s.iface, Inputs: inputs, BlockedAt: -1}
+	recProbe := replay.Recording{Iface: c.iface, Inputs: inputs, BlockedAt: -1}
 
 	jointPossible := false
 	refused := make(map[string]bool)             // input key -> refused at final
@@ -394,11 +341,11 @@ func (s *Synthesizer) probeDeadlockNondet(sys *automata.Automaton, cex *automata
 	decided := make(map[string]bool)             // inKey|wantKey -> handled
 
 	for _, offer := range s.context.TransitionsFrom(ctxState) {
-		if !offer.Label.Out.SubsetOf(s.iface.Inputs) {
+		if !offer.Label.Out.SubsetOf(c.iface.Inputs) {
 			continue
 		}
 		in := offer.Label.Out
-		want := offer.Label.In.Intersect(s.iface.Outputs)
+		want := offer.Label.In.Intersect(c.iface.Outputs)
 		key := in.Key() + "|" + want.Key()
 		if decided[key] {
 			continue
@@ -414,25 +361,25 @@ func (s *Synthesizer) probeDeadlockNondet(sys *automata.Automaton, cex *automata
 		// Model first: a learned transition at the final state matching
 		// the offer is behavior that was actually observed, so the joint
 		// step is possible without drawing a single sample.
-		if id := s.model.Automaton().State(final); id != automata.NoState {
-			if len(s.model.Automaton().Successors(id, automata.Interaction{In: in, Out: want})) > 0 {
+		if id := c.model.Automaton().State(final); id != automata.NoState {
+			if len(c.model.Automaton().Successors(id, automata.Interaction{In: in, Out: want})) > 0 {
 				jointPossible = true
 				continue
 			}
 		}
-		for samples[in.Key()] < s.opts.NondetCompleteness {
+		for samples[in.Key()] < nondetCompleteness {
 			if err := s.runCtx().Err(); err != nil {
 				return false, fmt.Errorf("core: nondet probe aborted: %w", err)
 			}
-			probeOne := time.Now()
-			result, runs, reached, err := replay.ProbeNondet(s.comp, recProbe, in, final, s.opts.NondetAttempts)
-			probeOneDur := time.Since(probeOne)
+			probeStart := time.Now()
+			result, runs, reached, err := replay.ProbeNondet(c.comp, recProbe, in, final, nondetAttempts)
+			probeDur := time.Since(probeStart)
 			if err != nil {
 				return false, fmt.Errorf("core: nondet probe: %w", err)
 			}
 			for _, r := range runs {
 				s.stats.ResetsUsed++
-				if err := s.learnObservationNondet(r, it); err != nil {
+				if err := s.learnObservationNondet(c, r, it); err != nil {
 					return false, err
 				}
 			}
@@ -443,21 +390,7 @@ func (s *Synthesizer) probeDeadlockNondet(sys *automata.Automaton, cex *automata
 				jointPossible = true
 				break
 			}
-			it.Probes = append(it.Probes, result)
-			s.stats.ProbesRun++
-			if j := s.opts.Journal; j.Enabled() {
-				j.Emit(obs.Event{Kind: obs.KindProbeResult, Iter: it.Index, DurNS: int64(probeOneDur),
-					Trace: s.opts.TraceID, Parent: cexSpan,
-					N: map[string]int64{
-						"accepted":  b2i(result.Accepted),
-						"quiescent": b2i(result.Quiescent),
-					}, S: map[string]string{
-						"state":  result.State,
-						"input":  result.Input.String(),
-						"output": result.Output.String(),
-						"after":  result.After,
-					}})
-			}
+			s.probed(it, c, result, probeDur, cexSpan)
 			if !result.Accepted {
 				// Refusals are deterministic per (state, input): decisive.
 				refused[in.Key()] = true

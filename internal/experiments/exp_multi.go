@@ -31,7 +31,12 @@ func multiService(idx string, mute bool) (legacy.Component, legacy.Interface) {
 	return comp, iface
 }
 
-func multiCoordinatorContext() *automata.Automaton {
+// TwoServiceDemo is the two-component demo of the paper's §7 extension: a
+// coordinator context that polls two independent black-box services in
+// sequence (send ping1, await pong1, send ping2, await pong2, repeat),
+// together with the services. With mute the second service swallows its
+// ping and never answers.
+func TwoServiceDemo(mute bool) (*automata.Automaton, []legacy.Component, []legacy.Interface) {
 	c := automata.New("coordinator",
 		automata.NewSignalSet("pong1", "pong2"),
 		automata.NewSignalSet("ping1", "ping2"))
@@ -44,7 +49,9 @@ func multiCoordinatorContext() *automata.Automaton {
 	c.MustAddTransition(c2, automata.Interact(nil, []automata.Signal{"ping2"}), c3)
 	c.MustAddTransition(c3, automata.Interact([]automata.Signal{"pong2"}, nil), c0)
 	c.MarkInitial(c0)
-	return c
+	comp1, iface1 := multiService("1", false)
+	comp2, iface2 := multiService("2", mute)
+	return c, []legacy.Component{comp1, comp2}, []legacy.Interface{iface1, iface2}
 }
 
 // RunE14 exercises the paper's §7 future-work extension: parallel learning
@@ -54,11 +61,9 @@ func multiCoordinatorContext() *automata.Automaton {
 func RunE14() (*Result, error) {
 	var b strings.Builder
 
-	run := func(title string, mute2 bool) (*core.MultiReport, error) {
-		c1, i1 := multiService("1", false)
-		c2, i2 := multiService("2", mute2)
-		m, err := core.NewMulti(multiCoordinatorContext(),
-			[]legacy.Component{c1, c2}, []legacy.Interface{i1, i2}, core.Options{})
+	run := func(title string, mute2 bool) (*core.Report, error) {
+		coordinator, comps, ifaces := TwoServiceDemo(mute2)
+		m, err := core.NewMulti(coordinator, comps, ifaces, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +72,7 @@ func RunE14() (*Result, error) {
 			return nil, err
 		}
 		fmt.Fprintf(&b, "%s: verdict=%v (%v) after %d iterations; learned %d+%d states, %d+%d transitions\n",
-			title, report.Verdict, report.Kind, report.Iterations,
+			title, report.Verdict, report.Kind, len(report.Iterations),
 			report.Models[0].Automaton().NumStates(), report.Models[1].Automaton().NumStates(),
 			report.Models[0].Automaton().NumTransitions(), report.Models[1].Automaton().NumTransitions())
 		return report, nil

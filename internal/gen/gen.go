@@ -205,7 +205,7 @@ func Generate(r *rand.Rand, cfg Config) (*Instance, error) {
 
 	inst := &Instance{
 		Cfg:     cfg,
-		Legacy:  genLegacy(r, cfg, ins, outs),
+		Legacy:  genLegacy(r, cfg, LegacyName, ins, outs),
 		Context: genContext(r, cfg, ins, outs),
 	}
 	if err := inst.Validate(); err != nil {
@@ -235,14 +235,14 @@ func singletonSteps(set automata.SignalSet) []automata.SignalSet {
 	return steps
 }
 
-// genLegacy builds a function-deterministic ground-truth automaton: per
-// (state, input) at most one transition, so legacy.WrapAutomaton accepts
-// it. Dead states refuse everything; live states refuse each input with
-// RefuseBias and otherwise react with a uniformly chosen output and
+// genLegacy builds a function-deterministic ground-truth automaton named
+// name: per (state, input) at most one transition, so legacy.WrapAutomaton
+// accepts it. Dead states refuse everything; live states refuse each input
+// with RefuseBias and otherwise react with a uniformly chosen output and
 // successor.
-func genLegacy(r *rand.Rand, cfg Config, ins, outs automata.SignalSet) *automata.Automaton {
+func genLegacy(r *rand.Rand, cfg Config, name string, ins, outs automata.SignalSet) *automata.Automaton {
 	n := 1 + r.Intn(cfg.MaxLegacyStates)
-	a := automata.New(LegacyName, ins, outs)
+	a := automata.New(name, ins, outs)
 	ids := make([]automata.StateID, n)
 	for i := range ids {
 		ids[i] = a.MustAddState(fmt.Sprintf("s%d", i))
