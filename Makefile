@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check lint fmt vet build test perfbench-test race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak fuzz-smoke
+.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak fuzz-smoke
 
 all: check
 
-check: lint build perfbench-test race bench obs-smoke verifyd-smoke
+check: lint build perfbench-test perfbench-smoke race bench obs-smoke verifyd-smoke
 
 # Static checks only — no tests. CI's lint job runs exactly this.
 lint: fmt vet printcheck staticcheck
@@ -31,13 +31,28 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# Repo-benchmark smoke: a 2-second traced run of each perfbench workload.
+# Every run checks each verdict against ctl.Reference and that its traced
+# and untraced halves give equal counts, and exits nonzero otherwise. The
+# build and the run outputs land in PERFBENCH_SMOKE_DIR (one <workload>.out
+# per run), outside the checkout.
+PERFBENCH_SMOKE_DIR ?= /tmp/perfbench-smoke
+perfbench-smoke:
+	@set -e; mkdir -p "$(PERFBENCH_SMOKE_DIR)"; \
+	for w in gen-corpus scenario-deep verifyd-wide; do \
+		CARGO_TARGET_DIR="$(PERFBENCH_SMOKE_DIR)" bash perfbench/run.sh \
+			--workload $$w --seed 1 --seconds 2 --trace 1 >"$(PERFBENCH_SMOKE_DIR)/$$w.out"; \
+		echo "perfbench-smoke: $$w ok"; \
+	done
+
 race:
 	$(GO) test -race ./...
 
 # One pass over every benchmark as a smoke test (correctness assertions
-# inside the benchmark bodies still run).
+# inside the benchmark bodies still run); -benchmem adds allocs/op and B/op
+# to every result line.
 bench:
-	$(GO) test -run 'XXX' -bench . -benchtime=1x ./...
+	$(GO) test -run 'XXX' -bench . -benchtime=1x -benchmem ./...
 
 # Regenerate the incremental-vs-rebuild timing report.
 timings:

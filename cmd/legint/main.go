@@ -172,7 +172,7 @@ func run() error {
 
 	fmt.Printf("\nverdict: %v", report.Verdict)
 	if report.Verdict == core.VerdictViolation {
-		fmt.Printf(" (%v)\nwitness:\n%s", report.Kind, report.WitnessText)
+		fmt.Printf(" (%v)\nwitness:\n%s", report.Kind, report.WitnessText())
 	}
 	for _, model := range report.Models {
 		fmt.Printf("\nfinal learned model:\n%s", trace.RenderModel(model))

@@ -54,7 +54,7 @@ func run() error {
 		}
 		fmt.Printf("verdict: %v", report.Verdict)
 		if report.Verdict == core.VerdictViolation {
-			fmt.Printf(" (%v)\nwitness:\n%s", report.Kind, report.WitnessText)
+			fmt.Printf(" (%v)\nwitness:\n%s", report.Kind, report.WitnessText())
 		}
 		fmt.Printf("\nlearned gate model (%d iterations):\n%s\n",
 			report.Stats.Iterations, trace.RenderModel(report.Model))

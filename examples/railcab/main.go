@@ -85,7 +85,7 @@ func run() error {
 		}
 		fmt.Printf("\nverdict: %v", report.Verdict)
 		if report.Verdict == core.VerdictViolation {
-			fmt.Printf(" — %v\nwitness (paper listing notation):\n%s", report.Kind, report.WitnessText)
+			fmt.Printf(" — %v\nwitness (paper listing notation):\n%s", report.Kind, report.WitnessText())
 		}
 		fmt.Printf("\nfinal learned model:\n%s\n", trace.RenderModel(report.Model))
 	}

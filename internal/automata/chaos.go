@@ -65,35 +65,38 @@ const (
 // states s_all and s_delta are labeled with the chaos proposition χ only
 // (see ChaosProposition for how formulas are weakened accordingly).
 func ChaoticClosure(m *Incomplete, universe InteractionUniverse) *Automaton {
-	c, err := ChaoticClosureCtx(context.Background(), m, universe, nil)
+	c, err := ChaoticClosureCtx(context.Background(), m, CompileUniverse(universe, m.auto.inputs, m.auto.outputs), nil)
 	if err != nil {
-		// Unreachable: a background context never cancels.
+		// Unreachable: a background context never cancels, and the
+		// universe is compiled over the model's alphabets.
 		panic(err)
 	}
 	return c
 }
 
 // ChaoticClosureCtx is ChaoticClosure under a context and an optional
-// memoization cache. Construction polls the context between states and
-// aborts with its error once it is done. When a cache is given, the model
-// and the universe's enumeration over its alphabets are fingerprinted and
-// an identical prior closure is answered with a private clone of the
-// cached result. Both features are zero-cost when disabled (background
-// context, nil cache).
-func ChaoticClosureCtx(ctx context.Context, m *Incomplete, universe InteractionUniverse, memo *MemoCache) (*Automaton, error) {
-	var fpM, fpU uint64
+// memoization cache, over a universe compiled for the model's alphabets.
+// Construction polls the context between states and aborts with its error
+// once it is done. When a cache is given, the model is fingerprinted and,
+// with the universe's fingerprint, keys the cache: an identical prior
+// closure is answered with a private clone of the cached result. Both
+// features are zero-cost when disabled (background context, nil cache).
+func ChaoticClosureCtx(ctx context.Context, m *Incomplete, universe *CompiledUniverse, memo *MemoCache) (*Automaton, error) {
+	if err := universe.checkAlphabets(m.auto); err != nil {
+		return nil, err
+	}
+	var fpM uint64
 	if memo != nil {
 		fpM = m.Fingerprint()
-		fpU = UniverseFingerprint(universe, m.auto.inputs, m.auto.outputs)
-		if hit, ok := memo.lookup(memoClosure, fpM, fpU, m.auto.name); ok {
+		if hit, ok := memo.lookup(memoClosure, fpM, universe.fingerprint, m.auto.name); ok {
 			return hit, nil
 		}
 	}
-	c, err := chaoticClosure(m, universe, newCtxPoll(ctx), false)
+	c, err := chaoticClosure(m, universe.labels, newCtxPoll(ctx), false)
 	if err != nil {
 		return nil, err
 	}
-	memo.store(memoClosure, fpM, fpU, c)
+	memo.store(memoClosure, fpM, universe.fingerprint, c)
 	return c, nil
 }
 
@@ -109,18 +112,21 @@ func ChaoticClosureCtx(ctx context.Context, m *Incomplete, universe InteractionU
 // of the nondeterministic test path). Blocked labels suppress escapes as
 // before. Results are not memoized: nondet models are rebuilt from scratch
 // every iteration anyway.
-func ChaoticClosureNondetCtx(ctx context.Context, m *Incomplete, universe InteractionUniverse) (*Automaton, error) {
-	return chaoticClosure(m, universe, newCtxPoll(ctx), true)
+func ChaoticClosureNondetCtx(ctx context.Context, m *Incomplete, universe *CompiledUniverse) (*Automaton, error) {
+	if err := universe.checkAlphabets(m.auto); err != nil {
+		return nil, err
+	}
+	return chaoticClosure(m, universe.labels, newCtxPoll(ctx), true)
 }
 
-// chaoticClosure is the construction shared by ChaoticClosure,
-// ChaoticClosureCtx and ChaoticClosureNondetCtx; a stopped poller aborts it
-// with the context's error. With nondet set, a learned label counts as
-// known (escape-suppressing) only once it is settled.
-func chaoticClosure(m *Incomplete, universe InteractionUniverse, p *ctxPoll, nondet bool) (*Automaton, error) {
+// chaoticClosure is the construction shared by ChaoticClosureCtx and
+// ChaoticClosureNondetCtx over the universe's labels in enumeration order;
+// a stopped poller aborts it with the context's error. With nondet set, a
+// learned label counts as known (escape-suppressing) only once it is
+// settled.
+func chaoticClosure(m *Incomplete, labels []Interaction, p *ctxPoll, nondet bool) (*Automaton, error) {
 	obsClosureBuilds.Add(1)
 	src := m.auto
-	labels := universe.Enumerate(src.inputs, src.outputs)
 	c := New(src.name, src.inputs, src.outputs)
 
 	closed := make([]StateID, src.NumStates())
@@ -284,6 +290,7 @@ func ChaoticClosureLiteral(m *Incomplete, universe InteractionUniverse) *Automat
 	}
 	sAll := c.MustAddState(ChaosAllState, ChaosProposition)
 	sDelta := c.MustAddState(ChaosDeltaState, ChaosProposition)
+	labels := universe.Enumerate(src.inputs, src.outputs)
 	for _, t := range src.TransitionsSnapshot() {
 		c.MustAddTransition(closed[t.From], t.Label, closed[t.To])
 		c.MustAddTransition(closed[t.From], t.Label, open[t.To])
@@ -292,7 +299,7 @@ func ChaoticClosureLiteral(m *Incomplete, universe InteractionUniverse) *Automat
 	}
 	for id := range src.states {
 		s := StateID(id)
-		for _, x := range universe.Enumerate(src.inputs, src.outputs) {
+		for _, x := range labels {
 			if m.IsBlocked(s, x) {
 				continue
 			}
@@ -300,7 +307,7 @@ func ChaoticClosureLiteral(m *Incomplete, universe InteractionUniverse) *Automat
 			c.MustAddTransition(open[s], x, sDelta)
 		}
 	}
-	for _, x := range universe.Enumerate(src.inputs, src.outputs) {
+	for _, x := range labels {
 		c.MustAddTransition(sAll, x, sAll)
 		c.MustAddTransition(sAll, x, sDelta)
 	}

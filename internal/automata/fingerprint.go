@@ -124,17 +124,33 @@ func (m *Incomplete) Fingerprint() uint64 {
 	return h.sum()
 }
 
-// UniverseFingerprint hashes the interaction labels the universe enumerates
-// over the given alphabets, in enumeration order. Together with an
+// universeFingerprint hashes the interaction labels a universe enumerates
+// over a component's alphabets, in enumeration order. Together with an
 // Incomplete fingerprint it pins down a chaotic closure exactly (the
 // closure is a deterministic function of the model and the enumerated
-// labels).
-func UniverseFingerprint(u InteractionUniverse, inputs, outputs SignalSet) uint64 {
+// labels), so it keys closures in the memo cache. Memo stores on disk are
+// keyed by it too, so its encoding must not change.
+func universeFingerprint(labels []Interaction) uint64 {
 	h := newFNV()
-	labels := u.Enumerate(inputs, outputs)
 	h.u64(uint64(len(labels)))
 	for _, x := range labels {
-		h.str(x.Key())
+		// h.str(x.Key()), without building the key.
+		h.set(x.In)
+		h.byte('/')
+		h.set(x.Out)
+		h.byte(0xFF)
 	}
 	return h.sum()
+}
+
+// set hashes the bytes of s.Key() with no terminator.
+func (h *fnv64) set(s SignalSet) {
+	for i, sig := range s.signals {
+		if i > 0 {
+			h.byte(',')
+		}
+		for j := 0; j < len(sig); j++ {
+			h.byte(sig[j])
+		}
+	}
 }

@@ -82,14 +82,58 @@ func TestIncompleteFingerprintSeesRefusals(t *testing.T) {
 	}
 }
 
+// TestUniverseFingerprint checks that the universe fingerprint is
+// deterministic, sees the alphabet, and keeps pinned values for fixed
+// (universe, alphabets) pairs: closure records in a persistent memo store
+// are keyed by it, so a changed value would turn every stored closure into
+// a miss after an upgrade.
 func TestUniverseFingerprint(t *testing.T) {
 	in, out := NewSignalSet("a"), NewSignalSet("b")
 	u := Universe(UniverseSingleton)
-	if UniverseFingerprint(u, in, out) != UniverseFingerprint(u, in, out) {
+	if CompileUniverse(u, in, out).fingerprint != CompileUniverse(u, in, out).fingerprint {
 		t.Fatal("universe fingerprint not deterministic")
 	}
-	if UniverseFingerprint(u, in, out) == UniverseFingerprint(u, NewSignalSet("a", "c"), out) {
+	if CompileUniverse(u, in, out).fingerprint == CompileUniverse(u, NewSignalSet("a", "c"), out).fingerprint {
 		t.Fatal("universe fingerprint ignores the alphabet")
+	}
+
+	in = NewSignalSet("convoyProposal", "breakConvoyProposal")
+	out = NewSignalSet("convoyProposalRejected", "startConvoy")
+	for _, tc := range []struct {
+		name string
+		u    InteractionUniverse
+		want uint64
+	}{
+		{"singleton", Universe(UniverseSingleton), 0x99f434afeff38a55},
+		{"powerset", Universe(UniversePowerSet), 0xbd5987d0c2806591},
+		{"fixed", FixedUniverse{Interact(nil, nil),
+			Interact([]Signal{"convoyProposal"}, []Signal{"startConvoy"}),
+			Interact([]Signal{"other"}, nil)}, 0xbe0ede834db6def5},
+	} {
+		if got := CompileUniverse(tc.u, in, out).fingerprint; got != tc.want {
+			t.Errorf("%s: universe fingerprint = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestClosureRejectsForeignUniverse checks that a universe compiled over
+// other alphabets than the model's is refused instead of emitting labels
+// outside the closure's alphabets.
+func TestClosureRejectsForeignUniverse(t *testing.T) {
+	a := New("comp", NewSignalSet("go"), NewSignalSet("done"))
+	a.MarkInitial(a.MustAddState("s0"))
+	m := NewIncomplete(a)
+	foreign := CompileUniverse(Universe(UniverseSingleton), NewSignalSet("go", "stop"), NewSignalSet("done"))
+	if _, err := ChaoticClosureCtx(context.Background(), m, foreign, nil); err == nil {
+		t.Fatal("closure over a foreign universe: no error")
+	}
+	if _, err := ChaoticClosureNondetCtx(context.Background(), m, foreign); err == nil {
+		t.Fatal("nondet closure over a foreign universe: no error")
+	}
+	ctxAuto := New("ctx", NewSignalSet("done"), NewSignalSet("go"))
+	ctxAuto.MarkInitial(ctxAuto.MustAddState("c0"))
+	if _, err := NewIncrementalSystemWith(nil, ctxAuto, m, foreign, nil); err == nil {
+		t.Fatal("incremental system over a foreign universe: no error")
 	}
 }
 
@@ -160,7 +204,7 @@ func TestMemoClosureRoundTrip(t *testing.T) {
 		a.MarkInitial(s0)
 		return NewIncomplete(a)
 	}
-	u := Universe(UniverseSingleton)
+	u := CompileUniverse(Universe(UniverseSingleton), NewSignalSet("go"), NewSignalSet("done"))
 	memo := NewMemoCache(nil)
 	ctx := context.Background()
 

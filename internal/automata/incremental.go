@@ -50,7 +50,7 @@ var ErrIncrementalUnsupported = errors.New("automata: incremental system require
 type IncrementalSystem struct {
 	context  *Automaton
 	model    *Incomplete
-	universe InteractionUniverse
+	universe *CompiledUniverse
 
 	// runCtx, when non-nil, bounds every construction the system performs
 	// (initial build, rebuilds, patches): BFS loops poll it and abort with
@@ -60,8 +60,7 @@ type IncrementalSystem struct {
 	memo   *MemoCache
 
 	in        *Interner
-	labels    []Interaction // universe enumeration over the model alphabets
-	labelKeys []InternKey
+	labelKeys []InternKey // the universe labels, interned in enumeration order
 
 	closure      *Automaton
 	closed, open []StateID // model state -> closure copy IDs
@@ -90,18 +89,22 @@ type IncrementalSystem struct {
 // model's closure (same requirements as Compose). Returns
 // ErrIncrementalUnsupported when the combined alphabet cannot be interned.
 func NewIncrementalSystem(context *Automaton, model *Incomplete, universe InteractionUniverse) (*IncrementalSystem, error) {
-	return NewIncrementalSystemWith(nil, context, model, universe, nil)
+	return NewIncrementalSystemWith(nil, context, model, CompileUniverse(universe, model.auto.inputs, model.auto.outputs), nil)
 }
 
 // NewIncrementalSystemWith is NewIncrementalSystem under a context and an
-// optional memoization cache. The context (when non-nil) bounds the initial
-// build and every later Apply; the cache memoizes closure rebuilds, which
-// across a batch of instances sharing an initial model turns all but the
-// first iteration-0 closure into a clone.
-func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *Incomplete, universe InteractionUniverse, memo *MemoCache) (*IncrementalSystem, error) {
+// optional memoization cache, over a universe compiled for the model's
+// alphabets. The context (when non-nil) bounds the initial build and every
+// later Apply; the cache memoizes closure rebuilds, which across a batch of
+// instances sharing an initial model turns all but the first iteration-0
+// closure into a clone.
+func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *Incomplete, universe *CompiledUniverse, memo *MemoCache) (*IncrementalSystem, error) {
 	src := model.Automaton()
 	if !ctxAuto.inputs.Disjoint(src.inputs) || !ctxAuto.outputs.Disjoint(src.outputs) {
 		return nil, fmt.Errorf("automata: incremental system: context and model alphabets must be composable")
+	}
+	if err := universe.checkAlphabets(src); err != nil {
+		return nil, err
 	}
 	in, ok := NewInterner(ctxAuto.inputs, ctxAuto.outputs, src.inputs, src.outputs)
 	if !ok {
@@ -117,10 +120,9 @@ func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *In
 		runCtx:   ctx,
 		memo:     memo,
 		in:       in,
-		labels:   universe.Enumerate(src.inputs, src.outputs),
 	}
-	ic.labelKeys = make([]InternKey, len(ic.labels))
-	for i, x := range ic.labels {
+	ic.labelKeys = make([]InternKey, len(universe.labels))
+	for i, x := range universe.labels {
 		k, ok := in.Key(x)
 		if !ok {
 			return nil, ErrIncrementalUnsupported
@@ -454,7 +456,7 @@ func (ic *IncrementalSystem) recomputeClosureState(f StateID, known map[InternKe
 		}
 		known[k] = struct{}{}
 	}
-	for i, x := range ic.labels {
+	for i, x := range ic.universe.labels {
 		if _, ok := known[ic.labelKeys[i]]; ok {
 			continue
 		}
@@ -496,7 +498,10 @@ func countReachable(a *Automaton) int {
 // must be reachable-equivalent to a from-scratch rebuild. Intended for
 // differential tests and the synthesis loop's CheckIncremental mode.
 func (ic *IncrementalSystem) Verify() error {
-	closure := ChaoticClosure(ic.model, ic.universe)
+	closure, err := ChaoticClosureCtx(context.Background(), ic.model, ic.universe, nil)
+	if err != nil {
+		return fmt.Errorf("automata: verify rebuild: %w", err)
+	}
 	if got, want := ic.closure.NumStates(), closure.NumStates(); got != want {
 		return fmt.Errorf("automata: incremental closure has %d states, rebuild has %d", got, want)
 	}

@@ -253,7 +253,8 @@ func TestChaoticClosureNondetSettling(t *testing.T) {
 	if got := escapes(det); got != 3 {
 		t.Fatalf("det closure: %d chaos escapes from s0·1, want 3 (label a/x is known)", got)
 	}
-	nd, err := ChaoticClosureNondetCtx(context.Background(), m, Universe(UniverseSingleton))
+	u := CompileUniverse(Universe(UniverseSingleton), m.Automaton().Inputs(), m.Automaton().Outputs())
+	nd, err := ChaoticClosureNondetCtx(context.Background(), m, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestChaoticClosureNondetSettling(t *testing.T) {
 	if !m.IsSettled(s0, label) || m.NumSettled() != 1 {
 		t.Fatal("settle not recorded")
 	}
-	nd2, err := ChaoticClosureNondetCtx(context.Background(), m, Universe(UniverseSingleton))
+	nd2, err := ChaoticClosureNondetCtx(context.Background(), m, u)
 	if err != nil {
 		t.Fatal(err)
 	}

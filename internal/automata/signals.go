@@ -15,6 +15,7 @@
 package automata
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -294,6 +295,65 @@ func (u FixedUniverse) Enumerate(inputs, outputs SignalSet) []Interaction {
 		}
 	}
 	return labels
+}
+
+// CompiledUniverse is an interaction universe enumerated once over one pair
+// of alphabets: the labels in Enumerate order, an index from each input set
+// to the labels under it, and the universe fingerprint. The synthesis loop
+// compiles each component's universe once and reads this form for every
+// closure build, memo key and refusal instead of re-enumerating.
+type CompiledUniverse struct {
+	inputs, outputs SignalSet
+	labels          []Interaction
+	inputSets       []SignalSet              // distinct input sets, in order of first appearance
+	byInput         map[string][]Interaction // input set key -> labels under it, in enumeration order
+	fingerprint     uint64                   // universeFingerprint(labels): the closure memo key's second half
+}
+
+// CompileUniverse enumerates the universe over the given alphabets once.
+func CompileUniverse(u InteractionUniverse, inputs, outputs SignalSet) *CompiledUniverse {
+	labels := u.Enumerate(inputs, outputs)
+	cu := &CompiledUniverse{inputs: inputs, outputs: outputs, labels: labels,
+		byInput: make(map[string][]Interaction), fingerprint: universeFingerprint(labels)}
+	// The predefined universes enumerate each input set's labels in one
+	// run, so a run is keyed once and indexed as a capacity-capped
+	// subslice of labels; a FixedUniverse that lists an input set in
+	// several runs gets a copy holding them all.
+	for start := 0; start < len(labels); {
+		in := labels[start].In
+		end := start + 1
+		for end < len(labels) && labels[end].In.Equal(in) {
+			end++
+		}
+		k := in.Key()
+		if prev, seen := cu.byInput[k]; seen {
+			cu.byInput[k] = append(prev, labels[start:end]...)
+		} else {
+			cu.inputSets = append(cu.inputSets, in)
+			cu.byInput[k] = labels[start:end:end]
+		}
+		start = end
+	}
+	return cu
+}
+
+// InputSets returns the distinct input sets of the universe in order of
+// first appearance. The slice is shared; callers must not modify it.
+func (cu *CompiledUniverse) InputSets() []SignalSet { return cu.inputSets }
+
+// Under returns the universe's interactions whose input set is in, in
+// Enumerate order (nil when there are none). The slice is shared; callers
+// must not modify it.
+func (cu *CompiledUniverse) Under(in SignalSet) []Interaction { return cu.byInput[in.Key()] }
+
+// checkAlphabets reports an error unless the universe was compiled over
+// a's alphabets.
+func (cu *CompiledUniverse) checkAlphabets(a *Automaton) error {
+	if !cu.inputs.Equal(a.inputs) || !cu.outputs.Equal(a.outputs) {
+		return fmt.Errorf("automata: universe compiled over (%v, %v), automaton %q has (%v, %v)",
+			cu.inputs, cu.outputs, a.name, a.inputs, a.outputs)
+	}
+	return nil
 }
 
 func powerSet(set SignalSet) []SignalSet {

@@ -226,3 +226,58 @@ func TestFixedUniverseFiltersAlphabet(t *testing.T) {
 		t.Fatalf("fixed universe size = %d, want %d", got, want)
 	}
 }
+
+// TestCompiledUniverse checks the compiled form against Enumerate for every
+// universe kind: the same labels in the same order, and an input index that
+// partitions them (each label listed once, under its own input set, in
+// enumeration order).
+func TestCompiledUniverse(t *testing.T) {
+	in := NewSignalSet("convoyProposal", "breakConvoyProposal")
+	out := NewSignalSet("convoyProposalRejected", "startConvoy")
+	universes := map[string]InteractionUniverse{
+		"singleton": Universe(UniverseSingleton),
+		"powerset":  Universe(UniversePowerSet),
+		"fixed": FixedUniverse{
+			Interact([]Signal{"convoyProposal"}, []Signal{"startConvoy"}),
+			Interact(nil, nil),
+			Interact([]Signal{"other"}, nil), // outside the alphabet: filtered
+			Interact([]Signal{"convoyProposal"}, nil),
+			Interact(nil, []Signal{"startConvoy"}),
+		},
+	}
+	for name, u := range universes {
+		t.Run(name, func(t *testing.T) {
+			want := u.Enumerate(in, out)
+			cu := CompileUniverse(u, in, out)
+			if !reflect.DeepEqual(cu.labels, want) {
+				t.Fatalf("labels %v, want Enumerate's %v", cu.labels, want)
+			}
+			listed := 0
+			for _, set := range cu.InputSets() {
+				var under []Interaction
+				for _, x := range want {
+					if x.In.Equal(set) {
+						under = append(under, x)
+					}
+				}
+				if !reflect.DeepEqual(cu.Under(set), under) {
+					t.Fatalf("Under(%v) = %v, want %v", set, cu.Under(set), under)
+				}
+				listed += len(under)
+			}
+			if listed != len(want) {
+				t.Fatalf("input index lists %d labels, universe has %d", listed, len(want))
+			}
+			for i, a := range cu.InputSets() {
+				for _, b := range cu.InputSets()[:i] {
+					if a.Equal(b) {
+						t.Fatalf("input set %v listed twice", a)
+					}
+				}
+			}
+			if got := cu.Under(NewSignalSet("absent")); got != nil {
+				t.Fatalf("Under(absent input) = %v, want nil", got)
+			}
+		})
+	}
+}

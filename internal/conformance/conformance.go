@@ -113,16 +113,7 @@ func ValidateMachine(a *automata.Automaton) error {
 // InputAlphabet returns the distinct input sets of the universe over the
 // machine's alphabets.
 func InputAlphabet(a *automata.Automaton, universe automata.InteractionUniverse) []automata.SignalSet {
-	seen := make(map[string]struct{})
-	var out []automata.SignalSet
-	for _, x := range universe.Enumerate(a.Inputs(), a.Outputs()) {
-		if _, ok := seen[x.In.Key()]; ok {
-			continue
-		}
-		seen[x.In.Key()] = struct{}{}
-		out = append(out, x.In)
-	}
-	return out
+	return automata.CompileUniverse(universe, a.Inputs(), a.Outputs()).InputSets()
 }
 
 // StateCover returns, for every reachable state, a shortest access word

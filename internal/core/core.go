@@ -116,7 +116,8 @@ type Options struct {
 	SkipDeadlockCheck bool
 	// Universe bounds the interactions considered possible for the legacy
 	// component. Defaults to the singleton universe (at most one message
-	// per direction per step), matching RTSC step semantics.
+	// per direction per step), matching RTSC step semantics. NewMulti
+	// enumerates it once per component.
 	Universe automata.InteractionUniverse
 	// MaxIterations bounds the loop (default 1000).
 	MaxIterations int
@@ -282,8 +283,9 @@ type Iteration struct {
 
 	// Counterexample of the failing check (nil when both hold).
 	Counterexample *automata.Run
-	// CounterexampleText is the rendered composed-run listing.
-	CounterexampleText string
+	// system is the composed system Counterexample runs over, from which
+	// CounterexampleText renders the listing when it is read.
+	system *automata.Automaton
 	// CexInLearnedPart reports that the counterexample never visits
 	// chaotic states.
 	CexInLearnedPart bool
@@ -317,6 +319,19 @@ type Iteration struct {
 	// (deadlock-confirmation probes) break out its two black-box parts.
 	ComposeDuration, CheckDuration, TestDuration time.Duration
 	ReplayDuration, ProbeDuration                time.Duration
+}
+
+// CounterexampleText renders the iteration's counterexample as a composed-
+// run listing ("" when both checks held). It is rendered when read, and a
+// later render is exact: the listing reads only the names and provenance of
+// the run's product states, which never change once created —
+// IncrementalSystem.Apply only appends product states and a rebuild
+// allocates a new product.
+func (it *Iteration) CounterexampleText() string {
+	if it.Counterexample == nil {
+		return ""
+	}
+	return trace.RenderCounterexample(it.system, it.Counterexample)
 }
 
 // Stats aggregates effort measures across the run.
@@ -364,8 +379,6 @@ type Report struct {
 	Witness *automata.Run
 	// WitnessSystem is the composed automaton the witness runs over.
 	WitnessSystem *automata.Automaton
-	// WitnessText is the rendered witness.
-	WitnessText string
 	// Model is the final learned incomplete automaton M_l^n (of the first
 	// component; Models[0]).
 	Model *automata.Incomplete
@@ -373,6 +386,15 @@ type Report struct {
 	// order the components were given to NewMulti.
 	Models []*automata.Incomplete
 	Stats  Stats
+}
+
+// WitnessText renders the witness over WitnessSystem ("" for a proof),
+// exactly as it read at the verdict (see Iteration.CounterexampleText).
+func (r *Report) WitnessText() string {
+	if r.Witness == nil {
+		return ""
+	}
+	return trace.RenderCounterexample(r.WitnessSystem, r.Witness)
 }
 
 // Synthesizer drives the iterative behavior synthesis for one or more
@@ -421,13 +443,15 @@ type Synthesizer struct {
 }
 
 // component is one legacy component under synthesis: the black box, its
-// structural interface, its learned incomplete automaton M_l^i, and the
-// labeler naming the propositions of learned states ("iface.state").
+// structural interface, its learned incomplete automaton M_l^i, the
+// labeler naming the propositions of learned states ("iface.state"), and
+// the interaction universe over its alphabets, enumerated once.
 type component struct {
-	comp    legacy.Component
-	iface   legacy.Interface
-	model   *automata.Incomplete
-	labeler func(string) []automata.Proposition
+	comp     legacy.Component
+	iface    legacy.Interface
+	model    *automata.Incomplete
+	labeler  func(string) []automata.Proposition
+	universe *automata.CompiledUniverse
 	// rec and observed are the recording and observed run of the
 	// counterexample under test; deadlock probes replay them as prefix.
 	rec      replay.Recording
@@ -523,7 +547,8 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 		s.nondetVisits = make(map[nondetVisitKey]*nondetVisit)
 	}
 	for i, iface := range ifaces {
-		c := &component{comp: comps[i], iface: iface, labeler: QualifiedLabeler(iface.Name)}
+		c := &component{comp: comps[i], iface: iface, labeler: QualifiedLabeler(iface.Name),
+			universe: automata.CompileUniverse(o.Universe, iface.Inputs, iface.Outputs)}
 		init := legacy.InitialStateName(c.comp)
 		s.stats.ResetsUsed++
 		a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
@@ -717,7 +742,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		}
 		if idx == 0 {
 			it.Counterexample = cex
-			it.CounterexampleText = trace.RenderCounterexample(sys, cex)
+			it.system = sys
 			it.CexInLearnedPart = runAvoidsChaos(sys, cex)
 			it.CexRunWitnessed = res.RunWitnessed
 		}
@@ -725,10 +750,6 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		// replay_step and probe_result events nest under it.
 		var cexSpan uint64
 		if j := s.opts.Journal; j.Enabled() {
-			text := it.CounterexampleText
-			if idx != 0 {
-				text = trace.RenderCounterexample(sys, cex)
-			}
 			cexSpan = j.NewSpan()
 			j.Emit(obs.Event{Kind: obs.KindCexClassified, Iter: index,
 				Trace: s.opts.TraceID, Span: cexSpan, Parent: iterSpan,
@@ -737,7 +758,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 					"length":          int64(cex.Len()),
 					"in_learned_part": b2i(runAvoidsChaos(sys, cex)),
 					"run_witnessed":   b2i(res.RunWitnessed),
-				}, S: map[string]string{"kind": kind.String(), "trace": text}})
+				}, S: map[string]string{"kind": kind.String(), "trace": trace.RenderCounterexample(sys, cex)}})
 		}
 
 		if kind == ViolationConstraint && runAvoidsChaos(sys, cex) && res.RunWitnessed {
@@ -754,7 +775,6 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 			report.Kind = ViolationConstraint
 			report.Witness = cex
 			report.WitnessSystem = sys
-			report.WitnessText = trace.RenderCounterexample(sys, cex)
 			s.emitVerdict(index, iterSpan, VerdictViolation, ViolationConstraint, "fast-conflict")
 			return it, true, nil
 		}
@@ -776,7 +796,6 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 			report.Kind = kind
 			report.Witness = cex
 			report.WitnessSystem = sys
-			report.WitnessText = trace.RenderCounterexample(sys, cex)
 			s.emitVerdict(index, iterSpan, VerdictViolation, kind, "test-confirmed")
 			return it, true, nil
 		}
@@ -893,7 +912,7 @@ func b2i(b bool) int64 {
 func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 	if !s.opts.DisableIncremental && !s.incUnsupported {
 		if s.inc == nil {
-			inc, err := automata.NewIncrementalSystemWith(s.runCtx(), s.context, s.comps[0].model, s.opts.Universe, s.opts.Memo)
+			inc, err := automata.NewIncrementalSystemWith(s.runCtx(), s.context, s.comps[0].model, s.comps[0].universe, s.opts.Memo)
 			switch {
 			case errors.Is(err, automata.ErrIncrementalUnsupported):
 				s.incUnsupported = true
@@ -946,9 +965,9 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 		var closure *automata.Automaton
 		var err error
 		if s.opts.Nondet {
-			closure, err = automata.ChaoticClosureNondetCtx(s.runCtx(), c.model, s.opts.Universe)
+			closure, err = automata.ChaoticClosureNondetCtx(s.runCtx(), c.model, c.universe)
 		} else {
-			closure, err = automata.ChaoticClosureCtx(s.runCtx(), c.model, s.opts.Universe, s.opts.Memo)
+			closure, err = automata.ChaoticClosureCtx(s.runCtx(), c.model, c.universe, s.opts.Memo)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: closure: %w", err)
@@ -1210,8 +1229,8 @@ func (s *Synthesizer) refuse(c *component, state string, in automata.SignalSet, 
 	if id == automata.NoState {
 		return fmt.Errorf("core: unknown learned state %q", state)
 	}
-	for _, x := range s.opts.Universe.Enumerate(c.iface.Inputs, c.iface.Outputs) {
-		if !x.In.Equal(in) || (observed != nil && x.Out.Equal(*observed)) {
+	for _, x := range c.universe.Under(in) {
+		if observed != nil && x.Out.Equal(*observed) {
 			continue
 		}
 		if len(c.model.Automaton().Successors(id, x)) > 0 {

@@ -96,7 +96,7 @@ func TestEagerShuttleFastConflictDetection(t *testing.T) {
 	if !last.CexInLearnedPart {
 		t.Fatal("conflict counterexample claimed to involve chaos states")
 	}
-	if report.Witness == nil || report.WitnessText == "" {
+	if report.Witness == nil || report.WitnessText() == "" {
 		t.Fatal("missing witness")
 	}
 	// The witness ends in the conflicting mode combination.
@@ -105,7 +105,7 @@ func TestEagerShuttleFastConflictDetection(t *testing.T) {
 	if !sys.HasLabel(final, "rearRole.convoy") || !sys.HasLabel(final, "frontRole.noConvoy") {
 		t.Fatalf("witness final labels = %v", sys.Labels(final))
 	}
-	t.Logf("conflict found after %d iterations:\n%s", report.Stats.Iterations, report.WitnessText)
+	t.Logf("conflict found after %d iterations:\n%s", report.Stats.Iterations, report.WitnessText())
 }
 
 func TestBlockingShuttleConfirmedDeadlock(t *testing.T) {

@@ -15,8 +15,8 @@ func EquivalentReports(got, want *Report) error {
 	if got.Verdict != want.Verdict || got.Kind != want.Kind {
 		return fmt.Errorf("verdict %v/%v, want %v/%v", got.Verdict, got.Kind, want.Verdict, want.Kind)
 	}
-	if got.WitnessText != want.WitnessText {
-		return fmt.Errorf("witness differs:\n--- got\n%s\n--- want\n%s", got.WitnessText, want.WitnessText)
+	if g, w := got.WitnessText(), want.WitnessText(); g != w {
+		return fmt.Errorf("witness differs:\n--- got\n%s\n--- want\n%s", g, w)
 	}
 	if len(got.Iterations) != len(want.Iterations) {
 		return fmt.Errorf("%d iterations, want %d", len(got.Iterations), len(want.Iterations))
@@ -36,9 +36,9 @@ func EquivalentReports(got, want *Report) error {
 			return fmt.Errorf("iteration %d: checks (%v,%v), want (%v,%v)", i,
 				g.PropertyHolds, g.DeadlockFree, w.PropertyHolds, w.DeadlockFree)
 		}
-		if g.CounterexampleText != w.CounterexampleText {
+		if gt, wt := g.CounterexampleText(), w.CounterexampleText(); gt != wt {
 			return fmt.Errorf("iteration %d: counterexample differs:\n--- got\n%s\n--- want\n%s",
-				i, g.CounterexampleText, w.CounterexampleText)
+				i, gt, wt)
 		}
 		if g.CexInLearnedPart != w.CexInLearnedPart || g.CexRunWitnessed != w.CexRunWitnessed {
 			return fmt.Errorf("iteration %d: counterexample classification (%v,%v), want (%v,%v)", i,

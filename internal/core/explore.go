@@ -28,7 +28,7 @@ func ExploreComponent(
 	labeler func(string) []automata.Proposition,
 	maxStates int,
 ) *automata.Automaton {
-	inputs := distinctInputs(universe, iface)
+	inputs := automata.CompileUniverse(universe, iface.Inputs, iface.Outputs).InputSets()
 	a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
 
 	type node struct {
@@ -99,19 +99,4 @@ func probePath(comp legacy.Component, path []automata.SignalSet, in automata.Sig
 		name = intro.StateName()
 	}
 	return out, name, true
-}
-
-// distinctInputs extracts the distinct input sets of the universe.
-func distinctInputs(universe automata.InteractionUniverse, iface legacy.Interface) []automata.SignalSet {
-	seen := make(map[string]struct{})
-	var out []automata.SignalSet
-	for _, x := range universe.Enumerate(iface.Inputs, iface.Outputs) {
-		key := x.In.Key()
-		if _, ok := seen[key]; ok {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, x.In)
-	}
-	return out
 }

@@ -159,7 +159,7 @@ func TestMultiSynthesisFindsDeadlockInSecondComponent(t *testing.T) {
 	if report.Verdict != VerdictViolation || report.Kind != ViolationDeadlock {
 		t.Fatalf("verdict = %v/%v, want violation/deadlock", report.Verdict, report.Kind)
 	}
-	if report.Witness == nil || report.WitnessText == "" {
+	if report.Witness == nil || report.WitnessText() == "" {
 		t.Fatal("missing witness")
 	}
 }

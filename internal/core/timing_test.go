@@ -54,7 +54,7 @@ func TestBoundedResponseProvenWithUrgentContext(t *testing.T) {
 	}
 	if report.Verdict != VerdictProven {
 		t.Fatalf("verdict = %v/%v after %d iterations\n%s",
-			report.Verdict, report.Kind, report.Stats.Iterations, report.WitnessText)
+			report.Verdict, report.Kind, report.Stats.Iterations, report.WitnessText())
 	}
 }
 
@@ -77,8 +77,8 @@ func TestBoundedResponseViolatedByPatientContext(t *testing.T) {
 		t.Fatalf("verdict = %v/%v, want violation/constraint", report.Verdict, report.Kind)
 	}
 	// The witness stalls inside convoy::breakWait.
-	if !strings.Contains(report.WitnessText, "breakWait") {
-		t.Fatalf("witness does not show the stalled break:\n%s", report.WitnessText)
+	if !strings.Contains(report.WitnessText(), "breakWait") {
+		t.Fatalf("witness does not show the stalled break:\n%s", report.WitnessText())
 	}
 }
 

@@ -86,7 +86,7 @@ func TestSwiftGateIntegrationProven(t *testing.T) {
 	}
 	if report.Verdict != core.VerdictProven {
 		t.Fatalf("verdict = %v/%v after %d iterations\n%s",
-			report.Verdict, report.Kind, report.Stats.Iterations, report.WitnessText)
+			report.Verdict, report.Kind, report.Stats.Iterations, report.WitnessText())
 	}
 	t.Logf("proven in %d iterations; learned %d states",
 		report.Stats.Iterations, report.Model.Automaton().NumStates())
@@ -102,9 +102,9 @@ func TestSluggishGateViolatesConstraint(t *testing.T) {
 	}
 	// The witness shows the train on the crossing with the gate still
 	// closing.
-	if !strings.Contains(report.WitnessText, "crossing") ||
-		!strings.Contains(report.WitnessText, "closing") {
-		t.Fatalf("witness:\n%s", report.WitnessText)
+	if !strings.Contains(report.WitnessText(), "crossing") ||
+		!strings.Contains(report.WitnessText(), "closing") {
+		t.Fatalf("witness:\n%s", report.WitnessText())
 	}
 	// Run-witnessed propositional violation ⇒ final iteration needed no
 	// test (fast conflict detection).
@@ -122,8 +122,8 @@ func TestStuckGateViolatesConstraint(t *testing.T) {
 	if report.Verdict != core.VerdictViolation || report.Kind != core.ViolationConstraint {
 		t.Fatalf("verdict = %v/%v", report.Verdict, report.Kind)
 	}
-	if !strings.Contains(report.WitnessText, "open") {
-		t.Fatalf("witness should show the open gate:\n%s", report.WitnessText)
+	if !strings.Contains(report.WitnessText(), "open") {
+		t.Fatalf("witness should show the open gate:\n%s", report.WitnessText())
 	}
 }
 
@@ -133,7 +133,7 @@ func TestClosureDeadlineProvenForSwiftGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if report.Verdict != core.VerdictProven {
-		t.Fatalf("verdict = %v/%v\n%s", report.Verdict, report.Kind, report.WitnessText)
+		t.Fatalf("verdict = %v/%v\n%s", report.Verdict, report.Kind, report.WitnessText())
 	}
 }
 

@@ -51,7 +51,7 @@ func RunE13() (*Result, error) {
 			report.Model.Automaton().NumStates(), ok)
 		if report.Verdict == core.VerdictViolation && r.name == "sluggish gate (6 ticks)" {
 			fmt.Fprintf(&b, "\nwitness (train on the crossing while the gate is still closing):\n%s\n",
-				report.WitnessText)
+				report.WitnessText())
 		}
 	}
 	return &Result{

@@ -196,7 +196,7 @@ func RunE5() (*Result, error) {
 	fmt.Fprintf(&b, "Fig. 6 analogue — synthesized behavior in conflict with the environment:\n%s\n",
 		trace.RenderModel(report.Model))
 	fmt.Fprintf(&b, "Listing 1.4 analogue — counterexample inside synthesized behavior:\n%s\n",
-		report.WitnessText)
+		report.WitnessText())
 	fmt.Fprintf(&b, "iterations: %d, tests: %d (final iteration needed none)\n",
 		report.Stats.Iterations, report.Stats.TestsRun)
 

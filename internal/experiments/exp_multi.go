@@ -87,7 +87,7 @@ func RunE14() (*Result, error) {
 		return nil, err
 	}
 	if faulty.Verdict == core.VerdictViolation {
-		fmt.Fprintf(&b, "\nwitness of the mute-service deadlock:\n%s", faulty.WitnessText)
+		fmt.Fprintf(&b, "\nwitness of the mute-service deadlock:\n%s", faulty.WitnessText())
 	}
 
 	bothLearned := healthy.Models[0].Automaton().NumTransitions() > 0 &&

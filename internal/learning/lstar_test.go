@@ -72,7 +72,7 @@ func TestLStarWithWMethodOracle(t *testing.T) {
 	var stats Stats
 	oracle := NewComponentOracle(comp, &stats)
 	wm := NewWMethodOracle(oracle, 6)
-	learner := NewLearner(oracle, distinctInputs(universe, iface), &stats)
+	learner := NewLearner(oracle, automata.CompileUniverse(universe, iface.Inputs, iface.Outputs).InputSets(), &stats)
 	model, err := learner.Learn(wm, 64)
 	if err != nil {
 		t.Fatal(err)

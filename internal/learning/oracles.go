@@ -86,22 +86,8 @@ func LearnComponent(
 ) (*automata.Automaton, Stats, error) {
 	var stats Stats
 	oracle := NewComponentOracle(comp, &stats)
-	alphabet := distinctInputs(universe, iface)
+	alphabet := automata.CompileUniverse(universe, iface.Inputs, iface.Outputs).InputSets()
 	learner := NewLearner(oracle, alphabet, &stats)
 	model, err := learner.Learn(equiv, maxRounds)
 	return model, stats, err
-}
-
-func distinctInputs(universe automata.InteractionUniverse, iface legacy.Interface) []automata.SignalSet {
-	seen := make(map[string]struct{})
-	var out []automata.SignalSet
-	for _, x := range universe.Enumerate(iface.Inputs, iface.Outputs) {
-		key := x.In.Key()
-		if _, ok := seen[key]; ok {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, x.In)
-	}
-	return out
 }

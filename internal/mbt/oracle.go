@@ -376,7 +376,9 @@ func checkLaws(inst *gen.Instance, truth *automata.Automaton, report *core.Repor
 	var closure *automata.Automaton
 	if nondet {
 		var err error
-		closure, err = automata.ChaoticClosureNondetCtx(context.Background(), report.Model, universe)
+		m := report.Model.Automaton()
+		closure, err = automata.ChaoticClosureNondetCtx(context.Background(), report.Model,
+			automata.CompileUniverse(universe, m.Inputs(), m.Outputs()))
 		if err != nil {
 			return fail(inst, CheckRunError, "nondet closure: %v", err)
 		}
