@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak fuzz-smoke
+.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak mbt-soak-wide fuzz-smoke
 
 all: check
 
-check: lint build perfbench-test perfbench-smoke race bench obs-smoke verifyd-smoke
+check: lint build perfbench-test perfbench-smoke race bench obs-smoke verifyd-smoke mbt-soak-wide
 
 # Static checks only — no tests. CI's lint job runs exactly this.
 lint: fmt vet printcheck staticcheck
@@ -193,13 +193,21 @@ mbt-soak:
 mbt-soak-nondet:
 	$(GO) run ./cmd/mbt -nondet -seed $(SOAK_SEED) -n $(SOAK_N) -corpus internal/mbt/testdata
 
+# The same soak over 100 wide-alphabet instances (gen.WideConfig, 70
+# signals): the interner's second mask word, the delta-patched system and
+# the incremental-equivalence oracle on alphabets past one machine word.
+# A few seconds; part of check.
+mbt-soak-wide:
+	$(GO) run ./cmd/mbt -wide -seed $(SOAK_SEED) -n 100 -corpus internal/mbt/testdata
+
 # Short randomized fuzzing pass over the model-based harness entry
-# points; CI-sized, not a real fuzzing campaign.
+# points and the memo-store codec; CI-sized, not a real fuzzing campaign.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/mbt -fuzz FuzzSynthesisSoundness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mbt -fuzz FuzzIocoSoundness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mbt -fuzz FuzzRefinementLaws -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzUnmarshalMemo -fuzztime $(FUZZTIME)
 
 # All progress reporting goes through internal/obs; stray fmt.Print* in
 # internal/ (outside obs, trace, and tests) bypasses the journal.

@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Int64("seed", 1, "generator seed of the first instance")
 		n         = fs.Int("n", 200, "number of instances to run")
 		maxStates = fs.Int("max-states", 0, "cap on states per generated automaton (0 = generator default)")
-		wide      = fs.Bool("wide", false, "use the wide-alphabet configuration (>64 signals, interner fallback paths)")
+		wide      = fs.Bool("wide", false, "use the wide-alphabet configuration (70 signals: both words of the interner's label masks)")
 		nondet    = fs.Bool("nondet", false, "generate function-nondeterministic legacy components (output races, duplicate successors, lossy outputs) and check them via the ioco path")
 		skipLaws  = fs.Bool("skip-laws", false, "check verdict soundness only, skipping the algebraic-law oracles")
 		journal   = fs.String("journal", "", "write the synthesis event journal (JSONL) to this file")

@@ -1,6 +1,9 @@
 package automata
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
 
 // This file implements the chaotic automaton (Definition 8) and the chaotic
 // closure (Definition 9).
@@ -64,11 +67,13 @@ const (
 // State copies (s,0) and (s,1) keep the labels of s; the embedded chaos
 // states s_all and s_delta are labeled with the chaos proposition χ only
 // (see ChaosProposition for how formulas are weakened accordingly).
+//
+// Like MustCompose, it panics on error: a model alphabet over
+// MaxInternSignals signals, or a universe enumerating labels outside it.
+// ChaoticClosureCtx returns those errors instead.
 func ChaoticClosure(m *Incomplete, universe InteractionUniverse) *Automaton {
 	c, err := ChaoticClosureCtx(context.Background(), m, CompileUniverse(universe, m.auto.inputs, m.auto.outputs), nil)
 	if err != nil {
-		// Unreachable: a background context never cancels, and the
-		// universe is compiled over the model's alphabets.
 		panic(err)
 	}
 	return c
@@ -77,10 +82,12 @@ func ChaoticClosure(m *Incomplete, universe InteractionUniverse) *Automaton {
 // ChaoticClosureCtx is ChaoticClosure under a context and an optional
 // memoization cache, over a universe compiled for the model's alphabets.
 // Construction polls the context between states and aborts with its error
-// once it is done. When a cache is given, the model is fingerprinted and,
-// with the universe's fingerprint, keys the cache: an identical prior
-// closure is answered with a private clone of the cached result. Both
-// features are zero-cost when disabled (background context, nil cache).
+// once it is done. A model alphabet over MaxInternSignals signals is an
+// error wrapping ErrAlphabetTooWide. When a cache is given, the model is
+// fingerprinted and, with the universe's fingerprint, keys the cache: an
+// identical prior closure is answered with a private clone of the cached
+// result. Both features are zero-cost when disabled (background context,
+// nil cache).
 func ChaoticClosureCtx(ctx context.Context, m *Incomplete, universe *CompiledUniverse, memo *MemoCache) (*Automaton, error) {
 	if err := universe.checkAlphabets(m.auto); err != nil {
 		return nil, err
@@ -125,8 +132,16 @@ func ChaoticClosureNondetCtx(ctx context.Context, m *Incomplete, universe *Compi
 // learned label counts as known (escape-suppressing) only once it is
 // settled.
 func chaoticClosure(m *Incomplete, labels []Interaction, p *ctxPoll, nondet bool) (*Automaton, error) {
-	obsClosureBuilds.Add(1)
 	src := m.auto
+	in, err := NewInterner(src.inputs, src.outputs)
+	if err != nil {
+		return nil, fmt.Errorf("automata: chaotic closure of %q: %w", src.name, err)
+	}
+	keys, err := in.internLabels(labels)
+	if err != nil {
+		return nil, err
+	}
+	obsClosureBuilds.Add(1)
 	c := New(src.name, src.inputs, src.outputs)
 
 	closed := make([]StateID, src.NumStates())
@@ -180,69 +195,31 @@ func chaoticClosure(m *Incomplete, labels []Interaction, p *ctxPoll, nondet bool
 	// Known (learned or blocked) labels are collected per state into an
 	// interned key set, so the per-label membership test is a single map
 	// hit instead of a Successors scan plus a string-key allocation.
-	emitChaos := func(s StateID, unknown func(i int) bool) {
+	known := make(map[InternKey]struct{})
+	for id := range src.states {
+		if p.stop() {
+			return nil, p.err
+		}
+		s := StateID(id)
+		clear(known)
+		for _, t := range src.adj[s] {
+			if nondet && !m.IsSettled(s, t.Label) {
+				continue
+			}
+			k, _ := in.Key(t.Label)
+			known[k] = struct{}{}
+		}
+		for _, x := range m.blocked[s] {
+			k, _ := in.Key(x)
+			known[k] = struct{}{}
+		}
 		for i, x := range labels {
-			if !unknown(i) {
+			if _, ok := known[keys[i]]; ok {
 				continue
 			}
 			appendTransitions(c, open[s],
 				Transition{Label: x, To: sAll},
 				Transition{Label: x, To: sDelta})
-		}
-	}
-	if in, ok := NewInterner(src.inputs, src.outputs); ok {
-		keys := make([]InternKey, len(labels))
-		for i, x := range labels {
-			keys[i], _ = in.Key(x)
-		}
-		known := make(map[InternKey]struct{})
-		for id := range src.states {
-			if p.stop() {
-				return nil, p.err
-			}
-			s := StateID(id)
-			clear(known)
-			for _, t := range src.adj[s] {
-				if nondet && !m.IsSettled(s, t.Label) {
-					continue
-				}
-				k, _ := in.Key(t.Label)
-				known[k] = struct{}{}
-			}
-			for _, x := range m.blocked[s] {
-				k, _ := in.Key(x)
-				known[k] = struct{}{}
-			}
-			emitChaos(s, func(i int) bool {
-				_, ok := known[keys[i]]
-				return !ok
-			})
-		}
-	} else {
-		keys := make([]string, len(labels))
-		for i, x := range labels {
-			keys[i] = x.Key()
-		}
-		known := make(map[string]struct{})
-		for id := range src.states {
-			if p.stop() {
-				return nil, p.err
-			}
-			s := StateID(id)
-			clear(known)
-			for _, t := range src.adj[s] {
-				if nondet && !m.IsSettled(s, t.Label) {
-					continue
-				}
-				known[t.Label.Key()] = struct{}{}
-			}
-			for k := range m.blocked[s] {
-				known[k] = struct{}{}
-			}
-			emitChaos(s, func(i int) bool {
-				_, ok := known[keys[i]]
-				return !ok
-			})
 		}
 	}
 

@@ -64,9 +64,9 @@ func (p *ctxPoll) stop() bool {
 // per-leaf provenance so that runs render as in the paper's listings
 // ("shuttle1.noConvoy, shuttle2.s_all").
 //
-// When the combined alphabet fits an Interner (≤64 signals) the BFS inner
-// loop runs on interned bitset labels; the result is identical to the
-// slice-based fallback, including state and transition order.
+// The BFS inner loop runs on interned bitset labels, so the combined
+// alphabet must fit an Interner (at most 128 signals); a wider one is an
+// error wrapping ErrAlphabetTooWide.
 func Compose(name string, left, right *Automaton) (*Automaton, error) {
 	return ComposeCtx(context.Background(), name, left, right, nil)
 }
@@ -101,13 +101,13 @@ func ComposeCtx(ctx context.Context, name string, left, right *Automaton, memo *
 	c := New(name, left.inputs.Union(right.inputs), left.outputs.Union(right.outputs))
 	c.leaves = append(append([]leafInfo(nil), left.leaves...), right.leaves...)
 
-	p := newCtxPoll(ctx)
-	built := false
-	if in, ok := NewInterner(c.inputs, c.outputs); ok {
-		built = composeFast(c, left, right, in, p)
+	in, err := NewInterner(c.inputs, c.outputs)
+	if err != nil {
+		return nil, fmt.Errorf("automata: compose %q‖%q: %w", left.name, right.name, err)
 	}
-	if !built {
-		composeSlow(c, left, right, p)
+	p := newCtxPoll(ctx)
+	if err := composePair(c, left, right, in, p); err != nil {
+		return nil, err
 	}
 	if p != nil && p.err != nil {
 		return nil, p.err
@@ -116,19 +116,23 @@ func ComposeCtx(ctx context.Context, name string, left, right *Automaton, memo *
 	return c, nil
 }
 
-// composeFast runs the product BFS on interned labels. It reports false
-// (leaving c's states untouched) only if a label unexpectedly falls outside
-// the interner's alphabet, in which case the caller falls back to the
-// slice-based path. A stopped poller aborts the BFS; the caller surfaces
-// the context error.
-func composeFast(c, left, right *Automaton, in *Interner, p *ctxPoll) bool {
-	leftAdj, ok := maskAdjacency(left, in)
-	if !ok {
-		return false
+// composePair runs the product BFS on interned labels. A stopped poller
+// aborts the BFS; the caller surfaces the context error.
+//
+// No joint transition is emitted twice: the operands' alphabets are
+// disjoint per direction, so a joint label fixes each operand's label (its
+// intersection with that operand's alphabets) and a product target fixes
+// each operand's target; a repeated (label, target) would need an operand
+// transition twice, which AddTransition, the closure and patch builders and
+// UnmarshalMemo all rule out.
+func composePair(c, left, right *Automaton, in *Interner, p *ctxPoll) error {
+	leftAdj, err := maskAdjacency(left, in)
+	if err != nil {
+		return err
 	}
-	rightAdj, ok := maskAdjacency(right, in)
-	if !ok {
-		return false
+	rightAdj, err := maskAdjacency(right, in)
+	if err != nil {
+		return err
 	}
 	leftOut, _ := in.Mask(left.outputs)
 	rightOut, _ := in.Mask(right.outputs)
@@ -153,37 +157,24 @@ func composeFast(c, left, right *Automaton, in *Interner, p *ctxPoll) bool {
 		}
 	}
 
-	type dupKey struct {
-		k  InternKey
-		to StateID
-	}
-	seen := make(map[dupKey]struct{})
 	for head := 0; head < len(queue) && !p.stop(); head++ {
 		pr := queue[head]
 		from := ids[pr]
-		clear(seen)
 		for _, tl := range leftAdj[pr.l] {
 			for _, tr := range rightAdj[pr.r] {
-				if tl.in&rightOut != tr.out {
+				if tl.in.and(rightOut) != tr.out {
 					continue
 				}
-				if tr.in&leftOut != tl.out {
+				if tr.in.and(leftOut) != tl.out {
 					continue
 				}
-				k := InternKey{In: tl.in | tr.in, Out: tl.out | tr.out}
+				k := InternKey{In: tl.in.or(tr.in), Out: tl.out.or(tr.out)}
 				to := addPair(pair{tl.to, tr.to})
-				// Parallel nondeterminism can produce the same joint
-				// transition twice; keep the first occurrence.
-				dk := dupKey{k: k, to: to}
-				if _, dup := seen[dk]; dup {
-					continue
-				}
-				seen[dk] = struct{}{}
 				c.adj[from] = append(c.adj[from], Transition{From: from, Label: in.Label(k), To: to})
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // addComposedPairState adds the product state (l, r) to c with the joined
@@ -195,54 +186,6 @@ func addComposedPairState(c, left, right *Automaton, l, r StateID) StateID {
 	id := c.MustAddState(uniqueName(c, name), labels...)
 	c.states[id].parts = append(append([]string(nil), left.states[l].parts...), right.states[r].parts...)
 	return id
-}
-
-// composeSlow is the slice-based product BFS, used when the combined
-// alphabet exceeds the interner width. A stopped poller aborts the BFS;
-// the caller surfaces the context error.
-func composeSlow(c, left, right *Automaton, p *ctxPoll) {
-	type pair struct{ l, r StateID }
-	ids := make(map[pair]StateID)
-	var queue []pair
-
-	addPair := func(p pair) StateID {
-		if id, ok := ids[p]; ok {
-			return id
-		}
-		id := addComposedPairState(c, left, right, p.l, p.r)
-		ids[p] = id
-		queue = append(queue, p)
-		return id
-	}
-
-	for _, ql := range left.initial {
-		for _, qr := range right.initial {
-			c.MarkInitial(addPair(pair{ql, qr}))
-		}
-	}
-
-	for head := 0; head < len(queue) && !p.stop(); head++ {
-		pr := queue[head]
-		from := ids[pr]
-		for _, tl := range left.adj[pr.l] {
-			for _, tr := range right.adj[pr.r] {
-				if !tl.Label.In.Intersect(right.outputs).Equal(tr.Label.Out) {
-					continue
-				}
-				if !tr.Label.In.Intersect(left.outputs).Equal(tl.Label.Out) {
-					continue
-				}
-				label := Interaction{
-					In:  tl.Label.In.Union(tr.Label.In),
-					Out: tl.Label.Out.Union(tr.Label.Out),
-				}
-				to := addPair(pair{tl.To, tr.To})
-				// Parallel nondeterminism can produce the same joint
-				// transition twice; ignore duplicates.
-				_ = c.AddTransition(from, label, to)
-			}
-		}
-	}
 }
 
 // MustCompose is Compose but panics on error.
@@ -314,12 +257,13 @@ func ComposeAll(name string, parts ...*Automaton) (*Automaton, error) {
 	c := New(name, allIn, allOut)
 	c.leaves = leaves
 
-	if in, ok := NewInterner(allIn, allOut); ok {
-		if composeAllFast(c, parts, in) {
-			return c, nil
-		}
+	in, err := NewInterner(allIn, allOut)
+	if err != nil {
+		return nil, fmt.Errorf("automata: compose %q: %w", name, err)
 	}
-	composeAllSlow(c, parts)
+	if err := composeTuples(c, parts, in); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -331,14 +275,15 @@ type jointEdge struct {
 	next []StateID
 }
 
-// composeAllFast is the interned n-ary product BFS with level-parallel
-// joint-transition enumeration.
-func composeAllFast(c *Automaton, parts []*Automaton, in *Interner) bool {
+// composeTuples is the interned n-ary product BFS with level-parallel
+// joint-transition enumeration. As in composePair, the parts' pairwise
+// disjoint alphabets make every emitted (label, target) unique per state.
+func composeTuples(c *Automaton, parts []*Automaton, in *Interner) error {
 	ptAdj := make([][][]maskedTransition, len(parts))
 	for i, p := range parts {
-		adj, ok := maskAdjacency(p, in)
-		if !ok {
-			return false
+		adj, err := maskAdjacency(p, in)
+		if err != nil {
+			return err
 		}
 		ptAdj[i] = adj
 	}
@@ -351,7 +296,7 @@ func composeAllFast(c *Automaton, parts []*Automaton, in *Interner) bool {
 		for j := range parts {
 			if j != i {
 				m, _ := in.Mask(parts[j].outputs)
-				o |= m
+				o = o.or(m)
 			}
 		}
 		othersOut[i] = o
@@ -366,12 +311,12 @@ func composeAllFast(c *Automaton, parts []*Automaton, in *Interner) bool {
 			if i == len(parts) {
 				var consumed SetMask
 				for idx := range chosen {
-					internal := chosen[idx].in & othersOut[idx]
-					delivered := produced & inMask[idx]
+					internal := chosen[idx].in.and(othersOut[idx])
+					delivered := produced.and(inMask[idx])
 					if internal != delivered {
 						return
 					}
-					consumed |= chosen[idx].in
+					consumed = consumed.or(chosen[idx].in)
 				}
 				next := make([]StateID, len(parts))
 				for idx := range chosen {
@@ -382,10 +327,10 @@ func composeAllFast(c *Automaton, parts []*Automaton, in *Interner) bool {
 			}
 			for _, t := range ptAdj[i][cur[i]] {
 				chosen[i] = t
-				choose(i+1, produced|t.out)
+				choose(i+1, produced.or(t.out))
 			}
 		}
-		choose(0, 0)
+		choose(0, SetMask{})
 		return edges
 	}
 
@@ -408,11 +353,6 @@ func composeAllFast(c *Automaton, parts []*Automaton, in *Interner) bool {
 	}
 
 	workers := runtime.GOMAXPROCS(0)
-	type dupKey struct {
-		k  InternKey
-		to StateID
-	}
-	seen := make(map[dupKey]struct{})
 	levelIndex := 0
 	for head := 0; head < len(queue); {
 		level := queue[head:]
@@ -464,86 +404,13 @@ func composeAllFast(c *Automaton, parts []*Automaton, in *Interner) bool {
 		}
 		for i := range level {
 			from := ids[stateSetKey(level[i])]
-			clear(seen)
 			for _, e := range results[i] {
 				to := addTuple(e.next)
-				dk := dupKey{k: e.key, to: to}
-				if _, dup := seen[dk]; dup {
-					continue
-				}
-				seen[dk] = struct{}{}
 				c.adj[from] = append(c.adj[from], Transition{From: from, Label: in.Label(e.key), To: to})
 			}
 		}
 	}
-	return true
-}
-
-// composeAllSlow is the slice-based n-ary product BFS.
-func composeAllSlow(c *Automaton, parts []*Automaton) {
-	// othersOut[i] = union of output alphabets of all parts except i.
-	othersOut := make([]SignalSet, len(parts))
-	for i := range parts {
-		o := EmptySet
-		for j := range parts {
-			if j != i {
-				o = o.Union(parts[j].outputs)
-			}
-		}
-		othersOut[i] = o
-	}
-
-	ids := make(map[string]StateID)
-	var queue [][]StateID
-
-	addTuple := func(states []StateID) StateID {
-		k := stateSetKey(states)
-		if id, ok := ids[k]; ok {
-			return id
-		}
-		id := addComposedTupleState(c, parts, states)
-		ids[k] = id
-		queue = append(queue, append([]StateID(nil), states...))
-		return id
-	}
-
-	for _, t := range initialTuples(parts) {
-		c.MarkInitial(addTuple(t))
-	}
-
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		from := ids[stateSetKey(cur)]
-		// Enumerate joint transitions: one transition per part.
-		var choose func(i int, chosen []Transition)
-		choose = func(i int, chosen []Transition) {
-			if i == len(parts) {
-				produced := EmptySet
-				for _, t := range chosen {
-					produced = produced.Union(t.Label.Out)
-				}
-				label := Interaction{Out: produced}
-				for idx, t := range chosen {
-					internal := t.Label.In.Intersect(othersOut[idx])
-					delivered := produced.Intersect(parts[idx].inputs)
-					if !internal.Equal(delivered) {
-						return
-					}
-					label.In = label.In.Union(t.Label.In)
-				}
-				next := make([]StateID, len(parts))
-				for idx, t := range chosen {
-					next[idx] = t.To
-				}
-				_ = c.AddTransition(from, label, addTuple(next))
-				return
-			}
-			for _, t := range parts[i].adj[cur[i]] {
-				choose(i+1, append(chosen, t))
-			}
-		}
-		choose(0, nil)
-	}
+	return nil
 }
 
 // addComposedTupleState adds the n-ary product state for the given leaf

@@ -7,7 +7,7 @@ import (
 
 // senderReceiver builds a pair of automata communicating over "msg":
 // sender outputs msg, receiver consumes it.
-func senderReceiver(t *testing.T) (*Automaton, *Automaton) {
+func senderReceiver(t testing.TB) (*Automaton, *Automaton) {
 	t.Helper()
 	s := New("sender", EmptySet, NewSignalSet("msg"))
 	s0 := s.MustAddState("ready")

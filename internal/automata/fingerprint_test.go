@@ -2,6 +2,7 @@ package automata
 
 import (
 	"context"
+	"sync"
 	"testing"
 )
 
@@ -247,5 +248,65 @@ func TestMemoNilSafe(t *testing.T) {
 	r.MarkInitial(r.MustAddState("y"))
 	if _, err := ComposeCtx(context.Background(), "sys", s, r, nil); err != nil {
 		t.Fatalf("ComposeCtx with nil memo: %v", err)
+	}
+}
+
+// TestMemoUniverseCompiledOncePerAlphabets checks the per-cache universe
+// table: a predefined universe over equal alphabets is compiled once and
+// shared, other kinds or alphabets get their own entry, lookups leave the
+// hit and miss counts alone, and a nil cache or a FixedUniverse compiles
+// afresh on every call.
+func TestMemoUniverseCompiledOncePerAlphabets(t *testing.T) {
+	memo := NewMemoCache(nil)
+	singleton := Universe(UniverseSingleton)
+	first := memo.Universe(singleton, NewSignalSet("go", "stop"), NewSignalSet("done"))
+	if again := memo.Universe(singleton, NewSignalSet("stop", "go"), NewSignalSet("done")); again != first {
+		t.Fatal("equal alphabets compiled the singleton universe twice")
+	}
+	if other := memo.Universe(Universe(UniversePowerSet), NewSignalSet("go", "stop"), NewSignalSet("done")); other == first {
+		t.Fatal("the power-set universe shares the singleton universe's entry")
+	}
+	if other := memo.Universe(singleton, NewSignalSet("go"), NewSignalSet("done")); other == first {
+		t.Fatal("different alphabets share one compiled universe")
+	}
+	if hits, misses, entries := memo.Stats(); hits != 0 || misses != 0 || entries != 0 {
+		t.Fatalf("universe lookups moved the memo stats: %d hits, %d misses, %d entries", hits, misses, entries)
+	}
+
+	var none *MemoCache
+	a := none.Universe(singleton, NewSignalSet("go"), NewSignalSet("done"))
+	if b := none.Universe(singleton, NewSignalSet("go"), NewSignalSet("done")); a == b {
+		t.Fatal("a nil cache returned a shared compiled universe")
+	}
+	fixed := FixedUniverse{Interact([]Signal{"go"}, []Signal{"done"}), Interact(nil, nil)}
+	x := memo.Universe(fixed, NewSignalSet("go"), NewSignalSet("done"))
+	if y := memo.Universe(fixed, NewSignalSet("go"), NewSignalSet("done")); x == y {
+		t.Fatal("a FixedUniverse was cached")
+	}
+	if want := CompileUniverse(fixed, NewSignalSet("go"), NewSignalSet("done")); x.fingerprint != want.fingerprint {
+		t.Fatal("a FixedUniverse compiled through the cache differs from CompileUniverse")
+	}
+}
+
+// TestMemoUniverseConcurrentLookups has batch workers look up one universe
+// at once: every caller must get the same compiled value (run under -race).
+func TestMemoUniverseConcurrentLookups(t *testing.T) {
+	memo := NewMemoCache(nil)
+	const workers = 8
+	got := make([]*CompiledUniverse, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = memo.Universe(Universe(UniverseSingleton), NewSignalSet("go", "stop"), NewSignalSet("done"))
+			_ = got[w].Under(NewSignalSet("go"))
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if got[w] != got[0] {
+			t.Fatalf("worker %d got a second compilation of one universe", w)
+		}
 	}
 }

@@ -40,11 +40,16 @@ func NewIncomplete(a *Automaton) *Incomplete {
 // mutate it in ways that violate consistency with T̄.
 func (m *Incomplete) Automaton() *Automaton { return m.auto }
 
-// Block adds (s, A, B) to T̄. It is an error if T already enables the
-// interaction at s (consistency requirement of Definition 6).
+// Block adds (s, A, B) to T̄. It is an error if the interaction is not
+// within the automaton's alphabets, or if T already enables it at s
+// (consistency requirement of Definition 6).
 func (m *Incomplete) Block(s StateID, label Interaction) error {
 	if err := m.auto.checkState(s); err != nil {
 		return err
+	}
+	if !label.In.SubsetOf(m.auto.inputs) || !label.Out.SubsetOf(m.auto.outputs) {
+		return fmt.Errorf("automata: cannot block %s at %q: not within alphabets (%v, %v)",
+			label, m.auto.StateName(s), m.auto.inputs, m.auto.outputs)
 	}
 	if len(m.auto.Successors(s, label)) > 0 {
 		return fmt.Errorf("automata: cannot block %s at %q: transition exists",

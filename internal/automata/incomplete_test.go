@@ -40,6 +40,14 @@ func TestIncompleteBlockAndConsistency(t *testing.T) {
 	if got := m.BlockedAt(idle); len(got) != 1 || !got[0].Equal(done) {
 		t.Fatalf("BlockedAt = %v", got)
 	}
+	// A foreign interaction would read as the empty label once interned,
+	// hiding that label's chaos escape in the closure.
+	if err := m.Block(idle, Interact([]Signal{"zz"}, nil)); err == nil {
+		t.Fatal("blocking an interaction outside the alphabets accepted")
+	}
+	if err := m.Block(idle, Interact(nil, []Signal{"ping"})); err == nil {
+		t.Fatal("blocking an input signal as an output accepted")
+	}
 	if err := m.Block(StateID(99), done); err == nil {
 		t.Fatal("blocking at out-of-range state accepted")
 	}

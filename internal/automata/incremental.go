@@ -2,7 +2,6 @@ package automata
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -39,11 +38,6 @@ import (
 // label-, name-, and adjacency-order-identical to a from-scratch
 // ChaoticClosure / Compose, so synthesis trajectories — which depend on
 // BFS tie-breaking over adjacency order — are unchanged.
-
-// ErrIncrementalUnsupported is returned by NewIncrementalSystem when the
-// combined alphabet exceeds the interner width; callers fall back to
-// from-scratch construction.
-var ErrIncrementalUnsupported = errors.New("automata: incremental system requires an internable alphabet (≤64 signals)")
 
 // IncrementalSystem carries the chaotic closure of a learned model and its
 // composition with a fixed context automaton across learn steps.
@@ -86,8 +80,8 @@ type IncrementalSystem struct {
 
 // NewIncrementalSystem builds the closure and product from scratch and
 // prepares the patching indexes. The context must be composable with the
-// model's closure (same requirements as Compose). Returns
-// ErrIncrementalUnsupported when the combined alphabet cannot be interned.
+// model's closure, and their combined alphabet must fit an Interner (same
+// requirements as Compose).
 func NewIncrementalSystem(context *Automaton, model *Incomplete, universe InteractionUniverse) (*IncrementalSystem, error) {
 	return NewIncrementalSystemWith(nil, context, model, CompileUniverse(universe, model.auto.inputs, model.auto.outputs), nil)
 }
@@ -106,9 +100,9 @@ func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *In
 	if err := universe.checkAlphabets(src); err != nil {
 		return nil, err
 	}
-	in, ok := NewInterner(ctxAuto.inputs, ctxAuto.outputs, src.inputs, src.outputs)
-	if !ok {
-		return nil, ErrIncrementalUnsupported
+	in, err := NewInterner(ctxAuto.inputs, ctxAuto.outputs, src.inputs, src.outputs)
+	if err != nil {
+		return nil, fmt.Errorf("automata: incremental system: %w", err)
 	}
 	if ctx == context.Background() || ctx == context.TODO() {
 		ctx = nil
@@ -121,17 +115,11 @@ func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *In
 		memo:     memo,
 		in:       in,
 	}
-	ic.labelKeys = make([]InternKey, len(universe.labels))
-	for i, x := range universe.labels {
-		k, ok := in.Key(x)
-		if !ok {
-			return nil, ErrIncrementalUnsupported
-		}
-		ic.labelKeys[i] = k
+	if ic.labelKeys, err = in.internLabels(universe.labels); err != nil {
+		return nil, err
 	}
-	ic.ctxMask, ok = maskAdjacency(ctxAuto, in)
-	if !ok {
-		return nil, ErrIncrementalUnsupported
+	if ic.ctxMask, err = maskAdjacency(ctxAuto, in); err != nil {
+		return nil, err
 	}
 	ic.ctxOut, _ = in.Mask(ctxAuto.outputs)
 	ic.closOut, _ = in.Mask(src.outputs)
@@ -196,13 +184,11 @@ func (ic *IncrementalSystem) rebuild() error {
 	ic.sDelta = ic.closure.State(ChaosDeltaState)
 	ic.numModelInitials = len(src.initial)
 
-	var ok bool
-	ic.closMask, ok = maskAdjacency(ic.closure, ic.in)
-	if !ok {
-		return ErrIncrementalUnsupported
+	if ic.closMask, err = maskAdjacency(ic.closure, ic.in); err != nil {
+		return err
 	}
 
-	// Product BFS, replicating Compose's interned fast path while
+	// Product BFS, replicating Compose's interned BFS while
 	// recording the (context, closure) pair of every product state.
 	ic.product = New("system", ic.context.inputs.Union(ic.closure.inputs),
 		ic.context.outputs.Union(ic.closure.outputs))
@@ -221,26 +207,18 @@ func (ic *IncrementalSystem) rebuild() error {
 			}
 		}
 	}
-	seen := make(map[pairDupKey]struct{})
 	p := newCtxPoll(ic.runCtx)
 	for head := 0; head < len(queue); head++ {
 		if p.stop() {
 			return p.err
 		}
-		queue = ic.computePairAdjacency(queue[head], queue, seen)
+		queue = ic.computePairAdjacency(queue[head], queue)
 	}
 	ic.reachable = ic.product.NumStates()
 	ic.rebuilds++
 	ic.lastPatched = false
 	obsProductRebuilds.Add(1)
 	return nil
-}
-
-// pairDupKey dedupes product transitions per source pair (keep-first, like
-// AddTransition).
-type pairDupKey struct {
-	k  InternKey
-	to StateID
 }
 
 // pairFor returns the product state for (c, z), creating it if absent.
@@ -259,30 +237,25 @@ func (ic *IncrementalSystem) pairFor(c, z StateID) (StateID, bool) {
 // computePairAdjacency recomputes the full adjacency of one product pair
 // from the current context and closure adjacency, enqueueing pairs created
 // along the way onto queue (returned possibly grown). The construction is
-// the same double loop as Compose's fast path, so per-state transition
-// order matches a from-scratch composition exactly.
-func (ic *IncrementalSystem) computePairAdjacency(pid StateID, queue []StateID, seen map[pairDupKey]struct{}) []StateID {
+// the same double loop as Compose's, so per-state transition order matches
+// a from-scratch composition exactly, and for the same reason it never
+// emits a (label, target) twice.
+func (ic *IncrementalSystem) computePairAdjacency(pid StateID, queue []StateID) []StateID {
 	c, z := ic.pairs[pid][0], ic.pairs[pid][1]
 	adj := ic.product.adj[pid][:0]
-	clear(seen)
 	for _, tl := range ic.ctxMask[c] {
 		for _, tr := range ic.closMask[z] {
-			if tl.in&ic.closOut != tr.out {
+			if tl.in.and(ic.closOut) != tr.out {
 				continue
 			}
-			if tr.in&ic.ctxOut != tl.out {
+			if tr.in.and(ic.ctxOut) != tl.out {
 				continue
 			}
-			k := InternKey{In: tl.in | tr.in, Out: tl.out | tr.out}
+			k := InternKey{In: tl.in.or(tr.in), Out: tl.out.or(tr.out)}
 			to, created := ic.pairFor(tl.to, tr.to)
 			if created {
 				queue = append(queue, to)
 			}
-			dk := pairDupKey{k: k, to: to}
-			if _, dup := seen[dk]; dup {
-				continue
-			}
-			seen[dk] = struct{}{}
 			adj = append(adj, Transition{From: pid, Label: ic.in.Label(k), To: to})
 		}
 	}
@@ -391,7 +364,6 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 		affected = append(affected, ic.byClosure[ic.open[f]]...)
 	}
 	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-	seen := make(map[pairDupKey]struct{})
 	p := newCtxPoll(ic.runCtx)
 	var queue []StateID
 	var prev StateID = NoState
@@ -405,13 +377,13 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 			continue
 		}
 		prev = pid
-		queue = ic.computePairAdjacency(pid, queue, seen)
+		queue = ic.computePairAdjacency(pid, queue)
 	}
 	for head := 0; head < len(queue); head++ {
 		if p.stop() {
 			return false, p.err
 		}
-		queue = ic.computePairAdjacency(queue[head], queue, seen)
+		queue = ic.computePairAdjacency(queue[head], queue)
 	}
 
 	// The closure and product adjacencies were rewritten in place above,
@@ -437,10 +409,7 @@ func (ic *IncrementalSystem) recomputeClosureState(f StateID, known map[InternKe
 	openAdj := ic.closure.adj[c1][:0]
 	clear(known)
 	for _, t := range src.adj[f] {
-		k, ok := ic.in.Key(t.Label)
-		if !ok {
-			return ErrIncrementalUnsupported
-		}
+		k, _ := ic.in.Key(t.Label)
 		known[k] = struct{}{}
 		closedAdj = append(closedAdj,
 			Transition{From: c0, Label: t.Label, To: ic.closed[t.To]},
@@ -450,10 +419,7 @@ func (ic *IncrementalSystem) recomputeClosureState(f StateID, known map[InternKe
 			Transition{From: c1, Label: t.Label, To: ic.open[t.To]})
 	}
 	for _, b := range ic.model.blocked[f] {
-		k, ok := ic.in.Key(b)
-		if !ok {
-			return ErrIncrementalUnsupported
-		}
+		k, _ := ic.in.Key(b)
 		known[k] = struct{}{}
 	}
 	for i, x := range ic.universe.labels {
@@ -468,13 +434,9 @@ func (ic *IncrementalSystem) recomputeClosureState(f StateID, known map[InternKe
 	ic.closure.adj[c1] = openAdj
 
 	for _, z := range [2]StateID{c0, c1} {
-		row := make([]maskedTransition, len(ic.closure.adj[z]))
-		for i, t := range ic.closure.adj[z] {
-			k, ok := ic.in.Key(t.Label)
-			if !ok {
-				return ErrIncrementalUnsupported
-			}
-			row[i] = maskedTransition{in: k.In, out: k.Out, to: t.To}
+		row, err := maskRow(ic.in, ic.closure, ic.closure.adj[z])
+		if err != nil {
+			return err
 		}
 		ic.closMask[z] = row
 	}

@@ -1,27 +1,53 @@
 package automata
 
-import "math/bits"
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+)
 
 // This file implements interaction interning: a dense integer encoding of
-// SignalSet and Interaction values over a fixed, small alphabet. The hot
+// SignalSet and Interaction values over a fixed alphabet. The hot
 // algorithms of this package (parallel composition, chaotic closure,
-// refinement) spend most of their time in Union/Intersect/Equal over sorted
-// []Signal slices; with interning those become single machine-word bitwise
-// operations, and each distinct label is materialized as a SignalSet or
-// Interaction at most once per interner.
+// refinement) spend most of their time in Union/Intersect/Equal over
+// signal sets; interned, those become two-word bitwise operations, and
+// each distinct label is materialized as a SignalSet or Interaction at
+// most once per interner.
 //
 // Interning is internal to the algorithms: the public API keeps the sorted
-// immutable SignalSet as its boundary type, and every algorithm retains a
-// slice-based fallback for alphabets wider than an interner supports.
+// immutable SignalSet as its boundary type. It is also the only label path:
+// an alphabet wider than an interner holds is an error (ErrAlphabetTooWide),
+// never a slower fallback.
 
-// SetMask is the bitset encoding of a SignalSet under an Interner: bit i is
-// set iff the i-th alphabet signal (in canonical sorted order) is a member.
-type SetMask uint64
+// MaxInternSignals bounds the alphabet an Interner can encode: one bit per
+// signal in a two-word SetMask. The widest systems the repository runs
+// (gen.WideConfig: a 40+30-signal role and its mirrored context, 70
+// signals in all) fit; Mechatronic UML ports have a handful of signals.
+const MaxInternSignals = 128
 
-// maxInternSignals bounds the alphabet an Interner can encode. One machine
-// word keeps every hot-path operation a single instruction; alphabets in
-// this domain (ports of Mechatronic UML roles) have a handful of signals.
-const maxInternSignals = 64
+// ErrAlphabetTooWide is returned (wrapped) by NewInterner, and by every
+// construction that interns its labels, when the alphabet exceeds
+// MaxInternSignals signals.
+var ErrAlphabetTooWide = errors.New("automata: alphabet exceeds the 128-signal interner")
+
+// SetMask is the bitset encoding of a SignalSet under an Interner: bit i
+// (word i/64, bit i%64) is set iff the i-th alphabet signal in canonical
+// sorted order is a member. Masks are comparable with ==.
+type SetMask struct{ lo, hi uint64 }
+
+func (m SetMask) or(o SetMask) SetMask  { return SetMask{m.lo | o.lo, m.hi | o.hi} }
+func (m SetMask) and(o SetMask) SetMask { return SetMask{m.lo & o.lo, m.hi & o.hi} }
+func (m SetMask) count() int            { return bits.OnesCount64(m.lo) + bits.OnesCount64(m.hi) }
+
+// withBit returns m with bit i set.
+func (m SetMask) withBit(i int) SetMask {
+	if i < 64 {
+		m.lo |= 1 << uint(i)
+	} else {
+		m.hi |= 1 << uint(i-64)
+	}
+	return m
+}
 
 // InternKey identifies an Interaction under an Interner: the input and
 // output set masks. Distinct interactions have distinct keys, so InternKey
@@ -42,15 +68,15 @@ type Interner struct {
 }
 
 // NewInterner builds an interner over the union of the given alphabets.
-// The second result is false when the union exceeds the supported width
-// (64 signals); callers must then use the slice-based fallback paths.
-func NewInterner(alphabets ...SignalSet) (*Interner, bool) {
+// It returns an error wrapping ErrAlphabetTooWide when the union exceeds
+// 128 signals.
+func NewInterner(alphabets ...SignalSet) (*Interner, error) {
 	union := EmptySet
 	for _, a := range alphabets {
 		union = union.Union(a)
 	}
-	if union.Len() > maxInternSignals {
-		return nil, false
+	if union.Len() > MaxInternSignals {
+		return nil, fmt.Errorf("%w: %d signals", ErrAlphabetTooWide, union.Len())
 	}
 	in := &Interner{
 		signals: union.signals,
@@ -62,8 +88,8 @@ func NewInterner(alphabets ...SignalSet) (*Interner, bool) {
 		in.index[sig] = i
 	}
 	// The empty set is by far the most common label component.
-	in.sets[0] = EmptySet
-	return in, true
+	in.sets[SetMask{}] = EmptySet
+	return in, nil
 }
 
 // Mask encodes the set as a bitset. The second result is false when the set
@@ -73,9 +99,9 @@ func (in *Interner) Mask(s SignalSet) (SetMask, bool) {
 	for _, sig := range s.signals {
 		i, ok := in.index[sig]
 		if !ok {
-			return 0, false
+			return SetMask{}, false
 		}
-		m |= 1 << uint(i)
+		m = m.withBit(i)
 	}
 	return m, true
 }
@@ -102,9 +128,11 @@ func (in *Interner) Set(m SetMask) SignalSet {
 		return s
 	}
 	obsInternMisses.Add(1)
-	signals := make([]Signal, 0, bits.OnesCount64(uint64(m)))
-	for rest := m; rest != 0; rest &= rest - 1 {
-		signals = append(signals, in.signals[bits.TrailingZeros64(uint64(rest))])
+	signals := make([]Signal, 0, m.count())
+	for w, word := range [2]uint64{m.lo, m.hi} {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			signals = append(signals, in.signals[64*w+bits.TrailingZeros64(rest)])
+		}
 	}
 	s := SignalSet{signals: signals}
 	in.sets[m] = s
@@ -123,6 +151,22 @@ func (in *Interner) Label(k InternKey) Interaction {
 	return x
 }
 
+// internLabels encodes the labels in order. Labels come from a universe
+// compiled over alphabets the interner covers, so a foreign signal means
+// the universe broke its contract (Enumerate must stay within the given
+// alphabets) and is reported as an error.
+func (in *Interner) internLabels(labels []Interaction) ([]InternKey, error) {
+	keys := make([]InternKey, len(labels))
+	for i, x := range labels {
+		k, ok := in.Key(x)
+		if !ok {
+			return nil, fmt.Errorf("automata: universe interaction %v outside the alphabet", x)
+		}
+		keys[i] = k
+	}
+	return keys, nil
+}
+
 // maskedTransition is a transition with its label pre-encoded, so BFS inner
 // loops compare and combine labels with word operations only.
 type maskedTransition struct {
@@ -130,25 +174,35 @@ type maskedTransition struct {
 	to      StateID
 }
 
+// maskRow encodes one adjacency list under the interner, in order. A label
+// outside the interner's alphabet — which AddTransition, the construction
+// builders and UnmarshalMemo all rule out — is reported as an error.
+func maskRow(in *Interner, a *Automaton, ts []Transition) ([]maskedTransition, error) {
+	row := make([]maskedTransition, len(ts))
+	for i, t := range ts {
+		k, ok := in.Key(t.Label)
+		if !ok {
+			return nil, fmt.Errorf("automata: %q: label %v outside the alphabet", a.name, t.Label)
+		}
+		row[i] = maskedTransition{in: k.In, out: k.Out, to: t.To}
+	}
+	return row, nil
+}
+
 // maskAdjacency encodes the automaton's adjacency lists under the interner.
 // The per-state transition order of the result matches TransitionsFrom
-// exactly, so algorithms switching between the fast and slow paths produce
-// identical outputs. Returns false if any label falls outside the alphabet.
-func maskAdjacency(a *Automaton, in *Interner) ([][]maskedTransition, bool) {
+// exactly, so BFS constructions over it reproduce adjacency order.
+func maskAdjacency(a *Automaton, in *Interner) ([][]maskedTransition, error) {
 	adj := make([][]maskedTransition, len(a.adj))
 	for s, ts := range a.adj {
 		if len(ts) == 0 {
 			continue
 		}
-		row := make([]maskedTransition, len(ts))
-		for i, t := range ts {
-			k, ok := in.Key(t.Label)
-			if !ok {
-				return nil, false
-			}
-			row[i] = maskedTransition{in: k.In, out: k.Out, to: t.To}
+		row, err := maskRow(in, a, ts)
+		if err != nil {
+			return nil, err
 		}
 		adj[s] = row
 	}
-	return adj, true
+	return adj, nil
 }

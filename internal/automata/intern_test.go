@@ -1,14 +1,16 @@
 package automata
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 )
 
 func TestInternerRoundTrip(t *testing.T) {
-	in, ok := NewInterner(NewSignalSet("a", "c"), NewSignalSet("b", "d"))
-	if !ok {
-		t.Fatal("interner refused a 4-signal alphabet")
+	in, err := NewInterner(NewSignalSet("a", "c"), NewSignalSet("b", "d"))
+	if err != nil {
+		t.Fatalf("interner refused a 4-signal alphabet: %v", err)
 	}
 	sets := []SignalSet{
 		EmptySet,
@@ -36,27 +38,72 @@ func TestInternerRoundTrip(t *testing.T) {
 func TestInternerMaskOperationsMatchSetOperations(t *testing.T) {
 	a := NewSignalSet("x", "y")
 	b := NewSignalSet("y", "z")
-	in, ok := NewInterner(a, b)
-	if !ok {
-		t.Fatal("interner refused")
+	in, err := NewInterner(a, b)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ma, _ := in.Mask(a)
 	mb, _ := in.Mask(b)
-	if got := in.Set(ma | mb); !got.Equal(a.Union(b)) {
+	if got := in.Set(ma.or(mb)); !got.Equal(a.Union(b)) {
 		t.Fatalf("union mask = %v, want %v", got, a.Union(b))
 	}
-	if got := in.Set(ma & mb); !got.Equal(a.Intersect(b)) {
+	if got := in.Set(ma.and(mb)); !got.Equal(a.Intersect(b)) {
 		t.Fatalf("intersect mask = %v, want %v", got, a.Intersect(b))
-	}
-	if got := in.Set(ma &^ mb); !got.Equal(a.Minus(b)) {
-		t.Fatalf("minus mask = %v, want %v", got, a.Minus(b))
 	}
 }
 
+// TestInternerMasksSpanBothWords checks the set algebra on masks whose
+// members straddle the word boundary (bits 63 and 64) and fill the top word.
+func TestInternerMasksSpanBothWords(t *testing.T) {
+	in, err := NewInterner(NewSignalSet(signalRange(0, MaxInternSignals)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []SignalSet{
+		EmptySet,
+		NewSignalSet(signalRange(0, 64)...),
+		NewSignalSet(signalRange(63, 65)...),
+		NewSignalSet(signalRange(64, MaxInternSignals)...),
+		NewSignalSet(signalRange(0, MaxInternSignals)...),
+		NewSignalSet("s000", "s127"),
+	}
+	for _, a := range sets {
+		ma, ok := in.Mask(a)
+		if !ok {
+			t.Fatalf("Mask(%v) rejected", a)
+		}
+		if got := in.Set(ma); !got.Equal(a) {
+			t.Fatalf("Set(Mask(%v)) = %v", a, got)
+		}
+		if ma.count() != a.Len() {
+			t.Fatalf("count(Mask(%v)) = %d, want %d", a, ma.count(), a.Len())
+		}
+		for _, b := range sets {
+			mb, _ := in.Mask(b)
+			if got := in.Set(ma.or(mb)); !got.Equal(a.Union(b)) {
+				t.Fatalf("%v ∪ %v = %v", a, b, got)
+			}
+			if got := in.Set(ma.and(mb)); !got.Equal(a.Intersect(b)) {
+				t.Fatalf("%v ∩ %v = %v", a, b, got)
+			}
+		}
+	}
+}
+
+// signalRange returns the signals s<lo> .. s<hi-1>, zero-padded so that
+// canonical order matches numeric order.
+func signalRange(lo, hi int) []Signal {
+	var out []Signal
+	for i := lo; i < hi; i++ {
+		out = append(out, Signal(fmt.Sprintf("s%03d", i)))
+	}
+	return out
+}
+
 func TestInternerRejectsForeignSignalsAndWideAlphabets(t *testing.T) {
-	in, ok := NewInterner(NewSignalSet("a"))
-	if !ok {
-		t.Fatal("interner refused singleton alphabet")
+	in, err := NewInterner(NewSignalSet("a"))
+	if err != nil {
+		t.Fatalf("interner refused singleton alphabet: %v", err)
 	}
 	if _, ok := in.Mask(NewSignalSet("zz")); ok {
 		t.Fatal("Mask accepted a signal outside the alphabet")
@@ -65,12 +112,13 @@ func TestInternerRejectsForeignSignalsAndWideAlphabets(t *testing.T) {
 		t.Fatal("Key accepted a signal outside the alphabet")
 	}
 
-	var wide []Signal
-	for i := 0; i < maxInternSignals+1; i++ {
-		wide = append(wide, Signal(fmt.Sprintf("s%03d", i)))
+	// 128 signals split over two alphabets fit; the 129th does not.
+	if _, err := NewInterner(NewSignalSet(signalRange(0, 70)...), NewSignalSet(signalRange(70, 128)...)); err != nil {
+		t.Fatalf("interner refused a 128-signal alphabet: %v", err)
 	}
-	if _, ok := NewInterner(NewSignalSet(wide...)); ok {
-		t.Fatal("interner accepted a 65-signal alphabet")
+	_, err = NewInterner(NewSignalSet(signalRange(0, 70)...), NewSignalSet(signalRange(70, 129)...))
+	if !errors.Is(err, ErrAlphabetTooWide) {
+		t.Fatalf("NewInterner(129 signals) = %v, want ErrAlphabetTooWide", err)
 	}
 }
 
@@ -101,13 +149,13 @@ func TestMaskAdjacencyPreservesOrder(t *testing.T) {
 	a.MustAddTransition(s0, Interaction{Out: NewSignalSet("o")}, s0)
 	a.MustAddTransition(s1, Interaction{In: NewSignalSet("i"), Out: NewSignalSet("o")}, s0)
 
-	in, ok := NewInterner(a.Inputs(), a.Outputs())
-	if !ok {
-		t.Fatal("interner refused")
+	in, err := NewInterner(a.Inputs(), a.Outputs())
+	if err != nil {
+		t.Fatal(err)
 	}
-	adj, ok := maskAdjacency(a, in)
-	if !ok {
-		t.Fatal("maskAdjacency rejected in-alphabet labels")
+	adj, err := maskAdjacency(a, in)
+	if err != nil {
+		t.Fatalf("maskAdjacency rejected in-alphabet labels: %v", err)
 	}
 	for s, ts := range adj {
 		want := a.TransitionsFrom(StateID(s))
@@ -119,6 +167,54 @@ func TestMaskAdjacencyPreservesOrder(t *testing.T) {
 			if mt.in != k.In || mt.out != k.Out || mt.to != want[i].To {
 				t.Fatalf("state %d transition %d: masked %v, want %v", s, i, mt, want[i])
 			}
+		}
+	}
+}
+
+// TestAlphabetBeyondInternerIsAnError checks that every construction that
+// interns its labels reports an alphabet of 129 signals as an error
+// wrapping ErrAlphabetTooWide instead of panicking or falling back. Each
+// operand fits an interner on its own; only their union is too wide.
+func TestAlphabetBeyondInternerIsAnError(t *testing.T) {
+	single := func(name string, inputs, outputs SignalSet) *Automaton {
+		a := New(name, inputs, outputs)
+		a.MarkInitial(a.MustAddState("s0"))
+		return a
+	}
+	left := single("left", NewSignalSet(signalRange(0, 65)...), EmptySet)
+	right := single("right", EmptySet, NewSignalSet(signalRange(65, 129)...))
+	third := single("third", EmptySet, EmptySet)
+	model := NewIncomplete(single("model", EmptySet, NewSignalSet(signalRange(65, 129)...)))
+	wideModel := NewIncomplete(single("wide", NewSignalSet(signalRange(0, 65)...), NewSignalSet(signalRange(65, 129)...)))
+	singleton := Universe(UniverseSingleton)
+
+	checks := map[string]func() error{
+		"Compose": func() error { _, err := Compose("sys", left, right); return err },
+		"ComposeCtx+memo": func() error {
+			_, err := ComposeCtx(context.Background(), "sys", left, right, NewMemoCache(nil))
+			return err
+		},
+		"ComposeAll": func() error { _, err := ComposeAll("sys", left, right, third); return err },
+		"ChaoticClosureCtx": func() error {
+			u := CompileUniverse(singleton, wideModel.Automaton().Inputs(), wideModel.Automaton().Outputs())
+			_, err := ChaoticClosureCtx(context.Background(), wideModel, u, nil)
+			return err
+		},
+		"ChaoticClosureNondetCtx": func() error {
+			u := CompileUniverse(singleton, wideModel.Automaton().Inputs(), wideModel.Automaton().Outputs())
+			_, err := ChaoticClosureNondetCtx(context.Background(), wideModel, u)
+			return err
+		},
+		"NewIncrementalSystemWith": func() error {
+			u := CompileUniverse(singleton, model.Automaton().Inputs(), model.Automaton().Outputs())
+			_, err := NewIncrementalSystemWith(context.Background(), left, model, u, nil)
+			return err
+		},
+		"Refines": func() error { _, _, err := Refines(left, right); return err },
+	}
+	for name, run := range checks {
+		if err := run(); !errors.Is(err, ErrAlphabetTooWide) {
+			t.Errorf("%s over 129 signals = %v, want ErrAlphabetTooWide", name, err)
 		}
 	}
 }

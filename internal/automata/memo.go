@@ -37,6 +37,16 @@ type MemoCache struct {
 	// misses fall through to it, and stores write through so a later
 	// process warm-starts from disk (see SetBackend).
 	backend MemoBackend
+	// universes holds the compiled interaction universes (see Universe),
+	// keyed by universeKey.
+	universes sync.Map
+}
+
+// universeKey identifies a predefined universe over one pair of alphabets
+// (the alphabets' canonical SignalSet keys).
+type universeKey struct {
+	kind    universeKind
+	in, out string
 }
 
 // MemoBackend is a second-level store layered under the in-memory cache —
@@ -183,6 +193,26 @@ func (c *MemoCache) store(op memoOp, a, b uint64, auto *Automaton) {
 			c.backend.Save(op.String(), a, b, payload)
 		}
 	}
+}
+
+// Universe returns the universe compiled over the given alphabets,
+// compiling each (predefined universe, alphabets) pair once per cache: the
+// instances of a batch typically share one component alphabet, and each
+// would otherwise enumerate the same labels again. The result is shared and
+// read-only. A universe lookup counts as neither a hit nor a miss. On a nil
+// cache, and for a universe other than the predefined ones (an arbitrary
+// InteractionUniverse value need not be comparable), it compiles afresh.
+func (c *MemoCache) Universe(u InteractionUniverse, inputs, outputs SignalSet) *CompiledUniverse {
+	kind, predefined := u.(universeKind)
+	if c == nil || !predefined {
+		return CompileUniverse(u, inputs, outputs)
+	}
+	k := universeKey{kind: kind, in: inputs.Key(), out: outputs.Key()}
+	if cu, ok := c.universes.Load(k); ok {
+		return cu.(*CompiledUniverse)
+	}
+	cu, _ := c.universes.LoadOrStore(k, CompileUniverse(u, inputs, outputs))
+	return cu.(*CompiledUniverse)
 }
 
 // Stats returns the hit and miss counts and the number of cached entries.

@@ -86,9 +86,11 @@ func MarshalMemo(a *Automaton) ([]byte, error) {
 }
 
 // UnmarshalMemo reconstructs a MarshalMemo payload. It validates the codec
-// version and every state reference, so a payload from a different layout
-// or a partially damaged record yields an error instead of a malformed
-// automaton.
+// version, every state reference, and every edge label — within the
+// automaton's alphabets, and no (label, target) twice in a row —
+// so a payload from a different layout or a damaged record yields an error
+// (a clean memo miss) instead of a malformed automaton that the interned
+// constructions downstream would reject or duplicate edges from.
 func UnmarshalMemo(data []byte) (*Automaton, error) {
 	var doc memoDocJSON
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -103,7 +105,18 @@ func UnmarshalMemo(data []byte) (*Automaton, error) {
 	if len(doc.Adj) != len(doc.States) {
 		return nil, fmt.Errorf("automata: memo decode: %d adjacency rows for %d states", len(doc.Adj), len(doc.States))
 	}
-	a := New(doc.Name, NewSignalSet(doc.Inputs...), NewSignalSet(doc.Outputs...))
+	inputs, outputs := NewSignalSet(doc.Inputs...), NewSignalSet(doc.Outputs...)
+	in, err := NewInterner(inputs, outputs)
+	if err != nil {
+		return nil, fmt.Errorf("automata: memo decode: %w", err)
+	}
+	type edgeKey struct {
+		label InternKey
+		to    int
+	}
+	seen := make(map[edgeKey]struct{})
+
+	a := New(doc.Name, inputs, outputs)
 	if len(doc.Leaves) > 0 {
 		a.leaves = a.leaves[:0]
 		for _, l := range doc.Leaves {
@@ -129,15 +142,21 @@ func UnmarshalMemo(data []byte) (*Automaton, error) {
 	a.adj = make([][]Transition, len(doc.States))
 	for i, row := range doc.Adj {
 		ts := make([]Transition, len(row))
+		clear(seen)
 		for k, e := range row {
 			if e.To < 0 || e.To >= len(doc.States) {
 				return nil, fmt.Errorf("automata: memo decode: state %d edge %d targets unknown state %d", i, k, e.To)
 			}
-			ts[k] = Transition{
-				From:  StateID(i),
-				Label: Interaction{In: NewSignalSet(e.In...), Out: NewSignalSet(e.Out...)},
-				To:    StateID(e.To),
+			label := Interaction{In: NewSignalSet(e.In...), Out: NewSignalSet(e.Out...)}
+			if !label.In.SubsetOf(inputs) || !label.Out.SubsetOf(outputs) {
+				return nil, fmt.Errorf("automata: memo decode: state %d edge %d label %v outside the alphabets", i, k, label)
 			}
+			lk, _ := in.Key(label)
+			if _, dup := seen[edgeKey{lk, e.To}]; dup {
+				return nil, fmt.Errorf("automata: memo decode: state %d edge %d repeats %v to state %d", i, k, label, e.To)
+			}
+			seen[edgeKey{lk, e.To}] = struct{}{}
+			ts[k] = Transition{From: StateID(i), Label: label, To: StateID(e.To)}
 		}
 		a.adj[i] = ts
 	}

@@ -63,6 +63,11 @@ func TestMemoCodecRejectsVersionMismatch(t *testing.T) {
 }
 
 func TestMemoCodecRejectsMalformedDocs(t *testing.T) {
+	wide, err := json.Marshal(map[string]any{"v": memoCodecVersion, "name": "x", "in": signalRange(0, 129),
+		"states": []map[string]string{{"name": "s"}}, "adj": [][]any{{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct{ name, doc string }{
 		{"not json", `{`},
 		{"missing name", `{"v":1}`},
@@ -71,6 +76,10 @@ func TestMemoCodecRejectsMalformedDocs(t *testing.T) {
 		{"duplicate state", `{"v":1,"name":"x","states":[{"name":"a"},{"name":"a"}],"adj":[[],[]]}`},
 		{"empty state name", `{"v":1,"name":"x","states":[{"name":""}],"adj":[[]]}`},
 		{"initial out of range", `{"v":1,"name":"x","states":[{"name":"a"}],"adj":[[]],"initial":[3]}`},
+		{"label outside alphabets", `{"v":1,"name":"x","in":["a"],"states":[{"name":"s"}],"adj":[[{"in":["b"],"to":0}]]}`},
+		{"input signal as output", `{"v":1,"name":"x","in":["a"],"out":["b"],"states":[{"name":"s"}],"adj":[[{"out":["a"],"to":0}]]}`},
+		{"repeated edge", `{"v":1,"name":"x","in":["a"],"states":[{"name":"s"}],"adj":[[{"in":["a"],"to":0},{"in":["a"],"to":0}]]}`},
+		{"alphabet beyond interner", string(wide)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,4 +178,46 @@ func TestMemoCacheBackendUndecodablePayloadIsAMiss(t *testing.T) {
 	if err := EquivalentReachable(got, MustCompose("sys", s, r)); err != nil {
 		t.Fatalf("recomputed composition diverged: %v", err)
 	}
+}
+
+// FuzzUnmarshalMemo feeds the memo codec arbitrary bytes, seeded with
+// marshalled closures and products. The decoder must never panic, and a
+// record it accepts must round-trip stably: re-marshalling the decoded
+// automaton and decoding that again reproduces the same bytes.
+func FuzzUnmarshalMemo(f *testing.F) {
+	s, r := senderReceiver(f)
+	product := MustCompose("sys", s, r)
+	model := NewIncomplete(r.Clone("receiver"))
+	closure := ChaoticClosure(model, Universe(UniverseSingleton))
+	closedProduct := MustCompose("system", s, closure)
+	for _, a := range []*Automaton{product, closure, closedProduct} {
+		data, err := MarshalMemo(a)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"v":1,"name":"x","in":["a"],"states":[{"name":"s"}],"adj":[[{"in":["a"],"to":0},{"in":["a"],"to":0}]]}`))
+	f.Add([]byte(`{"v":1,"name":"x","in":["a","a"],"out":["b"],"states":[{"name":"s","parts":["p"]}],"adj":[[{"in":["a","a"],"out":["b"],"to":0}]],"initial":[0,0]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := UnmarshalMemo(data)
+		if err != nil {
+			return
+		}
+		once, err := MarshalMemo(a)
+		if err != nil {
+			t.Fatalf("accepted record fails to marshal: %v", err)
+		}
+		back, err := UnmarshalMemo(once)
+		if err != nil {
+			t.Fatalf("own encoding rejected: %v\n%s", err, once)
+		}
+		twice, err := MarshalMemo(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(once) != string(twice) {
+			t.Fatalf("round trip is unstable:\n%s\n%s", once, twice)
+		}
+	})
 }

@@ -115,10 +115,16 @@ func enabledSubset(a *Automaton, sa StateID, b *Automaton, sb StateID) bool {
 //     by some s' ∈ U, which (per-interaction witnesses may differ) is
 //     equivalent to ⋂_{s'∈U} enabled(s') ⊆ enabled(s).
 //
-// If the check fails, a counterexample trace is returned.
+// If the check fails, a counterexample trace is returned. Enabled sets are
+// compared on interned labels, so the combined alphabet must fit an
+// Interner; a wider one is an error wrapping ErrAlphabetTooWide.
 func Refines(impl, spec *Automaton) (bool, []Interaction, error) {
 	if impl.NumStates() == 0 || spec.NumStates() == 0 {
 		return false, nil, fmt.Errorf("automata: refinement over empty automaton")
+	}
+	intern, err := NewInterner(impl.inputs, impl.outputs, spec.inputs, spec.outputs)
+	if err != nil {
+		return false, nil, fmt.Errorf("automata: refinement %q ⊑ %q: %w", impl.name, spec.name, err)
 	}
 	type node struct {
 		s StateID
@@ -141,20 +147,6 @@ func Refines(impl, spec *Automaton) (bool, []Interaction, error) {
 		}{q, entry{states: specInit}})
 	}
 
-	// Enabled-set comparisons run on interned label keys when the combined
-	// alphabet fits an interner; identical semantics via string keys
-	// otherwise.
-	intern, useIntern := NewInterner(impl.inputs, impl.outputs, spec.inputs, spec.outputs)
-	enabledOK := func(s StateID, u []StateID) bool {
-		if useIntern {
-			return refusalInclusion(impl, spec, s, u, func(x Interaction) InternKey {
-				k, _ := intern.Key(x)
-				return k
-			})
-		}
-		return refusalInclusion(impl, spec, s, u, Interaction.Key)
-	}
-
 	check := func(s StateID, u []StateID, trace []Interaction) (bool, []Interaction) {
 		if len(u) == 0 {
 			return false, trace
@@ -169,7 +161,7 @@ func Refines(impl, spec *Automaton) (bool, []Interaction, error) {
 		if !labelOK {
 			return false, trace
 		}
-		if !enabledOK(s, u) {
+		if !refusalInclusion(intern, impl, spec, s, u) {
 			return false, trace
 		}
 		return true, nil
@@ -205,22 +197,22 @@ func Refines(impl, spec *Automaton) (bool, []Interaction, error) {
 }
 
 // refusalInclusion checks condition (2) at pair (s, U): the intersection
-// ⋂_{s'∈U} enabled(s') must be within enabled(s). Generic over the label key
-// type so it runs on interned keys when available and string keys otherwise.
-func refusalInclusion[K comparable](impl, spec *Automaton, s StateID, u []StateID, key func(Interaction) K) bool {
-	common := enabledKeySet(spec, u[0], key)
+// ⋂_{s'∈U} enabled(s') must be within enabled(s), compared on interned
+// label keys.
+func refusalInclusion(in *Interner, impl, spec *Automaton, s StateID, u []StateID) bool {
+	common := enabledKeySet(in, spec, u[0])
 	for _, sp := range u[1:] {
 		if len(common) == 0 {
 			break
 		}
-		next := enabledKeySet(spec, sp, key)
+		next := enabledKeySet(in, spec, sp)
 		for k := range common {
 			if _, ok := next[k]; !ok {
 				delete(common, k)
 			}
 		}
 	}
-	mine := enabledKeySet(impl, s, key)
+	mine := enabledKeySet(in, impl, s)
 	for k := range common {
 		if _, ok := mine[k]; !ok {
 			return false
@@ -229,10 +221,11 @@ func refusalInclusion[K comparable](impl, spec *Automaton, s StateID, u []StateI
 	return true
 }
 
-func enabledKeySet[K comparable](a *Automaton, s StateID, key func(Interaction) K) map[K]struct{} {
-	keys := make(map[K]struct{}, len(a.adj[s]))
+func enabledKeySet(in *Interner, a *Automaton, s StateID) map[InternKey]struct{} {
+	keys := make(map[InternKey]struct{}, len(a.adj[s]))
 	for _, t := range a.adj[s] {
-		keys[key(t.Label)] = struct{}{}
+		k, _ := in.Key(t.Label)
+		keys[k] = struct{}{}
 	}
 	return keys
 }

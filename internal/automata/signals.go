@@ -286,13 +286,17 @@ func (k universeKind) Enumerate(inputs, outputs SignalSet) []Interaction {
 type FixedUniverse []Interaction
 
 // Enumerate returns the interactions of the fixed universe whose signals
-// fall within the given alphabets.
+// fall within the given alphabets, each once, in order of first occurrence.
+// (The closure constructions rely on a universe never repeating a label.)
 func (u FixedUniverse) Enumerate(inputs, outputs SignalSet) []Interaction {
 	labels := make([]Interaction, 0, len(u))
+	seen := make(map[string]struct{}, len(u))
 	for _, x := range u {
-		if x.In.SubsetOf(inputs) && x.Out.SubsetOf(outputs) {
-			labels = append(labels, x)
+		if _, dup := seen[x.Key()]; dup || !x.In.SubsetOf(inputs) || !x.Out.SubsetOf(outputs) {
+			continue
 		}
+		seen[x.Key()] = struct{}{}
+		labels = append(labels, x)
 	}
 	return labels
 }

@@ -220,6 +220,7 @@ func TestFixedUniverseFiltersAlphabet(t *testing.T) {
 		Interact([]Signal{"in"}, nil),
 		Interact([]Signal{"other"}, nil),
 		Interact(nil, []Signal{"out"}),
+		Interact([]Signal{"in"}, nil), // repeated: enumerated once
 	}
 	labels := u.Enumerate(NewSignalSet("in"), NewSignalSet("out"))
 	if got, want := len(labels), 2; got != want {

@@ -77,7 +77,7 @@ type manifestEntry struct {
 	Name string `json:"name,omitempty"`
 	Seed int64  `json:"seed"`
 	// Config selects the generator distribution: "default" (or empty) or
-	// "wide" (alphabet beyond the 64-signal interner capacity).
+	// "wide" (a 70-signal alphabet, past one machine word of interner mask).
 	Config string `json:"config,omitempty"`
 	// MaxStates, when positive, overrides the legacy-automaton size bound.
 	MaxStates int `json:"max_states,omitempty"`

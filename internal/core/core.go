@@ -409,8 +409,8 @@ type Synthesizer struct {
 	stats Stats
 
 	// inc carries the composed system across iterations; nil until the
-	// first iteration, or permanently when unsupported/disabled (always for
-	// several components, whose product is rebuilt every iteration).
+	// first iteration, or permanently when unsupported (several components,
+	// whose product is rebuilt every iteration, or Nondet) or disabled.
 	inc            *automata.IncrementalSystem
 	incUnsupported bool
 	// pending is the learn delta accumulated since the last system
@@ -548,7 +548,7 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 	}
 	for i, iface := range ifaces {
 		c := &component{comp: comps[i], iface: iface, labeler: QualifiedLabeler(iface.Name),
-			universe: automata.CompileUniverse(o.Universe, iface.Inputs, iface.Outputs)}
+			universe: o.Memo.Universe(o.Universe, iface.Inputs, iface.Outputs)}
 		init := legacy.InitialStateName(c.comp)
 		s.stats.ResetsUsed++
 		a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
@@ -558,6 +558,15 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 		s.comps = append(s.comps, c)
 		s.inputs = s.inputs.Union(iface.Inputs)
 		s.outputs = s.outputs.Union(iface.Outputs)
+	}
+	// Every construction of the loop interns the system's labels; an
+	// alphabet too wide for that fails here rather than mid-run. Alphabets
+	// whose sizes sum to at most MaxInternSignals fit without the check.
+	width := context.Inputs().Len() + context.Outputs().Len() + s.inputs.Len() + s.outputs.Len()
+	if width > automata.MaxInternSignals {
+		if _, err := automata.NewInterner(context.Inputs(), context.Outputs(), s.inputs, s.outputs); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	return s, nil
 }
@@ -913,15 +922,11 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 	if !s.opts.DisableIncremental && !s.incUnsupported {
 		if s.inc == nil {
 			inc, err := automata.NewIncrementalSystemWith(s.runCtx(), s.context, s.comps[0].model, s.comps[0].universe, s.opts.Memo)
-			switch {
-			case errors.Is(err, automata.ErrIncrementalUnsupported):
-				s.incUnsupported = true
-			case err != nil:
+			if err != nil {
 				return nil, fmt.Errorf("core: compose: %w", err)
-			default:
-				s.inc = inc
-				s.stats.ProductRebuilds++
 			}
+			s.inc = inc
+			s.stats.ProductRebuilds++
 		} else {
 			patched, err := s.inc.Apply(s.pending)
 			if err != nil {
@@ -934,20 +939,18 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 				s.stats.ProductRebuilds++
 			}
 		}
-		if s.inc != nil {
-			_, it.BuildReason = s.inc.LastDecision()
-			s.pending = automata.LearnDelta{}
-			if s.opts.CheckIncremental {
-				if err := s.inc.Verify(); err != nil {
-					return nil, fmt.Errorf("core: incremental system diverged: %w", err)
-				}
+		_, it.BuildReason = s.inc.LastDecision()
+		s.pending = automata.LearnDelta{}
+		if s.opts.CheckIncremental {
+			if err := s.inc.Verify(); err != nil {
+				return nil, fmt.Errorf("core: incremental system diverged: %w", err)
 			}
-			it.ClosureStates = s.inc.Closure().NumStates()
-			// The patched product may hold unreachable retraction garbage;
-			// report the size a from-scratch composition would have.
-			it.SystemStates = s.inc.ReachableStates()
-			return s.inc.System(), nil
 		}
+		it.ClosureStates = s.inc.Closure().NumStates()
+		// The patched product may hold unreachable retraction garbage;
+		// report the size a from-scratch composition would have.
+		it.SystemStates = s.inc.ReachableStates()
+		return s.inc.System(), nil
 	}
 
 	s.pending = automata.LearnDelta{}

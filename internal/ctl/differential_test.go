@@ -151,8 +151,9 @@ func TestBitsetDifferentialGenCorpus(t *testing.T) {
 }
 
 func TestBitsetDifferentialWideCorpus(t *testing.T) {
-	// WideConfig draws from >64 input/output signals, so interaction
-	// alphabets exceed one machine word even though states stay modest.
+	// WideConfig draws from 70 input/output signals, so interaction
+	// labels need both words of the interner's mask even though states
+	// stay modest.
 	for seed := int64(1); seed <= 10; seed++ {
 		inst, err := gen.New(seed, gen.WideConfig())
 		if err != nil {

@@ -22,9 +22,9 @@
 //     needs" behavior and keep ground-truth exploration honest;
 //   - nondeterministic contexts exercise the product construction beyond
 //     what a deterministic specification would;
-//   - wide alphabets (WideConfig, >64 signals) push SignalSet unions past
-//     the interner's single-word capacity so the slice fallbacks of
-//     Compose/ChaoticClosure/Refines run under test;
+//   - wide alphabets (WideConfig, 70 signals) push interned labels past
+//     one machine word, so Compose/ChaoticClosure/IncrementalSystem/Refines
+//     run under test with both words of the interner's masks;
 //   - properties are drawn from the ACTL pattern helpers and biased, by
 //     checking candidates against the true composition, so that both
 //     provable and violated outcomes occur regularly.
@@ -58,8 +58,8 @@ type Config struct {
 	MaxContextStates int
 	// Inputs and Outputs size the legacy alphabet: Inputs signals flow
 	// context→legacy ("i00", "i01", ...), Outputs flow legacy→context
-	// ("o00", ...). Defaults 3 and 2. Values whose sum exceeds 64 push
-	// every interning algorithm onto its slice fallback.
+	// ("o00", ...). Defaults 3 and 2. The sum must stay within
+	// automata.MaxInternSignals (128): wider alphabets are an error.
 	Inputs, Outputs int
 	// RefuseBias is the probability that a live legacy state refuses a
 	// given input entirely (a blocked region). Default 0.35.
@@ -103,9 +103,9 @@ type Config struct {
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
 // WideConfig returns a distribution whose combined alphabet (70 signals)
-// exceeds the 64-signal interner capacity, forcing the slice fallbacks of
-// every interned algorithm. Refusals are raised so the ground-truth
-// behavior stays small despite the wide alphabet.
+// is wider than one machine word, so every interned algorithm carries its
+// labels in both words of the interner's masks. Refusals are raised so the
+// ground-truth behavior stays small despite the wide alphabet.
 func WideConfig() Config {
 	c := Config{Inputs: 40, Outputs: 30, RefuseBias: 0.9, MaxLegacyStates: 4, MaxContextStates: 4}
 	return c.withDefaults()

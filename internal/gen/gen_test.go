@@ -110,17 +110,21 @@ func TestGeneratorCoversBothPropertyOutcomes(t *testing.T) {
 	}
 }
 
-func TestWideConfigExceedsInternerCapacity(t *testing.T) {
+// TestWideConfigInterns checks that WideConfig's alphabet is wider than
+// one machine word (so the interner's second mask word is exercised) and
+// that the whole system's alphabet still interns.
+func TestWideConfigInterns(t *testing.T) {
 	inst, err := New(1, WideConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := inst.Legacy.Inputs().Len() + inst.Legacy.Outputs().Len()
-	if total <= 64 {
-		t.Fatalf("wide alphabet has %d signals, want > 64 to force the intern fallback", total)
+	if total != 70 {
+		t.Fatalf("wide alphabet has %d signals, want 70", total)
 	}
-	if _, ok := automata.NewInterner(inst.Legacy.Inputs(), inst.Legacy.Outputs()); ok {
-		t.Fatal("wide alphabet unexpectedly fits an interner")
+	if _, err := automata.NewInterner(inst.Context.Inputs(), inst.Context.Outputs(),
+		inst.Legacy.Inputs(), inst.Legacy.Outputs()); err != nil {
+		t.Fatalf("wide alphabet does not intern: %v", err)
 	}
 	if err := inst.Validate(); err != nil {
 		t.Fatal(err)

@@ -24,9 +24,11 @@ func TestCheckInstanceDeterministicSeeds(t *testing.T) {
 	}
 }
 
-// TestCheckInstanceWideAlphabet pushes the alphabet past the interner's
-// 64-signal capacity so composition, chaotic closure, and refinement all
-// take their slice fallback paths under the oracle.
+// TestCheckInstanceWideAlphabet runs 70-signal instances, whose labels need
+// both words of the interner's mask, through the oracle battery:
+// composition, chaotic closure, the delta-patched system and refinement
+// take the same interned path as every other instance, and the
+// incremental-equivalence oracle compares it with a from-scratch rebuild.
 func TestCheckInstanceWideAlphabet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wide alphabets are slow in -short mode")
