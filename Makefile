@@ -73,10 +73,11 @@ bench-ctl:
 # committed BENCH_*.json baselines with cmd/benchcmp. BENCH_THRESHOLD is
 # the allowed relative slowdown (committed numbers come from
 # `make timings batch-bench bench-ctl`). The CTL leg gates check_ns only:
-# the legacy and parallel columns are context, not promises. Shared runners stall for seconds at a time
-# — spikes that survive even the collectors' median-of-9 — so a failed
-# comparison re-measures up to BENCH_RETRIES times before it counts:
-# a genuine regression fails every attempt, a host stall does not.
+# the legacy column is context, not a promise. Shared runners stall for
+# seconds at a time — spikes that survive even the collectors'
+# median-of-9 — so a failed comparison re-measures up to BENCH_RETRIES
+# times before it counts: a genuine regression fails every attempt, a
+# host stall does not.
 BENCH_THRESHOLD ?= 0.30
 BENCH_RETRIES ?= 3
 bench-check:
@@ -106,17 +107,17 @@ batch-smoke:
 # polled until the pool drains, /healthz, /metrics (Prometheus), and the
 # final /progress snapshot are scraped and asserted, the process is shut
 # down with SIGINT (exercising the graceful-drain path), and the batch
-# journal goes through obscheck plus the offline journalstat analytics
-# with a Chrome-trace export. Everything lands in OBS_SMOKE_DIR so CI can
-# upload the artifacts when the smoke fails.
+# journal goes through journalstat -validate plus the offline journalstat
+# analytics with a Chrome-trace export. Everything lands in OBS_SMOKE_DIR
+# so CI can upload the artifacts when the smoke fails.
 OBS_SMOKE_DIR ?= /tmp/obs-smoke
 OBS_HTTP_ADDR ?= 127.0.0.1:8473
 obs-smoke:
 	@set -e; rm -rf "$(OBS_SMOKE_DIR)"; mkdir -p "$(OBS_SMOKE_DIR)"; \
 	$(GO) run ./cmd/legint -scenario correct -journal "$(OBS_SMOKE_DIR)/legint.jsonl" >/dev/null; \
-	$(GO) run ./cmd/obscheck "$(OBS_SMOKE_DIR)/legint.jsonl"; \
+	$(GO) run ./cmd/journalstat -validate "$(OBS_SMOKE_DIR)/legint.jsonl"; \
 	$(GO) run ./cmd/legint -multi -journal "$(OBS_SMOKE_DIR)/multi.jsonl" >/dev/null; \
-	$(GO) run ./cmd/obscheck "$(OBS_SMOKE_DIR)/multi.jsonl"; \
+	$(GO) run ./cmd/journalstat -validate "$(OBS_SMOKE_DIR)/multi.jsonl"; \
 	$(GO) build -o "$(OBS_SMOKE_DIR)/batchverify" ./cmd/batchverify; \
 	"$(OBS_SMOKE_DIR)/batchverify" -seed 1 -n 16 -workers 4 \
 		-store "$(OBS_SMOKE_DIR)/store" -sample-interval 100ms \
@@ -157,7 +158,7 @@ obs-smoke:
 	grep -q 'recent events' "$(OBS_SMOKE_DIR)/mumltop.txt"; \
 	grep -q 'runtime   heap' "$(OBS_SMOKE_DIR)/mumltop.txt"; \
 	kill -INT $$pid; wait $$pid; \
-	$(GO) run ./cmd/obscheck "$(OBS_SMOKE_DIR)/batch.jsonl"; \
+	$(GO) run ./cmd/journalstat -validate "$(OBS_SMOKE_DIR)/batch.jsonl"; \
 	grep -q '"kind":"resource_sample"' "$(OBS_SMOKE_DIR)/batch.jsonl"; \
 	grep -q '"kind":"cost_report"' "$(OBS_SMOKE_DIR)/batch.jsonl"; \
 	$(GO) run ./cmd/journalstat -trace "$(OBS_SMOKE_DIR)/trace.json" "$(OBS_SMOKE_DIR)/batch.jsonl"; \

@@ -42,7 +42,6 @@ func run() error {
 		list       = flag.Bool("list", false, "list available experiments")
 		runID      = flag.String("run", "", "run a single experiment by ID (e.g. E5)")
 		all        = flag.Bool("all", false, "run all experiments")
-		parallel   = flag.Int("parallel", 1, "number of experiments to run concurrently (with -all)")
 		report     = flag.String("report", "", "write the markdown report to this file (with -all)")
 		timings    = flag.String("timings", "", "run the incremental-vs-rebuild timing scenarios and write per-iteration stats as JSON to this file")
 		batchOut   = flag.String("batch", "", "run the batch-throughput scenario (sequential vs parallel) and write the report as JSON to this file")
@@ -175,15 +174,7 @@ func run() error {
 		return nil
 
 	case *all:
-		var (
-			results []*experiments.Result
-			err     error
-		)
-		if *parallel > 1 {
-			results, err = experiments.RunAllParallel(*parallel)
-		} else {
-			results, err = experiments.RunAll()
-		}
+		results, err := experiments.RunAll()
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ const fixture = "testdata/batch.jsonl"
 // fixture. Regenerate with OBS_UPDATE_GOLDEN=1 go test ./cmd/journalstat.
 func TestGoldenText(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if code := run([]string{fixture}, &out, &errBuf); code != 0 {
+	if code := run([]string{fixture}, nil, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
 
@@ -42,7 +42,7 @@ func TestGoldenText(t *testing.T) {
 
 func TestJSONFormat(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"-format", "json", fixture}, &out, &errBuf); code != 0 {
+	if code := run([]string{"-format", "json", fixture}, nil, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
 	var stats struct {
@@ -70,7 +70,7 @@ func TestJSONFormat(t *testing.T) {
 
 func TestTopKBoundsSlowest(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"-top", "1", fixture}, &out, &errBuf); code != 0 {
+	if code := run([]string{"-top", "1", fixture}, nil, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
 	if !strings.Contains(out.String(), "alpha") || strings.Contains(out.String(), "beta") {
@@ -80,7 +80,7 @@ func TestTopKBoundsSlowest(t *testing.T) {
 
 func TestDiffMode(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"-diff", fixture, fixture}, &out, &errBuf); code != 0 {
+	if code := run([]string{"-diff", fixture, fixture}, nil, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
 	for _, want := range []string{"baseline:", "candidate:", "1.00x", "verdicts (unchanged)", "events: 16→16"} {
@@ -93,7 +93,7 @@ func TestDiffMode(t *testing.T) {
 func TestTraceExport(t *testing.T) {
 	traceOut := filepath.Join(t.TempDir(), "trace.json")
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"-trace", traceOut, fixture}, &out, &errBuf); code != 0 {
+	if code := run([]string{"-trace", traceOut, fixture}, nil, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
 	data, err := os.ReadFile(traceOut)
@@ -120,12 +120,106 @@ func TestUsageErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer
-		if code := run(args, &out, &errBuf); code != 2 {
+		if code := run(args, nil, &out, &errBuf); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
 		}
 	}
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"testdata/absent.jsonl"}, &out, &errBuf); code != 1 {
+	if code := run([]string{"testdata/absent.jsonl"}, nil, &out, &errBuf); code != 1 {
 		t.Errorf("missing journal: exit %d, want 1", code)
+	}
+}
+
+const validJournal = `{"seq":1,"kind":"iteration_start","iter":0}
+{"seq":2,"kind":"check_result","iter":0}
+{"seq":3,"kind":"verdict","iter":0}
+`
+
+func TestValidateJournalFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, []byte(validJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-validate", path}, nil, &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errBuf.String())
+	}
+	if want := path + ": 3 events ok\n"; out.String() != want {
+		t.Fatalf("output %q, want %q", out.String(), want)
+	}
+}
+
+func TestValidateJournalFromStdin(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-validate", "-"}, strings.NewReader(validJournal), &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errBuf.String())
+	}
+	if out.String() != "-: 3 events ok\n" {
+		t.Fatalf("unexpected output: %q", out.String())
+	}
+}
+
+func TestValidateCorruptedJournal(t *testing.T) {
+	// A duplicated sequence number and a trailing garbage line must both
+	// fail with the data exit code.
+	for name, content := range map[string]string{
+		"dup-seq": `{"seq":1,"kind":"note","iter":-1}` + "\n" + `{"seq":1,"kind":"note","iter":-1}` + "\n",
+		"garbage": validJournal + "not json\n",
+	} {
+		path := filepath.Join(t.TempDir(), name+".jsonl")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errBuf bytes.Buffer
+		if code := run([]string{"-validate", path}, nil, &out, &errBuf); code != 1 {
+			t.Errorf("%s: exit %d, want 1", name, code)
+		}
+		if !strings.Contains(errBuf.String(), "journalstat: "+path+":") {
+			t.Errorf("%s: missing diagnostic, stderr: %q", name, errBuf.String())
+		}
+	}
+}
+
+func TestValidateMissingFile(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-validate", filepath.Join(t.TempDir(), "absent.jsonl")}, nil, &out, &errBuf); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+}
+
+func TestValidateUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-validate"},
+		{"-validate", "-no-such-flag", fixture},
+		{"-validate", "-diff", fixture, fixture},
+		{"-validate", "-format", "json", fixture},
+	} {
+		var out, errBuf bytes.Buffer
+		if code := run(args, nil, &out, &errBuf); code != 2 {
+			t.Errorf("args %v: exit %d, want 2", args, code)
+		}
+	}
+}
+
+func TestValidateReportsFirstViolatingSeq(t *testing.T) {
+	// A broken span tree (the parent span was never opened) must report
+	// the sequence number of the first violating event, and validation
+	// stops at the first malformed journal.
+	journal := `{"seq":1,"kind":"iteration_start","iter":0,"trace":"r","span":1}` + "\n" +
+		`{"seq":2,"kind":"check_result","iter":0,"trace":"r","parent":1}` + "\n" +
+		`{"seq":3,"kind":"replay_step","iter":0,"trace":"r","parent":7}` + "\n"
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-validate", fixture, path, fixture}, nil, &out, &errBuf); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errBuf.String(), "seq 3") {
+		t.Errorf("diagnostic does not name the violating seq: %q", errBuf.String())
+	}
+	if want := fixture + ": 16 events ok\n"; out.String() != want {
+		t.Errorf("output %q, want only the valid journal before the broken one (%q)", out.String(), want)
 	}
 }

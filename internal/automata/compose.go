@@ -3,9 +3,7 @@ package automata
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"muml/internal/obs"
 )
@@ -197,11 +195,6 @@ func MustCompose(name string, left, right *Automaton) *Automaton {
 	return c
 }
 
-// parallelComposeLevelThreshold is the BFS level size above which the n-ary
-// composition enumerates joint transitions with a worker pool. Below it the
-// goroutine handoff costs more than the enumeration.
-const parallelComposeLevelThreshold = 8
-
 // ComposeAll builds the simultaneous parallel composition of several
 // automata. For two automata it coincides with Compose; for more it is the
 // n-ary generalization of Definition 3: in every joint step each automaton
@@ -215,20 +208,22 @@ const parallelComposeLevelThreshold = 8
 // more parts: Definition 3 requires every output to be consumed by the
 // partner in the same step, so a fold would force the third automaton to
 // consume signals that were already matched inside the first pair.
-//
-// The BFS frontier is processed level by level; when a level is large
-// enough, joint-transition enumeration for its states runs on a bounded
-// worker pool (GOMAXPROCS-capped). States and transitions are merged in
-// frontier order, so the result is deterministic and identical to the
-// sequential construction.
 func ComposeAll(name string, parts ...*Automaton) (*Automaton, error) {
+	return ComposeAllCtx(context.Background(), name, parts...)
+}
+
+// ComposeAllCtx is ComposeAll under a context: the product BFS polls it
+// once per dequeued state tuple, as ComposeCtx does, and aborts with its
+// error once it is done. The BFS runs level by level on the caller's
+// goroutine and journals one compose_level event per level.
+func ComposeAllCtx(ctx context.Context, name string, parts ...*Automaton) (*Automaton, error) {
 	switch len(parts) {
 	case 0:
 		return nil, fmt.Errorf("automata: compose: no automata given")
 	case 1:
 		return parts[0].Clone(name), nil
 	case 2:
-		return Compose(name, parts[0], parts[1])
+		return ComposeCtx(ctx, name, parts[0], parts[1], nil)
 	}
 
 	for i := range parts {
@@ -261,27 +256,24 @@ func ComposeAll(name string, parts ...*Automaton) (*Automaton, error) {
 	if err != nil {
 		return nil, fmt.Errorf("automata: compose %q: %w", name, err)
 	}
-	if err := composeTuples(c, parts, in); err != nil {
+	p := newCtxPoll(ctx)
+	if err := composeTuples(c, parts, in, p); err != nil {
 		return nil, err
+	}
+	if p != nil && p.err != nil {
+		return nil, p.err
 	}
 	return c, nil
 }
 
-// jointEdge is one joint transition candidate produced by enumerating a
-// product tuple: the interned label plus the successor tuple. The next
-// slice is owned by the edge.
-type jointEdge struct {
-	key  InternKey
-	next []StateID
-}
-
-// composeTuples is the interned n-ary product BFS with level-parallel
-// joint-transition enumeration. As in composePair, the parts' pairwise
-// disjoint alphabets make every emitted (label, target) unique per state.
-func composeTuples(c *Automaton, parts []*Automaton, in *Interner) error {
+// composeTuples is the interned n-ary product BFS. As in composePair, the
+// parts' pairwise disjoint alphabets make every emitted (label, target)
+// unique per state. A stopped poller aborts the BFS; the caller surfaces
+// the context error.
+func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) error {
 	ptAdj := make([][][]maskedTransition, len(parts))
-	for i, p := range parts {
-		adj, err := maskAdjacency(p, in)
+	for i, part := range parts {
+		adj, err := maskAdjacency(part, in)
 		if err != nil {
 			return err
 		}
@@ -303,37 +295,6 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner) error {
 		inMask[i], _ = in.Mask(parts[i].inputs)
 	}
 
-	enumerate := func(cur []StateID) []jointEdge {
-		var edges []jointEdge
-		chosen := make([]maskedTransition, len(parts))
-		var choose func(i int, produced SetMask)
-		choose = func(i int, produced SetMask) {
-			if i == len(parts) {
-				var consumed SetMask
-				for idx := range chosen {
-					internal := chosen[idx].in.and(othersOut[idx])
-					delivered := produced.and(inMask[idx])
-					if internal != delivered {
-						return
-					}
-					consumed = consumed.or(chosen[idx].in)
-				}
-				next := make([]StateID, len(parts))
-				for idx := range chosen {
-					next[idx] = chosen[idx].to
-				}
-				edges = append(edges, jointEdge{key: InternKey{In: consumed, Out: produced}, next: next})
-				return
-			}
-			for _, t := range ptAdj[i][cur[i]] {
-				chosen[i] = t
-				choose(i+1, produced.or(t.out))
-			}
-		}
-		choose(0, SetMask{})
-		return edges
-	}
-
 	ids := make(map[string]StateID)
 	var queue [][]StateID
 
@@ -352,62 +313,58 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner) error {
 		c.MarkInitial(addTuple(t))
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	levelIndex := 0
-	for head := 0; head < len(queue); {
-		level := queue[head:]
-		head = len(queue)
-		results := make([][]jointEdge, len(level))
-		parallel := len(level) >= parallelComposeLevelThreshold && workers > 1
-		obsComposeLevels.Add(1)
-		obsComposeFrontierPeak.Observe(int64(len(level)))
-		if parallel {
-			obsComposeParallelLevels.Add(1)
-		}
-		if obsJournal.Enabled() {
-			par := int64(0)
-			if parallel {
-				par = 1
+	// choose enumerates the joint transitions of tuple cur (state from)
+	// depth-first, one part at a time in the order each part lists its
+	// own transitions, and adds each to c as it is found. A successor
+	// tuple is added when first reached, which fixes every product
+	// state's ID, name and edge order.
+	chosen := make([]maskedTransition, len(parts))
+	var from StateID
+	var cur []StateID
+	var choose func(i int, produced SetMask)
+	choose = func(i int, produced SetMask) {
+		if i == len(parts) {
+			var consumed SetMask
+			for idx := range chosen {
+				internal := chosen[idx].in.and(othersOut[idx])
+				delivered := produced.and(inMask[idx])
+				if internal != delivered {
+					return
+				}
+				consumed = consumed.or(chosen[idx].in)
 			}
+			next := make([]StateID, len(parts))
+			for idx := range chosen {
+				next[idx] = chosen[idx].to
+			}
+			k := InternKey{In: consumed, Out: produced}
+			to := addTuple(next)
+			c.adj[from] = append(c.adj[from], Transition{From: from, Label: in.Label(k), To: to})
+			return
+		}
+		for _, t := range ptAdj[i][cur[i]] {
+			chosen[i] = t
+			choose(i+1, produced.or(t.out))
+		}
+	}
+
+	for head, level := 0, 0; head < len(queue); level++ {
+		end := len(queue)
+		obsComposeLevels.Add(1)
+		obsComposeFrontierPeak.Observe(int64(end - head))
+		if obsJournal.Enabled() {
 			obsJournal.Emit(obs.Event{Kind: obs.KindComposeLevel, Iter: -1, N: map[string]int64{
-				"level":    int64(levelIndex),
-				"frontier": int64(len(level)),
-				"parallel": par,
+				"level":    int64(level),
+				"frontier": int64(end - head),
 			}})
 		}
-		levelIndex++
-		if parallel {
-			// Enumerate the level on a bounded worker pool. Enumeration
-			// only reads the immutable masked adjacency, so workers are
-			// race-free; the merge below is sequential and in level order,
-			// keeping the construction deterministic.
-			var wg sync.WaitGroup
-			chunk := (len(level) + workers - 1) / workers
-			for lo := 0; lo < len(level); lo += chunk {
-				hi := lo + chunk
-				if hi > len(level) {
-					hi = len(level)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						results[i] = enumerate(level[i])
-					}
-				}(lo, hi)
+		for ; head < end; head++ {
+			if p.stop() {
+				return nil
 			}
-			wg.Wait()
-		} else {
-			for i := range level {
-				results[i] = enumerate(level[i])
-			}
-		}
-		for i := range level {
-			from := ids[stateSetKey(level[i])]
-			for _, e := range results[i] {
-				to := addTuple(e.next)
-				c.adj[from] = append(c.adj[from], Transition{From: from, Label: in.Label(e.key), To: to})
-			}
+			cur = queue[head]
+			from = ids[stateSetKey(cur)]
+			choose(0, SetMask{})
 		}
 	}
 	return nil

@@ -1,7 +1,11 @@
 package automata
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -160,5 +164,39 @@ func TestComposeAllProjection(t *testing.T) {
 	}
 	if !proj.Steps[0].In.Contains("m1") {
 		t.Fatalf("projected step = %v", proj.Steps[0])
+	}
+}
+
+func TestComposeAllCtx(t *testing.T) {
+	parts := []*Automaton{branchy("x", 4), branchy("y", 4), branchy("z", 4)}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ComposeAllCtx(canceled, "sys", parts...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: err = %v, want one wrapping context.Canceled", err)
+	}
+
+	want, err := ComposeAll("sys", parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ComposeAllCtx(context.Background(), "sys", parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := EncodeJSON(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := EncodeJSON(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("ComposeAllCtx product differs from ComposeAll's:\n%s\nwant:\n%s", gotJSON, wantJSON)
+	}
+	for s := 0; s < want.NumStates(); s++ {
+		if !slices.Equal(got.StateParts(StateID(s)), want.StateParts(StateID(s))) {
+			t.Fatalf("state %d provenance %v, want %v", s, got.StateParts(StateID(s)), want.StateParts(StateID(s)))
+		}
 	}
 }

@@ -19,11 +19,10 @@ var (
 	obsClosureBuilds  *obs.Counter
 	obsComposedStates *obs.Counter
 
-	// n-ary composition BFS frontier: level count, how many levels ran on
-	// the parallel worker pool, and the peak frontier width.
-	obsComposeLevels         *obs.Counter
-	obsComposeParallelLevels *obs.Counter
-	obsComposeFrontierPeak   *obs.MaxGauge
+	// n-ary composition BFS frontier: level count and the peak frontier
+	// width.
+	obsComposeLevels       *obs.Counter
+	obsComposeFrontierPeak *obs.MaxGauge
 
 	// Incremental-system accounting (see IncrementalSystem.LastDecision for
 	// the per-call reason).
@@ -44,7 +43,6 @@ func EnableObservability(j *obs.Journal, r *obs.Registry) {
 	obsClosureBuilds = r.Counter("automata.closure_builds")
 	obsComposedStates = r.Counter("automata.composed_states")
 	obsComposeLevels = r.Counter("automata.compose_levels")
-	obsComposeParallelLevels = r.Counter("automata.compose_parallel_levels")
 	obsComposeFrontierPeak = r.MaxGauge("automata.compose_frontier_peak")
 	obsProductPatches = r.Counter("automata.product_patches")
 	obsProductRebuilds = r.Counter("automata.product_rebuilds")
@@ -58,7 +56,6 @@ func DisableObservability() {
 	obsClosureBuilds = nil
 	obsComposedStates = nil
 	obsComposeLevels = nil
-	obsComposeParallelLevels = nil
 	obsComposeFrontierPeak = nil
 	obsProductPatches = nil
 	obsProductRebuilds = nil

@@ -9,8 +9,8 @@ import (
 
 // branchy builds an automaton with a wide internal branch: the initial
 // state steps (on the empty interaction) to each of n children, which
-// then self-loop. Composing several of these yields BFS levels wide
-// enough to cross the parallel-composition threshold.
+// then self-loop. Composing several of these yields one wide BFS level
+// (the joint branch combinations) after the single initial tuple.
 func branchy(name string, n int) *Automaton {
 	a := New(name, EmptySet, EmptySet)
 	s0 := a.MustAddState(name + "0")

@@ -984,8 +984,8 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 		sys, err = automata.ComposeCtx(s.runCtx(), "system", parts[0], parts[1], s.opts.Memo)
 	} else {
 		// The n-ary product of Definition 3 (a fold of the binary one
-		// would be wrong); it is neither memoized nor cancellable.
-		sys, err = automata.ComposeAll("system", parts...)
+		// would be wrong); it is not memoized.
+		sys, err = automata.ComposeAllCtx(s.runCtx(), "system", parts...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: compose: %w", err)

@@ -102,12 +102,3 @@ func (b bitset) appendSet(dst []int32) []int32 {
 	}
 	return dst
 }
-
-// appendSetWord appends the indices encoded by one word at the given base.
-func appendSetWord(dst []int32, w uint64, base int32) []int32 {
-	for w != 0 {
-		dst = append(dst, base+int32(bits.TrailingZeros64(w)))
-		w &= w - 1
-	}
-	return dst
-}

@@ -93,8 +93,7 @@ func TestBitsetOpsMatchBools(t *testing.T) {
 }
 
 // FuzzBitsetEquivalence cross-checks the bitset Checker against the frozen
-// Reference engine on fuzzer-chosen formulas over small random automata,
-// at a sequential and a parallel worker setting.
+// Reference engine on fuzzer-chosen formulas over small random automata.
 func FuzzBitsetEquivalence(f *testing.F) {
 	for _, s := range []string{
 		"AG p", "AF q", "E[p U q]", "A[p U q]", "EG p", "AG (p -> AF[1,3] q)",
@@ -117,19 +116,16 @@ func FuzzBitsetEquivalence(f *testing.F) {
 		a := randomLabeledAutomaton(rng, 2+int(states%8))
 		ref := NewReference(a)
 		want := ref.Sat(formula)
-		for _, workers := range []int{1, 4} {
-			checker := NewChecker(a)
-			checker.SetWorkers(workers)
-			got := checker.Sat(formula)
-			for s := range want {
-				if want[s] != got[s] {
-					t.Fatalf("workers=%d: Sat(%s) differs at state %d: ref=%v bitset=%v\n%s",
-						workers, formula, s, want[s], got[s], a.Dot())
-				}
+		checker := NewChecker(a)
+		got := checker.Sat(formula)
+		for s := range want {
+			if want[s] != got[s] {
+				t.Fatalf("Sat(%s) differs at state %d: ref=%v bitset=%v\n%s",
+					formula, s, want[s], got[s], a.Dot())
 			}
-			if rh, ch := ref.Holds(formula), checker.Holds(formula); rh != ch {
-				t.Fatalf("workers=%d: Holds(%s) differs: ref=%v bitset=%v", workers, formula, rh, ch)
-			}
+		}
+		if rh, ch := ref.Holds(formula), checker.Holds(formula); rh != ch {
+			t.Fatalf("Holds(%s) differs: ref=%v bitset=%v", formula, rh, ch)
 		}
 	})
 }

@@ -18,10 +18,10 @@ import (
 // checker caches satisfaction sets per subformula, so evaluating several
 // formulas over the same automaton reuses work, and it can be Rebound when
 // the automaton changes, keeping its allocations across verification
-// rounds. Frontier and sweep evaluation optionally fan out across
-// goroutines (SetWorkers); verdicts and witnesses are identical at any
-// worker count. The frozen pre-bitset engine survives as Reference for
-// differential testing and benchmarking.
+// rounds. A checker runs on its caller's goroutine: the products it sees
+// hold tens to a few hundred states, so parallelism lives one level up,
+// across instances in the batch pool. The frozen pre-bitset engine
+// survives as Reference for differential testing and benchmarking.
 type Checker struct {
 	auto *automata.Automaton
 	csr  *automata.CSR // fetched lazily from auto; dropped on Rebind
@@ -33,11 +33,7 @@ type Checker struct {
 	deadlocks    bitset // states with no outgoing transitions
 	deadlocksSet bool
 
-	// workers is the goroutine fan-out for frontier and sweep evaluation:
-	// 0 means GOMAXPROCS, 1 forces sequential evaluation.
-	workers int
-
-	bitsPool []bitset // scratch bitsets (bounded layers, worker-locals)
+	bitsPool []bitset // scratch bitsets (bounded layers, AG complements)
 	intPool  [][]int32
 	queue    []int32 // reused frontier worklists
 	next     []int32
@@ -54,8 +50,7 @@ type Checker struct {
 	// operators over this checker's lifetime, independent of the shared
 	// registry counter: the registry aggregates across a whole batch,
 	// while this field is the per-instance figure the cost ledger reads
-	// via WordsScanned. Updated only between parallel regions, on the
-	// coordinating goroutine.
+	// via WordsScanned.
 	wordsScanned int64
 
 	// Optional instrumentation (see Instrument); nil counters are no-ops,
@@ -68,7 +63,6 @@ type Checker struct {
 	mChecks         *obs.Counter   // operator evaluations (Sat cache misses)
 	mWordsScanned   *obs.Counter   // bitset words produced by sweep operators
 	mFrontierStates *obs.Counter   // states expanded by frontier fixpoints
-	mParallelChunks *obs.Counter   // chunks dispatched to worker goroutines
 	hCheck          *obs.Histogram // wall time per context-bound evaluation
 }
 
@@ -96,11 +90,6 @@ func (c *Checker) Rebind(a *automata.Automaton) {
 
 // Automaton returns the automaton under analysis.
 func (c *Checker) Automaton() *automata.Automaton { return c.auto }
-
-// SetWorkers sets the goroutine fan-out for frontier and sweep evaluation:
-// 0 (the default) uses GOMAXPROCS, 1 forces sequential evaluation.
-// Verdicts, witnesses, and counterexamples are identical at any setting.
-func (c *Checker) SetWorkers(n int) { c.workers = n }
 
 // ensure binds the CSR snapshot (and the state count every bitset is sized
 // for). Fetched once per Rebind: the snapshot is only valid until the next
@@ -134,8 +123,6 @@ func (c *Checker) unbind() { c.ctx = nil }
 // canceled reports whether the bound context is done. Sequential fixpoint
 // loops call it once per work unit; the actual ctx.Err() poll runs every
 // ctxPollInterval calls. With no bound context it is a single branch.
-// Not goroutine-safe: parallel phases poll only from the main goroutine,
-// between frontier levels or layer sweeps.
 func (c *Checker) canceled() bool {
 	if c.ctx == nil {
 		return false
@@ -198,8 +185,7 @@ func (c *Checker) CheckManyCtx(ctx context.Context, f Formula, max int) ([]Resul
 // evaluation), ctl.pool_hits / ctl.pool_misses (scratch-buffer pool
 // behaviour), ctl.sat_cache_hits, ctl.operator_evals, plus the bitset
 // engine's ctl.words_scanned (bitset words produced by sweep operators),
-// ctl.frontier_states (states expanded by frontier fixpoints), and
-// ctl.parallel_chunks (chunks dispatched to worker goroutines), and the
+// ctl.frontier_states (states expanded by frontier fixpoints), and the
 // ctl.check latency histogram (wall time of each context-bound
 // evaluation, exposed as the muml_ctl_check_ns bucket family). A nil
 // registry detaches the instrumentation.
@@ -212,7 +198,6 @@ func (c *Checker) Instrument(r *obs.Registry) {
 	c.mChecks = r.Counter("ctl.operator_evals")
 	c.mWordsScanned = r.Counter("ctl.words_scanned")
 	c.mFrontierStates = r.Counter("ctl.frontier_states")
-	c.mParallelChunks = r.Counter("ctl.parallel_chunks")
 	c.hCheck = r.Histogram("ctl.check")
 }
 
@@ -225,8 +210,8 @@ func (c *Checker) addWords(n int64) {
 
 // WordsScanned returns the total bitset words this checker has produced
 // across all evaluations — the deterministic model-checking effort figure
-// of the cost ledger (identical across worker counts and memo states, see
-// DESIGN.md §15).
+// of the cost ledger (identical across batch worker counts and memo
+// states, see DESIGN.md §15).
 func (c *Checker) WordsScanned() int64 { return c.wordsScanned }
 
 // getBits borrows a zeroed bitset sized for the current automaton.
@@ -420,23 +405,21 @@ func (c *Checker) satBits(f Formula) bitset {
 }
 
 // evalAtom builds the satisfaction word for an atomic proposition, one
-// 64-state word at a time (chunk-parallel on large automata).
+// 64-state word at a time.
 func (c *Checker) evalAtom(p automata.Proposition) bitset {
 	n := c.n
 	out := newBitset(n)
-	c.sweepWords(len(out), func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			base := w << 6
-			lim := min(64, n-base)
-			var word uint64
-			for k := 0; k < lim; k++ {
-				if c.auto.HasLabel(automata.StateID(base+k), p) {
-					word |= 1 << uint(k)
-				}
+	for w := range out {
+		base := w << 6
+		lim := min(64, n-base)
+		var word uint64
+		for k := 0; k < lim; k++ {
+			if c.auto.HasLabel(automata.StateID(base+k), p) {
+				word |= 1 << uint(k)
 			}
-			out[w] = word
 		}
-	})
+		out[w] = word
+	}
 	c.addWords(int64(len(out)))
 	return out
 }
@@ -447,23 +430,21 @@ func (c *Checker) preAll(x bitset) bitset {
 	n := c.n
 	out := newBitset(n)
 	csr := c.csr
-	c.sweepWords(len(out), func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			base := w << 6
-			lim := min(64, n-base)
-			var word uint64
-		states:
-			for k := 0; k < lim; k++ {
-				for _, t := range csr.Succ(base + k) {
-					if !x.test(int(t)) {
-						continue states
-					}
+	for w := range out {
+		base := w << 6
+		lim := min(64, n-base)
+		var word uint64
+	states:
+		for k := 0; k < lim; k++ {
+			for _, t := range csr.Succ(base + k) {
+				if !x.test(int(t)) {
+					continue states
 				}
-				word |= 1 << uint(k)
 			}
-			out[w] = word
+			word |= 1 << uint(k)
 		}
-	})
+		out[w] = word
+	}
 	c.addWords(int64(len(out)))
 	return out
 }
@@ -474,22 +455,20 @@ func (c *Checker) preSome(x bitset) bitset {
 	n := c.n
 	out := newBitset(n)
 	csr := c.csr
-	c.sweepWords(len(out), func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			base := w << 6
-			lim := min(64, n-base)
-			var word uint64
-			for k := 0; k < lim; k++ {
-				for _, t := range csr.Succ(base + k) {
-					if x.test(int(t)) {
-						word |= 1 << uint(k)
-						break
-					}
+	for w := range out {
+		base := w << 6
+		lim := min(64, n-base)
+		var word uint64
+		for k := 0; k < lim; k++ {
+			for _, t := range csr.Succ(base + k) {
+				if x.test(int(t)) {
+					word |= 1 << uint(k)
+					break
 				}
 			}
-			out[w] = word
 		}
-	})
+		out[w] = word
+	}
 	c.addWords(int64(len(out)))
 	return out
 }
@@ -525,6 +504,28 @@ func (c *Checker) frontierFixpoint(out, filter bitset) {
 	}
 	c.mFixpointIters.Add(total)
 	c.queue = frontier
+}
+
+// expandFrontier advances one EF/EU level: every predecessor of a frontier
+// state that is not yet in out (and passes the filter) enters out and the
+// next frontier. Returns the next frontier; the spent frontier's backing
+// array is recycled as the following level's buffer.
+func (c *Checker) expandFrontier(out, filter bitset, frontier []int32) []int32 {
+	next := c.next[:0]
+	csr := c.csr
+	for _, s := range frontier {
+		if c.canceled() {
+			break
+		}
+		for _, p := range csr.Pred(int(s)) {
+			if !out.test(int(p)) && (filter == nil || filter.test(int(p))) {
+				out.set(int(p))
+				next = append(next, p)
+			}
+		}
+	}
+	c.next = frontier[:0]
+	return next
 }
 
 // unboundedAF computes μX. f ∨ (¬deadlock ∧ AX X): every maximal path
@@ -566,6 +567,30 @@ func (c *Checker) counterFixpoint(seed, filter bitset) bitset {
 	return out
 }
 
+// expandCounters advances one AF/AU level: each edge into a frontier state
+// decrements its source's remaining-successor counter; a source whose
+// counter reaches zero (and passes the filter) enters out and the next
+// frontier. Deadlock states cannot enter: their counter is never
+// decremented.
+func (c *Checker) expandCounters(out, filter bitset, cnt []int32, frontier []int32) []int32 {
+	next := c.next[:0]
+	csr := c.csr
+	for _, s := range frontier {
+		if c.canceled() {
+			break
+		}
+		for _, p := range csr.Pred(int(s)) {
+			if cnt[p]--; cnt[p] == 0 && !out.test(int(p)) &&
+				(filter == nil || filter.test(int(p))) {
+				out.set(int(p))
+				next = append(next, p)
+			}
+		}
+	}
+	c.next = frontier[:0]
+	return next
+}
+
 // unboundedAG computes νX. f ∧ AX X. Under maximal-path semantics a
 // deadlock state satisfying f satisfies AG f, and AG f ≡ ¬EF ¬f: a state
 // violates AG f iff some ¬f state is reachable from it. Evaluating through
@@ -594,21 +619,19 @@ func (c *Checker) unboundedEG(f bitset) bitset {
 	csr := c.csr
 	dead := c.deadlockSet()
 	cnt := c.getInts(n)
-	c.sweepWords(len(out), func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			base := int32(w << 6)
-			for word := out[w]; word != 0; word &= word - 1 {
-				s := int(base) + bits.TrailingZeros64(word)
-				k := int32(0)
-				for _, t := range csr.Succ(s) {
-					if out.test(int(t)) {
-						k++
-					}
+	for w := range out {
+		base := int32(w << 6)
+		for word := out[w]; word != 0; word &= word - 1 {
+			s := int(base) + bits.TrailingZeros64(word)
+			k := int32(0)
+			for _, t := range csr.Succ(s) {
+				if out.test(int(t)) {
+					k++
 				}
-				cnt[s] = k
 			}
+			cnt[s] = k
 		}
-	})
+	}
 	c.addWords(int64(len(out)))
 	removal := c.queue[:0]
 	for wi, word := range out {
@@ -641,9 +664,9 @@ func (c *Checker) unboundedEG(f bitset) bitset {
 
 // boundedAF computes AF[lo,hi] f by backward induction over remaining
 // depth j = hi..0: ok(s,j) ⇔ (j ≥ lo ∧ f(s)) ∨ (j < hi ∧ ¬deadlock(s) ∧
-// ∀succ ok(succ, j+1)). The result is ok(·, 0). Each layer is one
-// word-chunked sweep: f and the deadlock set contribute whole words, and
-// only the undecided bits scan their successor rows.
+// ∀succ ok(succ, j+1)). The result is ok(·, 0). Each layer is one word
+// sweep: f and the deadlock set contribute whole words, and only the
+// undecided bits scan their successor rows.
 func (c *Checker) boundedAF(f bitset, b Bound) bitset {
 	n := c.n
 	next := c.getBits() // ok(·, j+1); starts as the unread j = hi layer input
@@ -654,32 +677,30 @@ func (c *Checker) boundedAF(f bitset, b Bound) bitset {
 	last := len(cur) - 1
 	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
 		jGeLo, jLtHi := j >= b.Lo, j < b.Hi
-		c.sweepWords(len(cur), func(lo, hi int) {
-			for w := lo; w < hi; w++ {
-				var word uint64
-				if jGeLo {
-					word = f[w]
-				}
-				if jLtHi {
-					cand := ^word &^ dead[w]
-					if w == last {
-						cand &= mask
-					}
-					base := w << 6
-				states:
-					for ; cand != 0; cand &= cand - 1 {
-						k := bits.TrailingZeros64(cand)
-						for _, t := range csr.Succ(base + k) {
-							if !next.test(int(t)) {
-								continue states
-							}
-						}
-						word |= 1 << uint(k)
-					}
-				}
-				cur[w] = word
+		for w := range cur {
+			var word uint64
+			if jGeLo {
+				word = f[w]
 			}
-		})
+			if jLtHi {
+				cand := ^word &^ dead[w]
+				if w == last {
+					cand &= mask
+				}
+				base := w << 6
+			states:
+				for ; cand != 0; cand &= cand - 1 {
+					k := bits.TrailingZeros64(cand)
+					for _, t := range csr.Succ(base + k) {
+						if !next.test(int(t)) {
+							continue states
+						}
+					}
+					word |= 1 << uint(k)
+				}
+			}
+			cur[w] = word
+		}
 		cur, next = next, cur // cur becomes scratch; next holds layer j
 	}
 	c.mFixpointIters.Add(int64(b.Hi+1) * int64(n))
@@ -702,31 +723,29 @@ func (c *Checker) boundedEF(f bitset, b Bound) bitset {
 	last := len(cur) - 1
 	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
 		jGeLo, jLtHi := j >= b.Lo, j < b.Hi
-		c.sweepWords(len(cur), func(lo, hi int) {
-			for w := lo; w < hi; w++ {
-				var word uint64
-				if jGeLo {
-					word = f[w]
+		for w := range cur {
+			var word uint64
+			if jGeLo {
+				word = f[w]
+			}
+			if jLtHi {
+				cand := ^word
+				if w == last {
+					cand &= mask
 				}
-				if jLtHi {
-					cand := ^word
-					if w == last {
-						cand &= mask
-					}
-					base := w << 6
-					for ; cand != 0; cand &= cand - 1 {
-						k := bits.TrailingZeros64(cand)
-						for _, t := range csr.Succ(base + k) {
-							if next.test(int(t)) {
-								word |= 1 << uint(k)
-								break
-							}
+				base := w << 6
+				for ; cand != 0; cand &= cand - 1 {
+					k := bits.TrailingZeros64(cand)
+					for _, t := range csr.Succ(base + k) {
+						if next.test(int(t)) {
+							word |= 1 << uint(k)
+							break
 						}
 					}
 				}
-				cur[w] = word
 			}
-		})
+			cur[w] = word
+		}
 		cur, next = next, cur
 	}
 	c.mFixpointIters.Add(int64(b.Hi+1) * int64(n))
@@ -751,33 +770,31 @@ func (c *Checker) boundedAG(f bitset, b Bound) bitset {
 	last := len(cur) - 1
 	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
 		jLtLo, jLtHi := j < b.Lo, j < b.Hi
-		c.sweepWords(len(cur), func(lo, hi int) {
-			for w := lo; w < hi; w++ {
-				var word uint64
-				if jLtLo {
-					word = ^uint64(0)
-					if w == last {
-						word = mask
-					}
-				} else {
-					word = f[w]
+		for w := range cur {
+			var word uint64
+			if jLtLo {
+				word = ^uint64(0)
+				if w == last {
+					word = mask
 				}
-				if jLtHi {
-					base := w << 6
-				states:
-					for cand := word; cand != 0; cand &= cand - 1 {
-						k := bits.TrailingZeros64(cand)
-						for _, t := range csr.Succ(base + k) {
-							if !next.test(int(t)) {
-								word &^= 1 << uint(k)
-								continue states
-							}
+			} else {
+				word = f[w]
+			}
+			if jLtHi {
+				base := w << 6
+			states:
+				for cand := word; cand != 0; cand &= cand - 1 {
+					k := bits.TrailingZeros64(cand)
+					for _, t := range csr.Succ(base + k) {
+						if !next.test(int(t)) {
+							word &^= 1 << uint(k)
+							continue states
 						}
 					}
 				}
-				cur[w] = word
 			}
-		})
+			cur[w] = word
+		}
 		cur, next = next, cur
 	}
 	c.mFixpointIters.Add(int64(b.Hi+1) * int64(n))
@@ -802,36 +819,34 @@ func (c *Checker) boundedEG(f bitset, b Bound) bitset {
 	last := len(cur) - 1
 	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
 		jLtLo, jLtHi := j < b.Lo, j < b.Hi
-		c.sweepWords(len(cur), func(lo, hi int) {
-			for w := lo; w < hi; w++ {
-				var word uint64
-				if jLtLo {
-					word = ^uint64(0)
-					if w == last {
-						word = mask
-					}
-				} else {
-					word = f[w]
+		for w := range cur {
+			var word uint64
+			if jLtLo {
+				word = ^uint64(0)
+				if w == last {
+					word = mask
 				}
-				if jLtHi {
-					base := w << 6
-					for cand := word &^ dead[w]; cand != 0; cand &= cand - 1 {
-						k := bits.TrailingZeros64(cand)
-						some := false
-						for _, t := range csr.Succ(base + k) {
-							if next.test(int(t)) {
-								some = true
-								break
-							}
-						}
-						if !some {
-							word &^= 1 << uint(k)
-						}
-					}
-				}
-				cur[w] = word
+			} else {
+				word = f[w]
 			}
-		})
+			if jLtHi {
+				base := w << 6
+				for cand := word &^ dead[w]; cand != 0; cand &= cand - 1 {
+					k := bits.TrailingZeros64(cand)
+					some := false
+					for _, t := range csr.Succ(base + k) {
+						if next.test(int(t)) {
+							some = true
+							break
+						}
+					}
+					if !some {
+						word &^= 1 << uint(k)
+					}
+				}
+			}
+			cur[w] = word
+		}
 		cur, next = next, cur
 	}
 	c.mFixpointIters.Add(int64(b.Hi+1) * int64(n))

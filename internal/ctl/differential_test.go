@@ -12,11 +12,9 @@ import (
 // This file is the bitset-vs-legacy differential suite: over the
 // internal/gen corpus (default and wide configurations) plus handcrafted
 // structures, the bitset Checker must agree with the frozen Reference
-// engine on every satisfaction set, verdict, counterexample, and witness —
-// at every tested worker count. The extraction code is shared between the
-// engines, so any disagreement pins the blame on the fixpoint rewrite.
-
-var diffWorkerCounts = []int{1, 2, 8}
+// engine on every satisfaction set, verdict, counterexample, and witness.
+// The extraction code is shared between the engines, so any disagreement
+// pins the blame on the fixpoint rewrite.
 
 // diffFormulas builds the probe suite for a system: the instance property
 // (when present), deadlock freedom, and one formula per operator family
@@ -86,52 +84,49 @@ func resultsEqual(a, b ctl.Result) bool {
 }
 
 // diffOne cross-checks one system against the reference engine for every
-// probe formula and worker count.
+// probe formula.
 func diffOne(t *testing.T, label string, sys *automata.Automaton, property ctl.Formula) {
 	t.Helper()
 	ref := ctl.NewReference(sys)
-	for _, workers := range diffWorkerCounts {
-		checker := ctl.NewChecker(sys)
-		checker.SetWorkers(workers)
-		for _, f := range diffFormulas(sys, property) {
-			ctxt := fmt.Sprintf("%s workers=%d formula=%s", label, workers, f)
+	checker := ctl.NewChecker(sys)
+	for _, f := range diffFormulas(sys, property) {
+		ctxt := fmt.Sprintf("%s formula=%s", label, f)
 
-			wantSat, gotSat := ref.Sat(f), checker.Sat(f)
-			for s := range wantSat {
-				if wantSat[s] != gotSat[s] {
-					t.Fatalf("%s: Sat mismatch at state %s: ref=%v bitset=%v",
-						ctxt, sys.StateName(automata.StateID(s)), wantSat[s], gotSat[s])
-				}
+		wantSat, gotSat := ref.Sat(f), checker.Sat(f)
+		for s := range wantSat {
+			if wantSat[s] != gotSat[s] {
+				t.Fatalf("%s: Sat mismatch at state %s: ref=%v bitset=%v",
+					ctxt, sys.StateName(automata.StateID(s)), wantSat[s], gotSat[s])
 			}
-			if want, got := ref.Holds(f), checker.Holds(f); want != got {
-				t.Fatalf("%s: Holds mismatch: ref=%v bitset=%v", ctxt, want, got)
-			}
+		}
+		if want, got := ref.Holds(f), checker.Holds(f); want != got {
+			t.Fatalf("%s: Holds mismatch: ref=%v bitset=%v", ctxt, want, got)
+		}
 
-			wantRes, gotRes := ref.Check(f), checker.Check(f)
-			if !resultsEqual(wantRes, gotRes) {
-				t.Fatalf("%s: Check mismatch:\nref:    %+v\nbitset: %+v", ctxt, wantRes, gotRes)
-			}
+		wantRes, gotRes := ref.Check(f), checker.Check(f)
+		if !resultsEqual(wantRes, gotRes) {
+			t.Fatalf("%s: Check mismatch:\nref:    %+v\nbitset: %+v", ctxt, wantRes, gotRes)
+		}
 
-			wantMany, gotMany := ref.CheckMany(f, 3), checker.CheckMany(f, 3)
-			if len(wantMany) != len(gotMany) {
-				t.Fatalf("%s: CheckMany count mismatch: ref=%d bitset=%d",
-					ctxt, len(wantMany), len(gotMany))
+		wantMany, gotMany := ref.CheckMany(f, 3), checker.CheckMany(f, 3)
+		if len(wantMany) != len(gotMany) {
+			t.Fatalf("%s: CheckMany count mismatch: ref=%d bitset=%d",
+				ctxt, len(wantMany), len(gotMany))
+		}
+		for i := range wantMany {
+			if !resultsEqual(wantMany[i], gotMany[i]) {
+				t.Fatalf("%s: CheckMany[%d] mismatch:\nref:    %+v\nbitset: %+v",
+					ctxt, i, wantMany[i], gotMany[i])
 			}
-			for i := range wantMany {
-				if !resultsEqual(wantMany[i], gotMany[i]) {
-					t.Fatalf("%s: CheckMany[%d] mismatch:\nref:    %+v\nbitset: %+v",
-						ctxt, i, wantMany[i], gotMany[i])
-				}
-			}
+		}
 
-			wantRun, wantErr := ref.Witness(f)
-			gotRun, gotErr := checker.Witness(f)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: Witness error mismatch: ref=%v bitset=%v", ctxt, wantErr, gotErr)
-			}
-			if !runsEqual(wantRun, gotRun) {
-				t.Fatalf("%s: Witness run mismatch:\nref:    %v\nbitset: %v", ctxt, wantRun, gotRun)
-			}
+		wantRun, wantErr := ref.Witness(f)
+		gotRun, gotErr := checker.Witness(f)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s: Witness error mismatch: ref=%v bitset=%v", ctxt, wantErr, gotErr)
+		}
+		if !runsEqual(wantRun, gotRun) {
+			t.Fatalf("%s: Witness run mismatch:\nref:    %v\nbitset: %v", ctxt, wantRun, gotRun)
 		}
 	}
 }
@@ -168,9 +163,9 @@ func TestBitsetDifferentialWideCorpus(t *testing.T) {
 }
 
 // layeredAutomaton builds width×depth states arranged in layers, each
-// state fanning out to a few states of the next layer. Large widths push
-// frontier levels past the parallel-expansion threshold, so the worker
-// merge paths are exercised, not just the sequential fallbacks.
+// state fanning out to a few states of the next layer. Large widths give
+// frontier levels of a thousand states and more, far past the products
+// the synthesis loop builds.
 func layeredAutomaton(width, depth int) *automata.Automaton {
 	a := automata.New("layers", automata.NewSignalSet("x"), automata.EmptySet)
 	x := automata.Interact([]automata.Signal{"x"}, nil)
@@ -205,12 +200,11 @@ func layeredAutomaton(width, depth int) *automata.Automaton {
 	return a
 }
 
-func TestBitsetDifferentialLargeParallel(t *testing.T) {
+func TestBitsetDifferentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential corpus skipped in -short mode")
 	}
-	// 7200 states, frontier levels of ~1200: crosses both parallel
-	// thresholds (sweeps ≥4096 states, frontiers ≥1024 states).
+	// 7200 states (113 bitset words), frontier levels of ~1200.
 	sys := layeredAutomaton(1200, 6)
 	diffOne(t, "layered/1200x6", sys, nil)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -14,22 +13,19 @@ import (
 
 // CTLScenario records one CTL-engine benchmark scenario: the same formula
 // suite evaluated over the same systems by the frozen legacy Reference
-// engine (legacy_check_ns), the bitset Checker with one worker (check_ns),
-// and the bitset Checker at GOMAXPROCS workers (parallel_check_ns). Every
+// engine (legacy_check_ns) and by the bitset Checker (check_ns). Every
 // figure is the median of timingRepeats fresh-engine runs. Speedup is
-// legacy over sequential bitset; the bench-check gate compares check_ns
-// only (the other columns are context).
+// legacy over bitset; the bench-check gate compares check_ns only (the
+// legacy column is context).
 type CTLScenario struct {
-	Name            string  `json:"name"`
-	Systems         int     `json:"systems"`
-	States          int     `json:"states"`
-	Transitions     int     `json:"transitions"`
-	Formulas        int     `json:"formulas"`
-	LegacyCheckNS   int64   `json:"legacy_check_ns"`
-	CheckNS         int64   `json:"check_ns"`
-	ParallelCheckNS int64   `json:"parallel_check_ns"`
-	ParallelWorkers int     `json:"parallel_workers"`
-	Speedup         float64 `json:"speedup"`
+	Name          string  `json:"name"`
+	Systems       int     `json:"systems"`
+	States        int     `json:"states"`
+	Transitions   int     `json:"transitions"`
+	Formulas      int     `json:"formulas"`
+	LegacyCheckNS int64   `json:"legacy_check_ns"`
+	CheckNS       int64   `json:"check_ns"`
+	Speedup       float64 `json:"speedup"`
 }
 
 // ctlWorkload is one scenario's inputs: a set of systems, each with its
@@ -43,8 +39,8 @@ type ctlWorkload struct {
 
 // CollectCTLBench measures the CTL scenarios and fails when an asserted
 // scenario's legacy-over-bitset speedup falls below minSpeedup. Verdict
-// agreement between all three engine configurations is checked on every
-// system and formula before anything is timed.
+// agreement between the two engines is checked on every system and
+// formula before anything is timed.
 func CollectCTLBench(minSpeedup float64) ([]CTLScenario, error) {
 	workloads, err := ctlWorkloads()
 	if err != nil {
@@ -147,32 +143,24 @@ func ctlProbes(sys *automata.Automaton) []ctl.Formula {
 	}
 }
 
-// measureCTLWorkload checks verdict agreement, then times the three engine
-// configurations. Each timed sample creates fresh engines per system, so a
-// sample covers everything a production call pays: reverse-adjacency (or
-// CSR) construction, scratch allocation, and the fixpoints themselves.
+// measureCTLWorkload checks verdict agreement, then times both engines.
+// Each timed sample creates fresh engines per system, so a sample covers
+// everything a production call pays: reverse-adjacency (or CSR)
+// construction, scratch allocation, and the fixpoints themselves.
 func measureCTLWorkload(w ctlWorkload) (*CTLScenario, error) {
-	maxProcs := runtime.GOMAXPROCS(0)
 	for i, sys := range w.systems {
 		ref := ctl.NewReference(sys)
-		seq := ctl.NewChecker(sys)
-		seq.SetWorkers(1)
-		par := ctl.NewChecker(sys)
-		par.SetWorkers(maxProcs)
+		checker := ctl.NewChecker(sys)
 		for _, f := range w.suites[i] {
 			want := ref.Holds(f)
-			if got := seq.Holds(f); got != want {
+			if got := checker.Holds(f); got != want {
 				return nil, fmt.Errorf("ctl bench: %s system %d: bitset disagrees with legacy on %s (legacy %v, bitset %v)",
-					w.name, i, f, want, got)
-			}
-			if got := par.Holds(f); got != want {
-				return nil, fmt.Errorf("ctl bench: %s system %d: parallel bitset disagrees with legacy on %s (legacy %v, parallel %v)",
 					w.name, i, f, want, got)
 			}
 		}
 	}
 
-	sc := &CTLScenario{Name: w.name, Systems: len(w.systems), ParallelWorkers: maxProcs}
+	sc := &CTLScenario{Name: w.name, Systems: len(w.systems)}
 	for i, sys := range w.systems {
 		sc.States += sys.NumStates()
 		sc.Transitions += sys.NumTransitions()
@@ -190,16 +178,6 @@ func measureCTLWorkload(w ctlWorkload) (*CTLScenario, error) {
 	sc.CheckNS = ctlMedianNS(func() {
 		for i, sys := range w.systems {
 			c := ctl.NewChecker(sys)
-			c.SetWorkers(1)
-			for _, f := range w.suites[i] {
-				c.Holds(f)
-			}
-		}
-	})
-	sc.ParallelCheckNS = ctlMedianNS(func() {
-		for i, sys := range w.systems {
-			c := ctl.NewChecker(sys)
-			c.SetWorkers(maxProcs)
 			for _, f := range w.suites[i] {
 				c.Holds(f)
 			}

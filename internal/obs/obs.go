@@ -199,9 +199,9 @@ type Sink interface {
 // single branch, and Enabled reports false so callers can skip payload
 // construction entirely.
 //
-// Journal is safe for concurrent use — the parallel ComposeAll frontier
-// and any future concurrent phases emit through the same mutex, so sinks
-// observe a strictly increasing sequence.
+// Journal is safe for concurrent use — the batch pool's workers emit
+// through the same mutex, so sinks observe a strictly increasing
+// sequence.
 type Journal struct {
 	mu    sync.Mutex
 	seq   uint64

@@ -211,7 +211,7 @@ func TestTeeSinkFansOut(t *testing.T) {
 
 func TestValidateJSONLAcceptsServiceAndStoreKinds(t *testing.T) {
 	// The verifyd job-lifecycle and persistent-store events must pass the
-	// validator: obscheck gates the smoke lanes on it.
+	// validator: journalstat -validate gates the smoke lanes on it.
 	journal := strings.Join([]string{
 		`{"seq":1,"kind":"job_submitted","iter":-1,"s":{"job":"job-1","source":"gen(seed=1,n=8)"},"n":{"instances":8,"queue_depth":1}}`,
 		`{"seq":2,"kind":"store_miss","iter":-1,"s":{"op":"compose","key":"compose-0-0.memo"}}`,

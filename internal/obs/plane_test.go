@@ -31,7 +31,7 @@ func TestValidateJSONLSpanInvariants(t *testing.T) {
 	}
 
 	// Violations must name the first offending sequence number so
-	// obscheck can pinpoint the record.
+	// journalstat -validate can pinpoint the record.
 	_, err := ValidateJSONL(strings.NewReader(
 		`{"seq":1,"kind":"iteration_start","iter":0,"trace":"r","span":3}` + "\n" +
 			`{"seq":5,"kind":"check_result","iter":0,"trace":"r","parent":8}`))

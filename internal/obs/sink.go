@@ -13,8 +13,8 @@ import (
 
 // JSONLSink writes one JSON object per event, one event per line — the
 // machine-readable journal behind the -journal flag. Lines conform to the
-// schema checked by ValidateJSONL, so `obscheck` (and the Makefile's
-// obs-smoke gate) can verify a captured journal byte-for-byte.
+// schema checked by ValidateJSONL, so `journalstat -validate` (and the
+// Makefile's obs-smoke gate) can verify a captured journal byte-for-byte.
 type JSONLSink struct {
 	w   *bufio.Writer
 	c   io.Closer // underlying closer, if any

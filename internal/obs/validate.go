@@ -9,15 +9,16 @@ import (
 )
 
 // This file defines the JSONL journal schema and its validator, used by
-// cmd/obscheck and the Makefile's obs-smoke gate: every line must decode
-// into an Event with no unknown fields, carry a known kind, an iteration
-// of -1 or greater, a non-negative duration, and sequence numbers must be
-// strictly increasing across the file. On top of the per-event checks the
-// validator enforces the causal-trace invariants of DESIGN.md §10: span
-// IDs are unique, a parent span must have been opened by an earlier
-// event, the trace ID is constant within a span tree, and emission
-// timestamps never go backwards. Violations report the offending event's
-// sequence number so cmd/obscheck pinpoints the first bad record.
+// journalstat -validate and the Makefile's obs-smoke gate: every line must
+// decode into an Event with no unknown fields, carry a known kind, an
+// iteration of -1 or greater, a non-negative duration, and sequence
+// numbers must be strictly increasing across the file. On top of the
+// per-event checks the validator enforces the causal-trace invariants of
+// DESIGN.md §10: span IDs are unique, a parent span must have been opened
+// by an earlier event, the trace ID is constant within a span tree, and
+// emission timestamps never go backwards. Violations report the offending
+// event's sequence number so journalstat -validate pinpoints the first
+// bad record.
 
 // jsonlValidator carries the cross-event state of one validation pass.
 type jsonlValidator struct {

@@ -15,7 +15,8 @@
 # admission controller: with the runner occupied and the queue full, a
 # further submission must shed with 503 + Retry-After, and intake must
 # recover to 202 once the queue drains. Finally the server journals and
-# every per-job spool journal must pass obscheck, and the /metrics plane
+# every per-job spool journal must pass journalstat -validate, and the
+# /metrics plane
 # must expose the muml_store_* and muml_verifyd_* families.
 #
 # Everything lands in VERIFYD_SMOKE_DIR so CI can upload the artifacts
@@ -30,9 +31,9 @@ GO="${GO:-go}"
 rm -rf "$DIR"
 mkdir -p "$DIR"
 
-echo "verifyd-smoke: building verifyd (-race) and obscheck"
+echo "verifyd-smoke: building verifyd (-race) and journalstat"
 $GO build -race -o "$DIR/verifyd" ./cmd/verifyd
-$GO build -o "$DIR/obscheck" ./cmd/obscheck
+$GO build -o "$DIR/journalstat" ./cmd/journalstat
 
 # 32 seeded wide-config instances: the wide alphabet makes each seed
 # contribute distinct closure/product records, so the store has real
@@ -239,8 +240,6 @@ fi
 stop_verifyd
 
 echo "verifyd-smoke: validating server and per-job journals"
-for journal in "$DIR"/server-*.jsonl "$DIR"/spool/*.jsonl; do
-    "$DIR/obscheck" "$journal" > /dev/null
-done
+"$DIR/journalstat" -validate "$DIR"/server-*.jsonl "$DIR"/spool/*.jsonl > /dev/null
 
 echo "verifyd-smoke: service, store warm start, shard merge, admission control, and journals ok"
