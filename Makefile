@@ -202,13 +202,15 @@ mbt-soak-wide:
 	$(GO) run ./cmd/mbt -wide -seed $(SOAK_SEED) -n 100 -corpus internal/mbt/testdata
 
 # Short randomized fuzzing pass over the model-based harness entry
-# points and the memo-store codec; CI-sized, not a real fuzzing campaign.
+# points, the memo-store codec and the manifest intake; CI-sized, not a
+# real fuzzing campaign.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/mbt -fuzz FuzzSynthesisSoundness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mbt -fuzz FuzzIocoSoundness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mbt -fuzz FuzzRefinementLaws -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzUnmarshalMemo -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/batch -run '^$$' -fuzz FuzzManifestItems -fuzztime $(FUZZTIME)
 
 # All progress reporting goes through internal/obs; stray fmt.Print* in
 # internal/ (outside obs, trace, and tests) bypasses the journal.

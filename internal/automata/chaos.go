@@ -85,25 +85,25 @@ func ChaoticClosure(m *Incomplete, universe InteractionUniverse) *Automaton {
 // once it is done. A model alphabet over MaxInternSignals signals is an
 // error wrapping ErrAlphabetTooWide. When a cache is given, the model is
 // fingerprinted and, with the universe's fingerprint, keys the cache: an
-// identical prior closure is answered with a private clone of the cached
-// result. Both features are zero-cost when disabled (background context,
-// nil cache).
+// identical prior closure is answered with a copy-on-write clone of the
+// cached result, which shares its rows with the cache (see MemoCache). Both
+// features are zero-cost when disabled (background context, nil cache).
 func ChaoticClosureCtx(ctx context.Context, m *Incomplete, universe *CompiledUniverse, memo *MemoCache) (*Automaton, error) {
 	if err := universe.checkAlphabets(m.auto); err != nil {
 		return nil, err
 	}
-	var fpM uint64
+	var fpM, fpU uint64
 	if memo != nil {
-		fpM = m.Fingerprint()
-		if hit, ok := memo.lookup(memoClosure, fpM, universe.fingerprint, m.auto.name); ok {
+		fpM, fpU = m.Fingerprint(), universe.fingerprint()
+		if hit, ok := memo.lookup(memoClosure, fpM, fpU, m.auto.name); ok {
 			return hit, nil
 		}
 	}
-	c, err := chaoticClosure(m, universe.labels, newCtxPoll(ctx), false)
+	c, err := chaoticClosure(m, universe, newCtxPoll(ctx), false)
 	if err != nil {
 		return nil, err
 	}
-	memo.store(memoClosure, fpM, universe.fingerprint, c)
+	memo.store(memoClosure, fpM, fpU, c)
 	return c, nil
 }
 
@@ -123,7 +123,7 @@ func ChaoticClosureNondetCtx(ctx context.Context, m *Incomplete, universe *Compi
 	if err := universe.checkAlphabets(m.auto); err != nil {
 		return nil, err
 	}
-	return chaoticClosure(m, universe.labels, newCtxPoll(ctx), true)
+	return chaoticClosure(m, universe, newCtxPoll(ctx), true)
 }
 
 // chaoticClosure is the construction shared by ChaoticClosureCtx and
@@ -131,16 +131,19 @@ func ChaoticClosureNondetCtx(ctx context.Context, m *Incomplete, universe *Compi
 // a stopped poller aborts it with the context's error. With nondet set, a
 // learned label counts as known (escape-suppressing) only once it is
 // settled.
-func chaoticClosure(m *Incomplete, labels []Interaction, p *ctxPoll, nondet bool) (*Automaton, error) {
+func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, nondet bool) (*Automaton, error) {
 	src := m.auto
 	in, err := NewInterner(src.inputs, src.outputs)
 	if err != nil {
 		return nil, fmt.Errorf("automata: chaotic closure of %q: %w", src.name, err)
 	}
-	keys, err := in.internLabels(labels)
+	// The universe is compiled over the model's alphabets (checked by the
+	// callers), so its keys are already keys under in.
+	uk, err := universe.internedKeys()
 	if err != nil {
 		return nil, err
 	}
+	labels, keys := universe.labels, uk.keys
 	obsClosureBuilds.Add(1)
 	c := New(src.name, src.inputs, src.outputs)
 

@@ -72,9 +72,10 @@ func Compose(name string, left, right *Automaton) (*Automaton, error) {
 // ComposeCtx is Compose under a context and an optional memoization cache.
 // The product BFS polls the context and aborts with its error once it is
 // done. When a cache is given, the operands are fingerprinted and an
-// identical prior composition is answered with a private clone of the
-// cached result; misses are stored for future calls. Both features are
-// zero-cost when disabled (background context, nil cache).
+// identical prior composition is answered with a copy-on-write clone of
+// the cached result (see MemoCache); misses are stored for future calls.
+// Both features are zero-cost when disabled (background context, nil
+// cache).
 func ComposeCtx(ctx context.Context, name string, left, right *Automaton, memo *MemoCache) (*Automaton, error) {
 	if !left.inputs.Disjoint(right.inputs) {
 		return nil, fmt.Errorf("automata: compose %q‖%q: shared inputs %v",

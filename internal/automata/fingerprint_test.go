@@ -91,10 +91,10 @@ func TestIncompleteFingerprintSeesRefusals(t *testing.T) {
 func TestUniverseFingerprint(t *testing.T) {
 	in, out := NewSignalSet("a"), NewSignalSet("b")
 	u := Universe(UniverseSingleton)
-	if CompileUniverse(u, in, out).fingerprint != CompileUniverse(u, in, out).fingerprint {
+	if CompileUniverse(u, in, out).fingerprint() != CompileUniverse(u, in, out).fingerprint() {
 		t.Fatal("universe fingerprint not deterministic")
 	}
-	if CompileUniverse(u, in, out).fingerprint == CompileUniverse(u, NewSignalSet("a", "c"), out).fingerprint {
+	if CompileUniverse(u, in, out).fingerprint() == CompileUniverse(u, NewSignalSet("a", "c"), out).fingerprint() {
 		t.Fatal("universe fingerprint ignores the alphabet")
 	}
 
@@ -111,7 +111,7 @@ func TestUniverseFingerprint(t *testing.T) {
 			Interact([]Signal{"convoyProposal"}, []Signal{"startConvoy"}),
 			Interact([]Signal{"other"}, nil)}, 0xbe0ede834db6def5},
 	} {
-		if got := CompileUniverse(tc.u, in, out).fingerprint; got != tc.want {
+		if got := CompileUniverse(tc.u, in, out).fingerprint(); got != tc.want {
 			t.Errorf("%s: universe fingerprint = %#x, want %#x", tc.name, got, tc.want)
 		}
 	}
@@ -283,17 +283,20 @@ func TestMemoUniverseCompiledOncePerAlphabets(t *testing.T) {
 	if y := memo.Universe(fixed, NewSignalSet("go"), NewSignalSet("done")); x == y {
 		t.Fatal("a FixedUniverse was cached")
 	}
-	if want := CompileUniverse(fixed, NewSignalSet("go"), NewSignalSet("done")); x.fingerprint != want.fingerprint {
+	if want := CompileUniverse(fixed, NewSignalSet("go"), NewSignalSet("done")); x.fingerprint() != want.fingerprint() {
 		t.Fatal("a FixedUniverse compiled through the cache differs from CompileUniverse")
 	}
 }
 
 // TestMemoUniverseConcurrentLookups has batch workers look up one universe
-// at once: every caller must get the same compiled value (run under -race).
+// at once and race to its lazily computed fingerprint and interned labels:
+// every caller must get the same compiled value and the same fingerprint
+// (run under -race).
 func TestMemoUniverseConcurrentLookups(t *testing.T) {
 	memo := NewMemoCache(nil)
 	const workers = 8
 	got := make([]*CompiledUniverse, workers)
+	fps := make([]uint64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -301,12 +304,20 @@ func TestMemoUniverseConcurrentLookups(t *testing.T) {
 			defer wg.Done()
 			got[w] = memo.Universe(Universe(UniverseSingleton), NewSignalSet("go", "stop"), NewSignalSet("done"))
 			_ = got[w].Under(NewSignalSet("go"))
+			fps[w] = got[w].fingerprint()
+			if _, err := got[w].internedKeys(); err != nil {
+				t.Error(err)
+			}
 		}(w)
 	}
 	wg.Wait()
-	for w := 1; w < workers; w++ {
+	want := CompileUniverse(Universe(UniverseSingleton), NewSignalSet("go", "stop"), NewSignalSet("done")).fingerprint()
+	for w := 0; w < workers; w++ {
 		if got[w] != got[0] {
 			t.Fatalf("worker %d got a second compilation of one universe", w)
+		}
+		if fps[w] != want {
+			t.Fatalf("worker %d read fingerprint %#x, want %#x", w, fps[w], want)
 		}
 	}
 }

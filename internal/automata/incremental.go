@@ -3,6 +3,7 @@ package automata
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -54,14 +55,19 @@ type IncrementalSystem struct {
 	memo   *MemoCache
 
 	in        *Interner
-	labelKeys []InternKey // the universe labels, interned in enumeration order
+	labelKeys []InternKey // the universe labels under in, in enumeration order
 
 	closure      *Automaton
 	closed, open []StateID // model state -> closure copy IDs
 	sAll, sDelta StateID
 
-	ctxMask          [][]maskedTransition
-	closMask         [][]maskedTransition
+	ctxMask  [][]maskedTransition
+	closMask [][]maskedTransition
+	// chaosMask is the masked row of s_∀: every universe label toward s_∀
+	// and s_δ. The open copy of a state with nothing learned or refused
+	// has the same row and shares it; masked rows are never written in
+	// place.
+	chaosMask        []maskedTransition
 	ctxOut, closOut  SetMask
 	numModelInitials int
 
@@ -115,8 +121,17 @@ func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *In
 		memo:     memo,
 		in:       in,
 	}
-	if ic.labelKeys, err = in.internLabels(universe.labels); err != nil {
+	uk, err := universe.internedKeys()
+	if err != nil {
 		return nil, err
+	}
+	tr, err := in.translation(uk.signals)
+	if err != nil {
+		return nil, fmt.Errorf("automata: incremental system: %w", err)
+	}
+	ic.labelKeys = make([]InternKey, len(uk.keys))
+	for i, k := range uk.keys {
+		ic.labelKeys[i] = tr.key(k)
 	}
 	if ic.ctxMask, err = maskAdjacency(ctxAuto, in); err != nil {
 		return nil, err
@@ -184,8 +199,19 @@ func (ic *IncrementalSystem) rebuild() error {
 	ic.sDelta = ic.closure.State(ChaosDeltaState)
 	ic.numModelInitials = len(src.initial)
 
-	if ic.closMask, err = maskAdjacency(ic.closure, ic.in); err != nil {
-		return err
+	// Mask the closure from the model and the universe keys: only learned
+	// labels are interned here, never the universe's.
+	ic.chaosMask = make([]maskedTransition, 0, 2*len(ic.labelKeys))
+	for _, k := range ic.labelKeys {
+		ic.chaosMask = append(ic.chaosMask,
+			maskedTransition{in: k.In, out: k.Out, to: ic.sAll},
+			maskedTransition{in: k.In, out: k.Out, to: ic.sDelta})
+	}
+	ic.closMask = make([][]maskedTransition, closure.NumStates())
+	ic.closMask[ic.sAll] = ic.chaosMask
+	known := make(map[InternKey]struct{})
+	for f := range src.states {
+		ic.closeState(StateID(f), known, false)
 	}
 
 	// Product BFS, replicating Compose's interned BFS while
@@ -350,9 +376,7 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 	// for still-unknown interactions in universe order.
 	known := make(map[InternKey]struct{})
 	for _, f := range order {
-		if err := ic.recomputeClosureState(f, known); err != nil {
-			return false, err
-		}
+		ic.closeState(f, known, true)
 	}
 
 	// 4. Recompute every product pair whose closure part changed, in
@@ -386,8 +410,8 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 		queue = ic.computePairAdjacency(queue[head], queue)
 	}
 
-	// The closure and product adjacencies were rewritten in place above,
-	// bypassing AddTransition; drop their cached CSR/flat snapshots.
+	// The closure and product adjacencies were rewritten above, bypassing
+	// AddTransition; drop their cached CSR/flat snapshots.
 	ic.closure.invalidateDerived()
 	ic.product.invalidateDerived()
 
@@ -399,48 +423,72 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 	return true, nil
 }
 
-// recomputeClosureState rewrites the adjacency of (f,0) and (f,1) from the
-// model's current state, and refreshes the masked rows.
-func (ic *IncrementalSystem) recomputeClosureState(f StateID, known map[InternKey]struct{}) error {
-	src := ic.model.Automaton()
+// closeState derives the rows of f's two closure copies from the model's
+// row at f and the universe keys, in ChaoticClosure's emission order: the
+// learned transitions toward both copies of each target, then, from the
+// open copy only, every universe label neither learned nor refused at f,
+// toward s_∀ and s_δ. It sets the masked rows; with rewrite it also
+// replaces the closure's own rows (rebuild takes those from
+// ChaoticClosureCtx as they are). Replacement rows are fresh allocations:
+// a closure row may be shared with a memo master (MemoCache.lookup), so
+// none is written in place.
+func (ic *IncrementalSystem) closeState(f StateID, known map[InternKey]struct{}, rewrite bool) {
+	learned := ic.model.auto.adj[f]
 	c0, c1 := ic.closed[f], ic.open[f]
-
-	closedAdj := ic.closure.adj[c0][:0]
-	openAdj := ic.closure.adj[c1][:0]
+	var closedAdj, openAdj []Transition
+	if rewrite {
+		closedAdj = make([]Transition, 0, 2*len(learned))
+		openAdj = make([]Transition, 0, 2*len(learned)+2*len(ic.labelKeys))
+	}
 	clear(known)
-	for _, t := range src.adj[f] {
+	closedMask := make([]maskedTransition, 0, 2*len(learned))
+	for _, t := range learned {
 		k, _ := ic.in.Key(t.Label)
 		known[k] = struct{}{}
-		closedAdj = append(closedAdj,
-			Transition{From: c0, Label: t.Label, To: ic.closed[t.To]},
-			Transition{From: c0, Label: t.Label, To: ic.open[t.To]})
-		openAdj = append(openAdj,
-			Transition{From: c1, Label: t.Label, To: ic.closed[t.To]},
-			Transition{From: c1, Label: t.Label, To: ic.open[t.To]})
+		closedMask = append(closedMask,
+			maskedTransition{in: k.In, out: k.Out, to: ic.closed[t.To]},
+			maskedTransition{in: k.In, out: k.Out, to: ic.open[t.To]})
+		if rewrite {
+			closedAdj = append(closedAdj,
+				Transition{From: c0, Label: t.Label, To: ic.closed[t.To]},
+				Transition{From: c0, Label: t.Label, To: ic.open[t.To]})
+			openAdj = append(openAdj,
+				Transition{From: c1, Label: t.Label, To: ic.closed[t.To]},
+				Transition{From: c1, Label: t.Label, To: ic.open[t.To]})
+		}
 	}
 	for _, b := range ic.model.blocked[f] {
 		k, _ := ic.in.Key(b)
 		known[k] = struct{}{}
 	}
-	for i, x := range ic.universe.labels {
-		if _, ok := known[ic.labelKeys[i]]; ok {
-			continue
-		}
-		openAdj = append(openAdj,
-			Transition{From: c1, Label: x, To: ic.sAll},
-			Transition{From: c1, Label: x, To: ic.sDelta})
+	// With nothing known at f, the open copy's masked row is s_∀'s.
+	shared := len(known) == 0
+	openMask := ic.chaosMask
+	if !shared {
+		openMask = append(make([]maskedTransition, 0, len(closedMask)+len(ic.chaosMask)), closedMask...)
 	}
-	ic.closure.adj[c0] = closedAdj
-	ic.closure.adj[c1] = openAdj
-
-	for _, z := range [2]StateID{c0, c1} {
-		row, err := maskRow(ic.in, ic.closure, ic.closure.adj[z])
-		if err != nil {
-			return err
+	if !shared || rewrite {
+		for i, k := range ic.labelKeys {
+			if _, ok := known[k]; ok {
+				continue
+			}
+			if !shared {
+				openMask = append(openMask,
+					maskedTransition{in: k.In, out: k.Out, to: ic.sAll},
+					maskedTransition{in: k.In, out: k.Out, to: ic.sDelta})
+			}
+			if rewrite {
+				x := ic.universe.labels[i]
+				openAdj = append(openAdj,
+					Transition{From: c1, Label: x, To: ic.sAll},
+					Transition{From: c1, Label: x, To: ic.sDelta})
+			}
 		}
-		ic.closMask[z] = row
 	}
-	return nil
+	ic.closMask[c0], ic.closMask[c1] = closedMask, openMask
+	if rewrite {
+		ic.closure.adj[c0], ic.closure.adj[c1] = closedAdj, openAdj
+	}
 }
 
 // countReachable returns the number of states reachable from the initial
@@ -469,6 +517,20 @@ func (ic *IncrementalSystem) Verify() error {
 	}
 	if err := EquivalentReachable(ic.closure, closure); err != nil {
 		return fmt.Errorf("automata: incremental closure diverged from rebuild: %w", err)
+	}
+	// The masked rows are derived from the model and the universe keys,
+	// not from the closure's labels; they must still encode those labels.
+	masked, err := maskAdjacency(ic.closure, ic.in)
+	if err != nil {
+		return fmt.Errorf("automata: verify closure masks: %w", err)
+	}
+	if len(ic.closMask) != len(masked) {
+		return fmt.Errorf("automata: %d masked closure rows for %d closure states", len(ic.closMask), len(masked))
+	}
+	for z, row := range masked {
+		if !slices.Equal(ic.closMask[z], row) {
+			return fmt.Errorf("automata: masked closure row of %q differs from its transitions", ic.closure.states[z].name)
+		}
 	}
 	sys, err := Compose(ic.product.name, ic.context, closure)
 	if err != nil {

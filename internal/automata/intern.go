@@ -167,6 +167,40 @@ func (in *Interner) internLabels(labels []Interaction) ([]InternKey, error) {
 	return keys, nil
 }
 
+// keyTranslation re-encodes keys of one interner under another whose
+// alphabet contains the first's: bit i of a source mask is bit t[i] of the
+// target mask. The table has at most MaxInternSignals entries, so a key
+// costs a few bit operations instead of a map lookup per signal.
+type keyTranslation []uint8
+
+// translation returns the table from an alphabet in canonical order (an
+// interner's signals) to this interner's bits.
+func (in *Interner) translation(signals []Signal) (keyTranslation, error) {
+	t := make(keyTranslation, len(signals))
+	for i, sig := range signals {
+		j, ok := in.index[sig]
+		if !ok {
+			return nil, fmt.Errorf("automata: signal %q outside the interner's alphabet", sig)
+		}
+		t[i] = uint8(j)
+	}
+	return t, nil
+}
+
+func (t keyTranslation) mask(m SetMask) SetMask {
+	var out SetMask
+	for w, word := range [2]uint64{m.lo, m.hi} {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			out = out.withBit(int(t[64*w+bits.TrailingZeros64(rest)]))
+		}
+	}
+	return out
+}
+
+func (t keyTranslation) key(k InternKey) InternKey {
+	return InternKey{In: t.mask(k.In), Out: t.mask(k.Out)}
+}
+
 // maskedTransition is a transition with its label pre-encoded, so BFS inner
 // loops compare and combine labels with word operations only.
 type maskedTransition struct {
@@ -174,33 +208,24 @@ type maskedTransition struct {
 	to      StateID
 }
 
-// maskRow encodes one adjacency list under the interner, in order. A label
-// outside the interner's alphabet — which AddTransition, the construction
-// builders and UnmarshalMemo all rule out — is reported as an error.
-func maskRow(in *Interner, a *Automaton, ts []Transition) ([]maskedTransition, error) {
-	row := make([]maskedTransition, len(ts))
-	for i, t := range ts {
-		k, ok := in.Key(t.Label)
-		if !ok {
-			return nil, fmt.Errorf("automata: %q: label %v outside the alphabet", a.name, t.Label)
-		}
-		row[i] = maskedTransition{in: k.In, out: k.Out, to: t.To}
-	}
-	return row, nil
-}
-
 // maskAdjacency encodes the automaton's adjacency lists under the interner.
 // The per-state transition order of the result matches TransitionsFrom
-// exactly, so BFS constructions over it reproduce adjacency order.
+// exactly, so BFS constructions over it reproduce adjacency order. A label
+// outside the interner's alphabet — which AddTransition, the construction
+// builders and UnmarshalMemo all rule out — is reported as an error.
 func maskAdjacency(a *Automaton, in *Interner) ([][]maskedTransition, error) {
 	adj := make([][]maskedTransition, len(a.adj))
 	for s, ts := range a.adj {
 		if len(ts) == 0 {
 			continue
 		}
-		row, err := maskRow(in, a, ts)
-		if err != nil {
-			return nil, err
+		row := make([]maskedTransition, len(ts))
+		for i, t := range ts {
+			k, ok := in.Key(t.Label)
+			if !ok {
+				return nil, fmt.Errorf("automata: %q: label %v outside the alphabet", a.name, t.Label)
+			}
+			row[i] = maskedTransition{in: k.In, out: k.Out, to: t.To}
 		}
 		adj[s] = row
 	}

@@ -1,6 +1,8 @@
 package automata
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,12 +16,14 @@ import (
 // functions of exactly the fingerprinted structure, a hit may substitute
 // the cached result for a rebuild.
 //
-// Coherence: masters stored in the cache are deep private copies and are
-// never handed out directly — Lookup returns a fresh deep clone per hit.
-// Callers (notably IncrementalSystem) mutate their automata in place, so
-// sharing a single instance across workers would race; clone-on-handout
-// keeps the cache sound at the cost of one copy per hit, which is still far
-// cheaper than the product BFS it replaces.
+// Coherence: masters stored in the cache are immutable, and every hit
+// hands out a copy-on-write clone (see shareRows): its own state table,
+// name index and row table, sharing the master's adjacency rows and
+// per-state label and part slices with their capacity capped. Appending to
+// a shared slice therefore copies it first, and nothing writes a
+// handed-out row in place — IncrementalSystem replaces a closure row it
+// rewrites with a fresh one. A hit costs no transition copy, however
+// large the closure.
 //
 // The cache is sharded by key hash: concurrent batch workers hit different
 // shard mutexes, and each shard's critical section is a single map
@@ -126,7 +130,7 @@ func (c *MemoCache) shard(k memoKey) *memoShard {
 	return &c.shards[(k.a^k.b^uint64(k.op))%memoShardCount]
 }
 
-// lookup returns a private deep clone of the cached result under the given
+// lookup returns a copy-on-write clone of the cached result under the given
 // name, or (nil, false) on a miss. Safe on a nil cache and from concurrent
 // goroutines.
 func (c *MemoCache) lookup(op memoOp, a, b uint64, name string) (*Automaton, bool) {
@@ -166,19 +170,20 @@ func (c *MemoCache) lookup(op memoOp, a, b uint64, name string) (*Automaton, boo
 			N: map[string]int64{"key_a": int64(a), "key_b": int64(b), "hits": hits},
 		})
 	}
-	return master.cloneDeep(name), true
+	return master.shareRows(name), true
 }
 
-// store records the construction result. The cache keeps its own deep copy
-// as the master, so the caller remains free to mutate the original. The
-// first store for a key wins; concurrent duplicate stores are identical by
-// construction, so dropping the loser is sound.
+// store records the construction result. The master is a copy-on-write
+// clone of it, so the caller keeps the original and may grow it, but must
+// not write its rows in place. The first store for a key wins; concurrent
+// duplicate stores are identical by construction, so dropping the loser is
+// sound.
 func (c *MemoCache) store(op memoOp, a, b uint64, auto *Automaton) {
 	if c == nil {
 		return
 	}
 	k := memoKey{op: op, a: a, b: b}
-	master := auto.cloneDeep(auto.name)
+	master := auto.shareRows(auto.name)
 	sh := c.shard(k)
 	sh.mu.Lock()
 	_, dup := sh.m[k]
@@ -229,26 +234,31 @@ func (c *MemoCache) Stats() (hits, misses, entries int64) {
 	return c.hits.Load(), c.misses.Load(), entries
 }
 
-// cloneDeep returns a deep copy of the automaton preserving composed-state
-// provenance (parts) and the leaf decomposition, which Clone/Rename do not
-// carry over. Memoized results must keep provenance: counterexample
-// classification (IsChaosState) and run projection read it.
-func (a *Automaton) cloneDeep(name string) *Automaton {
-	b := New(name, a.inputs, a.outputs)
-	b.leaves = append([]leafInfo(nil), a.leaves...)
-	b.states = make([]stateInfo, len(a.states))
+// shareRows returns a copy-on-write clone of the automaton under the given
+// name. The clone has its own state table, name index and row table, and
+// shares the adjacency rows, per-state label and part slices, initial
+// states and leaf decomposition, each with its capacity capped at its
+// length: growing a shared slice copies it, and adding states or rows
+// changes only the clone. It keeps composed-state provenance (parts) and
+// the leaf decomposition, which Clone/Rename do not carry over; memoized
+// results need both, because counterexample classification (IsChaosState)
+// and run projection read them.
+func (a *Automaton) shareRows(name string) *Automaton {
+	b := &Automaton{
+		name:    name,
+		inputs:  a.inputs,
+		outputs: a.outputs,
+		states:  make([]stateInfo, len(a.states)),
+		index:   maps.Clone(a.index),
+		adj:     make([][]Transition, len(a.adj)),
+		initial: slices.Clip(a.initial),
+		leaves:  slices.Clip(a.leaves),
+	}
 	for i, st := range a.states {
-		b.states[i] = stateInfo{
-			name:   st.name,
-			labels: append([]Proposition(nil), st.labels...),
-			parts:  append([]string(nil), st.parts...),
-		}
-		b.index[st.name] = StateID(i)
+		b.states[i] = stateInfo{name: st.name, labels: slices.Clip(st.labels), parts: slices.Clip(st.parts)}
 	}
-	b.adj = make([][]Transition, len(a.adj))
 	for i, row := range a.adj {
-		b.adj[i] = append([]Transition(nil), row...)
+		b.adj[i] = slices.Clip(row)
 	}
-	b.initial = append([]StateID(nil), a.initial...)
 	return b
 }

@@ -8,7 +8,7 @@ import (
 // This file is the serialization codec behind the persistent memo store
 // (internal/memostore): a full-fidelity interchange format for memoized
 // construction results. It differs from the public EncodeJSON format in
-// that it preserves everything cloneDeep preserves — composed-state
+// that it preserves everything a memo handout preserves — composed-state
 // provenance (parts) and the leaf decomposition — because a warm-started
 // closure or product must behave exactly like a freshly built one:
 // counterexample classification (IsChaosState) and run projection read

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Signal is a named message or event exchanged between components. Within
@@ -302,23 +303,38 @@ func (u FixedUniverse) Enumerate(inputs, outputs SignalSet) []Interaction {
 }
 
 // CompiledUniverse is an interaction universe enumerated once over one pair
-// of alphabets: the labels in Enumerate order, an index from each input set
-// to the labels under it, and the universe fingerprint. The synthesis loop
-// compiles each component's universe once and reads this form for every
-// closure build, memo key and refusal instead of re-enumerating.
+// of alphabets: the labels in Enumerate order and an index from each input
+// set to the labels under it. The synthesis loop compiles each component's
+// universe once and reads this form for every closure build, memo key and
+// refusal instead of re-enumerating. A compiled universe is shared by
+// concurrent instances (MemoCache.Universe); the universe fingerprint and
+// the interned labels are computed on first use, once.
 type CompiledUniverse struct {
 	inputs, outputs SignalSet
 	labels          []Interaction
 	inputSets       []SignalSet              // distinct input sets, in order of first appearance
 	byInput         map[string][]Interaction // input set key -> labels under it, in enumeration order
-	fingerprint     uint64                   // universeFingerprint(labels): the closure memo key's second half
+
+	fpOnce sync.Once
+	fp     uint64 // universeFingerprint(labels): the closure memo key's second half
+
+	keysOnce sync.Once
+	keys     universeKeys
+}
+
+// universeKeys are a universe's labels interned over the universe's own
+// alphabet, in enumeration order: signals[i] is bit i of every key.
+type universeKeys struct {
+	signals []Signal
+	keys    []InternKey
+	err     error
 }
 
 // CompileUniverse enumerates the universe over the given alphabets once.
 func CompileUniverse(u InteractionUniverse, inputs, outputs SignalSet) *CompiledUniverse {
 	labels := u.Enumerate(inputs, outputs)
 	cu := &CompiledUniverse{inputs: inputs, outputs: outputs, labels: labels,
-		byInput: make(map[string][]Interaction), fingerprint: universeFingerprint(labels)}
+		byInput: make(map[string][]Interaction)}
 	// The predefined universes enumerate each input set's labels in one
 	// run, so a run is keyed once and indexed as a capacity-capped
 	// subslice of labels; a FixedUniverse that lists an input set in
@@ -339,6 +355,31 @@ func CompileUniverse(u InteractionUniverse, inputs, outputs SignalSet) *Compiled
 		start = end
 	}
 	return cu
+}
+
+// fingerprint returns the universe fingerprint, which keys closures in the
+// memo cache and the persistent memo store. It is computed on first use, so
+// a universe compiled only for its input sets never hashes its labels.
+func (cu *CompiledUniverse) fingerprint() uint64 {
+	cu.fpOnce.Do(func() { cu.fp = universeFingerprint(cu.labels) })
+	return cu.fp
+}
+
+// internedKeys returns the labels interned over the universe's alphabets,
+// computed on first use. An interner over the same alphabets (every
+// closure's own) encodes signals at the same bits, so it can read the keys
+// as they are; any other interner translates them (see keyTranslation).
+func (cu *CompiledUniverse) internedKeys() (*universeKeys, error) {
+	cu.keysOnce.Do(func() {
+		in, err := NewInterner(cu.inputs, cu.outputs)
+		if err != nil {
+			cu.keys.err = fmt.Errorf("automata: universe over (%v, %v): %w", cu.inputs, cu.outputs, err)
+			return
+		}
+		cu.keys.signals = in.signals
+		cu.keys.keys, cu.keys.err = in.internLabels(cu.labels)
+	})
+	return &cu.keys, cu.keys.err
 }
 
 // InputSets returns the distinct input sets of the universe in order of

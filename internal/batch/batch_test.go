@@ -2,7 +2,9 @@ package batch
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -256,6 +258,66 @@ func TestManifestItems(t *testing.T) {
 	if _, err := ManifestItems(strings.NewReader(`{"seed": 1, "sneed": 2}`)); err == nil {
 		t.Errorf("unknown field accepted")
 	}
+	for _, trailing := range []string{`{"seed":1} {"seed":2}`, `{"seed":1}garbage`} {
+		if _, err := ManifestItems(strings.NewReader("{\"seed\": 3}\n" + trailing + "\n")); err == nil ||
+			!strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: err = %v, want line-2 error", trailing, err)
+		}
+	}
+	if items, err := ManifestItems(strings.NewReader("{\"seed\": 3} \t\r\n")); err != nil || len(items) != 1 {
+		t.Errorf("trailing blanks: %d items, err = %v", len(items), err)
+	}
+}
+
+// FuzzManifestItems feeds arbitrary manifests to the intake. It must never
+// panic, and an accepted manifest must yield exactly one item per entry
+// line (neither blank nor a comment), named as the entry says or by the
+// documented default: "gen-<seed>", "gen-<seed>-wide" for wide entries.
+func FuzzManifestItems(f *testing.F) {
+	for _, seed := range []string{
+		`{"seed": 3}`,
+		`{"seed": 4, "config": "wide"}`,
+		`{"seed": 5, "config": "default", "max_states": 2}`,
+		"# comment\n\n  {\"seed\": 6, \"name\": \"custom\"}\n",
+		"\t\n{\"seed\": -7}\r\n# {\"seed\": 8}\n{\"seed\": 9, \"config\": \"wide\", \"max_states\": 3}",
+		`{"seed":1} {"seed":2}`,
+		`{"seed":1}garbage`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, manifest string) {
+		items, err := ManifestItems(strings.NewReader(manifest))
+		if err != nil {
+			return
+		}
+		var want []string
+		for _, line := range strings.Split(manifest, "\n") {
+			line = strings.TrimLeft(strings.TrimSuffix(line, "\r"), " \t")
+			if line == "" || line[0] == '#' {
+				continue
+			}
+			var e manifestEntry
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatalf("accepted entry line %q does not decode: %v", line, err)
+			}
+			name := e.Name
+			if name == "" {
+				name = fmt.Sprintf("gen-%d", e.Seed)
+				if e.Config == "wide" {
+					name += "-wide"
+				}
+			}
+			want = append(want, name)
+		}
+		if len(items) != len(want) {
+			t.Fatalf("%d items from %d entry lines", len(items), len(want))
+		}
+		for i, name := range want {
+			if items[i].Name != name {
+				t.Errorf("item %d named %q, want %q", i, items[i].Name, name)
+			}
+		}
+	})
 }
 
 // TestVerifyEmptyAndDefaults covers the trivial edges.

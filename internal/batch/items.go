@@ -84,7 +84,8 @@ type manifestEntry struct {
 }
 
 // ManifestItems parses a JSONL manifest (one entry per line; blank lines
-// and #-comments skipped) into batch items. Example line:
+// and #-comment lines skipped) into batch items. A line holds exactly one
+// JSON object; anything after it but blanks is an error. Example line:
 //
 //	{"seed": 42, "config": "wide", "max_states": 5}
 func ManifestItems(r io.Reader) ([]Item, error) {
@@ -108,6 +109,9 @@ func ManifestItems(r io.Reader) ([]Item, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&e); err != nil {
 			return nil, fmt.Errorf("batch: manifest line %d: %w", line, err)
+		}
+		if rest := bytes.TrimLeft(raw[dec.InputOffset():], " \t\r"); len(rest) > 0 {
+			return nil, fmt.Errorf("batch: manifest line %d: trailing data after the entry", line)
 		}
 		var cfg gen.Config
 		suffix := ""

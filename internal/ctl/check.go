@@ -667,194 +667,195 @@ func (c *Checker) unboundedEG(f bitset) bitset {
 // ∀succ ok(succ, j+1)). The result is ok(·, 0). Each layer is one word
 // sweep: f and the deadlock set contribute whole words, and only the
 // undecided bits scan their successor rows.
+//
+// Each bounded operator sweeps a layer in a plain function of its own
+// (afLayer and its siblings): inlined into the operator's depth loop, the
+// successor loop keeps its index and word on the stack.
 func (c *Checker) boundedAF(f bitset, b Bound) bitset {
 	n := c.n
 	next := c.getBits() // ok(·, j+1); starts as the unread j = hi layer input
 	cur := c.getBits()
 	dead := c.deadlockSet()
-	csr := c.csr
 	mask := tailMask(n)
-	last := len(cur) - 1
 	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
-		jGeLo, jLtHi := j >= b.Lo, j < b.Hi
-		for w := range cur {
-			var word uint64
-			if jGeLo {
-				word = f[w]
-			}
-			if jLtHi {
-				cand := ^word &^ dead[w]
-				if w == last {
-					cand &= mask
-				}
-				base := w << 6
-			states:
-				for ; cand != 0; cand &= cand - 1 {
-					k := bits.TrailingZeros64(cand)
-					for _, t := range csr.Succ(base + k) {
-						if !next.test(int(t)) {
-							continue states
-						}
-					}
-					word |= 1 << uint(k)
-				}
-			}
-			cur[w] = word
-		}
+		afLayer(cur, next, f, dead, c.csr, mask, j >= b.Lo, j < b.Hi)
 		cur, next = next, cur // cur becomes scratch; next holds layer j
 	}
-	c.mFixpointIters.Add(int64(b.Hi+1) * int64(n))
-	c.addWords(int64(b.Hi+1) * int64(len(cur)))
-	out := newBitset(n)
-	out.copyFrom(next)
-	c.putBits(next)
-	c.putBits(cur)
-	return out
+	return c.boundedResult(next, cur, b)
+}
+
+// afLayer computes layer cur of boundedAF from layer next.
+func afLayer(cur, next, f, dead bitset, csr *automata.CSR, mask uint64, jGeLo, jLtHi bool) {
+	last := len(cur) - 1
+	for w := range cur {
+		var word uint64
+		if jGeLo {
+			word = f[w]
+		}
+		if jLtHi {
+			cand := ^word &^ dead[w]
+			if w == last {
+				cand &= mask
+			}
+			base := w << 6
+		states:
+			for ; cand != 0; cand &= cand - 1 {
+				k := bits.TrailingZeros64(cand)
+				for _, t := range csr.Succ(base + k) {
+					if !next.test(int(t)) {
+						continue states
+					}
+				}
+				word |= 1 << uint(k)
+			}
+		}
+		cur[w] = word
+	}
 }
 
 // boundedEF computes EF[lo,hi] f analogously: ex(s,j) ⇔ (j ≥ lo ∧ f(s)) ∨
 // (j < hi ∧ ∃succ ex(succ, j+1)).
 func (c *Checker) boundedEF(f bitset, b Bound) bitset {
-	n := c.n
 	next := c.getBits()
 	cur := c.getBits()
-	csr := c.csr
-	mask := tailMask(n)
-	last := len(cur) - 1
+	mask := tailMask(c.n)
 	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
-		jGeLo, jLtHi := j >= b.Lo, j < b.Hi
-		for w := range cur {
-			var word uint64
-			if jGeLo {
-				word = f[w]
+		efLayer(cur, next, f, c.csr, mask, j >= b.Lo, j < b.Hi)
+		cur, next = next, cur
+	}
+	return c.boundedResult(next, cur, b)
+}
+
+// efLayer computes layer cur of boundedEF from layer next.
+func efLayer(cur, next, f bitset, csr *automata.CSR, mask uint64, jGeLo, jLtHi bool) {
+	last := len(cur) - 1
+	for w := range cur {
+		var word uint64
+		if jGeLo {
+			word = f[w]
+		}
+		if jLtHi {
+			cand := ^word
+			if w == last {
+				cand &= mask
 			}
-			if jLtHi {
-				cand := ^word
-				if w == last {
-					cand &= mask
-				}
-				base := w << 6
-				for ; cand != 0; cand &= cand - 1 {
-					k := bits.TrailingZeros64(cand)
-					for _, t := range csr.Succ(base + k) {
-						if next.test(int(t)) {
-							word |= 1 << uint(k)
-							break
-						}
+			base := w << 6
+			for ; cand != 0; cand &= cand - 1 {
+				k := bits.TrailingZeros64(cand)
+				for _, t := range csr.Succ(base + k) {
+					if next.test(int(t)) {
+						word |= 1 << uint(k)
+						break
 					}
 				}
 			}
-			cur[w] = word
 		}
-		cur, next = next, cur
+		cur[w] = word
 	}
-	c.mFixpointIters.Add(int64(b.Hi+1) * int64(n))
-	c.addWords(int64(b.Hi+1) * int64(len(cur)))
-	out := newBitset(n)
-	out.copyFrom(next)
-	c.putBits(next)
-	c.putBits(cur)
-	return out
 }
 
 // boundedAG computes AG[lo,hi] f: ag(s,j) ⇔ (j < lo ∨ f(s)) ∧ (j ≥ hi ∨
 // ∀succ ag(succ, j+1)). Paths ending before the window trivially satisfy
 // the remainder.
 func (c *Checker) boundedAG(f bitset, b Bound) bitset {
-	n := c.n
 	next := c.getBits()
-	next.fill(n)
+	next.fill(c.n)
 	cur := c.getBits()
-	csr := c.csr
-	mask := tailMask(n)
-	last := len(cur) - 1
+	mask := tailMask(c.n)
 	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
-		jLtLo, jLtHi := j < b.Lo, j < b.Hi
-		for w := range cur {
-			var word uint64
-			if jLtLo {
-				word = ^uint64(0)
-				if w == last {
-					word = mask
-				}
-			} else {
-				word = f[w]
+		agLayer(cur, next, f, c.csr, mask, j < b.Lo, j < b.Hi)
+		cur, next = next, cur
+	}
+	return c.boundedResult(next, cur, b)
+}
+
+// agLayer computes layer cur of boundedAG from layer next.
+func agLayer(cur, next, f bitset, csr *automata.CSR, mask uint64, jLtLo, jLtHi bool) {
+	last := len(cur) - 1
+	for w := range cur {
+		var word uint64
+		if jLtLo {
+			word = ^uint64(0)
+			if w == last {
+				word = mask
 			}
-			if jLtHi {
-				base := w << 6
-			states:
-				for cand := word; cand != 0; cand &= cand - 1 {
-					k := bits.TrailingZeros64(cand)
-					for _, t := range csr.Succ(base + k) {
-						if !next.test(int(t)) {
-							word &^= 1 << uint(k)
-							continue states
-						}
+		} else {
+			word = f[w]
+		}
+		if jLtHi {
+			base := w << 6
+		states:
+			for cand := word; cand != 0; cand &= cand - 1 {
+				k := bits.TrailingZeros64(cand)
+				for _, t := range csr.Succ(base + k) {
+					if !next.test(int(t)) {
+						word &^= 1 << uint(k)
+						continue states
 					}
 				}
 			}
-			cur[w] = word
 		}
-		cur, next = next, cur
+		cur[w] = word
 	}
-	c.mFixpointIters.Add(int64(b.Hi+1) * int64(n))
-	c.addWords(int64(b.Hi+1) * int64(len(cur)))
-	out := newBitset(n)
-	out.copyFrom(next)
-	c.putBits(next)
-	c.putBits(cur)
-	return out
 }
 
 // boundedEG computes EG[lo,hi] f: eg(s,j) ⇔ (j < lo ∨ f(s)) ∧ (j ≥ hi ∨
 // deadlock(s) ∨ ∃succ eg(succ, j+1)).
 func (c *Checker) boundedEG(f bitset, b Bound) bitset {
-	n := c.n
 	next := c.getBits()
-	next.fill(n)
+	next.fill(c.n)
 	cur := c.getBits()
 	dead := c.deadlockSet()
-	csr := c.csr
-	mask := tailMask(n)
-	last := len(cur) - 1
+	mask := tailMask(c.n)
 	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
-		jLtLo, jLtHi := j < b.Lo, j < b.Hi
-		for w := range cur {
-			var word uint64
-			if jLtLo {
-				word = ^uint64(0)
-				if w == last {
-					word = mask
-				}
-			} else {
-				word = f[w]
-			}
-			if jLtHi {
-				base := w << 6
-				for cand := word &^ dead[w]; cand != 0; cand &= cand - 1 {
-					k := bits.TrailingZeros64(cand)
-					some := false
-					for _, t := range csr.Succ(base + k) {
-						if next.test(int(t)) {
-							some = true
-							break
-						}
-					}
-					if !some {
-						word &^= 1 << uint(k)
-					}
-				}
-			}
-			cur[w] = word
-		}
+		egLayer(cur, next, f, dead, c.csr, mask, j < b.Lo, j < b.Hi)
 		cur, next = next, cur
 	}
-	c.mFixpointIters.Add(int64(b.Hi+1) * int64(n))
-	c.addWords(int64(b.Hi+1) * int64(len(cur)))
-	out := newBitset(n)
-	out.copyFrom(next)
-	c.putBits(next)
-	c.putBits(cur)
+	return c.boundedResult(next, cur, b)
+}
+
+// egLayer computes layer cur of boundedEG from layer next.
+func egLayer(cur, next, f, dead bitset, csr *automata.CSR, mask uint64, jLtLo, jLtHi bool) {
+	last := len(cur) - 1
+	for w := range cur {
+		var word uint64
+		if jLtLo {
+			word = ^uint64(0)
+			if w == last {
+				word = mask
+			}
+		} else {
+			word = f[w]
+		}
+		if jLtHi {
+			base := w << 6
+			for cand := word &^ dead[w]; cand != 0; cand &= cand - 1 {
+				k := bits.TrailingZeros64(cand)
+				some := false
+				for _, t := range csr.Succ(base + k) {
+					if next.test(int(t)) {
+						some = true
+						break
+					}
+				}
+				if !some {
+					word &^= 1 << uint(k)
+				}
+			}
+		}
+		cur[w] = word
+	}
+}
+
+// boundedResult books the b.Hi+1 layers a bounded operator swept, returns
+// a copy of the final layer and releases both layer buffers.
+func (c *Checker) boundedResult(final, scratch bitset, b Bound) bitset {
+	c.mFixpointIters.Add(int64(b.Hi+1) * int64(c.n))
+	c.addWords(int64(b.Hi+1) * int64(len(final)))
+	out := newBitset(c.n)
+	out.copyFrom(final)
+	c.putBits(final)
+	c.putBits(scratch)
 	return out
 }
 

@@ -154,7 +154,10 @@ func CheckInstance(inst *gen.Instance, opts Options) *Failure {
 		return fail(inst, CheckCanceled, "%v", err)
 	}
 	useNondet := opts.Nondet || inst.Nondet()
-	report, f := runOnce(core.Options{Property: inst.Property, Journal: opts.Journal, Nondet: useNondet})
+	// CheckIncremental verifies every patched build, its derived closure
+	// masks included, against a from-scratch one (a divergence fails the
+	// run); the nondeterministic path never patches.
+	report, f := runOnce(core.Options{Property: inst.Property, Journal: opts.Journal, Nondet: useNondet, CheckIncremental: true})
 	if f != nil {
 		return f
 	}
