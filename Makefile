@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak mbt-soak-wide fuzz-smoke
+.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak mbt-soak-nondet mbt-soak-wide fuzz-smoke
 
 all: check
 
-check: lint build perfbench-test perfbench-smoke race bench obs-smoke verifyd-smoke mbt-soak-wide
+check: lint build perfbench-test perfbench-smoke race bench obs-smoke verifyd-smoke mbt-soak-wide mbt-soak-nondet
 
 # Static checks only — no tests. CI's lint job runs exactly this.
 lint: fmt vet printcheck staticcheck
@@ -188,11 +188,13 @@ SOAK_N ?= 200
 mbt-soak:
 	$(GO) run ./cmd/mbt -seed $(SOAK_SEED) -n $(SOAK_N) -corpus internal/mbt/testdata
 
-# The same soak over function-nondeterministic legacy components: output
-# races, duplicate successors, and lossy outputs, checked via the ioco
-# synthesis path and its quiescence-aware oracles.
+# The same soak over 300 function-nondeterministic legacy components:
+# output races, duplicate successors, and lossy outputs, checked via the
+# ioco synthesis path and its quiescence-aware oracles, the delta-patched
+# system and the incremental-equivalence oracle included. About a second;
+# part of check.
 mbt-soak-nondet:
-	$(GO) run ./cmd/mbt -nondet -seed $(SOAK_SEED) -n $(SOAK_N) -corpus internal/mbt/testdata
+	$(GO) run ./cmd/mbt -nondet -seed $(SOAK_SEED) -n 300 -corpus internal/mbt/testdata
 
 # The same soak over 100 wide-alphabet instances (gen.WideConfig, 70
 # signals): the interner's second mask word, the delta-patched system and

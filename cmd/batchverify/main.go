@@ -13,7 +13,7 @@
 // {"seed": 42, "config": "wide"}.
 //
 // -store layers the persistent on-disk memo store (internal/memostore)
-// under the in-memory closure/product cache, so repeated runs against the
+// under the in-memory closure cache, so repeated runs against the
 // same directory warm-start shared constructions instead of recomputing
 // them; cmd/verifyd serves the same store as a long-running service.
 //
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		n         = fs.Int("n", 64, "number of generated instances")
 		wide      = fs.Bool("wide", false, "use the wide-alphabet generator configuration")
 		maxStates = fs.Int("max-states", 0, "cap on states per generated automaton (0 = generator default)")
-		noMemo    = fs.Bool("no-memo", false, "disable the shared closure/product memo cache")
+		noMemo    = fs.Bool("no-memo", false, "disable the shared closure memo cache")
 		storeDir  = fs.String("store", "", "persistent memo-store directory layered under the cache (warm-starts across runs)")
 		storeMax  = fs.Int64("store-max-bytes", memostore.DefaultMaxBytes, "on-disk store size cap in payload bytes (negative = unbounded)")
 		journal   = fs.String("journal", "", "write the batch event journal (JSONL) to this file")

@@ -35,7 +35,7 @@
 // cost_report event.
 //
 // The -store directory is the content-addressed persistent memo store
-// (internal/memostore), layered under the in-memory closure/product cache
+// (internal/memostore), layered under the in-memory closure cache
 // and keyed by structural fingerprints: overlapping jobs, process
 // restarts, and sibling verifyd processes sharing the directory
 // warm-start constructions instead of recomputing them. Shard one job

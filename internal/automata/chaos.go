@@ -62,7 +62,9 @@ const (
 // automaton m, using the given interaction universe for the "all possible
 // interactions" quantification. The result is an ordinary automaton that is
 // a safe ⊑-abstraction of every deterministic implementation to which m is
-// observation conforming (Theorem 1).
+// observation conforming (Theorem 1); for a model made by
+// NewNondetIncomplete, of every implementation to which it is observation
+// conforming and whose settled labels it has learned completely.
 //
 // State copies (s,0) and (s,1) keep the labels of s; the embedded chaos
 // states s_all and s_delta are labeled with the chaos proposition χ only
@@ -95,7 +97,7 @@ func ChaoticClosureCtx(ctx context.Context, m *Incomplete, universe *CompiledUni
 	var fpM, fpU uint64
 	if memo != nil {
 		fpM, fpU = m.Fingerprint(), universe.fingerprint()
-		if hit, ok := memo.lookup(memoClosure, fpM, fpU, m.auto.name); ok {
+		if hit, ok := memo.lookup(fpM, fpU, m.auto.name); ok {
 			return hit, nil
 		}
 	}
@@ -103,35 +105,16 @@ func ChaoticClosureCtx(ctx context.Context, m *Incomplete, universe *CompiledUni
 	if err != nil {
 		return nil, err
 	}
-	memo.store(memoClosure, fpM, fpU, c)
+	memo.store(fpM, fpU, c)
 	return c, nil
 }
 
-// ChaoticClosureNondetCtx builds the closure variant that stays a safe
-// abstraction of a *nondeterministic* implementation. The deterministic
-// construction suppresses chaos escapes on learned labels, which rests on
-// the assumption that one learned transition is the whole behaviour of its
-// label; with duplicate successors under an identical label that assumption
-// fails — learning one successor of (s, A, B) would hide its unlearned
-// siblings and the closure would under-approximate. Here a learned label
-// keeps its chaos escapes from the open copy until the loop certifies its
-// successor set complete via Incomplete.SettleLabel (the fair-visit budget
-// of the nondeterministic test path). Blocked labels suppress escapes as
-// before. Results are not memoized: nondet models are rebuilt from scratch
-// every iteration anyway.
-func ChaoticClosureNondetCtx(ctx context.Context, m *Incomplete, universe *CompiledUniverse) (*Automaton, error) {
-	if err := universe.checkAlphabets(m.auto); err != nil {
-		return nil, err
-	}
-	return chaoticClosure(m, universe, newCtxPoll(ctx), true)
-}
-
-// chaoticClosure is the construction shared by ChaoticClosureCtx and
-// ChaoticClosureNondetCtx over the universe's labels in enumeration order;
-// a stopped poller aborts it with the context's error. With nondet set, a
-// learned label counts as known (escape-suppressing) only once it is
-// settled.
-func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, nondet bool) (*Automaton, error) {
+// chaoticClosure is the one closure construction, over the universe's
+// labels in enumeration order; a stopped poller aborts it with the
+// context's error. A label known at a state gets no chaos escape from its
+// open copy: refused labels always, learned ones by closureKnows unless
+// literal selects Definition 9's literal reading.
+func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, literal bool) (*Automaton, error) {
 	src := m.auto
 	in, err := NewInterner(src.inputs, src.outputs)
 	if err != nil {
@@ -193,11 +176,12 @@ func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, nonde
 	// only behaviour on a learned label (observation conformance +
 	// determinism), so restricting chaos to unknown interactions keeps
 	// Theorem 1 intact while making the fixpoint reachable. We therefore
-	// implement the evident intent.
+	// implement the evident intent; ChaoticClosureLiteral keeps the literal
+	// reading for the fidelity ablation.
 	//
-	// Known (learned or blocked) labels are collected per state into an
-	// interned key set, so the per-label membership test is a single map
-	// hit instead of a Successors scan plus a string-key allocation.
+	// Known labels are collected per state into an interned key set, so
+	// the per-label membership test is a single map hit instead of a
+	// Successors scan plus a string-key allocation.
 	known := make(map[InternKey]struct{})
 	for id := range src.states {
 		if p.stop() {
@@ -206,7 +190,7 @@ func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, nonde
 		s := StateID(id)
 		clear(known)
 		for _, t := range src.adj[s] {
-			if nondet && !m.IsSettled(s, t.Label) {
+			if literal || !m.closureKnows(s, t.Label) {
 				continue
 			}
 			k, _ := in.Key(t.Label)
@@ -240,6 +224,15 @@ func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, nonde
 	return c, nil
 }
 
+// closureKnows reports whether the learned label x at s counts as known to
+// the chaotic closure, so that the open copy of s has no chaos escape on
+// it: always on a deterministic model, and on a nondeterministic one only
+// once the label is settled. chaoticClosure and
+// IncrementalSystem.closeState both apply it.
+func (m *Incomplete) closureKnows(s StateID, x Interaction) bool {
+	return !m.nondet || m.IsSettled(s, x)
+}
+
 // appendTransitions appends pre-validated transitions to a state's adjacency
 // list, fixing up the From field. Callers guarantee labels are within the
 // alphabets and no duplicates are produced.
@@ -256,44 +249,11 @@ func appendTransitions(c *Automaton, from StateID, ts ...Transition) {
 // the fidelity ablation: under this reading s_δ remains reachable no
 // matter how much has been learned, so the check φ ∧ ¬δ of Section 4.1
 // can never succeed once any behaviour exists (see the discussion in
-// ChaoticClosure).
+// chaoticClosure). It panics on the errors ChaoticClosure panics on.
 func ChaoticClosureLiteral(m *Incomplete, universe InteractionUniverse) *Automaton {
-	src := m.auto
-	c := New(src.name, src.inputs, src.outputs)
-	closed := make([]StateID, src.NumStates())
-	open := make([]StateID, src.NumStates())
-	for id, st := range src.states {
-		closed[id] = c.MustAddState(st.name+ChaosClosedSuffix, st.labels...)
-		c.states[closed[id]].parts = []string{st.name}
-		open[id] = c.MustAddState(st.name+ChaosOpenSuffix, st.labels...)
-		c.states[open[id]].parts = []string{st.name}
-	}
-	sAll := c.MustAddState(ChaosAllState, ChaosProposition)
-	sDelta := c.MustAddState(ChaosDeltaState, ChaosProposition)
-	labels := universe.Enumerate(src.inputs, src.outputs)
-	for _, t := range src.TransitionsSnapshot() {
-		c.MustAddTransition(closed[t.From], t.Label, closed[t.To])
-		c.MustAddTransition(closed[t.From], t.Label, open[t.To])
-		c.MustAddTransition(open[t.From], t.Label, closed[t.To])
-		c.MustAddTransition(open[t.From], t.Label, open[t.To])
-	}
-	for id := range src.states {
-		s := StateID(id)
-		for _, x := range labels {
-			if m.IsBlocked(s, x) {
-				continue
-			}
-			c.MustAddTransition(open[s], x, sAll)
-			c.MustAddTransition(open[s], x, sDelta)
-		}
-	}
-	for _, x := range labels {
-		c.MustAddTransition(sAll, x, sAll)
-		c.MustAddTransition(sAll, x, sDelta)
-	}
-	for _, q := range src.initial {
-		c.MarkInitial(closed[q])
-		c.MarkInitial(open[q])
+	c, err := chaoticClosure(m, CompileUniverse(universe, m.auto.inputs, m.auto.outputs), nil, true)
+	if err != nil {
+		panic(err)
 	}
 	return c
 }

@@ -66,17 +66,13 @@ func (p *ctxPoll) stop() bool {
 // alphabet must fit an Interner (at most 128 signals); a wider one is an
 // error wrapping ErrAlphabetTooWide.
 func Compose(name string, left, right *Automaton) (*Automaton, error) {
-	return ComposeCtx(context.Background(), name, left, right, nil)
+	return ComposeCtx(context.Background(), name, left, right)
 }
 
-// ComposeCtx is Compose under a context and an optional memoization cache.
-// The product BFS polls the context and aborts with its error once it is
-// done. When a cache is given, the operands are fingerprinted and an
-// identical prior composition is answered with a copy-on-write clone of
-// the cached result (see MemoCache); misses are stored for future calls.
-// Both features are zero-cost when disabled (background context, nil
-// cache).
-func ComposeCtx(ctx context.Context, name string, left, right *Automaton, memo *MemoCache) (*Automaton, error) {
+// ComposeCtx is Compose under a context: the product BFS polls it and
+// aborts with its error once it is done. A background context costs
+// nothing.
+func ComposeCtx(ctx context.Context, name string, left, right *Automaton) (*Automaton, error) {
 	if !left.inputs.Disjoint(right.inputs) {
 		return nil, fmt.Errorf("automata: compose %q‖%q: shared inputs %v",
 			left.name, right.name, left.inputs.Intersect(right.inputs))
@@ -87,14 +83,6 @@ func ComposeCtx(ctx context.Context, name string, left, right *Automaton, memo *
 	}
 	if len(left.initial) == 0 || len(right.initial) == 0 {
 		return nil, fmt.Errorf("automata: compose %q‖%q: missing initial states", left.name, right.name)
-	}
-
-	var fpL, fpR uint64
-	if memo != nil {
-		fpL, fpR = left.Fingerprint(), right.Fingerprint()
-		if hit, ok := memo.lookup(memoCompose, fpL, fpR, name); ok {
-			return hit, nil
-		}
 	}
 
 	c := New(name, left.inputs.Union(right.inputs), left.outputs.Union(right.outputs))
@@ -111,7 +99,6 @@ func ComposeCtx(ctx context.Context, name string, left, right *Automaton, memo *
 	if p != nil && p.err != nil {
 		return nil, p.err
 	}
-	memo.store(memoCompose, fpL, fpR, c)
 	return c, nil
 }
 
@@ -224,7 +211,7 @@ func ComposeAllCtx(ctx context.Context, name string, parts ...*Automaton) (*Auto
 	case 1:
 		return parts[0].Clone(name), nil
 	case 2:
-		return ComposeCtx(ctx, name, parts[0], parts[1], nil)
+		return ComposeCtx(ctx, name, parts[0], parts[1])
 	}
 
 	for i := range parts {

@@ -89,7 +89,10 @@ func (a *Automaton) Fingerprint() uint64 {
 
 // Fingerprint returns a structural hash of the incomplete automaton: the
 // underlying automaton's fingerprint extended with the blocked set T̄ and
-// the settled-label set, each in canonical (state, interaction-key) order.
+// the settled-label set, each in canonical (state, interaction-key) order,
+// and with the nondeterministic marker, which changes the closure rule. The
+// marker is hashed only when set, so the fingerprints of deterministic
+// models — and the memo store records keyed by them — stay as they were.
 func (m *Incomplete) Fingerprint() uint64 {
 	h := newFNV()
 	h.u64(m.auto.Fingerprint())
@@ -120,6 +123,9 @@ func (m *Incomplete) Fingerprint() uint64 {
 		for _, k := range keys {
 			h.str(k)
 		}
+	}
+	if m.nondet {
+		h.str("nondet")
 	}
 	return h.sum()
 }

@@ -83,6 +83,51 @@ func TestIncompleteFingerprintSeesRefusals(t *testing.T) {
 	}
 }
 
+// TestIncompleteFingerprintNondetMarker checks that the nondeterministic
+// marker changes an incomplete model's fingerprint, survives Clone, and
+// leaves the fingerprints of deterministic models at their pinned values:
+// closure records in a persistent memo store are keyed by them.
+func TestIncompleteFingerprintNondetMarker(t *testing.T) {
+	blocked := Interaction{In: NewSignalSet("go"), Out: NewSignalSet("done")}
+	for _, tc := range []struct {
+		name  string
+		build func(a *Automaton) *Incomplete
+		want  uint64
+	}{
+		{"empty", NewIncomplete, 0xd254c685cbe6505d},
+		{"refusal", func(a *Automaton) *Incomplete {
+			m := NewIncomplete(a)
+			if _, err := m.Learn(ObservedRun{Initial: "s0", Blocked: &blocked}, nil); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}, 0x436070f7735bd45c},
+		{"settled", func(a *Automaton) *Incomplete {
+			m := NewIncomplete(a)
+			if err := m.SettleLabel(0, Interaction{In: NewSignalSet("go")}); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}, 0x19211ef2de086ce0},
+	} {
+		det := tc.build(fpTestAutomaton(t))
+		if got := det.Fingerprint(); got != tc.want {
+			t.Errorf("%s: deterministic fingerprint = %#x, want %#x", tc.name, got, tc.want)
+		}
+		nd := tc.build(fpTestAutomaton(t))
+		nd.nondet = true
+		if nd.Fingerprint() == det.Fingerprint() {
+			t.Errorf("%s: the nondeterministic marker did not change the fingerprint", tc.name)
+		}
+		if c := nd.Clone(); !c.nondet || c.Fingerprint() != nd.Fingerprint() {
+			t.Errorf("%s: Clone dropped the nondeterministic marker", tc.name)
+		}
+	}
+	if NewNondetIncomplete(fpTestAutomaton(t)).Fingerprint() == NewIncomplete(fpTestAutomaton(t)).Fingerprint() {
+		t.Error("NewNondetIncomplete fingerprints like NewIncomplete")
+	}
+}
+
 // TestUniverseFingerprint checks that the universe fingerprint is
 // deterministic, sees the alphabet, and keeps pinned values for fixed
 // (universe, alphabets) pairs: closure records in a persistent memo store
@@ -128,8 +173,8 @@ func TestClosureRejectsForeignUniverse(t *testing.T) {
 	if _, err := ChaoticClosureCtx(context.Background(), m, foreign, nil); err == nil {
 		t.Fatal("closure over a foreign universe: no error")
 	}
-	if _, err := ChaoticClosureNondetCtx(context.Background(), m, foreign); err == nil {
-		t.Fatal("nondet closure over a foreign universe: no error")
+	if _, err := ChaoticClosureCtx(context.Background(), NewNondetIncomplete(a), foreign, nil); err == nil {
+		t.Fatal("closure of a nondeterministic model over a foreign universe: no error")
 	}
 	ctxAuto := New("ctx", NewSignalSet("done"), NewSignalSet("go"))
 	ctxAuto.MarkInitial(ctxAuto.MustAddState("c0"))
@@ -138,66 +183,10 @@ func TestClosureRejectsForeignUniverse(t *testing.T) {
 	}
 }
 
-// TestMemoComposeRoundTrip checks that a memoized composition is
+// TestMemoClosureRoundTrip checks that a memoized closure is
 // indistinguishable from a fresh build — including the state-part
 // provenance that plain Clone would drop — and that the cache masters stay
 // immutable under mutation of handed-out results.
-func TestMemoComposeRoundTrip(t *testing.T) {
-	build := func() (*Automaton, *Automaton) {
-		s := New("sender", EmptySet, NewSignalSet("msg"))
-		s0 := s.MustAddState("ready")
-		s1 := s.MustAddState("sent")
-		s.MustAddTransition(s0, Interact(nil, []Signal{"msg"}), s1)
-		s.MustAddTransition(s1, Interaction{}, s1)
-		s.MarkInitial(s0)
-		r := New("receiver", NewSignalSet("msg"), EmptySet)
-		r0 := r.MustAddState("waiting")
-		r1 := r.MustAddState("got")
-		r.MustAddTransition(r0, Interact([]Signal{"msg"}, nil), r1)
-		r.MustAddTransition(r1, Interaction{}, r1)
-		r.MarkInitial(r0)
-		return s, r
-	}
-
-	memo := NewMemoCache(nil)
-	ctx := context.Background()
-
-	s, r := build()
-	fresh, err := ComposeCtx(ctx, "sys", s, r, memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, entries := memo.Stats(); hits != 0 || misses != 1 || entries != 1 {
-		t.Fatalf("after first compose: hits=%d misses=%d entries=%d", hits, misses, entries)
-	}
-
-	s2, r2 := build()
-	cached, err := ComposeCtx(ctx, "sys", s2, r2, memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, _, _ := memo.Stats(); hits != 1 {
-		t.Fatalf("second compose of identical operands missed the cache")
-	}
-	if err := EquivalentReachable(cached, fresh); err != nil {
-		t.Fatalf("memoized composition differs from fresh build: %v", err)
-	}
-	init := cached.Initial()[0]
-	if got := cached.StateParts(init); len(got) != 2 || got[0] != "ready" || got[1] != "waiting" {
-		t.Fatalf("memoized result lost part provenance: %v", got)
-	}
-
-	// Mutating a handed-out result must not poison later hits.
-	cached.MustAddState("scribble")
-	again, err := ComposeCtx(ctx, "sys", s, r, memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := EquivalentReachable(again, fresh); err != nil {
-		t.Fatalf("cache master was mutated through a handout: %v", err)
-	}
-}
-
 func TestMemoClosureRoundTrip(t *testing.T) {
 	buildModel := func() *Incomplete {
 		a := New("comp", NewSignalSet("go"), NewSignalSet("done"))
@@ -234,6 +223,24 @@ func TestMemoClosureRoundTrip(t *testing.T) {
 	if !foundChaos {
 		t.Fatal("memoized closure lost its chaos-state marking")
 	}
+	init := cached.Initial()[0]
+	if got := cached.StateParts(init); len(got) != 1 || got[0] != "s0" {
+		t.Fatalf("memoized result lost part provenance: %v", got)
+	}
+
+	// Mutating a handed-out result must not poison later hits.
+	cached.MustAddState("scribble")
+	cached.MustAddTransition(init, Interaction{}, init)
+	again, err := ChaoticClosureCtx(ctx, buildModel(), u, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := EquivalentReachable(again, fresh); err != nil {
+		t.Fatalf("cache master was mutated through a handout: %v", err)
+	}
+	if again.NumStates() != fresh.NumStates() {
+		t.Fatalf("cache master grew through a handout: %d states, want %d", again.NumStates(), fresh.NumStates())
+	}
 }
 
 func TestMemoNilSafe(t *testing.T) {
@@ -242,12 +249,11 @@ func TestMemoNilSafe(t *testing.T) {
 	if hits != 0 || misses != 0 || entries != 0 {
 		t.Fatalf("nil cache stats: %d/%d/%d", hits, misses, entries)
 	}
-	s := New("s", EmptySet, EmptySet)
-	s.MarkInitial(s.MustAddState("x"))
-	r := New("r", EmptySet, EmptySet)
-	r.MarkInitial(r.MustAddState("y"))
-	if _, err := ComposeCtx(context.Background(), "sys", s, r, nil); err != nil {
-		t.Fatalf("ComposeCtx with nil memo: %v", err)
+	a := New("comp", NewSignalSet("go"), NewSignalSet("done"))
+	a.MarkInitial(a.MustAddState("s0"))
+	u := CompileUniverse(Universe(UniverseSingleton), a.Inputs(), a.Outputs())
+	if _, err := ChaoticClosureCtx(context.Background(), NewIncomplete(a), u, memo); err != nil {
+		t.Fatalf("ChaoticClosureCtx with nil memo: %v", err)
 	}
 }
 

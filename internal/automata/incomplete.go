@@ -18,16 +18,22 @@ type Incomplete struct {
 	auto    *Automaton
 	blocked map[StateID]map[string]Interaction // state -> interaction key -> interaction
 	// settled marks learned labels whose successor set at the state is
-	// certified complete (state -> interaction key). Only the
-	// nondeterministic loop populates it: for a deterministic
-	// implementation one learned transition per label is already the whole
-	// story, while a nondeterministic one may hide duplicate successors
-	// behind a label until the fair-visit budget has cycled them all.
+	// certified complete (state -> interaction key). Only a
+	// nondeterministic model reads it: for a deterministic implementation
+	// one learned transition per label is already the whole story, while a
+	// nondeterministic one may hide duplicate successors behind a label
+	// until the fair-visit budget has cycled them all.
 	settled map[StateID]map[string]struct{}
+	// nondet marks a model of a possibly nondeterministic implementation
+	// (NewNondetIncomplete). It selects the model's learning and closure
+	// rules: Learn merges a divergent successor as a further branch, and
+	// the chaotic closure counts a learned label as known only once it is
+	// settled.
+	nondet bool
 }
 
 // NewIncomplete wraps an automaton as an incomplete automaton with an empty
-// blocked set T̄.
+// blocked set T̄, modelling a deterministic implementation.
 func NewIncomplete(a *Automaton) *Incomplete {
 	return &Incomplete{
 		auto:    a,
@@ -35,6 +41,25 @@ func NewIncomplete(a *Automaton) *Incomplete {
 		settled: make(map[StateID]map[string]struct{}),
 	}
 }
+
+// NewNondetIncomplete is NewIncomplete for a possibly nondeterministic
+// implementation (the ioco path of DESIGN.md §13). Learn records a
+// successor that differs from the learned ones as an additional branch
+// instead of rejecting it, and the chaotic closure keeps a learned label's
+// chaos escapes until SettleLabel certifies its successor set complete:
+// one learned successor of (s, A, B) says nothing about unlearned siblings
+// under the same label, so suppressing the escapes earlier would
+// under-approximate the implementation.
+func NewNondetIncomplete(a *Automaton) *Incomplete {
+	m := NewIncomplete(a)
+	m.nondet = true
+	return m
+}
+
+// Nondet reports whether the model is of a possibly nondeterministic
+// implementation (NewNondetIncomplete), whose learning and closure rules
+// it selects.
+func (m *Incomplete) Nondet() bool { return m.nondet }
 
 // Automaton returns the underlying (S, I, O, T, Q) part. Callers must not
 // mutate it in ways that violate consistency with T̄.
@@ -193,6 +218,7 @@ func (m *Incomplete) Unknown(s StateID, universe InteractionUniverse) []Interact
 // Clone returns a deep copy of the incomplete automaton.
 func (m *Incomplete) Clone() *Incomplete {
 	c := NewIncomplete(m.auto.Clone(m.auto.name))
+	c.nondet = m.nondet
 	for s, set := range m.blocked {
 		dst := make(map[string]Interaction, len(set))
 		for k, v := range set {

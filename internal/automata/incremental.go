@@ -12,7 +12,8 @@ import (
 // learn steps by *patching* instead of rebuilding.
 //
 // The synthesis loop only ever grows the learned model — Learn adds
-// states, transitions, and refusals, and never removes or retargets
+// states, transitions (on a nondeterministic model, further branches of a
+// learned label too), and refusals, and never removes or retargets
 // anything (learned initial states are fixed after the first state, and
 // labels are assigned at state creation). Consequently the closure changes
 // in a delta-local way:
@@ -22,6 +23,9 @@ import (
 //     adjacency of (f,0) and (f,1): the learned prefix grows, and chaos
 //     edges for now-known interactions disappear from (f,1);
 //   - the embedded chaos states s_∀, s_δ never change.
+//
+// The one change that is not growth — a nondeterministic model settling a
+// label, which removes its escapes — is served by a rebuild.
 //
 // The product is patched by recomputing, wholesale, the adjacency of every
 // product pair whose closure part changed, discovering (and recursively
@@ -313,9 +317,9 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 	var rebuildReason string
 	switch {
 	case delta.Settled != 0:
-		// Settled labels change which chaos escapes exist without adding
-		// transitions; the patcher has no retraction for that. (The nondet
-		// loop never builds an IncrementalSystem — this is a guard.)
+		// Settling a label of a nondeterministic model removes chaos
+		// escapes without adding transitions, and the delta does not name
+		// the settled states, so there is nothing to patch from.
 		rebuildReason = "settled-labels"
 	case len(src.initial) != ic.numModelInitials:
 		rebuildReason = "initial-states-changed"
@@ -426,8 +430,9 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 // closeState derives the rows of f's two closure copies from the model's
 // row at f and the universe keys, in ChaoticClosure's emission order: the
 // learned transitions toward both copies of each target, then, from the
-// open copy only, every universe label neither learned nor refused at f,
-// toward s_∀ and s_δ. It sets the masked rows; with rewrite it also
+// open copy only, every universe label neither refused at f nor learned
+// there and known by the closure's rule (closureKnows), toward s_∀ and
+// s_δ. It sets the masked rows; with rewrite it also
 // replaces the closure's own rows (rebuild takes those from
 // ChaoticClosureCtx as they are). Replacement rows are fresh allocations:
 // a closure row may be shared with a memo master (MemoCache.lookup), so
@@ -444,7 +449,9 @@ func (ic *IncrementalSystem) closeState(f StateID, known map[InternKey]struct{},
 	closedMask := make([]maskedTransition, 0, 2*len(learned))
 	for _, t := range learned {
 		k, _ := ic.in.Key(t.Label)
-		known[k] = struct{}{}
+		if ic.model.closureKnows(f, t.Label) {
+			known[k] = struct{}{}
+		}
 		closedMask = append(closedMask,
 			maskedTransition{in: k.In, out: k.Out, to: ic.closed[t.To]},
 			maskedTransition{in: k.In, out: k.Out, to: ic.open[t.To]})
@@ -461,8 +468,10 @@ func (ic *IncrementalSystem) closeState(f StateID, known map[InternKey]struct{},
 		k, _ := ic.in.Key(b)
 		known[k] = struct{}{}
 	}
-	// With nothing known at f, the open copy's masked row is s_∀'s.
-	shared := len(known) == 0
+	// With nothing learned or refused at f, the open copy's masked row is
+	// s_∀'s. (Nothing known is not enough: a nondeterministic model's
+	// unsettled labels are learned but not known.)
+	shared := len(known) == 0 && len(learned) == 0
 	openMask := ic.chaosMask
 	if !shared {
 		openMask = append(make([]maskedTransition, 0, len(closedMask)+len(ic.chaosMask)), closedMask...)

@@ -190,8 +190,8 @@ func TestAlphabetBeyondInternerIsAnError(t *testing.T) {
 
 	checks := map[string]func() error{
 		"Compose": func() error { _, err := Compose("sys", left, right); return err },
-		"ComposeCtx+memo": func() error {
-			_, err := ComposeCtx(context.Background(), "sys", left, right, NewMemoCache(nil))
+		"ComposeCtx": func() error {
+			_, err := ComposeCtx(context.Background(), "sys", left, right)
 			return err
 		},
 		"ComposeAll": func() error { _, err := ComposeAll("sys", left, right, third); return err },
@@ -200,9 +200,10 @@ func TestAlphabetBeyondInternerIsAnError(t *testing.T) {
 			_, err := ChaoticClosureCtx(context.Background(), wideModel, u, nil)
 			return err
 		},
-		"ChaoticClosureNondetCtx": func() error {
-			u := CompileUniverse(singleton, wideModel.Automaton().Inputs(), wideModel.Automaton().Outputs())
-			_, err := ChaoticClosureNondetCtx(context.Background(), wideModel, u)
+		"ChaoticClosureCtx+nondet": func() error {
+			nd := NewNondetIncomplete(wideModel.Automaton())
+			u := CompileUniverse(singleton, nd.Automaton().Inputs(), nd.Automaton().Outputs())
+			_, err := ChaoticClosureCtx(context.Background(), nd, u, NewMemoCache(nil))
 			return err
 		},
 		"NewIncrementalSystemWith": func() error {

@@ -1,9 +1,6 @@
 package automata
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // buildIoco constructs a small machine over inputs {a,b} outputs {x,y}
 // from a transition table.
@@ -173,37 +170,46 @@ func TestRefinesImpliesIocoOnDeterministic(t *testing.T) {
 	}
 }
 
-func TestLearnNondetMergesBranches(t *testing.T) {
-	a := New("impl", NewSignalSet("a"), NewSignalSet("x", "y"))
-	init := a.MustAddState("s0")
-	a.MarkInitial(init)
-	m := NewIncomplete(a)
-
+func TestLearnMergesBranchesOnNondetModel(t *testing.T) {
+	model := func(nondet bool) *Incomplete {
+		a := New("impl", NewSignalSet("a"), NewSignalSet("x", "y"))
+		a.MarkInitial(a.MustAddState("s0"))
+		if nondet {
+			return NewNondetIncomplete(a)
+		}
+		return NewIncomplete(a)
+	}
 	step := func(out Signal, to string) ObservedRun {
 		return ObservedRun{Initial: "s0", Steps: []ObservedStep{{
 			Label: Interaction{In: NewSignalSet("a"), Out: NewSignalSet(out)},
 			To:    to,
 		}}}
 	}
-	if _, err := m.LearnNondet(step("x", "s1"), nil); err != nil {
+	det := model(false)
+	if _, err := det.Learn(step("x", "s1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	// Learn would reject this second observation; LearnNondet merges it.
-	// (Learn ensures the target state before detecting the conflict, so use
-	// a distinct name for the merged branch to keep the delta assertion
-	// about what *LearnNondet* added.)
-	if _, err := m.Learn(step("x", "s2"), nil); err == nil {
-		t.Fatal("Learn accepted a conflicting successor; determinism check lost")
+	if _, err := det.Learn(step("x", "s2"), nil); err == nil {
+		t.Fatal("Learn accepted a conflicting successor on a deterministic model; determinism check lost")
 	}
-	delta, err := m.LearnNondet(step("x", "s9"), nil)
+
+	m := model(true)
+	init := m.Automaton().State("s0")
+	if _, err := m.Learn(step("x", "s1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := m.Learn(step("x", "s9"), nil)
 	if err != nil {
-		t.Fatalf("LearnNondet rejected a divergent-but-allowed branch: %v", err)
+		t.Fatalf("Learn rejected a divergent-but-allowed branch on a nondeterministic model: %v", err)
 	}
 	if delta.States != 1 || delta.Transitions != 1 {
 		t.Fatalf("merge delta = %+v, want 1 state + 1 transition", delta)
 	}
+	if got := len(m.Automaton().Successors(init, step("x", "").Steps[0].Label)); got != 2 {
+		t.Fatalf("a/x has %d learned successors, want 2", got)
+	}
 	// Re-observing a merged branch adds nothing.
-	delta, err = m.LearnNondet(step("x", "s1"), nil)
+	delta, err = m.Learn(step("x", "s1"), nil)
 	if err != nil || !delta.Empty() {
 		t.Fatalf("re-observation should be absorbed: delta=%+v err=%v", delta, err)
 	}
@@ -212,8 +218,13 @@ func TestLearnNondetMergesBranches(t *testing.T) {
 	if err := m.Block(init, blocked); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.LearnNondet(step("y", "s3"), nil); err == nil {
+	if _, err := m.Learn(step("y", "s3"), nil); err == nil {
 		t.Fatal("observed interaction contradicting T̄ must fail")
+	}
+	// So does a refusal of an interaction already observed.
+	learned := step("x", "").Steps[0].Label
+	if _, err := m.Learn(ObservedRun{Initial: "s0", Blocked: &learned}, nil); err == nil {
+		t.Fatal("refusal of a learned interaction must fail")
 	}
 	if m.AllowsObservation("s0", blocked) {
 		t.Fatal("AllowsObservation must reject a blocked interaction")
@@ -226,9 +237,9 @@ func TestLearnNondetMergesBranches(t *testing.T) {
 	}
 }
 
-// The nondeterministic closure must keep chaos escapes on learned labels
-// until they are settled: one observed successor of a duplicated label does
-// not cover its unlearned siblings.
+// The closure of a nondeterministic model must keep chaos escapes on
+// learned labels until they are settled: one observed successor of a
+// duplicated label does not cover its unlearned siblings.
 func TestChaoticClosureNondetSettling(t *testing.T) {
 	a := New("m", NewSignalSet("a"), NewSignalSet("x"))
 	s0 := a.MustAddState("s0")
@@ -236,7 +247,6 @@ func TestChaoticClosureNondetSettling(t *testing.T) {
 	a.MarkInitial(s0)
 	label := Interaction{In: NewSignalSet("a"), Out: NewSignalSet("x")}
 	a.MustAddTransition(s0, label, s1)
-	m := NewIncomplete(a)
 
 	escapes := func(c *Automaton) int {
 		open := c.State("s0" + ChaosOpenSuffix)
@@ -249,17 +259,13 @@ func TestChaoticClosureNondetSettling(t *testing.T) {
 		return n
 	}
 
-	det := ChaoticClosure(m, Universe(UniverseSingleton))
-	if got := escapes(det); got != 3 {
-		t.Fatalf("det closure: %d chaos escapes from s0·1, want 3 (label a/x is known)", got)
+	u := Universe(UniverseSingleton)
+	if got := escapes(ChaoticClosure(NewIncomplete(a), u)); got != 3 {
+		t.Fatalf("deterministic model's closure: %d chaos escapes from s0·1, want 3 (label a/x is known)", got)
 	}
-	u := CompileUniverse(Universe(UniverseSingleton), m.Automaton().Inputs(), m.Automaton().Outputs())
-	nd, err := ChaoticClosureNondetCtx(context.Background(), m, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := escapes(nd); got != 4 {
-		t.Fatalf("nondet closure: %d chaos escapes from s0·1, want 4 (a/x learned but unsettled)", got)
+	m := NewNondetIncomplete(a)
+	if got := escapes(ChaoticClosure(m, u)); got != 4 {
+		t.Fatalf("nondeterministic model's closure: %d chaos escapes from s0·1, want 4 (a/x learned but unsettled)", got)
 	}
 
 	if err := m.SettleLabel(s0, label); err != nil {
@@ -268,19 +274,15 @@ func TestChaoticClosureNondetSettling(t *testing.T) {
 	if !m.IsSettled(s0, label) || m.NumSettled() != 1 {
 		t.Fatal("settle not recorded")
 	}
-	nd2, err := ChaoticClosureNondetCtx(context.Background(), m, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := escapes(nd2); got != 3 {
-		t.Fatalf("settled nondet closure: %d chaos escapes, want 3", got)
+	if got := escapes(ChaoticClosure(m, u)); got != 3 {
+		t.Fatalf("settled nondeterministic model's closure: %d chaos escapes, want 3", got)
 	}
 	// Settling an unlearned label is a hard error, and the settled set is
 	// part of the fingerprint (memo safety) and survives Clone.
 	if err := m.SettleLabel(s1, label); err == nil {
 		t.Fatal("settling an unlearned label must fail")
 	}
-	plain := NewIncomplete(a.Clone("m"))
+	plain := NewNondetIncomplete(a.Clone("m"))
 	if plain.Fingerprint() == m.Fingerprint() {
 		t.Fatal("settled set must distinguish fingerprints")
 	}

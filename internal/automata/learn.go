@@ -1,6 +1,9 @@
 package automata
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the learn operations of Definitions 11 and 12 and
 // observation conformance per Definition 10.
@@ -48,6 +51,14 @@ func (r ObservedRun) States() []string {
 //   - if the run's first state is unknown it becomes initial;
 //   - a blocked final interaction is added to T̄.
 //
+// A step whose (state, interaction) already leads elsewhere conflicts with
+// the earlier observation and fails, unless the model is nondeterministic
+// (NewNondetIncomplete): there the new successor is recorded as an
+// additional branch (the ioco merge of DESIGN.md §13). Observing an
+// interaction recorded as blocked is an error either way: T̄ entries are
+// refutations, and an observation contradicting one means the refutation
+// (or the fairness assumption it rested on) was wrong.
+//
 // Learn reports how many states, transitions, and blocked entries were new,
 // so callers can detect progress (the termination argument of Theorem 2 is
 // that this count is strictly positive whenever a counterexample is not
@@ -86,83 +97,17 @@ func (m *Incomplete) Learn(run ObservedRun, labeler func(state string) []Proposi
 		if err != nil {
 			return delta, err
 		}
-		if len(a.Successors(cur, step.Label)) == 0 {
-			if m.IsBlocked(cur, step.Label) {
-				return delta, fmt.Errorf("automata: learn step %d: %s observed at %q but recorded as blocked",
-					i, step.Label, a.StateName(cur))
-			}
-			if err := a.AddTransition(cur, step.Label, next); err != nil {
-				return delta, err
-			}
-			delta.Transitions++
-			delta.NewTransitions = append(delta.NewTransitions, Transition{From: cur, Label: step.Label, To: next})
-		} else if succ := a.Successors(cur, step.Label); len(succ) != 1 || succ[0] != next {
+		succ := a.Successors(cur, step.Label)
+		switch {
+		case slices.Contains(succ, next) && (m.nondet || len(succ) == 1):
+			// Already learned.
+		case len(succ) > 0 && !m.nondet:
 			return delta, fmt.Errorf("automata: learn step %d: %s at %q leads to %q, conflicting with earlier observation",
 				i, step.Label, a.StateName(cur), step.To)
-		}
-		cur = next
-	}
-
-	if run.Blocked != nil {
-		if !m.IsBlocked(cur, *run.Blocked) {
-			if err := m.Block(cur, *run.Blocked); err != nil {
-				return delta, err
-			}
-			delta.Blocked++
-			delta.NewBlocked = append(delta.NewBlocked, BlockedEntry{State: cur, Label: *run.Blocked})
-		}
-	}
-	return delta, nil
-}
-
-// LearnNondet merges an observed run of a possibly *nondeterministic*
-// implementation into the incomplete automaton. It differs from Learn in
-// exactly one way: a step whose (state, interaction) already has learned
-// successors is not required to agree with them — a different successor is
-// recorded as an additional branch (the ioco merge of DESIGN.md §13)
-// instead of failing with a conflict. Observing an interaction recorded as
-// blocked remains an error: T̄ entries are refutations, and an observation
-// contradicting one means the refutation (or the fairness assumption it
-// rested on) was wrong.
-func (m *Incomplete) LearnNondet(run ObservedRun, labeler func(state string) []Proposition) (LearnDelta, error) {
-	var delta LearnDelta
-	a := m.auto
-
-	ensure := func(name string) (StateID, error) {
-		if id := a.State(name); id != NoState {
-			return id, nil
-		}
-		var labels []Proposition
-		if labeler != nil {
-			labels = labeler(name)
-		}
-		id, err := a.AddState(name, labels...)
-		if err != nil {
-			return NoState, err
-		}
-		delta.States++
-		delta.NewStates = append(delta.NewStates, id)
-		return id, nil
-	}
-
-	cur, err := ensure(run.Initial)
-	if err != nil {
-		return delta, err
-	}
-	if len(a.initial) == 0 {
-		a.MarkInitial(cur)
-	}
-
-	for i, step := range run.Steps {
-		next, err := ensure(step.To)
-		if err != nil {
-			return delta, err
-		}
-		if m.IsBlocked(cur, step.Label) {
+		case m.IsBlocked(cur, step.Label):
 			return delta, fmt.Errorf("automata: learn step %d: %s observed at %q but recorded as blocked",
 				i, step.Label, a.StateName(cur))
-		}
-		if !containsStateID(a.Successors(cur, step.Label), next) {
+		default:
 			if err := a.AddTransition(cur, step.Label, next); err != nil {
 				return delta, err
 			}
@@ -173,10 +118,6 @@ func (m *Incomplete) LearnNondet(run ObservedRun, labeler func(state string) []P
 	}
 
 	if run.Blocked != nil {
-		if len(a.Successors(cur, *run.Blocked)) > 0 {
-			return delta, fmt.Errorf("automata: learn: %s refused at %q but previously observed",
-				*run.Blocked, a.StateName(cur))
-		}
 		if !m.IsBlocked(cur, *run.Blocked) {
 			if err := m.Block(cur, *run.Blocked); err != nil {
 				return delta, err
@@ -186,15 +127,6 @@ func (m *Incomplete) LearnNondet(run ObservedRun, labeler func(state string) []P
 		}
 	}
 	return delta, nil
-}
-
-func containsStateID(states []StateID, id StateID) bool {
-	for _, s := range states {
-		if s == id {
-			return true
-		}
-	}
-	return false
 }
 
 // BlockedEntry is one element of T̄ added by learning: the interaction the
@@ -213,9 +145,9 @@ type LearnDelta struct {
 	Transitions int
 	Blocked     int
 	// Settled counts labels newly certified successor-complete
-	// (Incomplete.SettleLabel) — nondeterministic mode only. A settle
-	// changes the chaotic closure without adding transitions, so it counts
-	// as learning progress but cannot be delta-patched.
+	// (Incomplete.SettleLabel) — nondeterministic models only. A settle
+	// removes chaos escapes from the closure without adding transitions, so
+	// it counts as learning progress but cannot be delta-patched.
 	Settled int
 
 	NewStates      []StateID

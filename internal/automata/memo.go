@@ -9,12 +9,16 @@ import (
 	"muml/internal/obs"
 )
 
-// MemoCache memoizes the two expensive deterministic constructions of the
-// synthesis loop — chaotic closures and binary compositions — across
-// independent synthesis instances. Keys are structural fingerprints of the
-// operands (see Fingerprint); since ChaoticClosure and Compose are pure
-// functions of exactly the fingerprinted structure, a hit may substitute
-// the cached result for a rebuild.
+// MemoCache memoizes chaotic closures across independent synthesis
+// instances. A key is the structural fingerprint of the learned model with
+// that of the compiled universe (see Fingerprint); since the closure is a
+// pure function of exactly the fingerprinted structure, a hit may
+// substitute the cached result for a rebuild. The synthesis loop looks a
+// closure up only when it builds its system from scratch, because later
+// closures are patched (IncrementalSystem): on a deterministic model that
+// is its first iteration and the rare rebuild fallbacks. A
+// nondeterministic model rebuilds on every learn delta that settles a
+// label, but no caller that passes a cache sets core.Options.Nondet.
 //
 // Coherence: masters stored in the cache are immutable, and every hit
 // hands out a copy-on-write clone (see shareRows): its own state table,
@@ -81,27 +85,11 @@ type memoShard struct {
 	m  map[memoKey]*Automaton
 }
 
-// memoOp distinguishes the memoized constructions so closure and compose
-// results with coincidentally equal operand hashes cannot alias.
-type memoOp uint8
-
-const (
-	memoCompose memoOp = iota + 1
-	memoClosure
-)
-
-func (op memoOp) String() string {
-	switch op {
-	case memoCompose:
-		return "compose"
-	case memoClosure:
-		return "closure"
-	}
-	return "unknown"
-}
+// memoOp names the memoized construction to the backend: store records
+// are "closure-<a>-<b>.memo".
+const memoOp = "closure"
 
 type memoKey struct {
-	op   memoOp
 	a, b uint64
 }
 
@@ -127,17 +115,17 @@ func (c *MemoCache) SetBackend(b MemoBackend) {
 }
 
 func (c *MemoCache) shard(k memoKey) *memoShard {
-	return &c.shards[(k.a^k.b^uint64(k.op))%memoShardCount]
+	return &c.shards[(k.a^k.b)%memoShardCount]
 }
 
 // lookup returns a copy-on-write clone of the cached result under the given
 // name, or (nil, false) on a miss. Safe on a nil cache and from concurrent
 // goroutines.
-func (c *MemoCache) lookup(op memoOp, a, b uint64, name string) (*Automaton, bool) {
+func (c *MemoCache) lookup(a, b uint64, name string) (*Automaton, bool) {
 	if c == nil {
 		return nil, false
 	}
-	k := memoKey{op: op, a: a, b: b}
+	k := memoKey{a: a, b: b}
 	sh := c.shard(k)
 	sh.mu.Lock()
 	master := sh.m[k]
@@ -146,7 +134,7 @@ func (c *MemoCache) lookup(op memoOp, a, b uint64, name string) (*Automaton, boo
 		// Memory miss: fall through to the persistent store. A decodable
 		// payload is promoted into the shard so later lookups in this
 		// process stay in memory; a stale-codec payload is a plain miss.
-		if payload, ok := c.backend.Load(op.String(), a, b); ok {
+		if payload, ok := c.backend.Load(memoOp, a, b); ok {
 			if loaded, err := UnmarshalMemo(payload); err == nil {
 				sh.mu.Lock()
 				if cur := sh.m[k]; cur != nil {
@@ -166,7 +154,7 @@ func (c *MemoCache) lookup(op memoOp, a, b uint64, name string) (*Automaton, boo
 	hits := c.hits.Add(1)
 	if c.journal.Enabled() {
 		c.journal.Emit(obs.Event{Kind: obs.KindCacheHit, Iter: -1,
-			S: map[string]string{"op": op.String()},
+			S: map[string]string{"op": memoOp},
 			N: map[string]int64{"key_a": int64(a), "key_b": int64(b), "hits": hits},
 		})
 	}
@@ -178,11 +166,11 @@ func (c *MemoCache) lookup(op memoOp, a, b uint64, name string) (*Automaton, boo
 // not write its rows in place. The first store for a key wins; concurrent
 // duplicate stores are identical by construction, so dropping the loser is
 // sound.
-func (c *MemoCache) store(op memoOp, a, b uint64, auto *Automaton) {
+func (c *MemoCache) store(a, b uint64, auto *Automaton) {
 	if c == nil {
 		return
 	}
-	k := memoKey{op: op, a: a, b: b}
+	k := memoKey{a: a, b: b}
 	master := auto.shareRows(auto.name)
 	sh := c.shard(k)
 	sh.mu.Lock()
@@ -195,7 +183,7 @@ func (c *MemoCache) store(op memoOp, a, b uint64, auto *Automaton) {
 		// Write through (outside the shard lock) so other processes and a
 		// restarted one find the result; Save itself drops duplicates.
 		if payload, err := MarshalMemo(master); err == nil {
-			c.backend.Save(op.String(), a, b, payload)
+			c.backend.Save(memoOp, a, b, payload)
 		}
 	}
 }

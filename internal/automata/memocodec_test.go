@@ -118,15 +118,28 @@ func (b *mapBackend) Save(op string, x, y uint64, payload []byte) {
 	b.m[b.key(op, x, y)] = append([]byte(nil), payload...)
 }
 
+// closureProblem returns a learned model with transitions and a refusal,
+// and the singleton universe compiled over its alphabets.
+func closureProblem(t *testing.T) (*Incomplete, *CompiledUniverse) {
+	t.Helper()
+	_, r := senderReceiver(t)
+	m := NewIncomplete(r)
+	refused := Interaction{}
+	if _, err := m.Learn(ObservedRun{Initial: "waiting", Blocked: &refused}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return m, CompileUniverse(Universe(UniverseSingleton), r.Inputs(), r.Outputs())
+}
+
 func TestMemoCacheBackendWriteThroughAndWarmStart(t *testing.T) {
-	s, r := senderReceiver(t)
-	want := MustCompose("sys", s, r)
+	m, u := closureProblem(t)
+	want := ChaoticClosure(m, Universe(UniverseSingleton))
 	be := newMapBackend()
 
 	// First process: cold cache, cold backend — miss, then write-through.
 	memo1 := NewMemoCache(nil)
 	memo1.SetBackend(be)
-	if _, err := ComposeCtx(context.Background(), "sys", s, r, memo1); err != nil {
+	if _, err := ChaoticClosureCtx(context.Background(), m, u, memo1); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses, _ := memo1.Stats(); hits != 0 || misses != 1 {
@@ -135,12 +148,15 @@ func TestMemoCacheBackendWriteThroughAndWarmStart(t *testing.T) {
 	if be.saves != 1 {
 		t.Fatalf("backend saves = %d, want 1 (write-through)", be.saves)
 	}
+	if _, ok := be.m[be.key("closure", m.Fingerprint(), u.fingerprint())]; !ok {
+		t.Fatalf("write-through stored %v, want one closure record under the model and universe fingerprints", be.m)
+	}
 
 	// Second process: fresh cache, warm backend — the memory miss falls
 	// through, decodes, and counts as a cache hit.
 	memo2 := NewMemoCache(nil)
 	memo2.SetBackend(be)
-	got, err := ComposeCtx(context.Background(), "sys", s, r, memo2)
+	got, err := ChaoticClosureCtx(context.Background(), m, u, memo2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +164,12 @@ func TestMemoCacheBackendWriteThroughAndWarmStart(t *testing.T) {
 		t.Fatalf("warm-start stats = %d hits / %d misses, want 1/0", hits, misses)
 	}
 	if err := EquivalentReachable(got, want); err != nil {
-		t.Fatalf("warm-started composition diverged from a fresh build: %v", err)
+		t.Fatalf("warm-started closure diverged from a fresh build: %v", err)
 	}
 
 	// The promoted entry serves later lookups from memory: no second load.
 	loadsAfterWarmStart := be.loads
-	if _, err := ComposeCtx(context.Background(), "sys", s, r, memo2); err != nil {
+	if _, err := ChaoticClosureCtx(context.Background(), m, u, memo2); err != nil {
 		t.Fatal(err)
 	}
 	if be.loads != loadsAfterWarmStart {
@@ -162,21 +178,21 @@ func TestMemoCacheBackendWriteThroughAndWarmStart(t *testing.T) {
 }
 
 func TestMemoCacheBackendUndecodablePayloadIsAMiss(t *testing.T) {
-	s, r := senderReceiver(t)
+	m, u := closureProblem(t)
 	be := newMapBackend()
-	be.Save("compose", s.Fingerprint(), r.Fingerprint(), []byte("not a codec payload"))
+	be.Save("closure", m.Fingerprint(), u.fingerprint(), []byte("not a codec payload"))
 
 	memo := NewMemoCache(nil)
 	memo.SetBackend(be)
-	got, err := ComposeCtx(context.Background(), "sys", s, r, memo)
+	got, err := ChaoticClosureCtx(context.Background(), m, u, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses, _ := memo.Stats(); hits != 0 || misses != 1 {
 		t.Fatalf("stats = %d hits / %d misses, want 0/1 (bad payload must not hit)", hits, misses)
 	}
-	if err := EquivalentReachable(got, MustCompose("sys", s, r)); err != nil {
-		t.Fatalf("recomputed composition diverged: %v", err)
+	if err := EquivalentReachable(got, ChaoticClosure(m, Universe(UniverseSingleton))); err != nil {
+		t.Fatalf("recomputed closure diverged: %v", err)
 	}
 }
 

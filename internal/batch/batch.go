@@ -107,8 +107,8 @@ type Options struct {
 	// instances abort and no further instances start.
 	Context context.Context
 	// Memo, when non-nil, is shared across all instances so identical
-	// closure/product sub-problems are solved once (pass
-	// automata.NewMemoCache; nil disables memoization).
+	// chaotic closures are built once (pass automata.NewMemoCache; nil
+	// disables memoization).
 	Memo *automata.MemoCache
 	// Journal receives batch_start, one instance_done per item, and — when
 	// the memo cache was built over the same journal — cache_hit events.

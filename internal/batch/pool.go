@@ -1,7 +1,7 @@
 // Package batch runs many independent synthesis instances concurrently on
 // a work-stealing worker pool, with per-instance deadlines, panic
-// isolation, and a shared memoization cache for identical closure/product
-// sub-problems (DESIGN.md §9). It is the engine behind cmd/batchverify and
+// isolation, and a shared memoization cache for identical chaotic closures
+// (DESIGN.md §9). It is the engine behind cmd/batchverify and
 // the concurrent lane the CI race detector exercises.
 package batch
 

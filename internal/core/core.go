@@ -105,15 +105,12 @@ type Options struct {
 	// context.DeadlineExceeded / context.Canceled). A nil or background
 	// context leaves the run unbounded at zero overhead.
 	Context context.Context
-	// Memo, when non-nil, memoizes chaotic closures and compositions by
-	// structural fingerprint, shared safely across concurrent synthesis
-	// runs (see automata.MemoCache). Identical sub-problems — notably the
+	// Memo, when non-nil, memoizes chaotic closures by structural
+	// fingerprint, shared safely across concurrent synthesis runs (see
+	// automata.MemoCache). Identical sub-problems — notably the
 	// iteration-0 closure of instances sharing an initial model — are then
 	// solved once per batch.
 	Memo *automata.MemoCache
-	// SkipDeadlockCheck disables the ¬δ check (not recommended; deadlock
-	// freedom is what makes role invariants compositional, Section 2.4).
-	SkipDeadlockCheck bool
 	// Universe bounds the interactions considered possible for the legacy
 	// component. Defaults to the singleton universe (at most one message
 	// per direction per step), matching RTSC step semantics. NewMulti
@@ -153,14 +150,12 @@ type Options struct {
 	// Events carry causal identity: each iteration_start opens a span,
 	// its round's events parent to it, and the test section of each
 	// counterexample nests under the cex_classified span, so the journal
-	// reconstructs as a span tree (DESIGN.md §10). Nil disables
-	// journaling; every emission site is guarded so a disabled journal
-	// costs one branch and no allocation.
+	// reconstructs as a span tree (DESIGN.md §10). All events of the run
+	// carry its trace ID, the component interface's name (the names
+	// joined by "+" for several components). Nil disables journaling;
+	// every emission site is guarded so a disabled journal costs one
+	// branch and no allocation.
 	Journal *obs.Journal
-	// TraceID names this run's trace in the journal; all events of the
-	// run carry it. Defaults to the component interface's name (the
-	// names joined by "+" for several components).
-	TraceID string
 	// Metrics, when non-nil, receives the run's span timers
 	// (core.compose, core.check, core.replay, core.probe) and the bound
 	// checker's ctl.* counters. Callers typically also pass the same
@@ -178,7 +173,10 @@ type Options struct {
 	// merged into the learned fragment (journaled as ioco_merge), and only
 	// out-set escapes — outputs the fragment explicitly refutes, or
 	// hypotheses missed across nondetCompleteness fair re-executions —
-	// decide verdicts. Requires a single component with a fair branch
+	// decide verdicts. The learned model is created nondeterministic
+	// (automata.NewNondetIncomplete), which selects its learning and
+	// closure rules; the system is patched across iterations as on the
+	// deterministic path. Requires a single component with a fair branch
 	// schedule (e.g. legacy.NondetComponent). Off by default; the
 	// deterministic path is untouched when false.
 	Nondet bool
@@ -198,7 +196,7 @@ const (
 	nondetCompleteness = 8
 )
 
-func (o *Options) withDefaults(traceID string) Options {
+func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Universe == nil {
 		out.Universe = automata.Universe(automata.UniverseSingleton)
@@ -208,9 +206,6 @@ func (o *Options) withDefaults(traceID string) Options {
 	}
 	if out.CounterexampleBatch < 1 {
 		out.CounterexampleBatch = 1
-	}
-	if out.TraceID == "" {
-		out.TraceID = traceID
 	}
 	return out
 }
@@ -405,12 +400,14 @@ type Synthesizer struct {
 	// inputs and outputs are the union of the components' alphabets.
 	inputs, outputs automata.SignalSet
 	opts            Options
+	// traceID names the run's trace in the journal (see Options.Journal).
+	traceID string
 
 	stats Stats
 
 	// inc carries the composed system across iterations; nil until the
 	// first iteration, or permanently when unsupported (several components,
-	// whose product is rebuilt every iteration, or Nondet) or disabled.
+	// whose product is rebuilt every iteration) or disabled.
 	inc            *automata.IncrementalSystem
 	incUnsupported bool
 	// pending is the learn delta accumulated since the last system
@@ -518,12 +515,12 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 	for _, iface := range ifaces[1:] {
 		traceID += "+" + iface.Name
 	}
-	o := opts.withDefaults(traceID)
+	o := opts.withDefaults()
 	if o.Property != nil && !ctl.IsACTL(o.Property) {
 		return nil, fmt.Errorf("core: property %s is not ACTL; only ACTL is compositional (Section 2.4)", o.Property)
 	}
 
-	s := &Synthesizer{context: context, opts: o}
+	s := &Synthesizer{context: context, opts: o, traceID: traceID}
 	s.tCompose = o.Metrics.Timer("core.compose")
 	s.tCheck = o.Metrics.Timer("core.check")
 	s.tReplay = o.Metrics.Timer("core.replay")
@@ -540,10 +537,6 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 	// rebuild theirs from the memoized closures every iteration.
 	s.incUnsupported = len(comps) > 1
 	if o.Nondet {
-		// Merged branches violate the single-successor invariant the
-		// delta-patching machinery relies on; the nondet path always
-		// rebuilds the closure and product from scratch.
-		s.incUnsupported = true
 		s.nondetVisits = make(map[nondetVisitKey]*nondetVisit)
 	}
 	for i, iface := range ifaces {
@@ -554,7 +547,11 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 		a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
 		id := a.MustAddState(init, c.labeler(init)...)
 		a.MarkInitial(id)
-		c.model = automata.NewIncomplete(a)
+		if o.Nondet {
+			c.model = automata.NewNondetIncomplete(a)
+		} else {
+			c.model = automata.NewIncomplete(a)
+		}
 		s.comps = append(s.comps, c)
 		s.inputs = s.inputs.Union(iface.Inputs)
 		s.outputs = s.outputs.Union(iface.Outputs)
@@ -640,7 +637,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 	if j := s.opts.Journal; j.Enabled() {
 		iterSpan = j.NewSpan()
 		j.Emit(obs.Event{Kind: obs.KindIterationStart, Iter: index,
-			Trace: s.opts.TraceID, Span: iterSpan,
+			Trace: s.traceID, Span: iterSpan,
 			N: map[string]int64{
 				"model_states":      int64(it.ModelStates),
 				"model_transitions": int64(it.ModelTransitions),
@@ -667,7 +664,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 			k = obs.KindClosurePatched
 		}
 		j.Emit(obs.Event{Kind: k, Iter: index, DurNS: int64(it.ComposeDuration),
-			Trace: s.opts.TraceID, Parent: iterSpan,
+			Trace: s.traceID, Parent: iterSpan,
 			N: map[string]int64{
 				"closure_states": int64(it.ClosureStates),
 				"system_states":  int64(it.SystemStates),
@@ -703,7 +700,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		}
 		// Deadlock freedom.
 		it.DeadlockFree = true
-		if results == nil && !s.opts.SkipDeadlockCheck {
+		if results == nil {
 			many, err := checker.CheckManyCtx(s.runCtx(), s.noDeadlock, s.opts.CounterexampleBatch)
 			if err != nil {
 				return fmt.Errorf("core: check aborted: %w", err)
@@ -721,7 +718,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 	book(time.Since(checkStart), &it.CheckDuration, &s.stats.CheckTime, s.tCheck, s.hCheck)
 	if j := s.opts.Journal; j.Enabled() {
 		j.Emit(obs.Event{Kind: obs.KindCheckResult, Iter: index, DurNS: int64(it.CheckDuration),
-			Trace: s.opts.TraceID, Parent: iterSpan,
+			Trace: s.traceID, Parent: iterSpan,
 			N: map[string]int64{
 				"property_holds":  b2i(it.PropertyHolds),
 				"deadlock_free":   b2i(it.DeadlockFree),
@@ -761,7 +758,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		if j := s.opts.Journal; j.Enabled() {
 			cexSpan = j.NewSpan()
 			j.Emit(obs.Event{Kind: obs.KindCexClassified, Iter: index,
-				Trace: s.opts.TraceID, Span: cexSpan, Parent: iterSpan,
+				Trace: s.traceID, Span: cexSpan, Parent: iterSpan,
 				N: map[string]int64{
 					"batch_index":     int64(idx),
 					"length":          int64(cex.Len()),
@@ -811,7 +808,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 	}
 	if j := s.opts.Journal; j.Enabled() {
 		j.Emit(obs.Event{Kind: obs.KindLearnDelta, Iter: index,
-			Trace: s.opts.TraceID, Parent: iterSpan,
+			Trace: s.traceID, Parent: iterSpan,
 			N: map[string]int64{
 				"states":      int64(it.Delta.States),
 				"transitions": int64(it.Delta.Transitions),
@@ -848,7 +845,7 @@ func (s *Synthesizer) replayed(it *Iteration, c *component, d time.Duration, cex
 	book(d, &it.ReplayDuration, &s.stats.ReplayTime, s.tReplay, s.hReplay)
 	if j := s.opts.Journal; j.Enabled() {
 		e := obs.Event{Kind: obs.KindReplayStep, Iter: it.Index, DurNS: int64(d),
-			Trace: s.opts.TraceID, Parent: cexSpan,
+			Trace: s.traceID, Parent: cexSpan,
 			N: map[string]int64{}, S: map[string]string{"trace": tr.Render()}}
 		fill(e.N)
 		s.tagComponent(e.S, c)
@@ -864,7 +861,7 @@ func (s *Synthesizer) probed(it *Iteration, c *component, result replay.ProbeRes
 	s.stats.ProbesRun++
 	if j := s.opts.Journal; j.Enabled() {
 		e := obs.Event{Kind: obs.KindProbeResult, Iter: it.Index, DurNS: int64(d),
-			Trace: s.opts.TraceID, Parent: cexSpan,
+			Trace: s.traceID, Parent: cexSpan,
 			N: map[string]int64{
 				"accepted": b2i(result.Accepted),
 			}, S: map[string]string{
@@ -898,7 +895,7 @@ func (s *Synthesizer) tagComponent(fields map[string]string, c *component) {
 func (s *Synthesizer) emitVerdict(index int, iterSpan uint64, v Verdict, kind ViolationKind, reason string) {
 	if j := s.opts.Journal; j.Enabled() {
 		j.Emit(obs.Event{Kind: obs.KindVerdict, Iter: index,
-			Trace: s.opts.TraceID, Parent: iterSpan,
+			Trace: s.traceID, Parent: iterSpan,
 			S: map[string]string{
 				"verdict": v.String(),
 				"kind":    kind.String(),
@@ -954,39 +951,23 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 	}
 
 	s.pending = automata.LearnDelta{}
-	switch {
-	case s.opts.Nondet:
-		it.BuildReason = "nondet"
-	case s.incUnsupported:
+	it.BuildReason = "incremental-disabled"
+	if s.incUnsupported {
 		it.BuildReason = "incremental-unsupported"
-	default:
-		it.BuildReason = "incremental-disabled"
 	}
 	parts := make([]*automata.Automaton, 1, 1+len(s.comps))
 	parts[0] = s.context
 	for _, c := range s.comps {
-		var closure *automata.Automaton
-		var err error
-		if s.opts.Nondet {
-			closure, err = automata.ChaoticClosureNondetCtx(s.runCtx(), c.model, c.universe)
-		} else {
-			closure, err = automata.ChaoticClosureCtx(s.runCtx(), c.model, c.universe, s.opts.Memo)
-		}
+		closure, err := automata.ChaoticClosureCtx(s.runCtx(), c.model, c.universe, s.opts.Memo)
 		if err != nil {
 			return nil, fmt.Errorf("core: closure: %w", err)
 		}
 		it.ClosureStates += closure.NumStates()
 		parts = append(parts, closure)
 	}
-	var sys *automata.Automaton
-	var err error
-	if len(parts) == 2 {
-		sys, err = automata.ComposeCtx(s.runCtx(), "system", parts[0], parts[1], s.opts.Memo)
-	} else {
-		// The n-ary product of Definition 3 (a fold of the binary one
-		// would be wrong); it is not memoized.
-		sys, err = automata.ComposeAllCtx(s.runCtx(), "system", parts...)
-	}
+	// The n-ary product of Definition 3 (a fold of the binary one would be
+	// wrong); over two parts it is the binary product.
+	sys, err := automata.ComposeAllCtx(s.runCtx(), "system", parts...)
 	if err != nil {
 		return nil, fmt.Errorf("core: compose: %w", err)
 	}
@@ -1139,39 +1120,43 @@ func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, 
 	return true, nil
 }
 
-// learnObservation merges a full observed run into c's model, including
-// function-refusal expansion when enabled.
+// learnObservation merges a full observed run into c's model and records
+// what the observation refutes. A refused input refutes every output
+// hypothesis under it (the component refuses per (state, input)
+// deterministically; under PaperLiteralLearning a deterministic model
+// records only the refused interaction itself). Each observed (s, A, B)
+// refutes every (s, A, B′) with B′ ≠ B on a deterministic model, and
+// nothing on a nondeterministic one, where outputs race.
 //
-// Note: with a single component the Blocked branch is defensive —
-// counterexample plans consist solely of already-learned steps (the
-// chaos-weakened property is satisfied at s_∀, and (s,0) deadlocks precede
-// s_δ ones in the shortest-counterexample search), so recordings never
-// block mid-plan; refusal hypotheses are decided by the final-state probes
-// instead. The branch matters with several components, where a
+// Note: with a single deterministic component the Blocked branch is
+// defensive — counterexample plans consist solely of already-learned steps
+// (the chaos-weakened property is satisfied at s_∀, and (s,0) deadlocks
+// precede s_δ ones in the shortest-counterexample search), so recordings
+// never block mid-plan; refusal hypotheses are decided by the final-state
+// probes instead. The branch matters with several components, where a
 // counterexample runs on past one component's chaotic states while the
-// others still move, and for callers feeding externally constructed plans.
+// others still move, on the nondeterministic path, whose replays follow
+// the component's actual behavior, and for callers feeding externally
+// constructed plans.
 func (s *Synthesizer) learnObservation(c *component, observed automata.ObservedRun, it *Iteration) error {
 	// When the component blocked an input entirely, every output
 	// hypothesis under that input is refuted.
-	if observed.Blocked != nil && !s.opts.PaperLiteralLearning {
-		blocked := observed.Blocked.In
-		run := observed
+	nondet := c.model.Nondet()
+	refuseBlocked := observed.Blocked != nil && (nondet || !s.opts.PaperLiteralLearning)
+	run := observed
+	if refuseBlocked {
 		run.Blocked = nil
-		delta, err := c.model.Learn(run, c.labeler)
-		if err != nil {
-			return fmt.Errorf("core: learn: %w", err)
-		}
-		s.accumulate(delta, it)
-		return s.refuse(c, finalState(run), blocked, nil, false, it)
 	}
-
-	delta, err := c.model.Learn(observed, c.labeler)
+	delta, err := c.model.Learn(run, c.labeler)
 	if err != nil {
 		return fmt.Errorf("core: learn: %w", err)
 	}
 	s.accumulate(delta, it)
 
-	if !s.opts.PaperLiteralLearning {
+	switch {
+	case refuseBlocked:
+		return s.refuse(c, finalState(run), observed.Blocked.In, nil, false, it)
+	case !nondet && !s.opts.PaperLiteralLearning:
 		// Each observed (state, A, B) refutes every (state, A, B') with
 		// B' ≠ B.
 		cur := observed.Initial

@@ -138,27 +138,31 @@ func TestTestTimeSplit(t *testing.T) {
 
 // TestJournalSpanTree checks the causal-trace model of DESIGN.md §10 on
 // a run that exercises counterexamples: every event carries the run's
-// trace ID, each iteration opens a span that parents its compose/check/
-// learn/verdict events, and each counterexample opens a nested span that
-// parents its replay and probe events.
+// trace ID (the component interface's name), each iteration opens a span
+// that parents its compose/check/learn/verdict events, and each
+// counterexample opens a nested span that parents its replay and probe
+// events.
 func TestJournalSpanTree(t *testing.T) {
 	var sink obs.MemorySink
 	synth, err := New(railcab.FrontRole(), &railcab.EagerShuttle{},
 		railcab.RearInterface(railcab.RearRoleName),
-		Options{Property: railcab.Constraint(), Journal: obs.NewJournal(&sink),
-			TraceID: "span-tree-test"})
+		Options{Property: railcab.Constraint(), Journal: obs.NewJournal(&sink)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := synth.Run(); err != nil {
+	report, err := synth.Run()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if report.Verdict != VerdictViolation {
+		t.Fatalf("verdict %v, want the eager shuttle's constraint violation", report.Verdict)
 	}
 
 	spanKind := map[uint64]obs.EventKind{} // opener of each span
 	var iterSpans, cexSpans int
 	for _, e := range sink.Events() {
-		if e.Trace != "span-tree-test" {
-			t.Fatalf("seq %d (%s): trace %q, want run trace", e.Seq, e.Kind, e.Trace)
+		if e.Trace != railcab.RearRoleName {
+			t.Fatalf("seq %d (%s): trace %q, want the interface name %q", e.Seq, e.Kind, e.Trace, railcab.RearRoleName)
 		}
 		if e.Span != 0 {
 			if _, dup := spanKind[e.Span]; dup {

@@ -19,9 +19,10 @@ import (
 // this path:
 //
 //   - re-executes a counterexample up to nondetAttempts times,
-//     merging every observed run into the learned fragment with
-//     LearnNondet (divergent-but-allowed branches become ioco_merge
-//     events, not failures);
+//     merging every observed run into the learned fragment, a
+//     nondeterministic model (automata.NewNondetIncomplete) on which
+//     Learn records divergent-but-allowed branches (journaled as
+//     ioco_merge events) instead of failing;
 //   - counts fair visits per learned (state, input): one visit per
 //     observed run that steps through the pair. The component model's
 //     per-occurrence round-robin schedule advances the pair's
@@ -112,7 +113,7 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 			}
 			if j := s.opts.Journal; j.Enabled() {
 				j.Emit(obs.Event{Kind: obs.KindNote, Iter: it.Index,
-					Trace: s.opts.TraceID, Parent: cexSpan,
+					Trace: s.traceID, Parent: cexSpan,
 					S: map[string]string{"note": "counterexample certified: all transitions learned, no chaotic state visited"}})
 			}
 			return true, nil
@@ -163,7 +164,10 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 		if attempt == 0 {
 			it.ReplayTrace = &tr
 		}
-		if err := s.learnObservationNondet(c, observed, it); err != nil {
+		if err := s.learnObservation(c, observed, it); err != nil {
+			return false, err
+		}
+		if err := s.noteFairVisits(c, observed, it); err != nil {
 			return false, err
 		}
 		s.replayed(it, c, time.Since(replayStart), cexSpan, &tr, func(n map[string]int64) {
@@ -183,7 +187,7 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 					observedStr = "refused"
 				}
 				j.Emit(obs.Event{Kind: obs.KindIocoMerge, Iter: it.Index,
-					Trace: s.opts.TraceID, Parent: cexSpan,
+					Trace: s.traceID, Parent: cexSpan,
 					N: map[string]int64{
 						"period":  int64(d.Period),
 						"allowed": b2i(d.Allowed),
@@ -254,39 +258,16 @@ func (s *Synthesizer) matchProjection(proj automata.ProjectedRun, observed autom
 	return n, n == len(proj.Steps) && observed.Blocked == nil
 }
 
-// learnObservationNondet merges an observed run using LearnNondet and
-// counts its fair visits. Unlike the deterministic learnObservation there
-// is no function-refusal expansion — observing (s, A, B) refutes nothing
-// about (s, A, B') when outputs race — but a refusal still refutes every
-// output hypothesis under its input, because refusals are per-(state,
-// input) deterministic in the component model.
-func (s *Synthesizer) learnObservationNondet(c *component, observed automata.ObservedRun, it *Iteration) error {
-	run := observed
-	run.Blocked = nil
-	delta, err := c.model.LearnNondet(run, c.labeler)
-	if err != nil {
-		return fmt.Errorf("core: learn (nondet): %w", err)
-	}
-	s.accumulate(delta, it)
-	if observed.Blocked != nil {
-		if err := s.refuse(c, finalState(run), observed.Blocked.In, nil, false, it); err != nil {
-			return err
-		}
-	}
-	// Visits are counted only after the whole run is in the model, so a
-	// maturity triggered by an early step already sees branches the same
-	// run revealed later.
-	return s.noteFairVisits(c, run, it)
-}
-
 // noteFairVisits advances the fair-visit counter of every (state, input)
 // the run stepped through — once per pair, however often the run revisited
 // it — and settles each pair whose counter reaches the completeness
 // budget: after nondetCompleteness fair visits every duplicate branch
 // under the input has appeared, so unobserved outputs become refusals (T̄)
 // and each learned label is settled. A branch surfacing after its label
-// was refuted falsifies the budget and is surfaced by LearnNondet as a
-// contradiction.
+// was refuted falsifies the budget and is surfaced by Learn as a
+// contradiction. Callers count a run's visits only after learnObservation
+// has merged the whole run, so a maturity triggered by an early step
+// already sees branches the same run revealed later.
 func (s *Synthesizer) noteFairVisits(c *component, run automata.ObservedRun, it *Iteration) error {
 	cur := run.Initial
 	seen := make(map[nondetVisitKey]bool)
@@ -379,7 +360,10 @@ func (s *Synthesizer) probeDeadlockNondet(sys *automata.Automaton, cex *automata
 			}
 			for _, r := range runs {
 				s.stats.ResetsUsed++
-				if err := s.learnObservationNondet(c, r, it); err != nil {
+				if err := s.learnObservation(c, r, it); err != nil {
+					return false, err
+				}
+				if err := s.noteFairVisits(c, r, it); err != nil {
 					return false, err
 				}
 			}

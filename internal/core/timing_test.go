@@ -82,25 +82,6 @@ func TestBoundedResponseViolatedByPatientContext(t *testing.T) {
 	}
 }
 
-func TestSkipDeadlockCheck(t *testing.T) {
-	// With the deadlock check disabled, the blocking shuttle's termination
-	// is invisible (it violates no mode constraint) and the loop proves
-	// the constraint alone.
-	synth, err := New(railcab.FrontRole(), &railcab.BlockingShuttle{},
-		railcab.RearInterface(railcab.RearRoleName),
-		Options{Property: railcab.Constraint(), SkipDeadlockCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := synth.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Verdict != VerdictProven {
-		t.Fatalf("verdict = %v/%v", report.Verdict, report.Kind)
-	}
-}
-
 func TestJournalReceivesProgress(t *testing.T) {
 	var sink obs.MemorySink
 	synth, err := New(railcab.FrontRole(), &railcab.CorrectShuttle{},

@@ -141,33 +141,9 @@ func (c *Checker) canceled() bool {
 	return false
 }
 
-// HoldsCtx is Holds under a context: a deadline or cancellation aborts
-// long fixpoints promptly and surfaces the context's error. Aborted
+// CheckManyCtx is CheckMany under a context: a deadline or cancellation
+// aborts long fixpoints promptly and surfaces the context's error. Aborted
 // evaluations leave no partial results in the satisfaction cache.
-func (c *Checker) HoldsCtx(ctx context.Context, f Formula) (bool, error) {
-	c.bind(ctx)
-	defer c.unbind()
-	defer c.hCheck.Span()()
-	holds := c.Holds(f)
-	if c.ctxErr != nil {
-		return false, c.ctxErr
-	}
-	return holds, nil
-}
-
-// CheckCtx is Check under a context (see HoldsCtx).
-func (c *Checker) CheckCtx(ctx context.Context, f Formula) (Result, error) {
-	c.bind(ctx)
-	defer c.unbind()
-	defer c.hCheck.Span()()
-	res := c.Check(f)
-	if c.ctxErr != nil {
-		return Result{}, c.ctxErr
-	}
-	return res, nil
-}
-
-// CheckManyCtx is CheckMany under a context (see HoldsCtx).
 func (c *Checker) CheckManyCtx(ctx context.Context, f Formula, max int) ([]Result, error) {
 	c.bind(ctx)
 	defer c.unbind()

@@ -162,29 +162,56 @@ func isPropositional(f Formula) bool {
 }
 
 // agCounterexample finds a shortest path from a failing initial state to a
-// reachable state violating f, then appends f's violation suffix.
+// reachable state violating f, then appends f's violation suffix: the
+// first result of shortestViolations.
 func agCounterexample(e satEngine, f Formula) (*automata.Run, string, bool) {
+	vs := shortestViolations(e, f, 1)
+	if len(vs) == 0 {
+		return nil, "", false
+	}
+	v := vs[0]
+	explanation := fmt.Sprintf("state %q violates %s", e.Automaton().StateName(v.target), f)
+	if v.extended {
+		explanation += " (witness extended)"
+	}
+	return v.run, explanation, isPropositional(f)
+}
+
+// violation is one result of shortestViolations: a shortest run to a
+// reachable state violating f (the target), extended with f's violation
+// suffix when extended is set.
+type violation struct {
+	run      *automata.Run
+	target   automata.StateID
+	extended bool
+}
+
+// shortestViolations runs one BFS from the initial states and returns
+// shortest runs to up to max distinct reachable states violating f, in
+// BFS order, each extended with f's violation suffix. The search does not
+// explore past a violating state, and it stops early when the engine's
+// context is done.
+func shortestViolations(e satEngine, f Formula, max int) []violation {
 	sat := e.Sat(f)
 	a := e.Automaton()
 	n := a.NumStates()
 	parent := make([]automata.Transition, n)
 	visited := make([]bool, n)
 	var queue []automata.StateID
-
 	for _, q := range a.Initial() {
-		if visited[q] {
-			continue
+		if !visited[q] {
+			visited[q] = true
+			parent[q] = automata.Transition{From: automata.NoState}
+			queue = append(queue, q)
 		}
-		visited[q] = true
-		parent[q] = automata.Transition{From: automata.NoState}
-		queue = append(queue, q)
 	}
-	target := automata.NoState
-	for head := 0; head < len(queue) && target == automata.NoState; head++ {
+	var found []violation
+	for head := 0; head < len(queue) && len(found) < max && !e.canceled(); head++ {
 		s := queue[head]
 		if !sat[s] {
-			target = s
-			break
+			run := reconstructPath(s, parent)
+			found = append(found, violation{run: run, target: s, extended: extendViolation(e, run, f)})
+			continue
 		}
 		for _, t := range a.TransitionsFrom(s) {
 			if !visited[t.To] {
@@ -194,15 +221,7 @@ func agCounterexample(e satEngine, f Formula) (*automata.Run, string, bool) {
 			}
 		}
 	}
-	if target == automata.NoState {
-		return nil, "", false
-	}
-	run := reconstructPath(target, parent)
-	explanation := fmt.Sprintf("state %q violates %s", a.StateName(target), f)
-	if extendViolation(e, run, f) {
-		explanation = fmt.Sprintf("state %q violates %s (witness extended)", a.StateName(target), f)
-	}
-	return run, explanation, isPropositional(f)
+	return found
 }
 
 // extendViolation appends, to a run ending in a state violating f, a path

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"muml/internal/automata"
+	"muml/internal/core"
 	"muml/internal/ctl"
 	"muml/internal/gen"
 )
@@ -160,6 +161,64 @@ func TestBitsetDifferentialWideCorpus(t *testing.T) {
 		}
 		diffOne(t, fmt.Sprintf("wide/seed=%d states=%d", seed, sys.NumStates()), sys, inst.Property)
 	}
+}
+
+// TestCheckIsFirstOfCheckMany checks that Check's counterexample is the
+// first result of CheckMany's shortest-violation search — both run the one
+// BFS — over the systems the synthesis loop model checks: the true
+// compositions of gen instances and the witness systems their syntheses
+// end on, under the instance property, its chaos weakening and deadlock
+// freedom.
+func TestCheckIsFirstOfCheckMany(t *testing.T) {
+	pairs, violated := 0, 0
+	for seed := int64(1); seed <= 600; seed++ {
+		inst, err := gen.New(seed, gen.DefaultConfig())
+		if err != nil {
+			t.Fatalf("gen seed %d: %v", seed, err)
+		}
+		truth, err := inst.TrueComposition()
+		if err != nil {
+			t.Fatalf("compose seed %d: %v", seed, err)
+		}
+		systems := []*automata.Automaton{truth}
+		comp, err := inst.Component()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		synth, err := core.New(inst.Context, comp, inst.Interface(), core.Options{Property: inst.Property})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		report, err := synth.Run()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if report.WitnessSystem != nil {
+			systems = append(systems, report.WitnessSystem)
+		}
+		formulas := []ctl.Formula{ctl.NoDeadlock()}
+		if inst.Property != nil {
+			formulas = append(formulas, inst.Property, ctl.WeakenForChaos(inst.Property))
+		}
+		for _, sys := range systems {
+			for _, f := range formulas {
+				one, many := ctl.NewChecker(sys).Check(f), ctl.NewChecker(sys).CheckMany(f, 1)
+				pairs++
+				if !one.Holds {
+					violated++
+				}
+				if len(many) != 1 || one.Holds != many[0].Holds || one.RunWitnessed != many[0].RunWitnessed ||
+					one.EndsInDeadlock != many[0].EndsInDeadlock || !runsEqual(one.Counterexample, many[0].Counterexample) {
+					t.Fatalf("seed %d system %q formula %s:\nCheck:        %+v\nCheckMany(1): %+v",
+						seed, sys.Name(), f, one, many)
+				}
+			}
+		}
+	}
+	if violated == 0 || violated == pairs {
+		t.Fatalf("%d of %d pairs violated: the corpus does not exercise both outcomes", violated, pairs)
+	}
+	t.Logf("%d system/formula pairs, %d violated", pairs, violated)
 }
 
 // layeredAutomaton builds width×depth states arranged in layers, each

@@ -28,47 +28,19 @@ func checkManyOn(e satEngine, f Formula, max int) []Result {
 		return []Result{checkOn(e, f)}
 	}
 
-	sat := e.Sat(inner)
-	a := e.Automaton()
-	targetsFound := 0
-	var results []Result
-
-	// BFS once, collecting shortest paths to up to max distinct violating
+	// One BFS, collecting shortest paths to up to max distinct violating
 	// states.
-	n := a.NumStates()
-	parent := make([]automata.Transition, n)
-	visited := make([]bool, n)
-	var queue []automata.StateID
-	for _, q := range a.Initial() {
-		if !visited[q] {
-			visited[q] = true
-			parent[q] = automata.Transition{From: automata.NoState}
-			queue = append(queue, q)
-		}
-	}
-	for head := 0; head < len(queue) && targetsFound < max && !e.canceled(); head++ {
-		s := queue[head]
-		if !sat[s] {
-			run := reconstructPath(s, parent)
-			witnessed := isPropositional(inner)
-			extendViolation(e, run, inner)
-			last := run.States[len(run.States)-1]
-			results = append(results, Result{
-				Holds:          false,
-				Counterexample: run,
-				RunWitnessed:   witnessed,
-				EndsInDeadlock: a.IsDeadlock(last),
-			})
-			targetsFound++
-			continue // don't explore past a violation
-		}
-		for _, t := range a.TransitionsFrom(s) {
-			if !visited[t.To] {
-				visited[t.To] = true
-				parent[t.To] = t
-				queue = append(queue, t.To)
-			}
-		}
+	a := e.Automaton()
+	witnessed := isPropositional(inner)
+	var results []Result
+	for _, v := range shortestViolations(e, inner, max) {
+		last := v.run.States[len(v.run.States)-1]
+		results = append(results, Result{
+			Holds:          false,
+			Counterexample: v.run,
+			RunWitnessed:   witnessed,
+			EndsInDeadlock: a.IsDeadlock(last),
+		})
 	}
 	if len(results) == 0 {
 		return []Result{checkOn(e, f)}

@@ -156,7 +156,7 @@ func CheckInstance(inst *gen.Instance, opts Options) *Failure {
 	useNondet := opts.Nondet || inst.Nondet()
 	// CheckIncremental verifies every patched build, its derived closure
 	// masks included, against a from-scratch one (a divergence fails the
-	// run); the nondeterministic path never patches.
+	// run).
 	report, f := runOnce(core.Options{Property: inst.Property, Journal: opts.Journal, Nondet: useNondet, CheckIncremental: true})
 	if f != nil {
 		return f
@@ -210,21 +210,14 @@ func CheckInstance(inst *gen.Instance, opts Options) *Failure {
 	}
 
 	if !opts.SkipLaws {
-		if f := checkLaws(inst, truth, report, universe, useNondet); f != nil {
+		if f := checkLaws(inst, truth, report, universe); f != nil {
 			return f
 		}
 	}
 
-	if useNondet {
-		// The nondeterministic path always rebuilds from scratch (merged
-		// branches defeat delta patching), so the incremental-equivalence
-		// oracle degenerates to running the same pipeline twice.
-		return nil
-	}
-
 	// Incremental-vs-rebuild equivalence: the delta-patched pipeline must
 	// follow the exact same trajectory as a from-scratch rebuild.
-	rebuilt, f := runOnce(core.Options{Property: inst.Property, DisableIncremental: true})
+	rebuilt, f := runOnce(core.Options{Property: inst.Property, DisableIncremental: true, Nondet: useNondet})
 	if f != nil {
 		return f
 	}
@@ -356,9 +349,7 @@ func checkWitness(inst *gen.Instance, iface legacy.Interface, report *core.Repor
 
 // checkLaws asserts the algebraic and metamorphic laws the construction
 // rests on, over the explored ground truth and the final learned model.
-// nondet selects the closure variant the loop actually used, so the
-// over-approximation law exercises the settled-label machinery.
-func checkLaws(inst *gen.Instance, truth *automata.Automaton, report *core.Report, universe automata.InteractionUniverse, nondet bool) *Failure {
+func checkLaws(inst *gen.Instance, truth *automata.Automaton, report *core.Report, universe automata.InteractionUniverse) *Failure {
 	// Reflexivity of the refinement preorder.
 	if ok, cex, err := automata.Refines(truth, truth); err != nil || !ok {
 		return fail(inst, CheckLawRefinesReflexive, "truth ⊑ truth failed: cex=%v err=%v", cex, err)
@@ -369,25 +360,14 @@ func checkLaws(inst *gen.Instance, truth *automata.Automaton, report *core.Repor
 		return fail(inst, CheckLawChaoticTop, "truth ⊑ M_c failed: cex=%v err=%v", cex, err)
 	}
 	// Observation conformance of the final learned model (Definition 10)
-	// and Theorem 1: M_r ⊑ chaos(M_l^n). For nondeterministic ground
-	// truths the nondet closure must be used — the deterministic one
-	// suppresses chaos escapes on learned-but-unsettled labels and is not
-	// a safe abstraction there.
+	// and Theorem 1: M_r ⊑ chaos(M_l^n). A model the nondeterministic path
+	// learned carries its closure rule, which keeps chaos escapes on
+	// learned-but-unsettled labels, so the over-approximation law
+	// exercises the settled-label machinery there.
 	if err := report.Model.ObservationConforming(truth); err != nil {
 		return fail(inst, CheckLawConformance, "%v", err)
 	}
-	var closure *automata.Automaton
-	if nondet {
-		var err error
-		m := report.Model.Automaton()
-		closure, err = automata.ChaoticClosureNondetCtx(context.Background(), report.Model,
-			automata.CompileUniverse(universe, m.Inputs(), m.Outputs()))
-		if err != nil {
-			return fail(inst, CheckRunError, "nondet closure: %v", err)
-		}
-	} else {
-		closure = automata.ChaoticClosure(report.Model, universe)
-	}
+	closure := automata.ChaoticClosure(report.Model, universe)
 	if ok, cex, err := automata.Refines(truth, closure); err != nil || !ok {
 		return fail(inst, CheckLawChaosOverapprox, "M_r ⊑ chaos(M_l) failed: cex=%v err=%v", cex, err)
 	}

@@ -1,18 +1,18 @@
-// Package memostore is the persistent half of the closure/product
-// memoization stack: a content-addressed, size-capped on-disk record store
+// Package memostore is the persistent half of the closure memoization
+// stack: a content-addressed, size-capped on-disk record store
 // layered under the in-memory automata.MemoCache (it implements
 // automata.MemoBackend without importing the automata package — payloads
 // are opaque bytes).
 //
 // Records are keyed by the structural fingerprints the cache already uses
 // (internal/automata/fingerprint.go), which are stable across processes,
-// so a restarted or sibling verifyd process warm-starts every closure and
-// product the store has seen instead of recomputing it.
+// so a restarted or sibling verifyd process warm-starts every closure the
+// store has seen instead of recomputing it.
 //
 // Durability and integrity:
 //
 //   - one file per record, named by operation and key
-//     ("compose-<a>-<b>.memo"), written to a temp file in the store
+//     ("closure-<a>-<b>.memo"), written to a temp file in the store
 //     directory and atomically renamed into place — a crash mid-write
 //     leaves at worst an ignored temp file, never a torn record;
 //   - every record carries a versioned header with the payload length and
@@ -24,7 +24,7 @@
 //     services bounded on disk.
 //
 // The store is safe for concurrent use; all operations serialize on one
-// mutex (record granularity is a whole closure/product — microseconds of
+// mutex (record granularity is a whole closure — microseconds of
 // I/O against milliseconds of construction — so the mutex is nowhere near
 // contention).
 package memostore
@@ -175,7 +175,7 @@ func (s *Store) index() error {
 }
 
 // recordName maps a key to its file name. The op string comes from the
-// cache's closed operation set ("compose"/"closure") but is sanitized
+// cache ("closure") but is sanitized
 // anyway so no key can ever escape the store directory.
 func recordName(op string, a, b uint64) string {
 	var sb strings.Builder

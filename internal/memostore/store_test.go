@@ -13,25 +13,23 @@ import (
 	"muml/internal/memostore"
 )
 
-// senderReceiver builds the communicating pair the compose tests use, so
-// the store round-trips a real composition (with provenance parts and a
-// leaf decomposition) rather than a synthetic payload.
-func senderReceiver(t *testing.T) (*automata.Automaton, *automata.Automaton) {
+// receiverModel builds a small learned model and the universe over its
+// alphabets, so the store round-trips a real chaotic closure (with
+// provenance parts and chaos states) rather than a synthetic payload.
+func receiverModel(t *testing.T) (*automata.Incomplete, *automata.CompiledUniverse) {
 	t.Helper()
-	s := automata.New("sender", automata.EmptySet, automata.NewSignalSet("msg"))
-	s0 := s.MustAddState("ready")
-	s1 := s.MustAddState("sent")
-	s.MustAddTransition(s0, automata.Interact(nil, []automata.Signal{"msg"}), s1)
-	s.MustAddTransition(s1, automata.Interaction{}, s1)
-	s.MarkInitial(s0)
-
 	r := automata.New("receiver", automata.NewSignalSet("msg"), automata.EmptySet)
 	r0 := r.MustAddState("waiting")
 	r1 := r.MustAddState("got")
 	r.MustAddTransition(r0, automata.Interact([]automata.Signal{"msg"}, nil), r1)
 	r.MustAddTransition(r1, automata.Interaction{}, r1)
 	r.MarkInitial(r0)
-	return s, r
+	m := automata.NewIncomplete(r)
+	refused := automata.Interaction{}
+	if _, err := m.Learn(automata.ObservedRun{Initial: "waiting", Blocked: &refused}, nil); err != nil {
+		t.Fatal(err)
+	}
+	return m, automata.CompileUniverse(automata.Universe(automata.UniverseSingleton), r.Inputs(), r.Outputs())
 }
 
 // recordFiles returns the names of the record files in dir, for tests that
@@ -52,14 +50,14 @@ func recordFiles(t *testing.T, dir string) []string {
 }
 
 // TestStoreWarmStartRoundTrip is the restart scenario end to end: process 1
-// composes through a store-backed cache and exits; process 2 (a fresh cache
-// and a fresh Store over the same directory) warm-starts the identical
-// composition from disk, and the result is structurally identical to a
-// fresh build.
+// builds a chaotic closure through a store-backed cache and exits; process
+// 2 (a fresh cache and a fresh Store over the same directory) warm-starts
+// the identical closure from disk, and the result is structurally
+// identical to a fresh build.
 func TestStoreWarmStartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, r := senderReceiver(t)
-	want := automata.MustCompose("sys", s, r)
+	m, u := receiverModel(t)
+	want := automata.ChaoticClosure(m, automata.Universe(automata.UniverseSingleton))
 
 	st1, err := memostore.Open(dir, memostore.Options{})
 	if err != nil {
@@ -67,7 +65,7 @@ func TestStoreWarmStartRoundTrip(t *testing.T) {
 	}
 	memo1 := automata.NewMemoCache(nil)
 	memo1.SetBackend(st1)
-	if _, err := automata.ComposeCtx(context.Background(), "sys", s, r, memo1); err != nil {
+	if _, err := automata.ChaoticClosureCtx(context.Background(), m, u, memo1); err != nil {
 		t.Fatal(err)
 	}
 	hits1, misses1, _ := memo1.Stats()
@@ -77,12 +75,15 @@ func TestStoreWarmStartRoundTrip(t *testing.T) {
 	if _, _, _, entries, _ := st1.Stats(); entries != 1 {
 		t.Fatalf("store entries after run 1 = %d, want 1", entries)
 	}
+	if names := recordFiles(t, dir); len(names) != 1 || !strings.HasPrefix(names[0], "closure-") {
+		t.Fatalf("record files after run 1 = %v, want one closure-<a>-<b>.memo", names)
+	}
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Restart": a new Store indexes the directory, a new cache has no
-	// memory of the composition — yet the lookup hits, served from disk.
+	// memory of the closure — yet the lookup hits, served from disk.
 	st2, err := memostore.Open(dir, memostore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestStoreWarmStartRoundTrip(t *testing.T) {
 	defer st2.Close()
 	memo2 := automata.NewMemoCache(nil)
 	memo2.SetBackend(st2)
-	got, err := automata.ComposeCtx(context.Background(), "sys", s, r, memo2)
+	got, err := automata.ChaoticClosureCtx(context.Background(), m, u, memo2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestStoreWarmStartRoundTrip(t *testing.T) {
 		t.Fatalf("store stats after warm start = %d hits / %d misses, want 1/0", sh, sm)
 	}
 	if err := automata.EquivalentReachable(got, want); err != nil {
-		t.Fatalf("warm-started composition diverged from a fresh build: %v", err)
+		t.Fatalf("warm-started closure diverged from a fresh build: %v", err)
 	}
 }
 
@@ -118,7 +119,7 @@ func TestStoreCorruptRecordEvictedNeverReturned(t *testing.T) {
 	defer st.Close()
 
 	payload := []byte("a perfectly good payload")
-	st.Save("compose", 1, 2, payload)
+	st.Save("closure", 1, 2, payload)
 	names := recordFiles(t, dir)
 	if len(names) != 1 {
 		t.Fatalf("record files = %v, want exactly one", names)
@@ -134,7 +135,7 @@ func TestStoreCorruptRecordEvictedNeverReturned(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := st.Load("compose", 1, 2); ok {
+	if p, ok := st.Load("closure", 1, 2); ok {
 		t.Fatalf("corrupt record returned: %q", p)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -146,12 +147,12 @@ func TestStoreCorruptRecordEvictedNeverReturned(t *testing.T) {
 
 	// Truncation (the crash-mid-write shape atomic renames prevent, but a
 	// torn disk can still produce): same contract.
-	st.Save("compose", 1, 2, payload)
+	st.Save("closure", 1, 2, payload)
 	path = filepath.Join(dir, recordFiles(t, dir)[0])
 	if err := os.Truncate(path, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Load("compose", 1, 2); ok {
+	if _, ok := st.Load("closure", 1, 2); ok {
 		t.Fatal("truncated record returned")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -191,8 +192,8 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
 				k := uint64((i + w) % 10)
-				st.Save("compose", k, k, payloadFor(k))
-				if p, ok := st.Load("compose", k, k); ok && !bytes.Equal(p, payloadFor(k)) {
+				st.Save("closure", k, k, payloadFor(k))
+				if p, ok := st.Load("closure", k, k); ok && !bytes.Equal(p, payloadFor(k)) {
 					t.Errorf("key %d: read %q, want %q", k, p, payloadFor(k))
 				}
 			}
@@ -213,18 +214,18 @@ func TestStoreSizeCapEvictsLRU(t *testing.T) {
 	defer st.Close()
 
 	pay := bytes.Repeat([]byte("x"), 40)
-	st.Save("compose", 1, 0, pay)
-	st.Save("compose", 2, 0, pay)
-	if _, ok := st.Load("compose", 1, 0); !ok { // touch 1: record 2 is now LRU
+	st.Save("closure", 1, 0, pay)
+	st.Save("closure", 2, 0, pay)
+	if _, ok := st.Load("closure", 1, 0); !ok { // touch 1: record 2 is now LRU
 		t.Fatal("record 1 missing before the sweep")
 	}
-	st.Save("compose", 3, 0, pay) // 120 > 100: sweep evicts record 2
+	st.Save("closure", 3, 0, pay) // 120 > 100: sweep evicts record 2
 
-	if _, ok := st.Load("compose", 2, 0); ok {
+	if _, ok := st.Load("closure", 2, 0); ok {
 		t.Fatal("least-recently-used record survived the size cap")
 	}
 	for _, k := range []uint64{1, 3} {
-		if _, ok := st.Load("compose", k, 0); !ok {
+		if _, ok := st.Load("closure", k, 0); !ok {
 			t.Fatalf("record %d evicted, want only the LRU gone", k)
 		}
 	}
@@ -234,8 +235,8 @@ func TestStoreSizeCapEvictsLRU(t *testing.T) {
 
 	// An oversized record must not evict itself: the sweep spares the
 	// just-written record even though the store stays over the cap.
-	st.Save("compose", 9, 0, bytes.Repeat([]byte("y"), 500))
-	if _, ok := st.Load("compose", 9, 0); !ok {
+	st.Save("closure", 9, 0, bytes.Repeat([]byte("y"), 500))
+	if _, ok := st.Load("closure", 9, 0); !ok {
 		t.Fatal("just-written oversized record was swept away")
 	}
 	if _, _, _, entries, _ := st.Stats(); entries != 1 {
@@ -258,10 +259,10 @@ func TestStoreUnboundedAndNilSafety(t *testing.T) {
 
 	// A nil *Store is a valid disabled backend.
 	var nilStore *memostore.Store
-	if _, ok := nilStore.Load("compose", 1, 2); ok {
+	if _, ok := nilStore.Load("closure", 1, 2); ok {
 		t.Fatal("nil store claimed a hit")
 	}
-	nilStore.Save("compose", 1, 2, []byte("x"))
+	nilStore.Save("closure", 1, 2, []byte("x"))
 	if err := nilStore.Close(); err != nil {
 		t.Fatal(err)
 	}

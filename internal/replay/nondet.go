@@ -13,8 +13,9 @@ import (
 // and drop, divergence is expected: ReplayNondet follows the component's
 // *actual* behavior, reports where it left the recording, and classifies
 // each divergence against the learned fragment — divergent-but-allowed
-// observations are merge candidates for LearnNondet, and only observations
-// the fragment explicitly refutes are escapes.
+// observations are merge candidates for Learn on a nondeterministic model
+// (automata.NewNondetIncomplete), and only observations the fragment
+// explicitly refutes are escapes.
 
 // Divergence is one point where a nondeterministic re-execution departed
 // from the recording.
@@ -53,8 +54,9 @@ func (d Divergence) String() string {
 // failing on divergence. Periods in which the component produces no output
 // render as explicit [Quiescence] events — the δ observation. The observed
 // run reflects what actually happened (including a final refusal as a
-// blocked interaction), so it can be merged with LearnNondet. fragment may
-// be nil, in which case every divergence is classified Allowed.
+// blocked interaction), so it can be merged into a nondeterministic model
+// with Learn. fragment may be nil, in which case every divergence is
+// classified Allowed.
 //
 // The re-execution stops early only if the component refuses an input; the
 // refusal is itself reported as a divergence when the recording accepted
@@ -87,7 +89,7 @@ func ReplayNondet(comp legacy.Component, rec Recording, fragment *automata.Incom
 					Period: period, State: before, Input: in,
 					Recorded:        rec.Outputs[period],
 					ObservedRefused: true,
-					Allowed:         true, // refusals refute nothing; LearnNondet audits them
+					Allowed:         true, // refusals refute nothing; Learn audits them
 				})
 			}
 			blocked := automata.Interaction{In: in}

@@ -36,7 +36,7 @@ $GO build -race -o "$DIR/verifyd" ./cmd/verifyd
 $GO build -o "$DIR/journalstat" ./cmd/journalstat
 
 # 32 seeded wide-config instances: the wide alphabet makes each seed
-# contribute distinct closure/product records, so the store has real
+# contribute distinct closure records, so the store has real
 # content to warm-start from.
 : > "$DIR/manifest.jsonl"
 i=0
