@@ -140,7 +140,6 @@ func run() error {
 		MaxIterations:        200,
 		Journal:              run.Journal,
 		Metrics:              run.Registry,
-		PhaseProfiling:       *cpuProfile != "",
 	}
 	synth, err := core.NewMulti(context, comps, ifaces, opts)
 	if err != nil {

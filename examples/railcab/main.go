@@ -81,7 +81,7 @@ func run() error {
 				status = "both checks passed"
 			}
 			fmt.Printf("iteration %d: %s; test=%v; learned +%d states +%d transitions +%d refusals\n",
-				it.Index, status, it.Test, it.Delta.States, it.Delta.Transitions, it.Delta.Blocked)
+				it.Index, status, it.Test, len(it.Delta.NewStates), len(it.Delta.NewTransitions), len(it.Delta.NewBlocked))
 		}
 		fmt.Printf("\nverdict: %v", report.Verdict)
 		if report.Verdict == core.VerdictViolation {

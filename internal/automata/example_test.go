@@ -74,7 +74,7 @@ func ExampleIncomplete_Learn() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("learned %d state(s) and %d transition(s)\n", delta.States, delta.Transitions)
+	fmt.Printf("learned %d state(s) and %d transition(s)\n", len(delta.NewStates), len(delta.NewTransitions))
 	// Output:
 	// learned 1 state(s) and 1 transition(s)
 }

@@ -11,21 +11,18 @@ import (
 // closure chaos(M_l) and the product M_a^c ‖ chaos(M_l) maintained across
 // learn steps by *patching* instead of rebuilding.
 //
-// The synthesis loop only ever grows the learned model — Learn adds
+// The synthesis loop only ever grows the learned model — learning adds
 // states, transitions (on a nondeterministic model, further branches of a
-// learned label too), and refusals, and never removes or retargets
-// anything (learned initial states are fixed after the first state, and
-// labels are assigned at state creation). Consequently the closure changes
-// in a delta-local way:
+// learned label too), refusals, and settled labels, and never removes or
+// retargets anything (learned initial states are fixed after the first
+// state, and labels are assigned at state creation). Consequently the
+// closure changes in a delta-local way:
 //
 //   - a new model state s adds the two copies (s,0) and (s,1);
-//   - a new transition or refusal at model state f changes only the
-//     adjacency of (f,0) and (f,1): the learned prefix grows, and chaos
-//     edges for now-known interactions disappear from (f,1);
+//   - a new transition, refusal, or settled label at model state f changes
+//     only the adjacency of (f,0) and (f,1): the learned prefix grows, and
+//     chaos edges for now-known interactions disappear from (f,1);
 //   - the embedded chaos states s_∀, s_δ never change.
-//
-// The one change that is not growth — a nondeterministic model settling a
-// label, which removes its escapes — is served by a rebuild.
 //
 // The product is patched by recomputing, wholesale, the adjacency of every
 // product pair whose closure part changed, discovering (and recursively
@@ -81,11 +78,9 @@ type IncrementalSystem struct {
 	byClosure [][]StateID // closure state -> product ids with that closure part
 	reachable int         // reachable product states after the last build/patch
 
-	patches, rebuilds int
-	// lastPatched / lastReason record how the most recent Apply (or the
-	// initial construction) obtained the system, for observability.
-	lastPatched bool
-	lastReason  string
+	// lastReason records how the most recent Apply (or the initial
+	// construction) obtained the system (see LastDecision).
+	lastReason string
 }
 
 // NewIncrementalSystem builds the closure and product from scratch and
@@ -156,7 +151,7 @@ func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *In
 // "non-dense-state-ids", or "garbage-threshold" (why patching was not
 // possible).
 func (ic *IncrementalSystem) LastDecision() (patched bool, reason string) {
-	return ic.lastPatched, ic.lastReason
+	return ic.lastReason == "delta-patch" || ic.lastReason == "empty-delta", ic.lastReason
 }
 
 // System returns the maintained product automaton. It is mutated in place
@@ -170,13 +165,6 @@ func (ic *IncrementalSystem) Closure() *Automaton { return ic.closure }
 // ReachableStates returns the number of product states reachable from the
 // initial states — the size a from-scratch composition would have.
 func (ic *IncrementalSystem) ReachableStates() int { return ic.reachable }
-
-// Counts returns how many Apply calls were served by patching and how many
-// fell back to a full rebuild (the initial construction counts as one
-// rebuild).
-func (ic *IncrementalSystem) Counts() (patches, rebuilds int) {
-	return ic.patches, ic.rebuilds
-}
 
 // rebuild constructs closure and product from scratch and reindexes.
 func (ic *IncrementalSystem) rebuild() error {
@@ -245,8 +233,6 @@ func (ic *IncrementalSystem) rebuild() error {
 		queue = ic.computePairAdjacency(queue[head], queue)
 	}
 	ic.reachable = ic.product.NumStates()
-	ic.rebuilds++
-	ic.lastPatched = false
 	obsProductRebuilds.Add(1)
 	return nil
 }
@@ -298,16 +284,15 @@ func (ic *IncrementalSystem) computePairAdjacency(pid StateID, queue []StateID) 
 // this slack in unreachable states.
 const garbageRebuildSlack = 512
 
-// Apply incorporates a learn delta into the closure and product. It
-// returns true when the system was patched in place and false when the
-// delta forced a from-scratch rebuild (the result is equivalent either
-// way). The delta must describe exactly the model mutations since the
-// previous Apply (or since construction).
-func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
+// Apply incorporates a learn delta into the closure and product, by
+// patching them in place or, when the delta does not allow that, by a
+// from-scratch rebuild (the result is equivalent either way; LastDecision
+// reports which). The delta must describe exactly the model mutations
+// since the previous Apply (or since construction).
+func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 	if delta.Empty() {
-		ic.lastPatched = true
 		ic.lastReason = "empty-delta"
-		return true, nil
+		return nil
 	}
 	src := ic.model.Automaton()
 	// Patching relies on the loop's growth-only discipline; anything else
@@ -316,11 +301,6 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 	// LastDecision for the journal's product_rebuilt events.
 	var rebuildReason string
 	switch {
-	case delta.Settled != 0:
-		// Settling a label of a nondeterministic model removes chaos
-		// escapes without adding transitions, and the delta does not name
-		// the settled states, so there is nothing to patch from.
-		rebuildReason = "settled-labels"
 	case len(src.initial) != ic.numModelInitials:
 		rebuildReason = "initial-states-changed"
 	case len(ic.closed)+len(delta.NewStates) != src.NumStates():
@@ -337,8 +317,7 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 	}
 	if rebuildReason != "" {
 		ic.lastReason = rebuildReason
-		err := ic.rebuild()
-		return false, err
+		return ic.rebuild()
 	}
 
 	// 1. Closure copies for new model states. A from-scratch closure
@@ -366,6 +345,9 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 		changed[t.From] = struct{}{}
 	}
 	for _, b := range delta.NewBlocked {
+		changed[b.State] = struct{}{}
+	}
+	for _, b := range delta.NewSettled {
 		changed[b.State] = struct{}{}
 	}
 	order := make([]StateID, 0, len(changed))
@@ -399,7 +381,7 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 		if p.stop() {
 			// The product is partially patched and unusable; the caller
 			// aborts the whole run on a context error.
-			return false, p.err
+			return p.err
 		}
 		if pid == prev { // byClosure lists are disjoint per closure state, but be safe
 			continue
@@ -409,7 +391,7 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 	}
 	for head := 0; head < len(queue); head++ {
 		if p.stop() {
-			return false, p.err
+			return p.err
 		}
 		queue = ic.computePairAdjacency(queue[head], queue)
 	}
@@ -420,11 +402,9 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) (bool, error) {
 	ic.product.invalidateDerived()
 
 	ic.reachable = countReachable(ic.product)
-	ic.patches++
-	ic.lastPatched = true
 	ic.lastReason = "delta-patch"
 	obsProductPatches.Add(1)
-	return true, nil
+	return nil
 }
 
 // closeState derives the rows of f's two closure copies from the model's

@@ -202,7 +202,7 @@ func TestLearnMergesBranchesOnNondetModel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Learn rejected a divergent-but-allowed branch on a nondeterministic model: %v", err)
 	}
-	if delta.States != 1 || delta.Transitions != 1 {
+	if len(delta.NewStates) != 1 || len(delta.NewTransitions) != 1 {
 		t.Fatalf("merge delta = %+v, want 1 state + 1 transition", delta)
 	}
 	if got := len(m.Automaton().Successors(init, step("x", "").Steps[0].Label)); got != 2 {

@@ -59,10 +59,9 @@ func (r ObservedRun) States() []string {
 // refutations, and an observation contradicting one means the refutation
 // (or the fairness assumption it rested on) was wrong.
 //
-// Learn reports how many states, transitions, and blocked entries were new,
+// Learn reports the states, transitions, and blocked entries that were new,
 // so callers can detect progress (the termination argument of Theorem 2 is
-// that this count is strictly positive whenever a counterexample is not
-// confirmed).
+// that the delta is non-empty whenever a counterexample is not confirmed).
 func (m *Incomplete) Learn(run ObservedRun, labeler func(state string) []Proposition) (LearnDelta, error) {
 	var delta LearnDelta
 	a := m.auto
@@ -79,7 +78,6 @@ func (m *Incomplete) Learn(run ObservedRun, labeler func(state string) []Proposi
 		if err != nil {
 			return NoState, err
 		}
-		delta.States++
 		delta.NewStates = append(delta.NewStates, id)
 		return id, nil
 	}
@@ -111,7 +109,6 @@ func (m *Incomplete) Learn(run ObservedRun, labeler func(state string) []Proposi
 			if err := a.AddTransition(cur, step.Label, next); err != nil {
 				return delta, err
 			}
-			delta.Transitions++
 			delta.NewTransitions = append(delta.NewTransitions, Transition{From: cur, Label: step.Label, To: next})
 		}
 		cur = next
@@ -122,54 +119,46 @@ func (m *Incomplete) Learn(run ObservedRun, labeler func(state string) []Proposi
 			if err := m.Block(cur, *run.Blocked); err != nil {
 				return delta, err
 			}
-			delta.Blocked++
 			delta.NewBlocked = append(delta.NewBlocked, BlockedEntry{State: cur, Label: *run.Blocked})
 		}
 	}
 	return delta, nil
 }
 
-// BlockedEntry is one element of T̄ added by learning: the interaction the
-// implementation refused at the state.
+// BlockedEntry is one (state, interaction) pair added by learning: an
+// element of T̄ (the interaction the implementation refused at the state),
+// or a label certified successor-complete there (Incomplete.SettleLabel).
 type BlockedEntry struct {
 	State StateID
 	Label Interaction
 }
 
-// LearnDelta quantifies and enumerates what a Learn call added to the
-// model. The New* slices carry the concrete additions so that incremental
-// consumers (IncrementalSystem) can patch derived structures instead of
-// rebuilding them.
+// LearnDelta enumerates what learning added to the model, so that
+// incremental consumers (IncrementalSystem) can patch derived structures
+// instead of rebuilding them.
 type LearnDelta struct {
-	States      int
-	Transitions int
-	Blocked     int
-	// Settled counts labels newly certified successor-complete
-	// (Incomplete.SettleLabel) — nondeterministic models only. A settle
-	// removes chaos escapes from the closure without adding transitions, so
-	// it counts as learning progress but cannot be delta-patched.
-	Settled int
-
 	NewStates      []StateID
 	NewTransitions []Transition
 	NewBlocked     []BlockedEntry
+	// NewSettled lists the labels newly certified successor-complete
+	// (Incomplete.SettleLabel) — nondeterministic models only. A settle
+	// adds no transition; it removes the label's chaos escapes from the
+	// closure, which counts as learning progress.
+	NewSettled []BlockedEntry
 }
 
 // Empty reports whether the learn step added nothing — i.e. the
 // observation was already fully contained in the model.
 func (d LearnDelta) Empty() bool {
-	return d.States == 0 && d.Transitions == 0 && d.Blocked == 0 && d.Settled == 0
+	return len(d.NewStates) == 0 && len(d.NewTransitions) == 0 && len(d.NewBlocked) == 0 && len(d.NewSettled) == 0
 }
 
 // Merge accumulates another delta into d.
 func (d *LearnDelta) Merge(o LearnDelta) {
-	d.States += o.States
-	d.Transitions += o.Transitions
-	d.Blocked += o.Blocked
-	d.Settled += o.Settled
 	d.NewStates = append(d.NewStates, o.NewStates...)
 	d.NewTransitions = append(d.NewTransitions, o.NewTransitions...)
 	d.NewBlocked = append(d.NewBlocked, o.NewBlocked...)
+	d.NewSettled = append(d.NewSettled, o.NewSettled...)
 }
 
 // ObservationConforming checks Definition 10 against a reference

@@ -19,7 +19,7 @@ func TestLearnRegularRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.States != 2 || delta.Transitions != 2 || delta.Blocked != 0 {
+	if len(delta.NewStates) != 2 || len(delta.NewTransitions) != 2 || len(delta.NewBlocked) != 0 {
 		t.Fatalf("delta = %+v", delta)
 	}
 	a := m.Automaton()
@@ -51,7 +51,7 @@ func TestLearnBlockedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.Blocked != 1 || delta.States != 1 {
+	if len(delta.NewBlocked) != 1 || len(delta.NewStates) != 1 {
 		t.Fatalf("delta = %+v", delta)
 	}
 	if !m.IsBlocked(m.Automaton().State("idle"), req) {

@@ -82,7 +82,7 @@ func TestIncrementalSystemLastDecision(t *testing.T) {
 	if patched, reason := ic.LastDecision(); patched || reason != "initial-build" {
 		t.Fatalf("after build: patched=%v reason=%q", patched, reason)
 	}
-	if _, err := ic.Apply(LearnDelta{}); err != nil {
+	if err := ic.Apply(LearnDelta{}); err != nil {
 		t.Fatal(err)
 	}
 	if patched, reason := ic.LastDecision(); !patched || reason != "empty-delta" {

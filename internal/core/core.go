@@ -156,17 +156,13 @@ type Options struct {
 	// every emission site is guarded so a disabled journal costs one
 	// branch and no allocation.
 	Journal *obs.Journal
-	// Metrics, when non-nil, receives the run's span timers
-	// (core.compose, core.check, core.replay, core.probe) and the bound
-	// checker's ctl.* counters. Callers typically also pass the same
+	// Metrics, when non-nil, receives a timer and a histogram per phase
+	// (core.compose, core.check, core.replay, core.probe), which observe
+	// the spans the iteration fields and journal events carry, and the
+	// bound checker's ctl.* counters. Callers typically also pass the same
 	// registry to automata.EnableObservability and
 	// replay.EnableObservability.
 	Metrics *obs.Registry
-	// PhaseProfiling attaches pprof goroutine labels (phase=compose,
-	// phase=check, phase=test) around the corresponding sections so CPU
-	// profiles captured with obs.StartCPUProfile attribute samples to
-	// loop phases.
-	PhaseProfiling bool
 	// Nondet switches counterexample classification to the ioco-based
 	// nondeterministic path (DESIGN.md §13): replay follows the
 	// component's actual behavior, divergent-but-allowed observations are
@@ -176,9 +172,10 @@ type Options struct {
 	// decide verdicts. The learned model is created nondeterministic
 	// (automata.NewNondetIncomplete), which selects its learning and
 	// closure rules; the system is patched across iterations as on the
-	// deterministic path. Requires a single component with a fair branch
-	// schedule (e.g. legacy.NondetComponent). Off by default; the
-	// deterministic path is untouched when false.
+	// deterministic path, a settled label like any other learn delta.
+	// Requires a single component with a fair branch schedule (e.g.
+	// legacy.NondetComponent). Off by default; the deterministic path is
+	// untouched when false.
 	Nondet bool
 }
 
@@ -308,10 +305,11 @@ type Iteration struct {
 	// ("delta-patch", "initial-build", "garbage-threshold", ...); see
 	// automata.IncrementalSystem.LastDecision.
 	BuildReason string
-	// Per-phase wall-clock durations of this iteration. TestDuration
-	// covers the whole counterexample-execution section; ReplayDuration
-	// (record + deterministic replay + learning) and ProbeDuration
-	// (deadlock-confirmation probes) break out its two black-box parts.
+	// Per-phase wall-clock durations of this iteration, each summing the
+	// phase's spans: TestDuration one per counterexample tested against
+	// the components, ReplayDuration (record, replay and learning) one per
+	// execution and ProbeDuration (a deadlock-confirmation probe and its
+	// learning) one per probe, both nested in the test spans.
 	ComposeDuration, CheckDuration, TestDuration time.Duration
 	ReplayDuration, ProbeDuration                time.Duration
 }
@@ -329,7 +327,9 @@ func (it *Iteration) CounterexampleText() string {
 	return trace.RenderCounterexample(it.system, it.Counterexample)
 }
 
-// Stats aggregates effort measures across the run.
+// Stats aggregates effort measures across the run. Run sums it from the
+// report's iterations (sumStats); only TestsRun, ResetsUsed and
+// CTLWordsScanned, which no iteration records, are counted directly.
 type Stats struct {
 	Iterations         int
 	TestsRun           int
@@ -352,15 +352,39 @@ type Stats struct {
 	ProductPatches  int
 	ProductRebuilds int
 	// Cumulative wall-clock time per phase across all iterations.
-	// TestTime covers the whole test phase; ReplayTime (record/replay
+	// TestTime covers the counterexample tests; ReplayTime (record/replay
 	// executions and learning) and ProbeTime (deadlock-confirmation
-	// probes) split out the black-box effort the paper argues dominates
-	// on real targets, so ReplayTime+ProbeTime ≤ TestTime.
+	// probes and learning) split out the black-box effort the paper
+	// argues dominates on real targets, so ReplayTime+ProbeTime ≤ TestTime.
 	ComposeTime time.Duration
 	CheckTime   time.Duration
 	TestTime    time.Duration
 	ReplayTime  time.Duration
 	ProbeTime   time.Duration
+}
+
+// sumStats derives a run's Stats from its iterations: every field but
+// TestsRun, ResetsUsed and CTLWordsScanned.
+func sumStats(its []Iteration) Stats {
+	st := Stats{Iterations: len(its)}
+	for _, it := range its {
+		st.ProbesRun += len(it.Probes)
+		st.StatesLearned += len(it.Delta.NewStates)
+		st.TransitionsLearned += len(it.Delta.NewTransitions)
+		st.RefusalsLearned += len(it.Delta.NewBlocked)
+		st.PeakSystemStates = max(st.PeakSystemStates, it.SystemStates)
+		if it.Patched {
+			st.ProductPatches++
+		} else {
+			st.ProductRebuilds++
+		}
+		st.ComposeTime += it.ComposeDuration
+		st.CheckTime += it.CheckDuration
+		st.TestTime += it.TestDuration
+		st.ReplayTime += it.ReplayDuration
+		st.ProbeTime += it.ProbeDuration
+	}
+	return st
 }
 
 // Report is the final result of a synthesis run.
@@ -403,16 +427,13 @@ type Synthesizer struct {
 	// traceID names the run's trace in the journal (see Options.Journal).
 	traceID string
 
-	stats Stats
+	testsRun, resetsUsed int // the Stats counts no iteration records
 
 	// inc carries the composed system across iterations; nil until the
 	// first iteration, or permanently when unsupported (several components,
 	// whose product is rebuilt every iteration) or disabled.
 	inc            *automata.IncrementalSystem
 	incUnsupported bool
-	// pending is the learn delta accumulated since the last system
-	// construction, consumed by the next Apply.
-	pending automata.LearnDelta
 
 	// nondetVisits persists fair-visit counters per learned (state, input)
 	// across iterations of the nondeterministic path (nil otherwise). The
@@ -431,12 +452,11 @@ type Synthesizer struct {
 	weakProperty ctl.Formula
 	noDeadlock   ctl.Formula
 
-	// Per-phase span timers and latency histograms registered in
-	// Options.Metrics (nil and therefore inert when no registry is
-	// configured). Timers carry totals; histograms carry the live
-	// distribution the /metrics endpoint exposes as _bucket families.
-	tCompose, tCheck, tReplay, tProbe *obs.Timer
-	hCompose, hCheck, hReplay, hProbe *obs.Histogram
+	// timers and hists are the phases' core.* instruments in
+	// Options.Metrics (nil, and so inert, without a registry and for the
+	// test phase).
+	timers [numPhases]*obs.Timer
+	hists  [numPhases]*obs.Histogram
 }
 
 // component is one legacy component under synthesis: the black box, its
@@ -521,14 +541,12 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 	}
 
 	s := &Synthesizer{context: context, opts: o, traceID: traceID}
-	s.tCompose = o.Metrics.Timer("core.compose")
-	s.tCheck = o.Metrics.Timer("core.check")
-	s.tReplay = o.Metrics.Timer("core.replay")
-	s.tProbe = o.Metrics.Timer("core.probe")
-	s.hCompose = o.Metrics.Histogram("core.compose")
-	s.hCheck = o.Metrics.Histogram("core.check")
-	s.hReplay = o.Metrics.Histogram("core.replay")
-	s.hProbe = o.Metrics.Histogram("core.probe")
+	for p, name := range phaseNames {
+		if phaseID(p) != phaseTest {
+			s.timers[p] = o.Metrics.Timer("core." + name)
+			s.hists[p] = o.Metrics.Histogram("core." + name)
+		}
+	}
 	if o.Property != nil {
 		s.weakProperty = ctl.WeakenForChaos(o.Property)
 	}
@@ -543,7 +561,7 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 		c := &component{comp: comps[i], iface: iface, labeler: QualifiedLabeler(iface.Name),
 			universe: o.Memo.Universe(o.Universe, iface.Inputs, iface.Outputs)}
 		init := legacy.InitialStateName(c.comp)
-		s.stats.ResetsUsed++
+		s.resetsUsed++
 		a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
 		id := a.MustAddState(init, c.labeler(init)...)
 		a.MarkInitial(id)
@@ -598,11 +616,11 @@ func (s *Synthesizer) Run() (*Report, error) {
 				report.Models = append(report.Models, c.model)
 			}
 			report.Model = report.Models[0]
-			s.stats.Iterations = len(report.Iterations)
+			report.Stats = sumStats(report.Iterations)
+			report.Stats.TestsRun, report.Stats.ResetsUsed = s.testsRun, s.resetsUsed
 			if s.checker != nil {
-				s.stats.CTLWordsScanned = s.checker.WordsScanned()
+				report.Stats.CTLWordsScanned = s.checker.WordsScanned()
 			}
-			report.Stats = s.stats
 			return report, nil
 		}
 		if it.Delta.Empty() && it.Test != TestNotRun {
@@ -645,50 +663,41 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 			}})
 	}
 
-	composeStart := time.Now()
 	var sys *automata.Automaton
-	if err := s.phase("compose", func() error {
+	if err := s.phase(it, phaseCompose, func() error {
 		var err error
-		sys, err = s.buildSystem(it)
+		sys, err = s.buildSystem(it, report.Iterations)
 		return err
-	}); err != nil {
-		return nil, false, err
-	}
-	book(time.Since(composeStart), &it.ComposeDuration, &s.stats.ComposeTime, s.tCompose, s.hCompose)
-	if it.SystemStates > s.stats.PeakSystemStates {
-		s.stats.PeakSystemStates = it.SystemStates
-	}
-	if j := s.opts.Journal; j.Enabled() {
+	}, func() obs.Event {
 		k := obs.KindProductRebuilt
 		if it.Patched {
 			k = obs.KindClosurePatched
 		}
-		j.Emit(obs.Event{Kind: k, Iter: index, DurNS: int64(it.ComposeDuration),
-			Trace: s.traceID, Parent: iterSpan,
+		return obs.Event{Kind: k, Parent: iterSpan,
 			N: map[string]int64{
 				"closure_states": int64(it.ClosureStates),
 				"system_states":  int64(it.SystemStates),
-			}, S: map[string]string{"reason": it.BuildReason}})
+			}, S: map[string]string{"reason": it.BuildReason}}
+	}); err != nil {
+		return nil, false, err
 	}
 
-	checkStart := time.Now()
 	var results []ctl.Result
 	var kind ViolationKind
-	if err := s.phase("check", func() error {
+	if err := s.phase(it, phaseCheck, func() error {
 		if s.checker == nil {
 			s.checker = ctl.NewChecker(sys)
 			s.checker.Instrument(s.opts.Metrics)
 		} else {
 			s.checker.Rebind(sys)
 		}
-		checker := s.checker
 
 		// Property check with chaos weakening (Section 2.7). With a
 		// counterexample batch > 1 several distinct violations are tested
 		// per round (the §7 optimization).
 		it.PropertyHolds = true
 		if s.weakProperty != nil {
-			many, err := checker.CheckManyCtx(s.runCtx(), s.weakProperty, s.opts.CounterexampleBatch)
+			many, err := s.checker.CheckManyCtx(s.runCtx(), s.weakProperty, s.opts.CounterexampleBatch)
 			if err != nil {
 				return fmt.Errorf("core: check aborted: %w", err)
 			}
@@ -701,7 +710,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		// Deadlock freedom.
 		it.DeadlockFree = true
 		if results == nil {
-			many, err := checker.CheckManyCtx(s.runCtx(), s.noDeadlock, s.opts.CounterexampleBatch)
+			many, err := s.checker.CheckManyCtx(s.runCtx(), s.noDeadlock, s.opts.CounterexampleBatch)
 			if err != nil {
 				return fmt.Errorf("core: check aborted: %w", err)
 			}
@@ -712,19 +721,16 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 			}
 		}
 		return nil
-	}); err != nil {
-		return nil, false, err
-	}
-	book(time.Since(checkStart), &it.CheckDuration, &s.stats.CheckTime, s.tCheck, s.hCheck)
-	if j := s.opts.Journal; j.Enabled() {
-		j.Emit(obs.Event{Kind: obs.KindCheckResult, Iter: index, DurNS: int64(it.CheckDuration),
-			Trace: s.traceID, Parent: iterSpan,
+	}, func() obs.Event {
+		return obs.Event{Kind: obs.KindCheckResult, Parent: iterSpan,
 			N: map[string]int64{
 				"property_holds":  b2i(it.PropertyHolds),
 				"deadlock_free":   b2i(it.DeadlockFree),
 				"system_states":   int64(sys.NumStates()),
 				"counterexamples": int64(len(results)),
-			}})
+			}}
+	}); err != nil {
+		return nil, false, err
 	}
 
 	if results == nil {
@@ -736,11 +742,6 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		return it, true, nil
 	}
 
-	testStart := time.Now()
-	defer func() {
-		it.TestDuration = time.Since(testStart)
-		s.stats.TestTime += it.TestDuration
-	}()
 	for idx, res := range results {
 		cex := res.Counterexample
 		if cex == nil {
@@ -786,7 +787,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		}
 
 		var confirmed bool
-		if err := s.phase("test", func() error {
+		if err := s.phase(it, phaseTest, func() error {
 			var err error
 			if s.opts.Nondet {
 				confirmed, err = s.testCounterexampleNondet(sys, cex, kind, it, cexSpan)
@@ -794,7 +795,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 				confirmed, err = s.testCounterexample(sys, cex, kind, it, cexSpan)
 			}
 			return err
-		}); err != nil {
+		}, nil); err != nil {
 			return nil, false, err
 		}
 		if confirmed {
@@ -810,86 +811,83 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		j.Emit(obs.Event{Kind: obs.KindLearnDelta, Iter: index,
 			Trace: s.traceID, Parent: iterSpan,
 			N: map[string]int64{
-				"states":      int64(it.Delta.States),
-				"transitions": int64(it.Delta.Transitions),
-				"blocked":     int64(it.Delta.Blocked),
+				"states":      int64(len(it.Delta.NewStates)),
+				"transitions": int64(len(it.Delta.NewTransitions)),
+				"blocked":     int64(len(it.Delta.NewBlocked)),
 			}})
 	}
-	s.pending.Merge(it.Delta)
 	return it, false, nil
 }
 
-// phase runs f, attaching a pprof goroutine label when PhaseProfiling is
-// enabled so CPU samples attribute to the loop phase they serve.
-func (s *Synthesizer) phase(name string, f func() error) error {
-	if s.opts.PhaseProfiling {
-		return obs.WithPhase(name, f)
+// phaseID names a timed section of the loop (see phase).
+type phaseID int
+
+const (
+	phaseCompose phaseID = iota
+	phaseCheck
+	phaseTest
+	phaseReplay
+	phaseProbe
+	numPhases
+)
+
+// phaseNames name the phases' core.* instruments and pprof labels; the
+// test phase, which encloses replay and probe spans, has neither.
+var phaseNames = [numPhases]string{"compose", "check", "test", "replay", "probe"}
+
+// phase runs f as one span of phase p in iteration it, under p's pprof
+// label while a CPU profile runs (obs.WithPhase), and is the only writer
+// of phase times: the span is timed once, and that duration is added to
+// the iteration's field for p, observed by p's core.* timer and histogram,
+// and carried by the journal event that event builds (nil for none;
+// called only when a journal is attached). A failed span is not recorded.
+func (s *Synthesizer) phase(it *Iteration, p phaseID, f func() error, event func() obs.Event) error {
+	start := time.Now()
+	var err error
+	if p == phaseTest {
+		err = f()
+	} else {
+		err = obs.WithPhase(phaseNames[p], f)
 	}
-	return f()
-}
-
-// book records one measured duration of a phase in its four sinks: the
-// iteration's and the run's totals, and the phase's core.* timer and
-// histogram.
-func book(d time.Duration, iter, run *time.Duration, t *obs.Timer, h *obs.Histogram) {
-	*iter += d
-	*run += d
-	t.Observe(d)
-	h.Observe(d)
-}
-
-// replayed books one replay execution of component c that took d and
-// journals it as a replay_step event under cexSpan; fill adds the
-// execution's fields and runs only when a journal is attached.
-func (s *Synthesizer) replayed(it *Iteration, c *component, d time.Duration, cexSpan uint64, tr *replay.Trace, fill func(n map[string]int64)) {
-	book(d, &it.ReplayDuration, &s.stats.ReplayTime, s.tReplay, s.hReplay)
-	if j := s.opts.Journal; j.Enabled() {
-		e := obs.Event{Kind: obs.KindReplayStep, Iter: it.Index, DurNS: int64(d),
-			Trace: s.traceID, Parent: cexSpan,
-			N: map[string]int64{}, S: map[string]string{"trace": tr.Render()}}
-		fill(e.N)
-		s.tagComponent(e.S, c)
+	if err != nil {
+		return err
+	}
+	d := time.Since(start)
+	*[numPhases]*time.Duration{&it.ComposeDuration, &it.CheckDuration,
+		&it.TestDuration, &it.ReplayDuration, &it.ProbeDuration}[p] += d
+	s.timers[p].Observe(d)
+	s.hists[p].Observe(d)
+	if j := s.opts.Journal; event != nil && j.Enabled() {
+		e := event()
+		e.Iter, e.Trace, e.DurNS = it.Index, s.traceID, int64(d)
 		j.Emit(e)
 	}
+	return nil
 }
 
-// probed records one deadlock-confirmation probe of component c that took
-// d in the iteration and Stats and journals it as a probe_result event
-// under cexSpan. The probe section's total time is booked by probesDone.
-func (s *Synthesizer) probed(it *Iteration, c *component, result replay.ProbeResult, d time.Duration, cexSpan uint64) {
-	it.Probes = append(it.Probes, result)
-	s.stats.ProbesRun++
-	if j := s.opts.Journal; j.Enabled() {
-		e := obs.Event{Kind: obs.KindProbeResult, Iter: it.Index, DurNS: int64(d),
-			Trace: s.traceID, Parent: cexSpan,
-			N: map[string]int64{
-				"accepted": b2i(result.Accepted),
-			}, S: map[string]string{
-				"state":  result.State,
-				"input":  result.Input.String(),
-				"output": result.Output.String(),
-				"after":  result.After,
-			}}
-		if s.opts.Nondet {
-			e.N["quiescent"] = b2i(result.Quiescent)
-		}
-		s.tagComponent(e.S, c)
-		j.Emit(e)
-	}
-}
-
-// probesDone books the probe section of one counterexample test, begun at
-// start.
-func (s *Synthesizer) probesDone(it *Iteration, start time.Time) {
-	book(time.Since(start), &it.ProbeDuration, &s.stats.ProbeTime, s.tProbe, s.hProbe)
-}
-
-// tagComponent names the component a journal event is about when there is
-// more than one.
-func (s *Synthesizer) tagComponent(fields map[string]string, c *component) {
+// componentEvent builds a journal event of the test section about
+// component c, nested under cexSpan; it names c in a component field when
+// there is more than one component.
+func (s *Synthesizer) componentEvent(kind obs.EventKind, c *component, cexSpan uint64, n map[string]int64, fields map[string]string) obs.Event {
 	if len(s.comps) > 1 {
 		fields["component"] = c.iface.Name
 	}
+	return obs.Event{Kind: kind, Parent: cexSpan, N: n, S: fields}
+}
+
+// probeResult builds the probe_result event of one deadlock-confirmation
+// probe of component c under cexSpan.
+func (s *Synthesizer) probeResult(c *component, cexSpan uint64, result replay.ProbeResult) obs.Event {
+	n := map[string]int64{"accepted": b2i(result.Accepted)}
+	if s.opts.Nondet {
+		n["quiescent"] = b2i(result.Quiescent)
+	}
+	return s.componentEvent(obs.KindProbeResult, c, cexSpan, n, map[string]string{
+		"state":  result.State,
+		"input":  result.Input.String(),
+		"output": result.Output.String(),
+		"after":  result.After,
+	})
 }
 
 func (s *Synthesizer) emitVerdict(index int, iterSpan uint64, v Verdict, kind ViolationKind, reason string) {
@@ -913,9 +911,10 @@ func b2i(b bool) int64 {
 
 // buildSystem produces this iteration's verification system M_a^c ‖
 // chaos(M_1^i) ‖ … ‖ chaos(M_k^i) — for a single component incrementally
-// patched from the previous iteration's system when possible, built from
-// scratch otherwise — and fills the iteration's size fields.
-func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
+// patched from the previous iteration's system with what that iteration
+// learned when possible, built from scratch otherwise — and fills the
+// iteration's size fields. prev holds the run's earlier iterations.
+func (s *Synthesizer) buildSystem(it *Iteration, prev []Iteration) (*automata.Automaton, error) {
 	if !s.opts.DisableIncremental && !s.incUnsupported {
 		if s.inc == nil {
 			inc, err := automata.NewIncrementalSystemWith(s.runCtx(), s.context, s.comps[0].model, s.comps[0].universe, s.opts.Memo)
@@ -923,21 +922,10 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 				return nil, fmt.Errorf("core: compose: %w", err)
 			}
 			s.inc = inc
-			s.stats.ProductRebuilds++
-		} else {
-			patched, err := s.inc.Apply(s.pending)
-			if err != nil {
-				return nil, fmt.Errorf("core: incremental compose: %w", err)
-			}
-			if patched {
-				it.Patched = true
-				s.stats.ProductPatches++
-			} else {
-				s.stats.ProductRebuilds++
-			}
+		} else if err := s.inc.Apply(prev[len(prev)-1].Delta); err != nil {
+			return nil, fmt.Errorf("core: incremental compose: %w", err)
 		}
-		_, it.BuildReason = s.inc.LastDecision()
-		s.pending = automata.LearnDelta{}
+		it.Patched, it.BuildReason = s.inc.LastDecision()
 		if s.opts.CheckIncremental {
 			if err := s.inc.Verify(); err != nil {
 				return nil, fmt.Errorf("core: incremental system diverged: %w", err)
@@ -950,7 +938,6 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 		return s.inc.System(), nil
 	}
 
-	s.pending = automata.LearnDelta{}
 	it.BuildReason = "incremental-disabled"
 	if s.incUnsupported {
 		it.BuildReason = "incremental-unsupported"
@@ -972,7 +959,6 @@ func (s *Synthesizer) buildSystem(it *Iteration) (*automata.Automaton, error) {
 		return nil, fmt.Errorf("core: compose: %w", err)
 	}
 	it.SystemStates = sys.NumStates()
-	s.stats.ProductRebuilds++
 	return sys, nil
 }
 
@@ -994,26 +980,31 @@ func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.
 		}
 
 		// Record with minimal probes, then replay with full
-		// instrumentation (Section 5).
-		replayStart := time.Now()
-		rec := replay.Record(c.comp, c.iface, inputs)
-		s.stats.TestsRun++
-		s.stats.ResetsUsed += 2
-		tr, obsRun, err := replay.Replay(c.comp, rec)
-		if err != nil {
-			return false, fmt.Errorf("core: deterministic replay failed: %w", err)
+		// instrumentation (Section 5), and learn the observation.
+		var rec replay.Recording
+		var tr replay.Trace
+		var obsRun automata.ObservedRun
+		if err := s.phase(it, phaseReplay, func() error {
+			rec = replay.Record(c.comp, c.iface, inputs)
+			s.testsRun++
+			s.resetsUsed += 2
+			var err error
+			if tr, obsRun, err = replay.Replay(c.comp, rec); err != nil {
+				return fmt.Errorf("core: deterministic replay failed: %w", err)
+			}
+			return s.learnObservation(c, obsRun, it)
+		}, func() obs.Event {
+			return s.componentEvent(obs.KindReplayStep, c, cexSpan, map[string]int64{
+				"periods":    int64(len(rec.Outputs)),
+				"blocked_at": int64(rec.BlockedAt),
+			}, map[string]string{"trace": tr.Render()})
+		}); err != nil {
+			return false, err
 		}
 		if i == 0 {
 			it.Recording = &rec
 			it.ReplayTrace = &tr
 		}
-		if err := s.learnObservation(c, obsRun, it); err != nil {
-			return false, err
-		}
-		s.replayed(it, c, time.Since(replayStart), cexSpan, &tr, func(n map[string]int64) {
-			n["periods"] = int64(len(rec.Outputs))
-			n["blocked_at"] = int64(rec.BlockedAt)
-		})
 		c.rec, c.observed = rec, obsRun
 
 		// Divergence: blocked early, or outputs departing from the
@@ -1056,7 +1047,6 @@ func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.
 // component's prefix and performs one probe step (Section 5's replay makes
 // the repeated re-execution deterministic); the reactions are learned.
 func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, it *Iteration, cexSpan uint64) (bool, error) {
-	defer s.probesDone(it, time.Now())
 	ctxState, err := ContextStateAt(s.context, sys, cex.States[len(cex.States)-1])
 	if err != nil {
 		return false, err
@@ -1086,18 +1076,20 @@ func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, 
 			key := probeKey{comp: i, in: in.Key()}
 			result, ok := cache[key]
 			if !ok {
-				probeStart := time.Now()
-				result, err = replay.Probe(c.comp, c.rec, in)
-				probeDur := time.Since(probeStart)
-				if err != nil {
-					return false, fmt.Errorf("core: probe: %w", err)
-				}
-				cache[key] = result
-				s.stats.ResetsUsed++
-				s.probed(it, c, result, probeDur, cexSpan)
-				if err := s.learnProbe(c, c.observed, result, finalState(c.observed), it); err != nil {
+				if err := s.phase(it, phaseProbe, func() error {
+					var err error
+					if result, err = replay.Probe(c.comp, c.rec, in); err != nil {
+						return fmt.Errorf("core: probe: %w", err)
+					}
+					s.resetsUsed++
+					it.Probes = append(it.Probes, result)
+					return s.learnProbe(c, c.observed, result, finalState(c.observed), it)
+				}, func() obs.Event {
+					return s.probeResult(c, cexSpan, result)
+				}); err != nil {
 					return false, err
 				}
+				cache[key] = result
 			}
 			if !result.Accepted {
 				accepted = false
@@ -1151,7 +1143,7 @@ func (s *Synthesizer) learnObservation(c *component, observed automata.ObservedR
 	if err != nil {
 		return fmt.Errorf("core: learn: %w", err)
 	}
-	s.accumulate(delta, it)
+	it.Delta.Merge(delta)
 
 	switch {
 	case refuseBlocked:
@@ -1183,7 +1175,7 @@ func (s *Synthesizer) learnProbe(c *component, prefix automata.ObservedRun, resu
 		if err != nil {
 			return fmt.Errorf("core: learn probe: %w", err)
 		}
-		s.accumulate(delta, it)
+		it.Delta.Merge(delta)
 		if !s.opts.PaperLiteralLearning {
 			return s.refuse(c, finalState, result.Input, &result.Output, false, it)
 		}
@@ -1201,7 +1193,7 @@ func (s *Synthesizer) learnProbe(c *component, prefix automata.ObservedRun, resu
 	if err != nil {
 		return fmt.Errorf("core: learn refusal: %w", err)
 	}
-	s.accumulate(delta, it)
+	it.Delta.Merge(delta)
 	return nil
 }
 
@@ -1226,7 +1218,7 @@ func (s *Synthesizer) refuse(c *component, state string, in automata.SignalSet, 
 				if err := c.model.SettleLabel(id, x); err != nil {
 					return err
 				}
-				it.Delta.Settled++
+				it.Delta.NewSettled = append(it.Delta.NewSettled, automata.BlockedEntry{State: id, Label: x})
 			}
 			continue
 		}
@@ -1236,9 +1228,7 @@ func (s *Synthesizer) refuse(c *component, state string, in automata.SignalSet, 
 		if err := c.model.Block(id, x); err != nil {
 			return err
 		}
-		it.Delta.Blocked++
 		it.Delta.NewBlocked = append(it.Delta.NewBlocked, automata.BlockedEntry{State: id, Label: x})
-		s.stats.RefusalsLearned++
 	}
 	return nil
 }
@@ -1267,13 +1257,6 @@ func ContextStateAt(context, sys *automata.Automaton, composed automata.StateID)
 		return automata.NoState, fmt.Errorf("core: no context state with parts %v", parts[:n])
 	}
 	return id, nil
-}
-
-func (s *Synthesizer) accumulate(delta automata.LearnDelta, it *Iteration) {
-	it.Delta.Merge(delta)
-	s.stats.StatesLearned += delta.States
-	s.stats.TransitionsLearned += delta.Transitions
-	s.stats.RefusalsLearned += delta.Blocked
 }
 
 // runAvoidsChaos reports whether the run never visits a chaotic closure

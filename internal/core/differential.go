@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"muml/internal/automata"
 )
 
 // EquivalentReports checks that two synthesis runs followed the same
@@ -47,20 +49,23 @@ func EquivalentReports(got, want *Report) error {
 		if g.Test != w.Test {
 			return fmt.Errorf("iteration %d: test outcome %v, want %v", i, g.Test, w.Test)
 		}
-		if g.Delta.States != w.Delta.States || g.Delta.Transitions != w.Delta.Transitions || g.Delta.Blocked != w.Delta.Blocked {
-			return fmt.Errorf("iteration %d: delta (%d,%d,%d), want (%d,%d,%d)", i,
-				g.Delta.States, g.Delta.Transitions, g.Delta.Blocked,
-				w.Delta.States, w.Delta.Transitions, w.Delta.Blocked)
+		if gd, wd := deltaSize(g.Delta), deltaSize(w.Delta); gd != wd {
+			return fmt.Errorf("iteration %d: delta (states, transitions, refusals, settled) %v, want %v", i, gd, wd)
 		}
 		if len(g.Probes) != len(w.Probes) {
 			return fmt.Errorf("iteration %d: %d probes, want %d", i, len(g.Probes), len(w.Probes))
 		}
 	}
-	s, ws := got.Stats, want.Stats
-	if s.TestsRun != ws.TestsRun || s.ProbesRun != ws.ProbesRun ||
-		s.StatesLearned != ws.StatesLearned || s.TransitionsLearned != ws.TransitionsLearned ||
-		s.RefusalsLearned != ws.RefusalsLearned || s.PeakSystemStates != ws.PeakSystemStates {
-		return fmt.Errorf("stats diverge: %+v, want %+v", s, ws)
+	// Stats is summed from the iterations compared above, but for its
+	// direct counts.
+	if g, w := got.Stats.TestsRun, want.Stats.TestsRun; g != w {
+		return fmt.Errorf("%d tests run, want %d", g, w)
 	}
 	return nil
+}
+
+// deltaSize counts what a learn delta added: states, transitions, refusals
+// and settled labels.
+func deltaSize(d automata.LearnDelta) [4]int {
+	return [4]int{len(d.NewStates), len(d.NewTransitions), len(d.NewBlocked), len(d.NewSettled)}
 }

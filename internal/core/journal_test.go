@@ -202,9 +202,8 @@ func TestJournalSpanTree(t *testing.T) {
 
 // TestJournalPhaseTotalsMatchStats is the journalstat acceptance check:
 // aggregating the journal's per-phase durations must reproduce the
-// compose/check/replay totals the report's Stats carry, and the
-// per-probe durations must stay within the aggregate probe time (which
-// also covers probe bookkeeping outside the individual probe calls).
+// compose/check/replay/probe totals the report's Stats carry, since each
+// span is measured once and feeds both.
 func TestJournalPhaseTotalsMatchStats(t *testing.T) {
 	var sink obs.MemorySink
 	synth, err := New(railcab.FrontRole(), &railcab.BlockingShuttle{},
@@ -232,8 +231,8 @@ func TestJournalPhaseTotalsMatchStats(t *testing.T) {
 	if probe.Count == 0 {
 		t.Fatal("blocking shuttle run emitted no probe_result events")
 	}
-	if probe.TotalNS > report.Stats.ProbeTime.Nanoseconds() {
-		t.Errorf("probe: journal total %d ns exceeds stats %d ns",
+	if probe.TotalNS != report.Stats.ProbeTime.Nanoseconds() {
+		t.Errorf("probe: journal total %d ns, stats %d ns",
 			probe.TotalNS, report.Stats.ProbeTime.Nanoseconds())
 	}
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"muml/internal/automata"
 	"muml/internal/obs"
@@ -145,37 +145,39 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 		if err := s.runCtx().Err(); err != nil {
 			return false, fmt.Errorf("core: nondet test aborted: %w", err)
 		}
-		replayStart := time.Now()
-		s.stats.TestsRun++
-		s.stats.ResetsUsed++
-		tr, observed, divs, err := replay.ReplayNondet(c.comp, rec, c.model)
-		if err != nil {
-			return false, fmt.Errorf("core: nondet replay failed: %w", err)
-		}
-		for _, d := range divs {
-			if !d.Allowed {
-				// The fragment explicitly refutes what the component just
-				// did: a learned refusal (completeness block) was wrong,
-				// which falsifies the fairness assumption or the
-				// completeness budget. Surface it instead of merging.
-				return false, fmt.Errorf("core: observation contradicts learned refusal: %s", d)
+		var tr replay.Trace
+		var observed automata.ObservedRun
+		var divs []replay.Divergence
+		if err := s.phase(it, phaseReplay, func() error {
+			s.testsRun++
+			s.resetsUsed++
+			var err error
+			if tr, observed, divs, err = replay.ReplayNondet(c.comp, rec, c.model); err != nil {
+				return fmt.Errorf("core: nondet replay failed: %w", err)
 			}
+			for _, d := range divs {
+				if !d.Allowed {
+					// The fragment explicitly refutes what the component
+					// just did: a learned refusal (completeness block) was
+					// wrong, which falsifies the fairness assumption or the
+					// completeness budget. Surface it instead of merging.
+					return fmt.Errorf("core: observation contradicts learned refusal: %s", d)
+				}
+			}
+			return s.learnFair(c, observed, it)
+		}, func() obs.Event {
+			return s.componentEvent(obs.KindReplayStep, c, cexSpan, map[string]int64{
+				"periods":    int64(len(observed.Steps)),
+				"blocked_at": int64(rec.BlockedAt),
+				"diverged":   int64(len(divs)),
+				"attempt":    int64(attempt),
+			}, map[string]string{"trace": tr.Render()})
+		}); err != nil {
+			return false, err
 		}
 		if attempt == 0 {
 			it.ReplayTrace = &tr
 		}
-		if err := s.learnObservation(c, observed, it); err != nil {
-			return false, err
-		}
-		if err := s.noteFairVisits(c, observed, it); err != nil {
-			return false, err
-		}
-		s.replayed(it, c, time.Since(replayStart), cexSpan, &tr, func(n map[string]int64) {
-			n["periods"] = int64(len(observed.Steps))
-			n["blocked_at"] = int64(rec.BlockedAt)
-			n["diverged"] = int64(len(divs))
-			n["attempt"] = int64(attempt)
-		})
 		if j := s.opts.Journal; j.Enabled() {
 			for _, d := range divs {
 				recorded := d.Recorded.String()
@@ -258,17 +260,20 @@ func (s *Synthesizer) matchProjection(proj automata.ProjectedRun, observed autom
 	return n, n == len(proj.Steps) && observed.Blocked == nil
 }
 
-// noteFairVisits advances the fair-visit counter of every (state, input)
-// the run stepped through — once per pair, however often the run revisited
-// it — and settles each pair whose counter reaches the completeness
-// budget: after nondetCompleteness fair visits every duplicate branch
-// under the input has appeared, so unobserved outputs become refusals (T̄)
-// and each learned label is settled. A branch surfacing after its label
-// was refuted falsifies the budget and is surfaced by Learn as a
-// contradiction. Callers count a run's visits only after learnObservation
-// has merged the whole run, so a maturity triggered by an early step
-// already sees branches the same run revealed later.
-func (s *Synthesizer) noteFairVisits(c *component, run automata.ObservedRun, it *Iteration) error {
+// learnFair merges an observed run into c's model (learnObservation), then
+// advances the fair-visit counter of every (state, input) the run stepped
+// through — once per pair, however often the run revisited it — and
+// settles each pair whose counter reaches the completeness budget: after
+// nondetCompleteness fair visits every duplicate branch under the input
+// has appeared, so unobserved outputs become refusals (T̄) and each
+// learned label is settled. A branch surfacing after its label was
+// refuted falsifies the budget and is surfaced by Learn as a
+// contradiction. Merging the whole run first lets a maturity triggered by
+// an early step see branches the same run revealed later.
+func (s *Synthesizer) learnFair(c *component, run automata.ObservedRun, it *Iteration) error {
+	if err := s.learnObservation(c, run, it); err != nil {
+		return err
+	}
 	cur := run.Initial
 	seen := make(map[nondetVisitKey]bool)
 	for _, step := range run.Steps {
@@ -294,6 +299,11 @@ func (s *Synthesizer) noteFairVisits(c *component, run automata.ObservedRun, it 
 	return nil
 }
 
+// errProbeUnreached ends a nondeterministic probe span whose re-executions
+// never reached the final state: with no result it is not recorded as a
+// probe, and its time stays in the test span.
+var errProbeUnreached = errors.New("core: nondet probe did not reach its final state")
+
 // probeDeadlockNondet tests a composed deadlock against a
 // nondeterministic component: for every interaction the context offers at
 // the end of the counterexample, the out-set of the component at the real
@@ -305,7 +315,6 @@ func (s *Synthesizer) noteFairVisits(c *component, run automata.ObservedRun, it 
 // learned, so fair-visit maturity converges the model until the deadlock
 // is either certified chaos-free or gone.
 func (s *Synthesizer) probeDeadlockNondet(sys *automata.Automaton, cex *automata.Run, inputs []automata.SignalSet, final string, it *Iteration, cexSpan uint64) (bool, error) {
-	defer s.probesDone(it, time.Now())
 	c := s.comps[0]
 	ctxState, err := ContextStateAt(s.context, sys, cex.States[len(cex.States)-1])
 	if err != nil {
@@ -352,29 +361,37 @@ func (s *Synthesizer) probeDeadlockNondet(sys *automata.Automaton, cex *automata
 			if err := s.runCtx().Err(); err != nil {
 				return false, fmt.Errorf("core: nondet probe aborted: %w", err)
 			}
-			probeStart := time.Now()
-			result, runs, reached, err := replay.ProbeNondet(c.comp, recProbe, in, final, nondetAttempts)
-			probeDur := time.Since(probeStart)
-			if err != nil {
-				return false, fmt.Errorf("core: nondet probe: %w", err)
-			}
-			for _, r := range runs {
-				s.stats.ResetsUsed++
-				if err := s.learnObservation(c, r, it); err != nil {
-					return false, err
+			var result replay.ProbeResult
+			err := s.phase(it, phaseProbe, func() error {
+				r, runs, reached, err := replay.ProbeNondet(c.comp, recProbe, in, final, nondetAttempts)
+				if err != nil {
+					return fmt.Errorf("core: nondet probe: %w", err)
 				}
-				if err := s.noteFairVisits(c, r, it); err != nil {
-					return false, err
+				result = r
+				for _, run := range runs {
+					s.resetsUsed++
+					if err := s.learnFair(c, run, it); err != nil {
+						return err
+					}
 				}
-			}
-			if !reached {
+				if !reached {
+					return errProbeUnreached
+				}
+				it.Probes = append(it.Probes, result)
+				return nil
+			}, func() obs.Event {
+				return s.probeResult(c, cexSpan, result)
+			})
+			if errors.Is(err, errProbeUnreached) {
 				// The final state did not recur within the try budget; the
 				// offer stays undecided, which conservatively refutes the
 				// deadlock claim for this iteration.
 				jointPossible = true
 				break
 			}
-			s.probed(it, c, result, probeDur, cexSpan)
+			if err != nil {
+				return false, err
+			}
 			if !result.Accepted {
 				// Refusals are deterministic per (state, input): decisive.
 				refused[in.Key()] = true

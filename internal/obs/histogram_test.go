@@ -165,6 +165,7 @@ func TestValidateHistogramSnapshotEvents(t *testing.T) {
 		"missing name":    `{"seq":1,"kind":"histogram_snapshot","iter":-1,"n":{"count":0}}`,
 		"count mismatch":  `{"seq":1,"kind":"histogram_snapshot","iter":-1,"s":{"name":"x"},"n":{"count":2,"b00":3}}`,
 		"negative bucket": `{"seq":1,"kind":"histogram_snapshot","iter":-1,"s":{"name":"x"},"n":{"count":-1,"b01":-1}}`,
+		"sum overflow":    overflowSnapshot,
 	}
 	for name, line := range invalid {
 		if _, err := ValidateJSONL(strings.NewReader(line)); err == nil {

@@ -114,16 +114,6 @@ func (t *Timer) Observe(d time.Duration) {
 	t.totalNS.Add(d.Nanoseconds())
 }
 
-// Span starts a measurement; call the returned func to record the elapsed
-// time. On a nil timer the returned func is a no-op and no clock is read.
-func (t *Timer) Span() func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
 // Count returns the number of observations.
 func (t *Timer) Count() int64 {
 	if t == nil {

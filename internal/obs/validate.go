@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // This file defines the JSONL journal schema and its validator, used by
@@ -136,6 +137,9 @@ func (v *jsonlValidator) validate(e Event) error {
 			if len(k) == 3 && k[0] == 'b' && k[1] >= '0' && k[1] <= '9' && k[2] >= '0' && k[2] <= '9' {
 				if n < 0 {
 					return fmt.Errorf("seq %d: histogram_snapshot bucket %s negative (%d)", e.Seq, k, n)
+				}
+				if n > math.MaxInt64-sum {
+					return fmt.Errorf("seq %d: histogram_snapshot bucket sum overflows int64", e.Seq)
 				}
 				sum += n
 			}
