@@ -204,8 +204,8 @@ mbt-soak-wide:
 	$(GO) run ./cmd/mbt -wide -seed $(SOAK_SEED) -n 100 -corpus internal/mbt/testdata
 
 # Short randomized fuzzing pass over the model-based harness entry
-# points, the memo-store codec, the manifest intake and the journal
-# decoder; CI-sized, not a real fuzzing campaign.
+# points, the memo-store codec, the manifest intake, the journal decoder
+# and verifyd's job envelope; CI-sized, not a real fuzzing campaign.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/mbt -fuzz FuzzSynthesisSoundness -fuzztime $(FUZZTIME)
@@ -214,6 +214,7 @@ fuzz-smoke:
 	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzUnmarshalMemo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/batch -run '^$$' -fuzz FuzzManifestItems -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzDecodeJSONL -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/verifyd -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
 
 # All progress reporting goes through internal/obs; stray fmt.Print* in
 # internal/ (outside obs, trace, and tests) bypasses the journal.

@@ -94,7 +94,7 @@ func BenchmarkRecordReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := replay.Record(comp, iface, inputs)
-		if _, _, err := replay.Replay(comp, rec); err != nil {
+		if _, err := replay.Replay(comp, rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -366,11 +368,55 @@ func TestVerifydRejectsBadRequests(t *testing.T) {
 		`{"manifest":"not a manifest line"}`,
 		`{"gen":{"seed":1,"n":4},"deadline_ms":-5}`,
 		`not json at all`,
+		trailingDataBody,
+		fmt.Sprintf(`{"gen":{"seed":1,"n":%d}}`, maxGenInstances+1),
 	} {
 		if code, _ := env.submitJSON(body); code != http.StatusBadRequest {
 			t.Errorf("submit %s = %d, want 400", body, code)
 		}
 	}
+}
+
+// trailingDataBody is a valid envelope followed by a second one and
+// garbage; POST /jobs must refuse it whole.
+const trailingDataBody = `{"scenarios":true} {"gen":{"n":5}} trailing garbage`
+
+// FuzzJobRequest fuzzes the JSON envelope of POST /jobs through the
+// decode-and-validate step the handler runs before it builds anything: it
+// never panics, and an accepted envelope re-encodes and decodes to the same
+// request.
+func FuzzJobRequest(f *testing.F) {
+	for _, seed := range []string{
+		trailingDataBody,
+		`{"gen":{"seed":1,"n":8,"config":"wide"}}`,
+		`{"gen":{"seed":-3,"n":4,"max_states":2},"workers":2,"deadline_ms":500} ` + "\n",
+		`{"manifest":"{\"seed\":1}\n","shard_index":1,"shard_count":2}`,
+		`{"scenarios":true,"workers":-1}`,
+		`{"gen":{"seed":1,"n":1048577}}`,
+		`{"gen":{"seed":1,"n":4},"gen":null}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeJobRequest(bytes.NewReader(body))
+		if err == nil {
+			err = req.validate()
+		}
+		if err != nil {
+			return
+		}
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request %+v does not encode: %v", req, err)
+		}
+		again, err := decodeJobRequest(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("re-encoded request %s does not decode: %v", data, err)
+		}
+		if !reflect.DeepEqual(again, req) {
+			t.Fatalf("round trip changed the request:\n got %+v\nwant %+v", again, req)
+		}
+	})
 }
 
 // TestVerifydJobCost is the cost-attribution acceptance check: the job

@@ -479,17 +479,8 @@ func (s *server) submit(req jobRequest) (*job, int, error) {
 		s.mRejected.Add(1)
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("verifyd: overloaded (%s), retry later", reason)
 	}
-	sources := 0
-	for _, set := range []bool{req.Manifest != "", req.Gen != nil, req.Scenarios} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return nil, http.StatusBadRequest, fmt.Errorf("verifyd: exactly one of manifest, gen, scenarios required")
-	}
-	if req.DeadlineMS < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("verifyd: deadline_ms must be non-negative")
+	if err := req.validate(); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 
 	var items []batch.Item
@@ -507,9 +498,6 @@ func (s *server) submit(req jobRequest) (*job, int, error) {
 		source = fmt.Sprintf("manifest(%d)", len(items))
 	case req.Gen != nil:
 		g := *req.Gen
-		if g.N <= 0 {
-			return nil, http.StatusBadRequest, fmt.Errorf("verifyd: gen.n must be positive")
-		}
 		var cfg gen.Config
 		switch g.Config {
 		case "", "default":
@@ -669,23 +657,23 @@ func (s *server) mux() http.Handler {
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("verifyd: bad request body: %v", err), http.StatusBadRequest)
+		var err error
+		if req, err = decodeJobRequest(r.Body); err != nil {
+			http.Error(w, fmt.Sprintf("verifyd: bad request body: %v", bodyError(err)), http.StatusBadRequest)
 			return
 		}
 	} else {
 		// Raw manifest post: the body is the JSONL manifest, the knobs are
 		// query parameters — the curl-friendly form.
-		body, err := readManifestBody(r)
+		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("verifyd: reading body: %v", err), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("verifyd: reading body: %v", bodyError(err)), http.StatusBadRequest)
 			return
 		}
-		req.Manifest = body
+		req.Manifest = string(body)
 		q := r.URL.Query()
 		if req.Workers, err = intParam(q.Get("workers"), 0); err != nil {
 			http.Error(w, "verifyd: bad workers parameter", http.StatusBadRequest)
@@ -785,19 +773,62 @@ func (s *server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	http.ServeFile(w, r, path)
 }
 
-// maxBodyBytes bounds submitted manifests (64 MiB is ~1M instances).
+// decodeJobRequest decodes the JSON envelope of POST /jobs: one object of
+// known fields, followed by nothing but white space (the rule
+// batch.ManifestItems applies to each manifest line).
+func decodeJobRequest(body io.Reader) (jobRequest, error) {
+	var req jobRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return jobRequest{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the job request")
+		}
+		return jobRequest{}, err
+	}
+	return req, nil
+}
+
+// validate checks the envelope before anything is built from it: exactly
+// one instance source, a non-negative deadline, and 1 to maxGenInstances
+// generated instances.
+func (req jobRequest) validate() error {
+	sources := 0
+	for _, set := range []bool{req.Manifest != "", req.Gen != nil, req.Scenarios} {
+		if set {
+			sources++
+		}
+	}
+	if sources != 1 {
+		return fmt.Errorf("verifyd: exactly one of manifest, gen, scenarios required")
+	}
+	if req.DeadlineMS < 0 {
+		return fmt.Errorf("verifyd: deadline_ms must be non-negative")
+	}
+	if g := req.Gen; g != nil && (g.N <= 0 || g.N > maxGenInstances) {
+		return fmt.Errorf("verifyd: gen.n must be between 1 and %d", maxGenInstances)
+	}
+	return nil
+}
+
+// maxBodyBytes bounds a submitted body, raw manifest or JSON envelope
+// (64 MiB is ~1M instances).
 const maxBodyBytes = 64 << 20
 
-func readManifestBody(r *http.Request) (string, error) {
-	data, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return "", fmt.Errorf("manifest exceeds %d bytes", maxBodyBytes)
-		}
-		return "", err
+// maxGenInstances bounds gen.n at the ~1M instances a maxBodyBytes manifest
+// holds: batch.GenItems allocates every item up front.
+const maxGenInstances = 1 << 20
+
+// bodyError names a body over maxBodyBytes as such.
+func bodyError(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
 	}
-	return string(data), nil
+	return err
 }
 
 func intParam(raw string, def int) (int, error) {

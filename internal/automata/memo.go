@@ -15,10 +15,9 @@ import (
 // pure function of exactly the fingerprinted structure, a hit may
 // substitute the cached result for a rebuild. The synthesis loop looks a
 // closure up only when it builds its system from scratch, because later
-// closures are patched (IncrementalSystem): on a deterministic model that
-// is its first iteration and the rare rebuild fallbacks. A
-// nondeterministic model rebuilds on every learn delta that settles a
-// label, but no caller that passes a cache sets core.Options.Nondet.
+// closures are patched (IncrementalSystem): that is its first iteration
+// and the rare rebuild fallbacks, on deterministic and nondeterministic
+// models alike.
 //
 // Coherence: masters stored in the cache are immutable, and every hit
 // hands out a copy-on-write clone (see shareRows): its own state table,

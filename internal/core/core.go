@@ -17,11 +17,13 @@
 //     already a real run of the integrated system (Lemma 6) — verdict
 //     Violation, without any test ("fast conflict detection", Fig. 6);
 //  3. otherwise the counterexample is executed against the legacy
-//     component using record/replay (Section 5); the enriched observation
-//     is merged into M_l^{i+1} by learn (Definitions 11-12, Lemma 7), and
-//     deadlock hypotheses at the end of the run are probed against the
-//     context's offered interactions — all refused means the deadlock is
-//     real (verdict Violation), otherwise the loop continues.
+//     component using record/replay (Section 5) — unless the learned model
+//     already predicts the component's part of it step for step — and the
+//     enriched observation is merged into M_l^{i+1} by learn (Definitions
+//     11-12, Lemma 7); deadlock hypotheses at the end of the run are
+//     probed against the context's offered interactions — all refused
+//     means the deadlock is real (verdict Violation), otherwise the loop
+//     continues.
 //
 // Termination for finite deterministic components follows the argument of
 // Theorem 2: every non-confirming test strictly grows the learned
@@ -287,10 +289,19 @@ type Iteration struct {
 	CexRunWitnessed bool
 
 	Test TestOutcome
-	// Recording and ReplayTrace document the test of the first component
-	// (Listings 1.2/1.3).
-	Recording   *replay.Recording
-	ReplayTrace *replay.Trace
+	// Recording documents the test of the first component (Listing 1.2),
+	// derived from the learned model when the model predicted the test;
+	// ReplayTrace renders its instrumented replay (Listing 1.3).
+	Recording *replay.Recording
+	// replayed is the first component's observed run of that test, from
+	// which ReplayTrace renders; nondet marks a run of the
+	// nondeterministic path, whose rendering shows quiescence.
+	replayed *automata.ObservedRun
+	nondet   bool
+	// TestsPredicted counts the component tests of this iteration that the
+	// learned model predicted instead of executing (see
+	// testCounterexample).
+	TestsPredicted int
 	// Probes document the deadlock confirmation attempts.
 	Probes []replay.ProbeResult
 
@@ -327,12 +338,26 @@ func (it *Iteration) CounterexampleText() string {
 	return trace.RenderCounterexample(it.system, it.Counterexample)
 }
 
+// ReplayTrace renders the instrumented replay of the first component's test
+// (Listing 1.3; no events when the iteration tested nothing). Like
+// CounterexampleText it is rendered when read, from the observed run.
+func (it *Iteration) ReplayTrace() replay.Trace {
+	if it.replayed == nil {
+		return replay.Trace{}
+	}
+	return replay.ReplayTrace(it.Recording.Iface, *it.replayed, it.nondet)
+}
+
 // Stats aggregates effort measures across the run. Run sums it from the
 // report's iterations (sumStats); only TestsRun, ResetsUsed and
 // CTLWordsScanned, which no iteration records, are counted directly.
 type Stats struct {
-	Iterations         int
+	Iterations int
+	// TestsRun counts the record/replay executions on the components;
+	// TestsPredicted the component tests the learned models predicted
+	// instead.
 	TestsRun           int
+	TestsPredicted     int
 	ProbesRun          int
 	ResetsUsed         int // component resets (≈ test executions incl. replays)
 	StatesLearned      int
@@ -368,6 +393,7 @@ type Stats struct {
 func sumStats(its []Iteration) Stats {
 	st := Stats{Iterations: len(its)}
 	for _, it := range its {
+		st.TestsPredicted += it.TestsPredicted
 		st.ProbesRun += len(it.Probes)
 		st.StatesLearned += len(it.Delta.NewStates)
 		st.TransitionsLearned += len(it.Delta.NewTransitions)
@@ -747,10 +773,11 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		if cex == nil {
 			continue
 		}
+		inLearnedPart := runAvoidsChaos(sys, cex)
 		if idx == 0 {
 			it.Counterexample = cex
 			it.system = sys
-			it.CexInLearnedPart = runAvoidsChaos(sys, cex)
+			it.CexInLearnedPart = inLearnedPart
 			it.CexRunWitnessed = res.RunWitnessed
 		}
 		// cexSpan scopes this counterexample's test section: the
@@ -763,12 +790,12 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 				N: map[string]int64{
 					"batch_index":     int64(idx),
 					"length":          int64(cex.Len()),
-					"in_learned_part": b2i(runAvoidsChaos(sys, cex)),
+					"in_learned_part": b2i(inLearnedPart),
 					"run_witnessed":   b2i(res.RunWitnessed),
 				}, S: map[string]string{"kind": kind.String(), "trace": trace.RenderCounterexample(sys, cex)}})
 		}
 
-		if kind == ViolationConstraint && runAvoidsChaos(sys, cex) && res.RunWitnessed {
+		if kind == ViolationConstraint && inLearnedPart && res.RunWitnessed {
 			// Fast conflict detection: the violation lies entirely in
 			// learned (= observed, real) behavior *and* is witnessed by
 			// the run alone (a propositional violation), so it is a real
@@ -790,7 +817,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		if err := s.phase(it, phaseTest, func() error {
 			var err error
 			if s.opts.Nondet {
-				confirmed, err = s.testCounterexampleNondet(sys, cex, kind, it, cexSpan)
+				confirmed, err = s.testCounterexampleNondet(sys, cex, kind, inLearnedPart, it, cexSpan)
 			} else {
 				confirmed, err = s.testCounterexample(sys, cex, kind, it, cexSpan)
 			}
@@ -962,11 +989,21 @@ func (s *Synthesizer) buildSystem(it *Iteration, prev []Iteration) (*automata.Au
 	return sys, nil
 }
 
-// testCounterexample executes the counterexample against every legacy
+// testCounterexample tests the counterexample against every legacy
 // component (Section 4.2 / Section 5) and learns from the observations.
 // It reports whether the counterexample was confirmed as real. cexSpan is
 // the journal span of the counterexample's cex_classified event; the
 // replay and probe events nest under it.
+//
+// A component is tested only where its learned model cannot predict it:
+// when the model foretells the component's projection step for step
+// (predict), the recording and observed run are derived from the model,
+// nothing executes, and nothing is learned — every learned step is
+// observed behavior of a deterministic component (Section 4.3), and its
+// sibling outputs were refused when it was learned. This is the reasoning
+// of fast conflict detection (Listing 1.4) applied per component. The
+// deadlock probes still execute, and replay.Probe checks every output of
+// the predicted prefix on the component.
 func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.Run, kind ViolationKind, it *Iteration, cexSpan uint64) (bool, error) {
 	diverged := false
 	for i, c := range s.comps {
@@ -979,17 +1016,21 @@ func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.
 			inputs[k] = step.In
 		}
 
-		// Record with minimal probes, then replay with full
+		// Predict, or record with minimal probes, then replay with full
 		// instrumentation (Section 5), and learn the observation.
 		var rec replay.Recording
-		var tr replay.Trace
 		var obsRun automata.ObservedRun
+		var predicted bool
 		if err := s.phase(it, phaseReplay, func() error {
+			if rec, obsRun, predicted = c.predict(inputs); predicted {
+				it.TestsPredicted++
+				return nil
+			}
 			rec = replay.Record(c.comp, c.iface, inputs)
 			s.testsRun++
 			s.resetsUsed += 2
 			var err error
-			if tr, obsRun, err = replay.Replay(c.comp, rec); err != nil {
+			if obsRun, err = replay.Replay(c.comp, rec); err != nil {
 				return fmt.Errorf("core: deterministic replay failed: %w", err)
 			}
 			return s.learnObservation(c, obsRun, it)
@@ -997,13 +1038,13 @@ func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.
 			return s.componentEvent(obs.KindReplayStep, c, cexSpan, map[string]int64{
 				"periods":    int64(len(rec.Outputs)),
 				"blocked_at": int64(rec.BlockedAt),
-			}, map[string]string{"trace": tr.Render()})
+				"predicted":  b2i(predicted),
+			}, map[string]string{"trace": replay.ReplayTrace(c.iface, obsRun, false).Render()})
 		}); err != nil {
 			return false, err
 		}
 		if i == 0 {
-			it.Recording = &rec
-			it.ReplayTrace = &tr
+			it.Recording, it.replayed = &rec, &obsRun
 		}
 		c.rec, c.observed = rec, obsRun
 
@@ -1039,6 +1080,43 @@ func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.
 	// offers at the end of the run: the stop is real iff no offer can
 	// form a joint step with the implementations' deterministic reactions.
 	return s.probeDeadlock(sys, cex, it, cexSpan)
+}
+
+// predict derives the recording and observed run of executing inputs on c
+// from c's learned model, and reports whether the model predicts them: it
+// must have exactly one learned reaction to each input in turn, starting
+// from the initial state. A projection that avoids the chaotic states
+// always has that. Under the determinism assumption of Section 4.3 the
+// component then produces exactly the predicted outputs and states, so
+// Record and Replay would return the same recording and run. A
+// nondeterministic model never predicts.
+func (c *component) predict(inputs []automata.SignalSet) (replay.Recording, automata.ObservedRun, bool) {
+	if c.model.Nondet() {
+		return replay.Recording{}, automata.ObservedRun{}, false
+	}
+	a := c.model.Automaton()
+	cur := a.Initial()[0]
+	run := automata.ObservedRun{Initial: a.StateName(cur), Steps: make([]automata.ObservedStep, len(inputs))}
+	outputs := make([]automata.SignalSet, len(inputs))
+	for k, in := range inputs {
+		next := automata.NoState
+		for _, t := range a.TransitionsFrom(cur) {
+			if !t.Label.In.Equal(in) {
+				continue
+			}
+			if next != automata.NoState {
+				return replay.Recording{}, automata.ObservedRun{}, false
+			}
+			next = t.To
+			run.Steps[k] = automata.ObservedStep{Label: t.Label, To: a.StateName(t.To)}
+			outputs[k] = t.Label.Out
+		}
+		if next == automata.NoState {
+			return replay.Recording{}, automata.ObservedRun{}, false
+		}
+		cur = next
+	}
+	return replay.Recording{Iface: c.iface, Inputs: inputs, Outputs: outputs, BlockedAt: -1}, run, true
 }
 
 // probeDeadlock checks whether the composed deadlock at the end of the
@@ -1121,15 +1199,17 @@ func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, 
 // nothing on a nondeterministic one, where outputs race.
 //
 // Note: with a single deterministic component the Blocked branch is
-// defensive — counterexample plans consist solely of already-learned steps
-// (the chaos-weakened property is satisfied at s_∀, and (s,0) deadlocks
-// precede s_δ ones in the shortest-counterexample search), so recordings
-// never block mid-plan; refusal hypotheses are decided by the final-state
-// probes instead. The branch matters with several components, where a
-// counterexample runs on past one component's chaotic states while the
-// others still move, on the nondeterministic path, whose replays follow
-// the component's actual behavior, and for callers feeding externally
-// constructed plans.
+// defensive. The steps of a counterexample plan that leave the learned
+// part are chaos transitions, and a plan the learned model predicts is
+// not executed at all (testCounterexample); the rest end in a chaotic
+// state (the chaos-weakened property is satisfied at s_∀, and (s,0)
+// deadlocks precede s_δ ones in the shortest-counterexample search), so
+// recordings never block mid-plan, and refusal hypotheses are decided by
+// the final-state probes instead. The branch matters with several
+// components, where a counterexample runs on past one component's chaotic
+// states while the others still move, on the nondeterministic path, whose
+// replays follow the component's actual behavior, and for callers feeding
+// externally constructed plans.
 func (s *Synthesizer) learnObservation(c *component, observed automata.ObservedRun, it *Iteration) error {
 	// When the component blocked an input entirely, every output
 	// hypothesis under that input is refuted.

@@ -302,11 +302,8 @@ func TestIterationListingsRendered(t *testing.T) {
 	}
 	sawTrace := false
 	for _, it := range report.Iterations {
-		if it.ReplayTrace != nil {
-			text := it.ReplayTrace.Render()
-			if strings.Contains(text, "[CurrentState]") {
-				sawTrace = true
-			}
+		if strings.Contains(it.ReplayTrace().Render(), "[CurrentState]") {
+			sawTrace = true
 		}
 	}
 	if !sawTrace {

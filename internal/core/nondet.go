@@ -82,8 +82,10 @@ func openCopyDeadlocked(sys *automata.Automaton, final automata.StateID) bool {
 }
 
 // testCounterexampleNondet is the nondeterministic counterpart of
-// testCounterexample.
-func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *automata.Run, kind ViolationKind, it *Iteration, cexSpan uint64) (bool, error) {
+// testCounterexample; inLearnedPart reports that the counterexample never
+// visits a chaotic state. It never predicts a test: one learned successor
+// of a nondeterministic model says nothing about its siblings.
+func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *automata.Run, kind ViolationKind, inLearnedPart bool, it *Iteration, cexSpan uint64) (bool, error) {
 	// A counterexample that never visits a chaotic state can be certified
 	// by the model alone, without replay: every transition on such a run
 	// is a learned transition — behavior that was actually observed — so
@@ -102,7 +104,7 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 	// twice in a row, so a run that takes one branch at two separate
 	// visits of the same (state, input) is unrealizable per-execution
 	// even though each transition is real.
-	if runAvoidsChaos(sys, cex) {
+	if inLearnedPart {
 		final := cex.States[len(cex.States)-1]
 		reliesOnDeadlock := kind == ViolationDeadlock || sys.IsDeadlock(final)
 		if !reliesOnDeadlock || openCopyDeadlocked(sys, final) {
@@ -145,14 +147,13 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 		if err := s.runCtx().Err(); err != nil {
 			return false, fmt.Errorf("core: nondet test aborted: %w", err)
 		}
-		var tr replay.Trace
 		var observed automata.ObservedRun
 		var divs []replay.Divergence
 		if err := s.phase(it, phaseReplay, func() error {
 			s.testsRun++
 			s.resetsUsed++
 			var err error
-			if tr, observed, divs, err = replay.ReplayNondet(c.comp, rec, c.model); err != nil {
+			if observed, divs, err = replay.ReplayNondet(c.comp, rec, c.model); err != nil {
 				return fmt.Errorf("core: nondet replay failed: %w", err)
 			}
 			for _, d := range divs {
@@ -171,12 +172,12 @@ func (s *Synthesizer) testCounterexampleNondet(sys *automata.Automaton, cex *aut
 				"blocked_at": int64(rec.BlockedAt),
 				"diverged":   int64(len(divs)),
 				"attempt":    int64(attempt),
-			}, map[string]string{"trace": tr.Render()})
+			}, map[string]string{"trace": replay.ReplayTrace(c.iface, observed, true).Render()})
 		}); err != nil {
 			return false, err
 		}
 		if attempt == 0 {
-			it.ReplayTrace = &tr
+			it.replayed, it.nondet = &observed, true
 		}
 		if j := s.opts.Journal; j.Enabled() {
 			for _, d := range divs {

@@ -148,20 +148,24 @@ func RunE4() (*Result, error) {
 	var b strings.Builder
 	var minimalOnlyMessages, replayHasStates bool
 	for _, it := range report.Iterations {
-		if it.Recording == nil || it.ReplayTrace == nil || len(it.Recording.Minimal.Events) == 0 {
+		if it.Recording == nil {
+			continue
+		}
+		minimal := it.Recording.Minimal()
+		if len(minimal.Events) == 0 {
 			continue
 		}
 		minimalOnlyMessages = true
-		for _, e := range it.Recording.Minimal.Events {
+		for _, e := range minimal.Events {
 			if e.Kind != replay.KindMessage {
 				minimalOnlyMessages = false
 			}
 		}
-		replayText := it.ReplayTrace.Render()
+		replayText := it.ReplayTrace().Render()
 		replayHasStates = strings.Contains(replayText, "[CurrentState]") &&
 			strings.Contains(replayText, "[Timing]")
 		fmt.Fprintf(&b, "Listing 1.2 analogue — minimal events for deterministic replay (iteration %d):\n%s\n",
-			it.Index, it.Recording.Minimal.Render())
+			it.Index, minimal.Render())
 		fmt.Fprintf(&b, "Listing 1.3 analogue — replay with full instrumentation:\n%s\n", replayText)
 		break
 	}
@@ -234,9 +238,9 @@ func RunE6() (*Result, error) {
 	fmt.Fprintf(&b, "Fig. 7 analogue — correct synthesized behavior w.r.t. context:\n%s\n",
 		trace.RenderModel(report.Model))
 	for _, it := range report.Iterations {
-		if it.ReplayTrace != nil && len(it.ReplayTrace.Events) > 3 {
+		if tr := it.ReplayTrace(); len(tr.Events) > 3 {
 			fmt.Fprintf(&b, "Listing 1.5 analogue — monitoring of a successful learning step (iteration %d):\n%s\n",
-				it.Index, it.ReplayTrace.Render())
+				it.Index, tr.Render())
 			break
 		}
 	}

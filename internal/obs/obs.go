@@ -48,8 +48,8 @@ const (
 	// (s: kind, trace; n: in_learned_part, run_witnessed, length).
 	KindCexClassified EventKind = "cex_classified"
 	// KindReplayStep documents one record/replay execution against the
-	// black box (s: trace — the paper-style listing; n: periods,
-	// blocked_at, diverged).
+	// black box, or its prediction by the learned model (s: trace — the
+	// paper-style listing; n: periods, blocked_at, diverged, predicted).
 	KindReplayStep EventKind = "replay_step"
 	// KindProbeResult is one deadlock-confirmation probe (s: state, input,
 	// output; n: accepted).

@@ -51,17 +51,17 @@ func (d Divergence) String() string {
 
 // ReplayNondet re-executes the recorded input plan with full
 // instrumentation, following the component's actual behavior instead of
-// failing on divergence. Periods in which the component produces no output
-// render as explicit [Quiescence] events — the δ observation. The observed
-// run reflects what actually happened (including a final refusal as a
-// blocked interaction), so it can be merged into a nondeterministic model
-// with Learn. fragment may be nil, in which case every divergence is
-// classified Allowed.
+// failing on divergence. The observed run reflects what actually happened
+// (including a final refusal as a blocked interaction), so it can be merged
+// into a nondeterministic model with Learn; ReplayTrace with nondet set
+// renders it, periods in which the component produced no output as explicit
+// [Quiescence] events — the δ observation. fragment may be nil, in which
+// case every divergence is classified Allowed.
 //
 // The re-execution stops early only if the component refuses an input; the
 // refusal is itself reported as a divergence when the recording accepted
 // that period.
-func ReplayNondet(comp legacy.Component, rec Recording, fragment *automata.Incomplete) (Trace, automata.ObservedRun, []Divergence, error) {
+func ReplayNondet(comp legacy.Component, rec Recording, fragment *automata.Incomplete) (automata.ObservedRun, []Divergence, error) {
 	if pa, ok := comp.(ProbeAware); ok {
 		pa.SetHeavyProbes(true)
 		defer pa.SetHeavyProbes(false)
@@ -69,7 +69,6 @@ func ReplayNondet(comp legacy.Component, rec Recording, fragment *automata.Incom
 	obsNondetReplays.Add(1)
 	obsResets.Add(1)
 	comp.Reset()
-	var trace Trace
 	var divs []Divergence
 	run := automata.ObservedRun{Initial: stateName(comp)}
 
@@ -79,7 +78,6 @@ func ReplayNondet(comp legacy.Component, rec Recording, fragment *automata.Incom
 
 	for period, in := range rec.Inputs {
 		before := stateName(comp)
-		trace.Events = append(trace.Events, Event{Kind: KindCurrentState, Name: before})
 		recRefused := !rec.Completed() && period == rec.BlockedAt
 		out, ok := comp.Step(in)
 		if !ok {
@@ -94,7 +92,7 @@ func ReplayNondet(comp legacy.Component, rec Recording, fragment *automata.Incom
 			}
 			blocked := automata.Interaction{In: in}
 			run.Blocked = &blocked
-			return trace, run, divs, nil
+			return run, divs, nil
 		}
 		if recRefused {
 			obsDivergences.Add(1)
@@ -113,19 +111,15 @@ func ReplayNondet(comp legacy.Component, rec Recording, fragment *automata.Incom
 				Allowed:  allowed(before, automata.Interaction{In: in, Out: out}),
 			})
 		}
-		appendMessageEvents(&trace, rec.Iface, in, out, period+1)
 		if out.IsEmpty() {
 			obsQuiescences.Add(1)
-			trace.Events = append(trace.Events, Event{Kind: KindQuiescence, Count: period + 1})
 		}
-		trace.Events = append(trace.Events, Event{Kind: KindTiming, Count: period + 1})
 		run.Steps = append(run.Steps, automata.ObservedStep{
 			Label: automata.Interaction{In: in, Out: out},
 			To:    stateName(comp),
 		})
 	}
-	trace.Events = append(trace.Events, Event{Kind: KindCurrentState, Name: stateName(comp)})
-	return trace, run, divs, nil
+	return run, divs, nil
 }
 
 // ProbeNondet asks "what can the component do under in at wantState?" for

@@ -33,7 +33,7 @@ func TestReplayNondetFollowsActualBehavior(t *testing.T) {
 	}
 	// The fair scheduler took branch x/s1 on visit 0; the re-execution
 	// advances the (s0, a) counter and takes y/s0, diverging at period 0.
-	trace, run, divs, err := ReplayNondet(comp, rec, nil)
+	run, divs, err := ReplayNondet(comp, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,9 @@ func TestReplayNondetFollowsActualBehavior(t *testing.T) {
 		Outputs:   []automata.SignalSet{automata.NewSignalSet("y")},
 		BlockedAt: -1,
 	}
-	if _, _, err := Replay(comp, recY); err == nil {
+	if _, err := Replay(comp, recY); err == nil {
 		t.Fatal("deterministic Replay must still reject divergence")
 	}
-	_ = trace
 }
 
 func TestReplayNondetEmitsQuiescence(t *testing.T) {
@@ -75,25 +74,27 @@ func TestReplayNondetEmitsQuiescence(t *testing.T) {
 	// Reset fairness history so the re-execution retakes the x branch:
 	// wrap a fresh component over the same automaton.
 	fresh, _ := racyComponent(t)
-	_, run, divs, err := ReplayNondet(fresh, rec, nil)
+	_, divs, err := ReplayNondet(fresh, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(divs) != 0 {
 		t.Fatalf("fresh component should reproduce the recording, got %v", divs)
 	}
-	trace, _, _, err := ReplayNondet(freshAt(t), rec, nil)
+	run, _, err := ReplayNondet(freshAt(t), rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := trace.Render()
+	text := ReplayTrace(iface, run, true).Render()
 	if !strings.Contains(text, "[Quiescence] count=2") {
 		t.Fatalf("missing quiescence event:\n%s", text)
 	}
 	if strings.Contains(text, "[Quiescence] count=1") {
 		t.Fatalf("period 1 produced output; no quiescence expected:\n%s", text)
 	}
-	_ = run
+	if deterministic := ReplayTrace(iface, run, false).Render(); strings.Contains(deterministic, "[Quiescence]") {
+		t.Fatalf("deterministic rendering shows quiescence:\n%s", deterministic)
+	}
 }
 
 func freshAt(t *testing.T) *legacy.NondetComponent {
@@ -115,7 +116,7 @@ func TestReplayNondetClassifiesAgainstFragment(t *testing.T) {
 	if err := m.Block(s0, automata.Interaction{In: automata.NewSignalSet("a"), Out: automata.NewSignalSet("y")}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, divs, err := ReplayNondet(comp, rec, m)
+	_, divs, err := ReplayNondet(comp, rec, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,11 +101,11 @@ func TestTwoPhaseProtocolAvoidsProbeEffect(t *testing.T) {
 	// enriched trace matches the clean recording.
 	replayGuard = true
 	defer func() { replayGuard = false }()
-	trace, run, err := Replay(comp, rec)
+	run, err := Replay(comp, rec)
 	if err != nil {
 		t.Fatalf("replay diverged despite two-phase protocol: %v", err)
 	}
-	text := trace.Render()
+	text := ReplayTrace(rec.Iface, run, false).Render()
 	if !strings.Contains(text, `name="pong"`) || !strings.Contains(text, "[CurrentState]") {
 		t.Fatalf("replay trace incomplete:\n%s", text)
 	}

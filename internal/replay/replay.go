@@ -14,8 +14,9 @@
 //     the execution (state and timing probes) enriches the trace with the
 //     information required for behavior synthesis (Listing 1.3).
 //
-// The enriched trace converts into an automata.ObservedRun for the learn
-// step (Definitions 11-12).
+// The replay yields an automata.ObservedRun for the learn step
+// (Definitions 11-12). Both listings are rendered when read: Minimal from a
+// recording, ReplayTrace from the observed run.
 package replay
 
 import (
@@ -127,13 +128,10 @@ func (t Trace) Messages() []Event {
 }
 
 // Recording is the outcome of the record phase: the inputs fed per period
-// (the deterministic replay data) plus the minimal monitored trace.
+// (the deterministic replay data) and the outputs observed.
 type Recording struct {
 	Iface  legacy.Interface
 	Inputs []automata.SignalSet // input set per period, in order
-	// Minimal holds the message-and-period events observed while
-	// recording (Listing 1.2).
-	Minimal Trace
 	// BlockedAt is the period index at which the component refused its
 	// input, or -1 if the full plan executed.
 	BlockedAt int
@@ -144,6 +142,17 @@ type Recording struct {
 // Completed reports whether the full input plan executed without the
 // component blocking.
 func (r Recording) Completed() bool { return r.BlockedAt < 0 }
+
+// Minimal renders the message-and-period events observed while recording
+// (Listing 1.2): the messages of every executed period, nothing of a
+// refused one.
+func (r Recording) Minimal() Trace {
+	var t Trace
+	for period, out := range r.Outputs {
+		appendMessageEvents(&t, r.Iface, r.Inputs[period], out, period+1)
+	}
+	return t
+}
 
 // Record executes the component from its initial state over the planned
 // inputs, monitoring only messages and periods. If the component refuses
@@ -165,18 +174,18 @@ func Record(comp legacy.Component, iface legacy.Interface, inputs []automata.Sig
 		}
 		rec.Inputs = append(rec.Inputs, in)
 		rec.Outputs = append(rec.Outputs, out)
-		appendMessageEvents(&rec.Minimal, iface, in, out, period+1)
 	}
 	return rec
 }
 
 // Replay reproduces the recorded execution with full instrumentation:
-// state probes before every period and timing probes after (Listing 1.3).
-// It returns the enriched trace and the observed run for learning.
+// state probes before every period and timing probes after. It returns the
+// observed run for learning, from which ReplayTrace renders the enriched
+// trace (Listing 1.3).
 //
 // Replay fails if the component's behaviour diverges from the recording,
 // which would falsify the determinism assumption of Section 4.3.
-func Replay(comp legacy.Component, rec Recording) (Trace, automata.ObservedRun, error) {
+func Replay(comp legacy.Component, rec Recording) (automata.ObservedRun, error) {
 	// During replay the execution is reproduced from recorded data, so
 	// added instrumentation has no effect on it; heavy probes are safe.
 	if pa, ok := comp.(ProbeAware); ok {
@@ -186,7 +195,6 @@ func Replay(comp legacy.Component, rec Recording) (Trace, automata.ObservedRun, 
 	obsReplays.Add(1)
 	obsResets.Add(1)
 	comp.Reset()
-	var trace Trace
 	run := automata.ObservedRun{Initial: stateName(comp)}
 
 	steps := len(rec.Inputs)
@@ -195,39 +203,57 @@ func Replay(comp legacy.Component, rec Recording) (Trace, automata.ObservedRun, 
 	}
 	for period := 0; period < steps; period++ {
 		in := rec.Inputs[period]
-		trace.Events = append(trace.Events, Event{Kind: KindCurrentState, Name: stateName(comp)})
 		out, ok := comp.Step(in)
 		if !ok {
-			return trace, run, fmt.Errorf(
+			return run, fmt.Errorf(
 				"replay: period %d: component refused input %v accepted during recording (nondeterministic component)",
 				period+1, in)
 		}
 		if !out.Equal(rec.Outputs[period]) {
-			return trace, run, fmt.Errorf(
+			return run, fmt.Errorf(
 				"replay: period %d: outputs %v diverge from recorded %v (nondeterministic component)",
 				period+1, out, rec.Outputs[period])
 		}
-		appendMessageEvents(&trace, rec.Iface, in, out, period+1)
-		trace.Events = append(trace.Events, Event{Kind: KindTiming, Count: period + 1})
 		run.Steps = append(run.Steps, automata.ObservedStep{
 			Label: automata.Interaction{In: in, Out: out},
 			To:    stateName(comp),
 		})
 	}
-	trace.Events = append(trace.Events, Event{Kind: KindCurrentState, Name: stateName(comp)})
 
 	if !rec.Completed() {
 		// Re-establish the refusal under instrumentation.
 		in := rec.Inputs[rec.BlockedAt]
 		if _, ok := comp.Step(in); ok {
-			return trace, run, fmt.Errorf(
+			return run, fmt.Errorf(
 				"replay: period %d: component accepted input %v refused during recording (nondeterministic component)",
 				rec.BlockedAt+1, in)
 		}
 		blocked := automata.Interaction{In: in}
 		run.Blocked = &blocked
 	}
-	return trace, run, nil
+	return run, nil
+}
+
+// ReplayTrace renders the instrumented replay of an observed run (Listing
+// 1.3): before every period a state probe, then its messages and a timing
+// probe, and a state probe at the end; a refused final input adds nothing.
+// With nondet set, a period without output also shows the quiescence
+// observation δ as a [Quiescence] event (ReplayNondet's runs).
+func ReplayTrace(iface legacy.Interface, run automata.ObservedRun, nondet bool) Trace {
+	var t Trace
+	state := run.Initial
+	for i, step := range run.Steps {
+		period := i + 1
+		t.Events = append(t.Events, Event{Kind: KindCurrentState, Name: state})
+		appendMessageEvents(&t, iface, step.Label.In, step.Label.Out, period)
+		if nondet && step.Label.Out.IsEmpty() {
+			t.Events = append(t.Events, Event{Kind: KindQuiescence, Count: period})
+		}
+		t.Events = append(t.Events, Event{Kind: KindTiming, Count: period})
+		state = step.To
+	}
+	t.Events = append(t.Events, Event{Kind: KindCurrentState, Name: state})
+	return t
 }
 
 // Probe resets the component, replays the recorded execution, and then

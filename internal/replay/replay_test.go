@@ -38,12 +38,12 @@ func TestRecordCapturesMinimalEvents(t *testing.T) {
 		t.Fatalf("first output = %v", rec.Outputs[0])
 	}
 	// Minimal trace: only message events (Listing 1.2 shape).
-	for _, e := range rec.Minimal.Events {
+	for _, e := range rec.Minimal().Events {
 		if e.Kind != KindMessage {
 			t.Fatalf("record phase captured non-message event %v", e)
 		}
 	}
-	text := rec.Minimal.Render()
+	text := rec.Minimal().Render()
 	if !strings.Contains(text, `[Message] name="convoyProposal", portName="rearRole", type="outgoing"`) {
 		t.Fatalf("minimal trace:\n%s", text)
 	}
@@ -67,11 +67,11 @@ func TestRecordStopsAtRefusal(t *testing.T) {
 func TestReplayEnrichesWithStatesAndTiming(t *testing.T) {
 	comp := &railcab.CorrectShuttle{}
 	rec := Record(comp, rearIface(), planInputs("", string(railcab.StartConvoy)))
-	trace, run, err := Replay(comp, rec)
+	run, err := Replay(comp, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := trace.Render()
+	text := ReplayTrace(rec.Iface, run, false).Render()
 	for _, want := range []string{
 		`[CurrentState] name="noConvoy::default"`,
 		`[Message] name="convoyProposal", portName="rearRole", type="outgoing"`,
@@ -103,7 +103,7 @@ func TestReplayReproducesRefusal(t *testing.T) {
 	if rec.Completed() || rec.BlockedAt != 2 {
 		t.Fatalf("BlockedAt = %d", rec.BlockedAt)
 	}
-	_, run, err := Replay(comp, rec)
+	run, err := Replay(comp, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +112,25 @@ func TestReplayReproducesRefusal(t *testing.T) {
 	}
 	if len(run.Steps) != 2 {
 		t.Fatalf("steps before refusal = %d", len(run.Steps))
+	}
+	// Both listings render from the recording and the run; the refused
+	// period shows in neither.
+	for _, tc := range []struct{ name, got, want string }{
+		{"minimal", rec.Minimal().Render(), "" +
+			`[Message] name="convoyProposal", portName="rearRole", type="outgoing"` + "\n" +
+			`[Message] name="startConvoy", portName="rearRole", type="incoming"` + "\n"},
+		{"replay", ReplayTrace(rec.Iface, run, false).Render(), "" +
+			`[CurrentState] name="noConvoy::default"` + "\n" +
+			`[Message] name="convoyProposal", portName="rearRole", type="outgoing"` + "\n" +
+			`[Timing] count=1` + "\n" +
+			`[CurrentState] name="noConvoy::wait"` + "\n" +
+			`[Message] name="startConvoy", portName="rearRole", type="incoming"` + "\n" +
+			`[Timing] count=2` + "\n" +
+			`[CurrentState] name="convoy::cruise"` + "\n"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s trace:\n%s\nwant\n%s", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
@@ -139,7 +158,7 @@ func TestReplayDetectsNondeterminism(t *testing.T) {
 		Outputs: automata.NewSignalSet("first", "other"),
 	}
 	rec := Record(comp, iface, planInputs(""))
-	if _, _, err := Replay(comp, rec); err == nil {
+	if _, err := Replay(comp, rec); err == nil {
 		t.Fatal("nondeterministic component not detected by replay")
 	}
 }
