@@ -141,21 +141,6 @@ func IocoRefines(impl, spec *Automaton) (bool, []Interaction, error) {
 	return true, nil, nil
 }
 
-// OutSet returns the outputs the automaton can produce under the given
-// input at any of the states — out_A over a subset-construction cell. The
-// result is keyed by SignalSet.Key with the concrete sets as values.
-func OutSet(a *Automaton, states []StateID, in SignalSet) map[string]SignalSet {
-	outs := make(map[string]SignalSet)
-	for _, s := range states {
-		for _, t := range a.TransitionsFrom(s) {
-			if t.Label.In.Equal(in) {
-				outs[t.Label.Out.Key()] = t.Label.Out
-			}
-		}
-	}
-	return outs
-}
-
 // AllowsObservation reports whether observing the interaction at the named
 // state is consistent with the learned fragment: true unless the fragment
 // explicitly blocks the interaction there. Unknown states and unknown

@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -137,8 +138,10 @@ type Options struct {
 	PaperLiteralLearning bool
 	// DisableIncremental forces a from-scratch chaotic closure and
 	// composition every iteration instead of patching the previous
-	// iteration's system (the pre-incremental behavior; kept for
-	// benchmarking and as an escape hatch).
+	// iteration's system (the pre-incremental behavior). It is the
+	// reference run of mbt's incremental-equivalence oracle, which
+	// requires the patched run to follow the same trajectory, and is kept
+	// for benchmarking and as an escape hatch.
 	DisableIncremental bool
 	// CheckIncremental validates every incrementally patched system
 	// against a from-scratch rebuild and fails the run on divergence.
@@ -165,23 +168,21 @@ type Options struct {
 	// registry to automata.EnableObservability and
 	// replay.EnableObservability.
 	Metrics *obs.Registry
-	// Nondet switches counterexample classification to the ioco-based
-	// nondeterministic path (DESIGN.md §13): replay follows the
-	// component's actual behavior, divergent-but-allowed observations are
-	// merged into the learned fragment (journaled as ioco_merge), and only
-	// out-set escapes — outputs the fragment explicitly refutes, or
-	// hypotheses missed across nondetCompleteness fair re-executions —
-	// decide verdicts. The learned model is created nondeterministic
-	// (automata.NewNondetIncomplete), which selects its learning and
-	// closure rules; the system is patched across iterations as on the
-	// deterministic path, a settled label like any other learn delta.
-	// Requires a single component with a fair branch schedule (e.g.
-	// legacy.NondetComponent). Off by default; the deterministic path is
-	// untouched when false.
+	// Nondet makes NewMulti create the learned model nondeterministic
+	// (automata.NewNondetIncomplete), whose marker selects the ioco rules
+	// of DESIGN.md §13 wherever the loop tests, probes, learns and closes
+	// it: replay follows the component's actual behavior,
+	// divergent-but-allowed observations are merged into the learned
+	// fragment (journaled as ioco_merge), and only out-set escapes —
+	// outputs the fragment explicitly refutes, or hypotheses missed across
+	// nondetCompleteness fair re-executions — decide verdicts. The system
+	// is patched across iterations as for a deterministic model, a settled
+	// label like any other learn delta. Requires a single component with a
+	// fair branch schedule (e.g. legacy.NondetComponent). Off by default.
 	Nondet bool
 }
 
-// Budgets of the nondeterministic path (Options.Nondet).
+// Budgets of a nondeterministic model's tests and probes (Options.Nondet).
 const (
 	// nondetAttempts bounds how many record/replay re-executions one
 	// counterexample is given to reproduce the hypothesized run before the
@@ -294,13 +295,12 @@ type Iteration struct {
 	// ReplayTrace renders its instrumented replay (Listing 1.3).
 	Recording *replay.Recording
 	// replayed is the first component's observed run of that test, from
-	// which ReplayTrace renders; nondet marks a run of the
-	// nondeterministic path, whose rendering shows quiescence.
+	// which ReplayTrace renders; nondet marks a run of a nondeterministic
+	// model, whose rendering shows quiescence.
 	replayed *automata.ObservedRun
 	nondet   bool
 	// TestsPredicted counts the component tests of this iteration that the
-	// learned model predicted instead of executing (see
-	// testCounterexample).
+	// learned model predicted instead of executing (see testComponent).
 	TestsPredicted int
 	// Probes document the deadlock confirmation attempts.
 	Probes []replay.ProbeResult
@@ -461,15 +461,6 @@ type Synthesizer struct {
 	inc            *automata.IncrementalSystem
 	incUnsupported bool
 
-	// nondetVisits persists fair-visit counters per learned (state, input)
-	// across iterations of the nondeterministic path (nil otherwise). The
-	// component's round-robin schedule cycles every duplicate branch of a
-	// (state, input) within branching-degree consecutive visits, so after
-	// nondetCompleteness observed visits the out-set and successor set
-	// there are complete: unobserved outputs become refusals and learned
-	// labels become settled (chaos escapes removed).
-	nondetVisits map[nondetVisitKey]*nondetVisit
-
 	// checker is reused (rebound) across iterations so its predecessor
 	// lists and fixpoint buffers amortize over the run.
 	checker *ctl.Checker
@@ -495,10 +486,16 @@ type component struct {
 	model    *automata.Incomplete
 	labeler  func(string) []automata.Proposition
 	universe *automata.CompiledUniverse
-	// rec and observed are the recording and observed run of the
-	// counterexample under test; deadlock probes replay them as prefix.
-	rec      replay.Recording
-	observed automata.ObservedRun
+	// rec is the recording of the component's part of the counterexample
+	// under test, which deadlock probes replay as prefix, and final the
+	// learned state where they ask for the component's share of the
+	// context's offers ("" when it cannot be probed; see testComponent).
+	rec   replay.Recording
+	final string
+	// visits counts the fair visits of a nondeterministic model's learned
+	// (state, input) pairs across iterations (see countVisits); nil until
+	// the first is counted.
+	visits map[nondetVisitKey]*nondetVisit
 }
 
 // New prepares the synthesis for a single legacy component; it is NewMulti
@@ -518,7 +515,9 @@ func New(context *automata.Automaton, comp legacy.Component, iface legacy.Interf
 // (pairwise disjoint alphabets), which keeps deadlock-confirmation probes
 // per component, and their names must differ from each other and from the
 // context's leaves, because counterexamples are projected onto components
-// by leaf name. Options.Nondet needs a single component.
+// by leaf name. Options.Nondet needs a single component: the chaos-free
+// certification of a nondeterministic model reads the closure's copy
+// suffix off the last factor of a product state (openCopyDeadlocked).
 func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []legacy.Interface, opts Options) (*Synthesizer, error) {
 	if context == nil || len(comps) == 0 {
 		return nil, errors.New("core: context and component are required")
@@ -577,12 +576,9 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 		s.weakProperty = ctl.WeakenForChaos(o.Property)
 	}
 	s.noDeadlock = ctl.NoDeadlock()
-	// Delta patching maintains a binary product; several components
-	// rebuild theirs from the memoized closures every iteration.
+	// Delta patching maintains a binary product; with several components
+	// the product is rebuilt from every model's closure each iteration.
 	s.incUnsupported = len(comps) > 1
-	if o.Nondet {
-		s.nondetVisits = make(map[nondetVisitKey]*nondetVisit)
-	}
 	for i, iface := range ifaces {
 		c := &component{comp: comps[i], iface: iface, labeler: QualifiedLabeler(iface.Name),
 			universe: o.Memo.Universe(o.Universe, iface.Inputs, iface.Outputs)}
@@ -650,12 +646,12 @@ func (s *Synthesizer) Run() (*Report, error) {
 			return report, nil
 		}
 		if it.Delta.Empty() && it.Test != TestNotRun {
-			// In nondeterministic mode an iteration may legitimately learn
-			// nothing while its fair-visit counters mature toward the
+			// A nondeterministic model may legitimately learn nothing in an
+			// iteration while its fair-visit counters mature toward the
 			// completeness budget; the budget itself bounds how long that
 			// can go on.
 			noProgress++
-			if !s.opts.Nondet || noProgress > nondetCompleteness {
+			if !s.comps[0].model.Nondet() || noProgress > nondetCompleteness {
 				return nil, fmt.Errorf(
 					"core: iteration %d made no progress (counterexample not confirmed, nothing learned); "+
 						"disable PaperLiteralLearning or widen the universe", i)
@@ -816,11 +812,7 @@ func (s *Synthesizer) step(index int, report *Report) (*Iteration, bool, error) 
 		var confirmed bool
 		if err := s.phase(it, phaseTest, func() error {
 			var err error
-			if s.opts.Nondet {
-				confirmed, err = s.testCounterexampleNondet(sys, cex, kind, inLearnedPart, it, cexSpan)
-			} else {
-				confirmed, err = s.testCounterexample(sys, cex, kind, it, cexSpan)
-			}
+			confirmed, err = s.testCounterexample(sys, cex, kind, inLearnedPart, it, cexSpan)
 			return err
 		}, nil); err != nil {
 			return nil, false, err
@@ -906,7 +898,7 @@ func (s *Synthesizer) componentEvent(kind obs.EventKind, c *component, cexSpan u
 // probe of component c under cexSpan.
 func (s *Synthesizer) probeResult(c *component, cexSpan uint64, result replay.ProbeResult) obs.Event {
 	n := map[string]int64{"accepted": b2i(result.Accepted)}
-	if s.opts.Nondet {
+	if c.model.Nondet() {
 		n["quiescent"] = b2i(result.Quiescent)
 	}
 	return s.componentEvent(obs.KindProbeResult, c, cexSpan, n, map[string]string{
@@ -993,93 +985,241 @@ func (s *Synthesizer) buildSystem(it *Iteration, prev []Iteration) (*automata.Au
 // component (Section 4.2 / Section 5) and learns from the observations.
 // It reports whether the counterexample was confirmed as real. cexSpan is
 // the journal span of the counterexample's cex_classified event; the
-// replay and probe events nest under it.
+// replay and probe events nest under it. inLearnedPart reports that the
+// counterexample never visits a chaotic state.
 //
-// A component is tested only where its learned model cannot predict it:
-// when the model foretells the component's projection step for step
-// (predict), the recording and observed run are derived from the model,
-// nothing executes, and nothing is learned — every learned step is
-// observed behavior of a deterministic component (Section 4.3), and its
-// sibling outputs were refused when it was learned. This is the reasoning
-// of fast conflict detection (Listing 1.4) applied per component. The
-// deadlock probes still execute, and replay.Probe checks every output of
-// the predicted prefix on the component.
-func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.Run, kind ViolationKind, it *Iteration, cexSpan uint64) (bool, error) {
-	diverged := false
+// Each component runs its projection of the counterexample by its own
+// model (testComponent); a counterexample that every component reproduces
+// is real. If its violation rests on the run stopping, one probe section
+// asks every component for its share of the context's offers
+// (probeDeadlock).
+func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.Run, kind ViolationKind, inLearnedPart bool, it *Iteration, cexSpan uint64) (bool, error) {
+	final := cex.States[len(cex.States)-1]
+	// The violation rests on the run being inextensible when it ends in a
+	// composed deadlock: the δ check itself, or a temporal violation whose
+	// witness path stops early.
+	inextensible := kind == ViolationDeadlock || sys.IsDeadlock(final)
+	if inLearnedPart && s.comps[0].model.Nondet() && (!inextensible || openCopyDeadlocked(sys, final)) {
+		// A nondeterministic model (only ever a single component, see
+		// NewMulti) certifies the counterexample without a test; see
+		// openCopyDeadlocked.
+		if kind == ViolationDeadlock {
+			it.Test = TestConfirmedDeadlock
+		} else {
+			it.Test = TestRealizable
+		}
+		if j := s.opts.Journal; j.Enabled() {
+			j.Emit(obs.Event{Kind: obs.KindNote, Iter: it.Index,
+				Trace: s.traceID, Parent: cexSpan,
+				S: map[string]string{"note": "counterexample certified: all transitions learned, no chaotic state visited"}})
+		}
+		return true, nil
+	}
+
+	reproduced, probeable := true, true
 	for i, c := range s.comps {
 		proj, err := sys.ProjectRun(*cex, c.iface.Name)
 		if err != nil {
 			return false, fmt.Errorf("core: project counterexample: %w", err)
 		}
-		inputs := make([]automata.SignalSet, len(proj.Steps))
-		for k, step := range proj.Steps {
-			inputs[k] = step.In
-		}
-
-		// Predict, or record with minimal probes, then replay with full
-		// instrumentation (Section 5), and learn the observation.
-		var rec replay.Recording
-		var obsRun automata.ObservedRun
-		var predicted bool
-		if err := s.phase(it, phaseReplay, func() error {
-			if rec, obsRun, predicted = c.predict(inputs); predicted {
-				it.TestsPredicted++
-				return nil
-			}
-			rec = replay.Record(c.comp, c.iface, inputs)
-			s.testsRun++
-			s.resetsUsed += 2
-			var err error
-			if obsRun, err = replay.Replay(c.comp, rec); err != nil {
-				return fmt.Errorf("core: deterministic replay failed: %w", err)
-			}
-			return s.learnObservation(c, obsRun, it)
-		}, func() obs.Event {
-			return s.componentEvent(obs.KindReplayStep, c, cexSpan, map[string]int64{
-				"periods":    int64(len(rec.Outputs)),
-				"blocked_at": int64(rec.BlockedAt),
-				"predicted":  b2i(predicted),
-			}, map[string]string{"trace": replay.ReplayTrace(c.iface, obsRun, false).Render()})
-		}); err != nil {
+		ok, err := s.testComponent(c, proj, it, cexSpan, i == 0)
+		if err != nil {
 			return false, err
 		}
-		if i == 0 {
-			it.Recording, it.replayed = &rec, &obsRun
-		}
-		c.rec, c.observed = rec, obsRun
-
-		// Divergence: blocked early, or outputs departing from the
-		// counterexample's projection.
-		if !rec.Completed() {
-			diverged = true
-		}
-		for k := range rec.Outputs {
-			if !rec.Outputs[k].Equal(proj.Steps[k].Out) {
-				diverged = true
-				break
-			}
-		}
+		reproduced = reproduced && ok
+		probeable = probeable && c.final != ""
 	}
-	if diverged {
-		it.Test = TestDiverged
-		return false, nil
-	}
-
-	final := cex.States[len(cex.States)-1]
-	if kind != ViolationDeadlock && !sys.IsDeadlock(final) {
+	switch {
+	case reproduced && !inextensible:
 		// The full counterexample run is real behavior and it does not
 		// depend on any refusal hypothesis (its violation window elapsed
 		// within the trace): the violation is confirmed.
 		it.Test = TestRealizable
 		return true, nil
+	case !inextensible || !probeable:
+		it.Test = TestDiverged
+		return false, nil
 	}
-
-	// The violation rests on the run being inextensible (a composed
-	// deadlock — either the δ check itself, or a temporal violation whose
-	// witness path stops early). Probe every interaction the context
-	// offers at the end of the run: the stop is real iff no offer can
-	// form a joint step with the implementations' deterministic reactions.
+	// Probe every interaction the context offers at the end of the run:
+	// the stop is real iff no offer can form a joint step with the
+	// components' reactions.
 	return s.probeDeadlock(sys, cex, it, cexSpan)
+}
+
+// testComponent runs component c's projection proj of the counterexample,
+// learns what it observes, and reports whether c reproduced proj. It
+// leaves the test's recording in c.rec and, in c.final, the learned state
+// at which deadlock probes ask c for its share of the context's offers
+// ("" when c cannot be probed). first marks the component whose test the
+// iteration documents.
+//
+// A deterministic model is tested only where it cannot predict: when it
+// foretells the projection step for step (predict), the recording and
+// observed run are derived from the model, nothing executes, and nothing
+// is learned — every learned step is observed behavior of a deterministic
+// component (Section 4.3), and its sibling outputs were refused when it
+// was learned. This is the reasoning of fast conflict detection (Listing
+// 1.4) applied per component; the deadlock probes still execute, and
+// replay.Probe checks every output of the predicted prefix. Otherwise the
+// component is recorded with minimal probes and replayed once with full
+// instrumentation (Section 5).
+//
+// A nondeterministic model is re-executed up to nondetAttempts times
+// (replay.ReplayNondet), every observed run learned and the divergences
+// journaled as ioco_merge events, until one run reproduces proj. When none
+// does, whatever the attempts observed has been merged, and matured
+// (state, input) pairs have been settled or refuted along the way, so the
+// next closure shrinks accordingly.
+func (s *Synthesizer) testComponent(c *component, proj automata.ProjectedRun, it *Iteration, cexSpan uint64, first bool) (bool, error) {
+	nondet := c.model.Nondet()
+	inputs := make([]automata.SignalSet, len(proj.Steps))
+	for k, step := range proj.Steps {
+		inputs[k] = step.In
+	}
+	var rec replay.Recording
+	attempts := 1
+	if nondet {
+		// The recording is synthesized from the projection instead of
+		// taped from a live execution: the hypothesized run itself is the
+		// divergence baseline the ioco check needs. This also keeps every
+		// real execution inside ReplayNondet, where it is observed,
+		// learned, and counted — a live Record pass monitors messages only
+		// (no state probes), so its scheduler turns would be invisible to
+		// the fair-visit counters and shift the round-robin phase out from
+		// under the completeness budget.
+		attempts = nondetAttempts
+		outputs := make([]automata.SignalSet, len(proj.Steps))
+		for k, step := range proj.Steps {
+			outputs[k] = step.Out
+		}
+		rec = replay.Recording{Iface: c.iface, Inputs: inputs, Outputs: outputs, BlockedAt: -1}
+	}
+	for attempt := 0; attempt < attempts; attempt++ {
+		var run automata.ObservedRun
+		var divs []replay.Divergence
+		var predicted bool
+		if err := s.phase(it, phaseReplay, func() error {
+			var err error
+			switch {
+			case nondet:
+				if err := s.runCtx().Err(); err != nil {
+					return fmt.Errorf("core: nondet test aborted: %w", err)
+				}
+				s.testsRun++
+				s.resetsUsed++
+				if run, divs, err = replay.ReplayNondet(c.comp, rec, c.model); err != nil {
+					return fmt.Errorf("core: nondet replay failed: %w", err)
+				}
+				for _, d := range divs {
+					if !d.Allowed {
+						// The fragment explicitly refutes what the component
+						// just did: a learned refusal (completeness block) was
+						// wrong, which falsifies the fairness assumption or
+						// the completeness budget. Surface it instead of
+						// merging.
+						return fmt.Errorf("core: observation contradicts learned refusal: %s", d)
+					}
+				}
+			default:
+				if rec, run, predicted = c.predict(inputs); predicted {
+					it.TestsPredicted++
+					return nil
+				}
+				rec = replay.Record(c.comp, c.iface, inputs)
+				s.testsRun++
+				s.resetsUsed += 2
+				if run, err = replay.Replay(c.comp, rec); err != nil {
+					return fmt.Errorf("core: deterministic replay failed: %w", err)
+				}
+			}
+			return s.learnObservation(c, run, it)
+		}, func() obs.Event {
+			n := map[string]int64{"periods": int64(len(run.Steps)), "blocked_at": int64(rec.BlockedAt)}
+			if nondet {
+				n["diverged"], n["attempt"] = int64(len(divs)), int64(attempt)
+			} else {
+				n["predicted"] = b2i(predicted)
+			}
+			return s.componentEvent(obs.KindReplayStep, c, cexSpan, n,
+				map[string]string{"trace": replay.ReplayTrace(c.iface, run, nondet).Render()})
+		}); err != nil {
+			return false, err
+		}
+		if first && attempt == 0 {
+			it.Recording, it.replayed, it.nondet = &rec, &run, nondet
+		}
+		if j := s.opts.Journal; j.Enabled() {
+			for _, d := range divs {
+				s.emitMerge(j, d, it, cexSpan)
+			}
+		}
+		if reproduces(proj, run) {
+			c.rec, c.final = rec, finalState(run)
+			return true, nil
+		}
+	}
+	c.rec, c.final = rec, ""
+	// A nondeterministic component can still be probed at the projection's
+	// final state if that is a learned one: ProbeNondet re-executes the
+	// input plan itself, so sampling the context's offers there does not
+	// require one of the attempts to have realized the full run — which
+	// correlated branch cursors can prevent forever (the cursor of a
+	// downstream pair may advance an exact multiple of its degree between
+	// successive runs that reach it). A chaotic projection has no real
+	// final state to re-find.
+	if name := proj.StateNames[len(proj.StateNames)-1]; nondet && !chaoticName(name) &&
+		c.model.Automaton().State(name) != automata.NoState {
+		c.final = name
+	}
+	return false, nil
+}
+
+// emitMerge journals one divergent-but-allowed observation of a
+// nondeterministic replay as an ioco_merge event under cexSpan.
+func (s *Synthesizer) emitMerge(j *obs.Journal, d replay.Divergence, it *Iteration, cexSpan uint64) {
+	recorded, observed := d.Recorded.String(), d.Observed.String()
+	if d.RecordedRefused {
+		recorded = "refused"
+	}
+	if d.ObservedRefused {
+		observed = "refused"
+	}
+	j.Emit(obs.Event{Kind: obs.KindIocoMerge, Iter: it.Index,
+		Trace: s.traceID, Parent: cexSpan,
+		N: map[string]int64{
+			"period":  int64(d.Period),
+			"allowed": b2i(d.Allowed),
+		}, S: map[string]string{
+			"state":    d.State,
+			"input":    d.Input.String(),
+			"observed": observed,
+			"recorded": recorded,
+		}})
+}
+
+// reproduces reports whether an observed run reproduces a component's
+// projection of the counterexample: every projected step, with the
+// projected output, into the projected state wherever the projection names
+// a learned one. A chaotic state is a wildcard: the projection holds no
+// real name there. On a deterministic model the states follow from the
+// outputs, since every learned step was observed (Section 4.3).
+func reproduces(proj automata.ProjectedRun, run automata.ObservedRun) bool {
+	if run.Blocked != nil || len(run.Steps) != len(proj.Steps) {
+		return false
+	}
+	for k, step := range run.Steps {
+		want := proj.StateNames[k+1]
+		if !step.Label.Out.Equal(proj.Steps[k].Out) || !chaoticName(want) && step.To != want {
+			return false
+		}
+	}
+	return true
+}
+
+// chaoticName reports whether a projected state name is one of the
+// closure's chaotic states.
+func chaoticName(name string) bool {
+	return name == automata.ChaosAllState || name == automata.ChaosDeltaState
 }
 
 // predict derives the recording and observed run of executing inputs on c
@@ -1089,7 +1229,8 @@ func (s *Synthesizer) testCounterexample(sys *automata.Automaton, cex *automata.
 // always has that. Under the determinism assumption of Section 4.3 the
 // component then produces exactly the predicted outputs and states, so
 // Record and Replay would return the same recording and run. A
-// nondeterministic model never predicts.
+// nondeterministic model never predicts: one learned successor says
+// nothing about its siblings.
 func (c *component) predict(inputs []automata.SignalSet) (replay.Recording, automata.ObservedRun, bool) {
 	if c.model.Nondet() {
 		return replay.Recording{}, automata.ObservedRun{}, false
@@ -1120,66 +1261,46 @@ func (c *component) predict(inputs []automata.SignalSet) (replay.Recording, auto
 }
 
 // probeDeadlock checks whether the composed deadlock at the end of the
-// counterexample is real. For each distinct share of an offer the context
-// would hand to a component at its final state, the executor replays the
-// component's prefix and performs one probe step (Section 5's replay makes
-// the repeated re-execution deterministic); the reactions are learned.
+// counterexample is real: it is iff no interaction the context offers
+// there forms a joint step (Definition 3) with the components' reactions.
+// Each component is asked for its share of every offer (offerShare): the
+// inputs the context sends it, and the outputs the context expects of it.
+// An offer forms a joint step iff every component accepts its input and
+// may answer with the expected outputs; deciding that per component is
+// exact because the alphabets are pairwise disjoint.
 func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, it *Iteration, cexSpan uint64) (bool, error) {
 	ctxState, err := ContextStateAt(s.context, sys, cex.States[len(cex.States)-1])
 	if err != nil {
 		return false, err
 	}
 
-	type probeKey struct {
-		comp int
-		in   string
-	}
+	shares := make(map[shareKey]*shareSamples)
 	jointPossible := false
-	cache := make(map[probeKey]replay.ProbeResult)
 	for _, offer := range s.context.TransitionsFrom(ctxState) {
 		// The offer is only realizable if everything the context sends
 		// reaches some component.
 		if !offer.Label.Out.SubsetOf(s.inputs) {
 			continue
 		}
-		accepted := true
-		out := automata.EmptySet
-		for i, c := range s.comps {
+		joint := true
+		for _, c := range s.comps {
 			// The component's input under this offer is its share of what
 			// the context sends (all of it for a single component).
 			in := offer.Label.Out
 			if len(s.comps) > 1 {
 				in = in.Intersect(c.iface.Inputs)
 			}
-			key := probeKey{comp: i, in: in.Key()}
-			result, ok := cache[key]
-			if !ok {
-				if err := s.phase(it, phaseProbe, func() error {
-					var err error
-					if result, err = replay.Probe(c.comp, c.rec, in); err != nil {
-						return fmt.Errorf("core: probe: %w", err)
-					}
-					s.resetsUsed++
-					it.Probes = append(it.Probes, result)
-					return s.learnProbe(c, c.observed, result, finalState(c.observed), it)
-				}, func() obs.Event {
-					return s.probeResult(c, cexSpan, result)
-				}); err != nil {
-					return false, err
-				}
-				cache[key] = result
+			accepted, answers, err := s.offerShare(c, in, offer.Label.In.Intersect(c.iface.Outputs), shares, it, cexSpan)
+			if err != nil {
+				return false, err
 			}
-			if !result.Accepted {
-				accepted = false
+			if !accepted {
+				joint = false
 				break
 			}
-			out = out.Union(result.Output)
+			joint = joint && answers
 		}
-		// Joint step condition of Definition 3: the context's expected
-		// inputs from the components must equal their combined outputs.
-		if accepted && offer.Label.In.Intersect(s.outputs).Equal(out) {
-			jointPossible = true
-		}
+		jointPossible = jointPossible || joint
 	}
 
 	if jointPossible {
@@ -1190,26 +1311,173 @@ func (s *Synthesizer) probeDeadlock(sys *automata.Automaton, cex *automata.Run, 
 	return true, nil
 }
 
-// learnObservation merges a full observed run into c's model and records
-// what the observation refutes. A refused input refutes every output
+// shareKey identifies one component's input share of the context's offers
+// within a probe section.
+type shareKey struct {
+	c  *component
+	in string
+}
+
+// shareSamples is what a probe section observed of one component's
+// reactions to one input at its final state.
+type shareSamples struct {
+	refused bool
+	// outs are the outputs of the accepted probes, one per probe.
+	outs []automata.SignalSet
+	// asked are the outputs already asked for of a nondeterministic
+	// component, each decided once per probe section.
+	asked []automata.SignalSet
+}
+
+// offerShare asks component c at the end of its part of the
+// counterexample for its share of a context offer: whether it accepts
+// input in, and whether it may answer with want. shares holds what the
+// probe section has observed so far. Refusals are decisive, because a
+// component refuses per (state, input) deterministically.
+//
+// A deterministic component is probed once per input: its reaction is a
+// function of the state.
+//
+// A nondeterministic component is checked against its learned model first
+// — a learned transition at the final state that matches is behavior that
+// was actually observed — and then its out-set is sampled, up to
+// nondetCompleteness accepted probes, until want appears or the input is
+// refused. A budget that runs dry decides nothing, and neither do
+// re-executions that never reach the final state: the share stays open,
+// which refutes the deadlock claim for this iteration. Sampling is not
+// fair here — the prefix re-execution that reaches the final state can
+// phase-lock the round-robin schedule and starve a real branch — but the
+// sampled runs are learned, so fair-visit maturity either surfaces the
+// missing output or certifies its refusal, and the counterexample is then
+// certified by the model instead.
+func (s *Synthesizer) offerShare(c *component, in, want automata.SignalSet, shares map[shareKey]*shareSamples, it *Iteration, cexSpan uint64) (accepted, answers bool, err error) {
+	key := shareKey{c, in.Key()}
+	sh := shares[key]
+	if sh == nil {
+		sh = &shareSamples{}
+		shares[key] = sh
+	}
+	switch {
+	case sh.refused:
+		return false, false, nil
+	case slices.ContainsFunc(sh.outs, want.Equal):
+		return true, true, nil
+	}
+	budget := 1
+	if c.model.Nondet() {
+		if slices.ContainsFunc(sh.asked, want.Equal) {
+			return true, true, nil
+		}
+		sh.asked = append(sh.asked, want)
+		a := c.model.Automaton()
+		if id := a.State(c.final); id != automata.NoState && len(a.Successors(id, automata.Interaction{In: in, Out: want})) > 0 {
+			return true, true, nil
+		}
+		budget = nondetCompleteness
+	}
+	for len(sh.outs) < budget {
+		result, reached, err := s.probe(c, in, it, cexSpan)
+		if err != nil {
+			return false, false, err
+		}
+		if !reached {
+			return true, true, nil
+		}
+		if !result.Accepted {
+			sh.refused = true
+			return false, false, nil
+		}
+		sh.outs = append(sh.outs, result.Output)
+		if result.Output.Equal(want) {
+			return true, true, nil
+		}
+	}
+	// The budget is spent without want: the one reaction of a
+	// deterministic component is another, and a nondeterministic one
+	// stays open.
+	return true, c.model.Nondet(), nil
+}
+
+// errProbeUnreached ends a nondeterministic probe span whose re-executions
+// never reached the final state: with no result it is not recorded as a
+// probe, and its time stays in the test span.
+var errProbeUnreached = errors.New("core: nondet probe did not reach its final state")
+
+// probe performs one deadlock-confirmation probe of component c in a probe
+// span: it replays c's recorded prefix, performs input in at c.final, and
+// learns every run it observed. reached is false when a nondeterministic
+// component's re-executions (replay.ProbeNondet, which follow the actual
+// behavior) never ended in c.final; a deterministic one always reaches it
+// (replay.Probe, whose re-execution Section 5's replay makes
+// deterministic).
+func (s *Synthesizer) probe(c *component, in automata.SignalSet, it *Iteration, cexSpan uint64) (replay.ProbeResult, bool, error) {
+	var result replay.ProbeResult
+	err := s.phase(it, phaseProbe, func() error {
+		var runs []automata.ObservedRun
+		reached := true
+		if c.model.Nondet() {
+			if err := s.runCtx().Err(); err != nil {
+				return fmt.Errorf("core: nondet probe aborted: %w", err)
+			}
+			var err error
+			if result, runs, reached, err = replay.ProbeNondet(c.comp, c.rec, in, c.final, nondetAttempts); err != nil {
+				return fmt.Errorf("core: nondet probe: %w", err)
+			}
+		} else {
+			var err error
+			if result, err = replay.Probe(c.comp, c.rec, in); err != nil {
+				return fmt.Errorf("core: probe: %w", err)
+			}
+			// The observation is the probe step from the final state; the
+			// prefix was learned (or predicted) by the test.
+			run := automata.ObservedRun{Initial: c.final}
+			if result.Accepted {
+				run.Steps = []automata.ObservedStep{{Label: automata.Interaction{In: in, Out: result.Output}, To: result.After}}
+			} else {
+				run.Blocked = &automata.Interaction{In: in}
+			}
+			runs = []automata.ObservedRun{run}
+		}
+		for _, run := range runs {
+			s.resetsUsed++
+			if err := s.learnObservation(c, run, it); err != nil {
+				return err
+			}
+		}
+		if !reached {
+			return errProbeUnreached
+		}
+		it.Probes = append(it.Probes, result)
+		return nil
+	}, func() obs.Event {
+		return s.probeResult(c, cexSpan, result)
+	})
+	if errors.Is(err, errProbeUnreached) {
+		return result, false, nil
+	}
+	return result, true, err
+}
+
+// learnObservation merges an observed run into c's model and records what
+// the observation refutes. A refused input refutes every output
 // hypothesis under it (the component refuses per (state, input)
 // deterministically; under PaperLiteralLearning a deterministic model
 // records only the refused interaction itself). Each observed (s, A, B)
 // refutes every (s, A, B′) with B′ ≠ B on a deterministic model, and
-// nothing on a nondeterministic one, where outputs race.
+// nothing on a nondeterministic one, where outputs race; there the run's
+// fair visits are counted instead (countVisits).
 //
-// Note: with a single deterministic component the Blocked branch is
-// defensive. The steps of a counterexample plan that leave the learned
-// part are chaos transitions, and a plan the learned model predicts is
-// not executed at all (testCounterexample); the rest end in a chaotic
-// state (the chaos-weakened property is satisfied at s_∀, and (s,0)
-// deadlocks precede s_δ ones in the shortest-counterexample search), so
-// recordings never block mid-plan, and refusal hypotheses are decided by
-// the final-state probes instead. The branch matters with several
-// components, where a counterexample runs on past one component's chaotic
-// states while the others still move, on the nondeterministic path, whose
-// replays follow the component's actual behavior, and for callers feeding
-// externally constructed plans.
+// The Blocked branch learns every refused probe and every test run that
+// ends refused. With a single deterministic component a test run can end
+// refused only at its plan's last step: the steps of a plan that leave the
+// learned part are chaos transitions, a plan the learned model predicts is
+// not executed at all, and the rest end in the chaotic state they enter
+// (the chaos-weakened property is satisfied at s_∀, and (s,0) deadlocks
+// precede s_δ ones in the shortest-counterexample search). A run is
+// refused mid-plan with several components, where a counterexample runs
+// on past one component's chaotic states while the others still move, on
+// a nondeterministic model, whose replays follow the component's actual
+// behavior, and for callers feeding externally constructed plans.
 func (s *Synthesizer) learnObservation(c *component, observed automata.ObservedRun, it *Iteration) error {
 	// When the component blocked an input entirely, every output
 	// hypothesis under that input is refuted.
@@ -1227,7 +1495,9 @@ func (s *Synthesizer) learnObservation(c *component, observed automata.ObservedR
 
 	switch {
 	case refuseBlocked:
-		return s.refuse(c, finalState(run), observed.Blocked.In, nil, false, it)
+		if err := s.refuse(c, finalState(run), observed.Blocked.In, nil, false, it); err != nil {
+			return err
+		}
 	case !nondet && !s.opts.PaperLiteralLearning:
 		// Each observed (state, A, B) refutes every (state, A, B') with
 		// B' ≠ B.
@@ -1239,41 +1509,9 @@ func (s *Synthesizer) learnObservation(c *component, observed automata.ObservedR
 			cur = step.To
 		}
 	}
-	return nil
-}
-
-// learnProbe merges one probe reaction (prefix + one step) into c's model.
-func (s *Synthesizer) learnProbe(c *component, prefix automata.ObservedRun, result replay.ProbeResult, finalState string, it *Iteration) error {
-	if result.Accepted {
-		run := prefix
-		run.Blocked = nil
-		run.Steps = append(append([]automata.ObservedStep(nil), prefix.Steps...), automata.ObservedStep{
-			Label: automata.Interaction{In: result.Input, Out: result.Output},
-			To:    result.After,
-		})
-		delta, err := c.model.Learn(run, c.labeler)
-		if err != nil {
-			return fmt.Errorf("core: learn probe: %w", err)
-		}
-		it.Delta.Merge(delta)
-		if !s.opts.PaperLiteralLearning {
-			return s.refuse(c, finalState, result.Input, &result.Output, false, it)
-		}
-		return nil
+	if nondet {
+		return s.countVisits(c, observed, it)
 	}
-	if !s.opts.PaperLiteralLearning {
-		return s.refuse(c, finalState, result.Input, nil, false, it)
-	}
-	// Paper-literal learning: record the single refused hypothesis (the
-	// empty-output variant stands for the offered interaction).
-	run := prefix
-	blocked := automata.Interaction{In: result.Input}
-	run.Blocked = &blocked
-	delta, err := c.model.Learn(run, c.labeler)
-	if err != nil {
-		return fmt.Errorf("core: learn refusal: %w", err)
-	}
-	it.Delta.Merge(delta)
 	return nil
 }
 

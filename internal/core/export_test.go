@@ -2,6 +2,7 @@ package core
 
 import (
 	"muml/internal/automata"
+	"muml/internal/legacy"
 	"muml/internal/replay"
 )
 
@@ -20,4 +21,11 @@ func (s *Synthesizer) LearnIntoClone(comp int, run automata.ObservedRun) (automa
 	var it Iteration
 	err := s.learnObservation(&c, run, &it)
 	return it.Delta, err
+}
+
+// TwoServices prepares the two-service coordinator of multi_test.go, its
+// second service mute when mute is set, for the external tests.
+func TwoServices(mute bool, opts Options) (*Synthesizer, error) {
+	return NewMulti(multiContext(), []legacy.Component{&ponger{idx: "1"}, &ponger{idx: "2", mute: mute}},
+		[]legacy.Interface{pongIface("1"), pongIface("2")}, opts)
 }

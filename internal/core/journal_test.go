@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -7,10 +7,33 @@ import (
 	"path/filepath"
 	"testing"
 
+	"muml/internal/core"
+	"muml/internal/gen"
 	"muml/internal/legacy"
 	"muml/internal/obs"
 	"muml/internal/railcab"
 )
+
+// nondetSynth builds the synthesis of gen.NondetConfig instance seed on the
+// ioco path, journaled to j. Seed 25's journal carries ioco_merge events
+// and a chaos-free certification note.
+func nondetSynth(t *testing.T, seed int64, j *obs.Journal) (*core.Synthesizer, string) {
+	t.Helper()
+	inst, err := gen.New(seed, gen.NondetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := inst.Component()
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := core.New(inst.Context, comp, inst.Interface(),
+		core.Options{Property: inst.Property, Nondet: true, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return synth, inst.Interface().Name
+}
 
 // TestJournalGoldenRailCabCorrect pins the event-kind sequence of the
 // full RailCab correct-shuttle proof: the journal is part of the tool's
@@ -19,9 +42,9 @@ import (
 // OBS_UPDATE_GOLDEN=1 go test ./internal/core -run Golden.
 func TestJournalGoldenRailCabCorrect(t *testing.T) {
 	var sink obs.MemorySink
-	synth, err := New(railcab.FrontRole(), &railcab.CorrectShuttle{},
+	synth, err := core.New(railcab.FrontRole(), &railcab.CorrectShuttle{},
 		railcab.RearInterface(railcab.RearRoleName),
-		Options{Property: railcab.Constraint(), Journal: obs.NewJournal(&sink)})
+		core.Options{Property: railcab.Constraint(), Journal: obs.NewJournal(&sink)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +52,7 @@ func TestJournalGoldenRailCabCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Verdict != VerdictProven {
+	if report.Verdict != core.VerdictProven {
 		t.Fatalf("verdict = %v, want proven", report.Verdict)
 	}
 
@@ -56,35 +79,38 @@ func TestJournalGoldenRailCabCorrect(t *testing.T) {
 	}
 }
 
-// TestJournalEventsValidate runs every built-in shuttle scenario and the
-// two-service coordinator (healthy and with a mute second service) with a
-// JSONL journal and passes the output through the schema validator — the
-// same check `make obs-smoke` performs on the CLI.
+// TestJournalEventsValidate runs every built-in shuttle scenario, the
+// two-service coordinator (healthy and with a mute second service) and a
+// nondeterministic gen instance with a JSONL journal and passes the output
+// through the schema validator — the same check `make obs-smoke` performs
+// on the CLI.
 func TestJournalEventsValidate(t *testing.T) {
-	shuttle := func(comp legacy.Component) func(*obs.Journal) (*Synthesizer, error) {
-		return func(j *obs.Journal) (*Synthesizer, error) {
-			return New(railcab.FrontRole(), comp, railcab.RearInterface(railcab.RearRoleName),
-				Options{Property: railcab.Constraint(), Journal: j})
+	shuttle := func(comp legacy.Component) func(*testing.T, *obs.Journal) (*core.Synthesizer, error) {
+		return func(_ *testing.T, j *obs.Journal) (*core.Synthesizer, error) {
+			return core.New(railcab.FrontRole(), comp, railcab.RearInterface(railcab.RearRoleName),
+				core.Options{Property: railcab.Constraint(), Journal: j})
 		}
 	}
-	services := func(mute bool) func(*obs.Journal) (*Synthesizer, error) {
-		return func(j *obs.Journal) (*Synthesizer, error) {
-			return NewMulti(multiContext(),
-				[]legacy.Component{&ponger{idx: "1"}, &ponger{idx: "2", mute: mute}},
-				[]legacy.Interface{pongIface("1"), pongIface("2")}, Options{Journal: j})
+	services := func(mute bool) func(*testing.T, *obs.Journal) (*core.Synthesizer, error) {
+		return func(_ *testing.T, j *obs.Journal) (*core.Synthesizer, error) {
+			return core.TwoServices(mute, core.Options{Journal: j})
 		}
 	}
-	for name, newSynth := range map[string]func(*obs.Journal) (*Synthesizer, error){
+	for name, newSynth := range map[string]func(*testing.T, *obs.Journal) (*core.Synthesizer, error){
 		"correct":       shuttle(&railcab.CorrectShuttle{}),
 		"eager":         shuttle(&railcab.EagerShuttle{}),
 		"blocking":      shuttle(&railcab.BlockingShuttle{}),
 		"two-services":  services(false),
 		"mute-services": services(true),
+		"nondet-25": func(t *testing.T, j *obs.Journal) (*core.Synthesizer, error) {
+			synth, _ := nondetSynth(t, 25, j)
+			return synth, nil
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
 			j := obs.NewJournal(obs.NewJSONLSink(&buf))
-			synth, err := newSynth(j)
+			synth, err := newSynth(t, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,9 +134,9 @@ func TestJournalEventsValidate(t *testing.T) {
 // TestTestTimeSplit checks that the replay/probe split is populated and
 // bounded by the aggregate test time.
 func TestTestTimeSplit(t *testing.T) {
-	synth, err := New(railcab.FrontRole(), &railcab.CorrectShuttle{},
+	synth, err := core.New(railcab.FrontRole(), &railcab.CorrectShuttle{},
 		railcab.RearInterface(railcab.RearRoleName),
-		Options{Property: railcab.Constraint()})
+		core.Options{Property: railcab.Constraint()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,32 +163,56 @@ func TestTestTimeSplit(t *testing.T) {
 }
 
 // TestJournalSpanTree checks the causal-trace model of DESIGN.md §10 on
-// a run that exercises counterexamples: every event carries the run's
-// trace ID (the component interface's name), each iteration opens a span
-// that parents its compose/check/learn/verdict events, and each
-// counterexample opens a nested span that parents its replay and probe
-// events.
+// runs that exercise counterexamples, the eager shuttle's and a
+// nondeterministic gen instance's: every event carries the run's trace ID
+// (the component interface's name), each iteration opens a span that
+// parents its compose/check/learn/verdict events, and each counterexample
+// opens a nested span that parents its replay, probe, ioco_merge and note
+// events. Every ioco_merge event is one divergence a replay_step counted.
 func TestJournalSpanTree(t *testing.T) {
-	var sink obs.MemorySink
-	synth, err := New(railcab.FrontRole(), &railcab.EagerShuttle{},
-		railcab.RearInterface(railcab.RearRoleName),
-		Options{Property: railcab.Constraint(), Journal: obs.NewJournal(&sink)})
-	if err != nil {
-		t.Fatal(err)
+	eager := func(t *testing.T, j *obs.Journal) (*core.Synthesizer, string) {
+		synth, err := core.New(railcab.FrontRole(), &railcab.EagerShuttle{},
+			railcab.RearInterface(railcab.RearRoleName),
+			core.Options{Property: railcab.Constraint(), Journal: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return synth, railcab.RearRoleName
 	}
-	report, err := synth.Run()
-	if err != nil {
-		t.Fatal(err)
+	for name, tc := range map[string]struct {
+		newSynth func(*testing.T, *obs.Journal) (*core.Synthesizer, string)
+		ioco     bool
+	}{
+		"eager": {eager, false},
+		"nondet-25": {func(t *testing.T, j *obs.Journal) (*core.Synthesizer, string) {
+			return nondetSynth(t, 25, j)
+		}, true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var sink obs.MemorySink
+			synth, traceID := tc.newSynth(t, obs.NewJournal(&sink))
+			report, err := synth.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Verdict != core.VerdictViolation {
+				t.Fatalf("verdict %v, want the run's violation", report.Verdict)
+			}
+			checkSpanTree(t, sink.Events(), traceID, tc.ioco)
+		})
 	}
-	if report.Verdict != VerdictViolation {
-		t.Fatalf("verdict %v, want the eager shuttle's constraint violation", report.Verdict)
-	}
+}
 
+// checkSpanTree checks the span tree of one run's journal; with ioco set
+// the run must also carry ioco_merge and note events.
+func checkSpanTree(t *testing.T, events []obs.Event, traceID string, ioco bool) {
+	t.Helper()
 	spanKind := map[uint64]obs.EventKind{} // opener of each span
-	var iterSpans, cexSpans int
-	for _, e := range sink.Events() {
-		if e.Trace != railcab.RearRoleName {
-			t.Fatalf("seq %d (%s): trace %q, want the interface name %q", e.Seq, e.Kind, e.Trace, railcab.RearRoleName)
+	var iterSpans, cexSpans, merges, notes int
+	var diverged int64
+	for _, e := range events {
+		if e.Trace != traceID {
+			t.Fatalf("seq %d (%s): trace %q, want the interface name %q", e.Seq, e.Kind, e.Trace, traceID)
 		}
 		if e.Span != 0 {
 			if _, dup := spanKind[e.Span]; dup {
@@ -188,15 +238,29 @@ func TestJournalSpanTree(t *testing.T) {
 				t.Fatalf("%s seq %d: parent %d opened by %q, want iteration_start",
 					e.Kind, e.Seq, e.Parent, spanKind[e.Parent])
 			}
-		case obs.KindReplayStep, obs.KindProbeResult:
+		case obs.KindReplayStep, obs.KindProbeResult, obs.KindIocoMerge, obs.KindNote:
 			if spanKind[e.Parent] != obs.KindCexClassified {
 				t.Fatalf("%s seq %d: parent %d opened by %q, want cex_classified",
 					e.Kind, e.Seq, e.Parent, spanKind[e.Parent])
 			}
 		}
+		switch e.Kind {
+		case obs.KindReplayStep:
+			diverged += e.N["diverged"]
+		case obs.KindIocoMerge:
+			merges++
+		case obs.KindNote:
+			notes++
+		}
 	}
 	if iterSpans == 0 || cexSpans == 0 {
 		t.Fatalf("run did not exercise the tree: %d iteration spans, %d cex spans", iterSpans, cexSpans)
+	}
+	if int64(merges) != diverged {
+		t.Errorf("%d ioco_merge events, but the replay steps counted %d divergences", merges, diverged)
+	}
+	if ioco && (merges == 0 || notes == 0) {
+		t.Errorf("ioco run journaled %d ioco_merge and %d note events, want some of each", merges, notes)
 	}
 }
 
@@ -206,9 +270,9 @@ func TestJournalSpanTree(t *testing.T) {
 // span is measured once and feeds both.
 func TestJournalPhaseTotalsMatchStats(t *testing.T) {
 	var sink obs.MemorySink
-	synth, err := New(railcab.FrontRole(), &railcab.BlockingShuttle{},
+	synth, err := core.New(railcab.FrontRole(), &railcab.BlockingShuttle{},
 		railcab.RearInterface(railcab.RearRoleName),
-		Options{Property: railcab.Constraint(), Journal: obs.NewJournal(&sink)})
+		core.Options{Property: railcab.Constraint(), Journal: obs.NewJournal(&sink)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,10 +256,13 @@ type nondetTrajectory struct {
 
 // nondetTrajectories were recorded when the nondeterministic path rebuilt
 // its closure and product from scratch every iteration. Seeds 1–30 are
-// consecutive; the others run longer (up to 16 iterations) or are the
-// pinned mbt repros 142, 153 and 193. CTL effort is not pinned: a patched
-// product keeps unreachable states a rebuild drops, and the checker's
-// bitsets span them.
+// consecutive; the others run longer (up to 16 iterations), are the
+// pinned mbt repros 142, 153 and 193, or spend a test's whole replay
+// budget without reproducing the counterexample: on 147, 177 and 254 the
+// test then diverges, and on 347 and 358 the loop probes the deadlock at
+// the projection's learned final state. CTL effort is not pinned: a
+// patched product keeps unreachable states a rebuild drops, and the
+// checker's bitsets span them.
 var nondetTrajectories = []nondetTrajectory{
 	{1, core.VerdictViolation, core.ViolationConstraint, 2, 1, 9, 11, 1, 1, 5, 6, "ctx.c0, impl.s0\n"},
 	{2, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 1, 0, 0, 0, 4, "ctx.c0, impl.s0\n"},
@@ -294,12 +297,17 @@ var nondetTrajectories = []nondetTrajectory{
 	{72, core.VerdictProven, core.ViolationNone, 6, 9, 1, 11, 0, 2, 1, 4, ""},
 	{94, core.VerdictProven, core.ViolationNone, 16, 15, 2, 18, 0, 2, 4, 4, ""},
 	{142, core.VerdictViolation, core.ViolationDeadlock, 5, 8, 5, 14, 1, 5, 4, 16, "ctx.c0, impl.s0\nctx.i00!, impl.o00!, ctx.o00?, impl.i00?\nctx.c2, impl.s_delta\n"},
+	{147, core.VerdictProven, core.ViolationNone, 6, 55, 20, 98, 1, 7, 7, 18, ""},
 	{153, core.VerdictProven, core.ViolationNone, 8, 25, 2, 29, 3, 5, 5, 6, ""},
 	{162, core.VerdictProven, core.ViolationNone, 10, 12, 3, 16, 0, 3, 3, 8, ""},
+	{177, core.VerdictProven, core.ViolationNone, 3, 49, 8, 58, 1, 2, 4, 16, ""},
 	{193, core.VerdictProven, core.ViolationNone, 4, 9, 26, 50, 1, 7, 6, 6, ""},
 	{224, core.VerdictProven, core.ViolationNone, 15, 26, 16, 50, 3, 8, 12, 8, ""},
+	{254, core.VerdictProven, core.ViolationNone, 4, 50, 32, 83, 0, 4, 8, 16, ""},
 	{264, core.VerdictViolation, core.ViolationDeadlock, 9, 9, 10, 20, 0, 2, 7, 16, "ctx.c0, impl.s0\nτ\nctx.c2, impl.s0\nτ\nctx.c1, impl.s0\n"},
 	{320, core.VerdictViolation, core.ViolationConstraint, 9, 10, 19, 34, 2, 8, 4, 12, "ctx.c0, impl.s0\nctx.i02!, impl.o00!, ctx.o00?, impl.i02?\nctx.c1, impl.s1\nτ\nctx.c0, impl.s1\nctx.i02!, impl.o00!, ctx.o00?, impl.i02?\nctx.c1, impl.s2\n"},
+	{347, core.VerdictViolation, core.ViolationDeadlock, 4, 52, 14, 87, 3, 10, 11, 16, "ctx.c0, impl.s0\nτ\nctx.c1, impl.s1\nctx.i02!, impl.i02?\nctx.c0, impl.s2\n"},
+	{358, core.VerdictViolation, core.ViolationDeadlock, 6, 59, 18, 93, 1, 5, 5, 14, "ctx.c0, impl.s0\nimpl.o00!, ctx.o00?\nctx.c2, impl.s0\nτ\nctx.c1, impl.s1\nτ\nctx.c0, impl.s1\n"},
 }
 
 // TestNondetTrajectoriesPinned runs the pinned nondeterministic instances

@@ -264,17 +264,6 @@ func (c *Checker) Holds(f Formula) bool {
 	return true
 }
 
-// FailingInitial returns an initial state violating the formula, if any.
-func (c *Checker) FailingInitial(f Formula) (automata.StateID, bool) {
-	sat := c.satBits(f)
-	for _, q := range c.auto.Initial() {
-		if !sat.test(int(q)) {
-			return q, true
-		}
-	}
-	return automata.NoState, false
-}
-
 // Sat returns the satisfaction set of the formula as a boolean slice
 // indexed by state ID, materialized from the bitset evaluation. The
 // returned slice is shared with the cache and must not be mutated.

@@ -49,11 +49,6 @@ func (c *Reference) canceled() bool { return false }
 // Holds reports whether the formula holds in every initial state.
 func (c *Reference) Holds(f Formula) bool { return holdsOn(c, f) }
 
-// FailingInitial returns an initial state violating the formula, if any.
-func (c *Reference) FailingInitial(f Formula) (automata.StateID, bool) {
-	return failingInitial(c, f)
-}
-
 // Check is the legacy-engine Check (same extraction code as Checker).
 func (c *Reference) Check(f Formula) Result { return checkOn(c, f) }
 

@@ -17,7 +17,6 @@ func (f flattenOptionFunc) applyFlatten(c *flattenConfig) { f(c) }
 
 type flattenConfig struct {
 	labelStates bool
-	clockCap    int
 }
 
 // WithStateLabels labels every flattened state with "chart.state"
@@ -26,12 +25,6 @@ type flattenConfig struct {
 // noConvoy.
 func WithStateLabels() FlattenOption {
 	return flattenOptionFunc(func(c *flattenConfig) { c.labelStates = true })
-}
-
-// WithClockCap overrides the automatic clock value cap (default: one above
-// the largest constant the clock is compared against).
-func WithClockCap(cap int) FlattenOption {
-	return flattenOptionFunc(func(c *flattenConfig) { c.clockCap = cap })
 }
 
 // Flatten maps the statechart to a discrete-time I/O automaton:
@@ -54,14 +47,14 @@ func (c *Chart) Flatten(opts ...FlattenOption) (*automata.Automaton, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := flattenConfig{clockCap: -1}
+	var cfg flattenConfig
 	for _, o := range opts {
 		o.applyFlatten(&cfg)
 	}
 
 	c.expandAfter()
 	clocks := c.Clocks()
-	caps := c.clockCaps(clocks, cfg.clockCap)
+	caps := c.clockCaps(clocks)
 
 	var inputs, outputs []automata.Signal
 	for _, t := range c.trans {
@@ -268,7 +261,7 @@ func (c *Chart) anyAncestorUrgent(leaf string) bool {
 
 // clockCaps computes, per clock, the cap beyond which values are
 // indistinguishable: one above the largest constant it is compared to.
-func (c *Chart) clockCaps(clocks []Clock, override int) map[Clock]int {
+func (c *Chart) clockCaps(clocks []Clock) map[Clock]int {
 	caps := make(map[Clock]int, len(clocks))
 	for _, cl := range clocks {
 		caps[cl] = 0
@@ -288,9 +281,6 @@ func (c *Chart) clockCaps(clocks []Clock, override int) map[Clock]int {
 	}
 	for _, cl := range clocks {
 		caps[cl]++
-		if override >= 0 {
-			caps[cl] = override
-		}
 	}
 	return caps
 }
