@@ -6,6 +6,7 @@
 package muml_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -480,4 +481,138 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			b.ReportMetric(hitRate, "memo-hit-rate")
 		})
 	}
+}
+
+// recordedPatch is one patch of a recorded scenario trajectory: the
+// context, the universe, the learned model as the patch found it, and the
+// delta it applied.
+type recordedPatch struct {
+	context  *automata.Automaton
+	universe automata.InteractionUniverse
+	final    *automata.Incomplete
+	before   []automata.LearnDelta // what the model had learned before the patch
+	delta    automata.LearnDelta
+}
+
+// recordPatch runs a 96-state scenario machine to its verdict and keeps
+// the last patch that left a deadlock to find: the largest product the
+// loop checks and learns from.
+func recordPatch(b *testing.B) recordedPatch {
+	b.Helper()
+	sc := experiments.GenerateScenario(rand.New(rand.NewSource(96)), 96, 3, 3)
+	synth, err := core.New(sc.Context, sc.Component, sc.Iface, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	report, err := synth.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	its := report.Iterations
+	k := len(its) - 1
+	for k > 0 && (!its[k].Patched || its[k].DeadlockFree) {
+		k--
+	}
+	if k < 2 {
+		b.Fatal("no patched iteration with a deadlock counterexample after a patch")
+	}
+	p := recordedPatch{context: sc.Context, universe: automata.Universe(automata.UniverseSingleton),
+		final: report.Model, delta: its[k-1].Delta}
+	for _, it := range its[:k-1] {
+		p.before = append(p.before, it.Delta)
+	}
+	return p
+}
+
+// learn replays a recorded delta into m, whose states are a prefix of the
+// final model's.
+func (p recordedPatch) learn(b *testing.B, m *automata.Incomplete, d automata.LearnDelta) {
+	fin, a := p.final.Automaton(), m.Automaton()
+	for _, s := range d.NewStates {
+		if _, err := a.AddState(fin.StateName(s), fin.Labels(s)...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, t := range d.NewTransitions {
+		if err := a.AddTransition(t.From, t.Label, t.To); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, e := range d.NewBlocked {
+		if err := m.Block(e.State, e.Label); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// system builds the system for the model as the recorded patch found it,
+// and learns the patch's delta into its model. The system is built one
+// delta earlier and patched with it, so the recorded patch reuses a
+// patched system's buffers as the loop's patches do.
+func (p recordedPatch) system(b *testing.B) *automata.IncrementalSystem {
+	fin := p.final.Automaton()
+	a := automata.New(fin.Name(), fin.Inputs(), fin.Outputs())
+	a.MarkInitial(a.MustAddState(fin.StateName(0), fin.Labels(0)...))
+	m := automata.NewIncomplete(a)
+	last := len(p.before) - 1
+	for _, d := range p.before[:last] {
+		p.learn(b, m, d)
+	}
+	ic, err := automata.NewIncrementalSystem(p.context, m, p.universe)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.learn(b, m, p.before[last])
+	if err := ic.Apply(p.before[last]); err != nil {
+		b.Fatal(err)
+	}
+	p.learn(b, m, p.delta)
+	return ic
+}
+
+// BenchmarkPatchApply: one patch layer step, IncrementalSystem.Apply of
+// a recorded scenario delta (each op patches a freshly built system).
+func BenchmarkPatchApply(b *testing.B) {
+	p := recordPatch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ic := p.system(b)
+		b.StartTimer()
+		if err := ic.Apply(p.delta); err != nil {
+			b.Fatal(err)
+		}
+		if patched, reason := ic.LastDecision(); !patched {
+			b.Fatalf("recorded delta rebuilt the system: %s", reason)
+		}
+	}
+}
+
+// BenchmarkPatchedCheck: one check layer step, Rebind+CheckManyCtx of
+// deadlock freedom on the patched product of BenchmarkPatchApply, which
+// violates it.
+func BenchmarkPatchedCheck(b *testing.B) {
+	p := recordPatch(b)
+	ic := p.system(b)
+	if err := ic.Apply(p.delta); err != nil {
+		b.Fatal(err)
+	}
+	sys := ic.System()
+	checker := ctl.NewChecker(sys)
+	noDeadlock := ctl.NoDeadlock()
+	check := func() {
+		checker.Rebind(sys)
+		res, err := checker.CheckManyCtx(context.Background(), noDeadlock, 1)
+		if err != nil || res[0].Holds {
+			b.Fatalf("check = %+v, %v; want a deadlock counterexample", res, err)
+		}
+	}
+	check() // grows the checker's buffers, as the loop's earlier rounds do
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check()
+	}
+	b.ReportMetric(float64(sys.NumStates()), "states")
 }

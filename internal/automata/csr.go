@@ -12,8 +12,11 @@ package automata
 // The snapshot (and the flat transition snapshot next to it) is built
 // lazily on first use and cached on the automaton; any structural
 // mutation (AddState, AddTransition, or the in-place adjacency rewrites
-// of the incremental system) invalidates it. Building the view is
-// read-only: it never changes the automaton's fingerprint.
+// of the incremental system) invalidates it. The next build writes into
+// the invalidated snapshot's arrays, so a snapshot is valid only until
+// the automaton's next structural mutation: a holder must drop it then
+// (ctl.Checker does on Rebind). Building the view is read-only: it never
+// changes the automaton's fingerprint.
 
 import "sync"
 
@@ -52,9 +55,12 @@ func (c *CSR) Pred(s int) []int32 { return c.revFrom[c.revOff[s]:c.revOff[s+1]] 
 // automaton's structure. The mutex only guards cache construction;
 // mutating an automaton concurrently with readers is already unsupported.
 type derivedViews struct {
-	mu   sync.Mutex
-	csr  *CSR
-	flat []Transition
+	mu  sync.Mutex
+	csr *CSR
+	// spare is the snapshot the last structural mutation invalidated: the
+	// next build reuses its arrays.
+	spare *CSR
+	flat  []Transition
 }
 
 // invalidateDerived drops the cached CSR and flat-transition snapshots.
@@ -62,6 +68,9 @@ type derivedViews struct {
 // the incremental system calls it after its in-place adjacency rewrites).
 func (a *Automaton) invalidateDerived() {
 	a.derived.mu.Lock()
+	if a.derived.csr != nil {
+		a.derived.spare = a.derived.csr
+	}
 	a.derived.csr, a.derived.flat = nil, nil
 	a.derived.mu.Unlock()
 }
@@ -69,29 +78,35 @@ func (a *Automaton) invalidateDerived() {
 // CSR returns the struct-of-arrays transition snapshot, building and
 // caching it on first use. The returned view is shared: it must be
 // treated as immutable, and it is only valid until the automaton's next
-// structural mutation.
+// structural mutation, after which the next build overwrites its arrays.
 func (a *Automaton) CSR() *CSR {
 	a.derived.mu.Lock()
 	defer a.derived.mu.Unlock()
 	if a.derived.csr == nil {
-		a.derived.csr = buildCSR(a)
+		a.derived.csr = buildCSR(a, a.derived.spare)
+		a.derived.spare = nil
 	}
 	return a.derived.csr
 }
 
-func buildCSR(a *Automaton) *CSR {
+// buildCSR builds the snapshot of a into a fresh header, over the arrays
+// of spare (an invalidated snapshot of a, or nil) where they are large
+// enough.
+func buildCSR(a *Automaton, spare *CSR) *CSR {
 	n := len(a.states)
 	m := 0
 	for _, row := range a.adj {
 		m += len(row)
 	}
-	c := &CSR{
-		n:       n,
-		fwdOff:  make([]int32, n+1),
-		fwdTo:   make([]int32, m),
-		revOff:  make([]int32, n+1),
-		revFrom: make([]int32, m),
+	c := &CSR{n: n}
+	if spare != nil {
+		c.fwdOff, c.fwdTo, c.revOff, c.revFrom = spare.fwdOff, spare.fwdTo, spare.revOff, spare.revFrom
 	}
+	c.fwdOff = resizeInt32(c.fwdOff, n+1)
+	c.fwdTo = resizeInt32(c.fwdTo, m)
+	c.revOff = resizeInt32(c.revOff, n+1)
+	clear(c.revOff)
+	c.revFrom = resizeInt32(c.revFrom, m)
 	pos := int32(0)
 	for s := 0; s < n; s++ {
 		c.fwdOff[s] = pos
@@ -105,16 +120,28 @@ func buildCSR(a *Automaton) *CSR {
 	for s := 0; s < n; s++ {
 		c.revOff[s+1] += c.revOff[s]
 	}
-	// Fill reverse rows using the offsets as cursors, then restore them.
-	cursor := make([]int32, n)
-	copy(cursor, c.revOff[:n])
+	// Fill reverse rows using the offsets as cursors: each ends at the
+	// start of the next row, so shifting them by one restores them.
 	for s := 0; s < n; s++ {
 		for _, t := range a.adj[s] {
-			c.revFrom[cursor[t.To]] = int32(s)
-			cursor[t.To]++
+			c.revFrom[c.revOff[t.To]] = int32(s)
+			c.revOff[t.To]++
 		}
 	}
+	copy(c.revOff[1:], c.revOff[:n])
+	c.revOff[0] = 0
 	return c
+}
+
+// resizeInt32 returns buf resliced to length n when its capacity allows,
+// and otherwise a new slice with a quarter of headroom: the automata whose
+// snapshots are rebuilt are the patched products, which grow between
+// builds.
+func resizeInt32(buf []int32, n int) []int32 {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]int32, n, n+n/4)
 }
 
 // TransitionsSnapshot returns all transitions in the same deterministic

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // This file implements the incremental synthesis system: the chaotic
@@ -24,16 +23,18 @@ import (
 //     chaos edges for now-known interactions disappear from (f,1);
 //   - the embedded chaos states s_∀, s_δ never change.
 //
-// The product is patched by recomputing, wholesale, the adjacency of every
-// product pair whose closure part changed, discovering (and recursively
-// processing) pairs that become newly reachable. Pairs that lose their last
-// incoming edge become garbage: they are kept (CTL satisfaction at a state
-// depends only on the states reachable *from* it, and verdicts and
-// counterexamples are computed from initial states only, so stale
-// unreachable states are invisible) and their adjacency stays current
-// because every pair with a changed closure part is recomputed whether
-// reachable or not. When garbage accumulates past a threshold the system
-// is rebuilt from scratch.
+// The closure is patched in its masked form, the one the product is built
+// from; its transition rows follow only when the closure is read
+// (Closure). The product is patched by recomputing, wholesale, the
+// adjacency of every product pair whose closure part changed, discovering
+// (and recursively processing) pairs that become newly reachable. Pairs
+// that lose their last incoming edge become garbage: they are kept (CTL
+// satisfaction at a state depends only on the states reachable *from* it,
+// and verdicts and counterexamples are computed from initial states only,
+// so stale unreachable states are invisible) and their adjacency stays
+// current because every pair with a changed closure part is recomputed
+// whether reachable or not. When garbage accumulates past a threshold the
+// system is rebuilt from scratch.
 //
 // Invariant (checked by Verify and the differential tests): after every
 // Apply, the reachable part of the patched closure and product is
@@ -61,6 +62,10 @@ type IncrementalSystem struct {
 	closure      *Automaton
 	closed, open []StateID // model state -> closure copy IDs
 	sAll, sDelta StateID
+	// stale lists the closure states whose transition rows lag their
+	// masked rows: a patch rewrites masked rows only, and Closure derives
+	// the transitions from them when the closure is read.
+	stale []StateID
 
 	ctxMask  [][]maskedTransition
 	closMask [][]maskedTransition
@@ -77,6 +82,15 @@ type IncrementalSystem struct {
 	pairID    map[[2]StateID]StateID
 	byClosure [][]StateID // closure state -> product ids with that closure part
 	reachable int         // reachable product states after the last build/patch
+
+	// Worklists kept across Apply calls: the known labels of the state
+	// being closed, the changed model states, the product pairs to
+	// recompute, the BFS queue, and the reachability marks.
+	known    map[InternKey]struct{}
+	order    []StateID
+	affected []StateID
+	queue    []StateID
+	reached  []bool
 
 	// lastReason records how the most recent Apply (or the initial
 	// construction) obtained the system (see LastDecision).
@@ -119,6 +133,7 @@ func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *In
 		runCtx:   ctx,
 		memo:     memo,
 		in:       in,
+		known:    make(map[InternKey]struct{}),
 	}
 	uk, err := universe.internedKeys()
 	if err != nil {
@@ -156,11 +171,33 @@ func (ic *IncrementalSystem) LastDecision() (patched bool, reason string) {
 
 // System returns the maintained product automaton. It is mutated in place
 // by Apply; callers must treat it as read-only and must not retain
-// adjacency slices across Apply calls.
+// adjacency slices, or its CSR snapshot, across Apply calls.
 func (ic *IncrementalSystem) System() *Automaton { return ic.product }
 
 // Closure returns the maintained chaotic closure (same caveats as System).
-func (ic *IncrementalSystem) Closure() *Automaton { return ic.closure }
+// The product is built from the closure's masked rows, so the transition
+// rows a patch changed are derived from those only here, when the
+// closure is read: the result is the closure of the model as it was at
+// the last Apply, however much the model has learned since.
+func (ic *IncrementalSystem) Closure() *Automaton {
+	if len(ic.stale) > 0 {
+		slices.Sort(ic.stale)
+		for _, z := range slices.Compact(ic.stale) {
+			row := make([]Transition, len(ic.closMask[z]))
+			for i, t := range ic.closMask[z] {
+				row[i] = Transition{From: z, Label: ic.in.Label(InternKey{In: t.in, Out: t.out}), To: t.to}
+			}
+			ic.closure.adj[z] = row
+		}
+		ic.stale = ic.stale[:0]
+		ic.closure.invalidateDerived()
+	}
+	return ic.closure
+}
+
+// ClosureStates returns the number of closure states without deriving
+// any transition rows.
+func (ic *IncrementalSystem) ClosureStates() int { return ic.closure.NumStates() }
 
 // ReachableStates returns the number of product states reachable from the
 // initial states — the size a from-scratch composition would have.
@@ -178,6 +215,7 @@ func (ic *IncrementalSystem) rebuild() error {
 		return err
 	}
 	ic.closure = closure
+	ic.stale = ic.stale[:0]
 	ic.closed = make([]StateID, src.NumStates())
 	ic.open = make([]StateID, src.NumStates())
 	for id, st := range src.states {
@@ -201,9 +239,8 @@ func (ic *IncrementalSystem) rebuild() error {
 	}
 	ic.closMask = make([][]maskedTransition, closure.NumStates())
 	ic.closMask[ic.sAll] = ic.chaosMask
-	known := make(map[InternKey]struct{})
 	for f := range src.states {
-		ic.closeState(StateID(f), known, false)
+		ic.closeState(StateID(f))
 	}
 
 	// Product BFS, replicating Compose's interned BFS while
@@ -215,7 +252,7 @@ func (ic *IncrementalSystem) rebuild() error {
 	ic.pairID = make(map[[2]StateID]StateID)
 	ic.byClosure = make([][]StateID, ic.closure.NumStates())
 
-	var queue []StateID
+	queue := ic.queue[:0]
 	for _, ql := range ic.context.initial {
 		for _, qr := range ic.closure.initial {
 			id, created := ic.pairFor(ql, qr)
@@ -232,6 +269,7 @@ func (ic *IncrementalSystem) rebuild() error {
 		}
 		queue = ic.computePairAdjacency(queue[head], queue)
 	}
+	ic.queue = queue
 	ic.reachable = ic.product.NumStates()
 	obsProductRebuilds.Add(1)
 	return nil
@@ -336,57 +374,55 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 		ic.byClosure = append(ic.byClosure, nil, nil)
 	}
 
-	// 2. Model states whose closure adjacency changed.
-	changed := make(map[StateID]struct{})
-	for _, s := range delta.NewStates {
-		changed[s] = struct{}{}
-	}
+	// 2. Model states whose closure adjacency changed, in ID order.
+	order := append(ic.order[:0], delta.NewStates...)
 	for _, t := range delta.NewTransitions {
-		changed[t.From] = struct{}{}
+		order = append(order, t.From)
 	}
 	for _, b := range delta.NewBlocked {
-		changed[b.State] = struct{}{}
+		order = append(order, b.State)
 	}
 	for _, b := range delta.NewSettled {
-		changed[b.State] = struct{}{}
+		order = append(order, b.State)
 	}
-	order := make([]StateID, 0, len(changed))
-	for s := range changed {
-		order = append(order, s)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
+	order = slices.Compact(order)
+	ic.order = order
 
-	// 3. Recompute the closure adjacency of both copies of every changed
-	// state, following ChaoticClosure's emission order exactly: the learned
+	// 3. Recompute the masked rows of both copies of every changed state,
+	// following ChaoticClosure's emission order exactly: the learned
 	// prefix in model adjacency order, then (open copy only) chaos edges
-	// for still-unknown interactions in universe order.
-	known := make(map[InternKey]struct{})
+	// for still-unknown interactions in universe order. Their transition
+	// rows are derived when the closure is read (Closure).
 	for _, f := range order {
-		ic.closeState(f, known, true)
+		ic.closeState(f)
+		ic.stale = append(ic.stale, ic.closed[f], ic.open[f])
+	}
+	if len(ic.stale) > ic.closure.NumStates() {
+		// Unread, the list would grow with every patch.
+		slices.Sort(ic.stale)
+		ic.stale = slices.Compact(ic.stale)
 	}
 
 	// 4. Recompute every product pair whose closure part changed, in
 	// product ID order; newly discovered pairs are processed FIFO with the
-	// same procedure, mirroring the from-scratch BFS.
-	var affected []StateID
+	// same procedure, mirroring the from-scratch BFS. byClosure lists are
+	// disjoint per closure state, so no pair is listed twice.
+	affected := ic.affected[:0]
 	for _, f := range order {
 		affected = append(affected, ic.byClosure[ic.closed[f]]...)
 		affected = append(affected, ic.byClosure[ic.open[f]]...)
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	slices.Sort(affected)
+	ic.affected = affected
 	p := newCtxPoll(ic.runCtx)
-	var queue []StateID
-	var prev StateID = NoState
+	queue := ic.queue[:0]
 	for _, pid := range affected {
 		if p.stop() {
 			// The product is partially patched and unusable; the caller
 			// aborts the whole run on a context error.
 			return p.err
 		}
-		if pid == prev { // byClosure lists are disjoint per closure state, but be safe
-			continue
-		}
-		prev = pid
 		queue = ic.computePairAdjacency(pid, queue)
 	}
 	for head := 0; head < len(queue); head++ {
@@ -395,36 +431,28 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 		}
 		queue = ic.computePairAdjacency(queue[head], queue)
 	}
+	ic.queue = queue
 
-	// The closure and product adjacencies were rewritten above, bypassing
-	// AddTransition; drop their cached CSR/flat snapshots.
-	ic.closure.invalidateDerived()
+	// The product adjacency was rewritten above, bypassing AddTransition;
+	// drop its cached CSR/flat snapshots.
 	ic.product.invalidateDerived()
 
-	ic.reachable = countReachable(ic.product)
+	ic.reachable = ic.countReachable()
 	ic.lastReason = "delta-patch"
 	obsProductPatches.Add(1)
 	return nil
 }
 
-// closeState derives the rows of f's two closure copies from the model's
-// row at f and the universe keys, in ChaoticClosure's emission order: the
-// learned transitions toward both copies of each target, then, from the
-// open copy only, every universe label neither refused at f nor learned
-// there and known by the closure's rule (closureKnows), toward s_∀ and
-// s_δ. It sets the masked rows; with rewrite it also
-// replaces the closure's own rows (rebuild takes those from
-// ChaoticClosureCtx as they are). Replacement rows are fresh allocations:
-// a closure row may be shared with a memo master (MemoCache.lookup), so
-// none is written in place.
-func (ic *IncrementalSystem) closeState(f StateID, known map[InternKey]struct{}, rewrite bool) {
+// closeState derives the masked rows of f's two closure copies from the
+// model's row at f and the universe keys, in ChaoticClosure's emission
+// order: the learned transitions toward both copies of each target, then,
+// from the open copy only, every universe label neither refused at f nor
+// learned there and known by the closure's rule (closureKnows), toward
+// s_∀ and s_δ. Masked rows are fresh allocations, never written in place
+// (the open copy of a state with nothing learned or refused shares s_∀'s).
+func (ic *IncrementalSystem) closeState(f StateID) {
 	learned := ic.model.auto.adj[f]
-	c0, c1 := ic.closed[f], ic.open[f]
-	var closedAdj, openAdj []Transition
-	if rewrite {
-		closedAdj = make([]Transition, 0, 2*len(learned))
-		openAdj = make([]Transition, 0, 2*len(learned)+2*len(ic.labelKeys))
-	}
+	known := ic.known
 	clear(known)
 	closedMask := make([]maskedTransition, 0, 2*len(learned))
 	for _, t := range learned {
@@ -435,14 +463,6 @@ func (ic *IncrementalSystem) closeState(f StateID, known map[InternKey]struct{},
 		closedMask = append(closedMask,
 			maskedTransition{in: k.In, out: k.Out, to: ic.closed[t.To]},
 			maskedTransition{in: k.In, out: k.Out, to: ic.open[t.To]})
-		if rewrite {
-			closedAdj = append(closedAdj,
-				Transition{From: c0, Label: t.Label, To: ic.closed[t.To]},
-				Transition{From: c0, Label: t.Label, To: ic.open[t.To]})
-			openAdj = append(openAdj,
-				Transition{From: c1, Label: t.Label, To: ic.closed[t.To]},
-				Transition{From: c1, Label: t.Label, To: ic.open[t.To]})
-		}
 	}
 	for _, b := range ic.model.blocked[f] {
 		k, _ := ic.in.Key(b)
@@ -451,46 +471,43 @@ func (ic *IncrementalSystem) closeState(f StateID, known map[InternKey]struct{},
 	// With nothing learned or refused at f, the open copy's masked row is
 	// s_∀'s. (Nothing known is not enough: a nondeterministic model's
 	// unsettled labels are learned but not known.)
-	shared := len(known) == 0 && len(learned) == 0
 	openMask := ic.chaosMask
-	if !shared {
+	if len(known) > 0 || len(learned) > 0 {
 		openMask = append(make([]maskedTransition, 0, len(closedMask)+len(ic.chaosMask)), closedMask...)
-	}
-	if !shared || rewrite {
-		for i, k := range ic.labelKeys {
-			if _, ok := known[k]; ok {
-				continue
-			}
-			if !shared {
+		for _, k := range ic.labelKeys {
+			if _, ok := known[k]; !ok {
 				openMask = append(openMask,
 					maskedTransition{in: k.In, out: k.Out, to: ic.sAll},
 					maskedTransition{in: k.In, out: k.Out, to: ic.sDelta})
 			}
-			if rewrite {
-				x := ic.universe.labels[i]
-				openAdj = append(openAdj,
-					Transition{From: c1, Label: x, To: ic.sAll},
-					Transition{From: c1, Label: x, To: ic.sDelta})
+		}
+	}
+	ic.closMask[ic.closed[f]], ic.closMask[ic.open[f]] = closedMask, openMask
+}
+
+// countReachable returns the number of product states reachable from the
+// initial states, searching with the system's kept buffers.
+func (ic *IncrementalSystem) countReachable() int {
+	a := ic.product
+	ic.reached = slices.Grow(ic.reached[:0], a.NumStates())[:a.NumStates()]
+	clear(ic.reached)
+	queue := ic.queue[:0]
+	for _, q := range a.initial {
+		if !ic.reached[q] {
+			ic.reached[q] = true
+			queue = append(queue, q)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, t := range a.adj[queue[head]] {
+			if !ic.reached[t.To] {
+				ic.reached[t.To] = true
+				queue = append(queue, t.To)
 			}
 		}
 	}
-	ic.closMask[c0], ic.closMask[c1] = closedMask, openMask
-	if rewrite {
-		ic.closure.adj[c0], ic.closure.adj[c1] = closedAdj, openAdj
-	}
-}
-
-// countReachable returns the number of states reachable from the initial
-// states.
-func countReachable(a *Automaton) int {
-	reached := a.Reachable()
-	n := 0
-	for _, r := range reached {
-		if r {
-			n++
-		}
-	}
-	return n
+	ic.queue = queue
+	return len(queue)
 }
 
 // Verify checks the patch invariant: the maintained closure and product
@@ -501,15 +518,16 @@ func (ic *IncrementalSystem) Verify() error {
 	if err != nil {
 		return fmt.Errorf("automata: verify rebuild: %w", err)
 	}
-	if got, want := ic.closure.NumStates(), closure.NumStates(); got != want {
+	patched := ic.Closure()
+	if got, want := patched.NumStates(), closure.NumStates(); got != want {
 		return fmt.Errorf("automata: incremental closure has %d states, rebuild has %d", got, want)
 	}
-	if err := EquivalentReachable(ic.closure, closure); err != nil {
+	if err := EquivalentReachable(patched, closure); err != nil {
 		return fmt.Errorf("automata: incremental closure diverged from rebuild: %w", err)
 	}
 	// The masked rows are derived from the model and the universe keys,
 	// not from the closure's labels; they must still encode those labels.
-	masked, err := maskAdjacency(ic.closure, ic.in)
+	masked, err := maskAdjacency(patched, ic.in)
 	if err != nil {
 		return fmt.Errorf("automata: verify closure masks: %w", err)
 	}

@@ -24,9 +24,9 @@ import (
 // name index and row table, sharing the master's adjacency rows and
 // per-state label and part slices with their capacity capped. Appending to
 // a shared slice therefore copies it first, and nothing writes a
-// handed-out row in place — IncrementalSystem replaces a closure row it
-// rewrites with a fresh one. A hit costs no transition copy, however
-// large the closure.
+// handed-out row in place — IncrementalSystem derives a closure row a
+// patch changed as a fresh one (IncrementalSystem.Closure). A hit costs
+// no transition copy, however large the closure.
 //
 // The cache is sharded by key hash: concurrent batch workers hit different
 // shard mutexes, and each shard's critical section is a single map

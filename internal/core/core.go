@@ -950,7 +950,7 @@ func (s *Synthesizer) buildSystem(it *Iteration, prev []Iteration) (*automata.Au
 				return nil, fmt.Errorf("core: incremental system diverged: %w", err)
 			}
 		}
-		it.ClosureStates = s.inc.Closure().NumStates()
+		it.ClosureStates = s.inc.ClosureStates()
 		// The patched product may hold unreachable retraction garbage;
 		// report the size a from-scratch composition would have.
 		it.SystemStates = s.inc.ReachableStates()

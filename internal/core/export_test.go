@@ -29,3 +29,18 @@ func TwoServices(mute bool, opts Options) (*Synthesizer, error) {
 	return NewMulti(multiContext(), []legacy.Component{&ponger{idx: "1"}, &ponger{idx: "2", mute: mute}},
 		[]legacy.Interface{pongIface("1"), pongIface("2")}, opts)
 }
+
+// Step runs iteration index of the loop and appends it to report, as Run
+// does, for the external tests that inspect the system between
+// iterations.
+func (s *Synthesizer) Step(index int, report *Report) (*Iteration, bool, error) {
+	it, done, err := s.step(index, report)
+	if err == nil {
+		report.Iterations = append(report.Iterations, *it)
+	}
+	return it, done, err
+}
+
+// Incremental returns the patched system the loop carries (nil before the
+// first iteration).
+func (s *Synthesizer) Incremental() *automata.IncrementalSystem { return s.inc }

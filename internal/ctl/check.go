@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"muml/internal/automata"
 	"muml/internal/obs"
@@ -35,8 +36,10 @@ type Checker struct {
 
 	bitsPool []bitset // scratch bitsets (bounded layers, AG complements)
 	intPool  [][]int32
-	queue    []int32 // reused frontier worklists
+	boolPool [][]bool // Sat materializations released by Rebind
+	queue    []int32  // reused frontier worklists
 	next     []int32
+	scratch  searchScratch // counterexample search buffers
 
 	// ctx, when non-nil, bounds the current evaluation: fixpoint loops
 	// poll it (rate-limited by polls) and unwind early once it is done.
@@ -79,10 +82,14 @@ func NewChecker(a *automata.Automaton) *Checker {
 // place or replaced). Cached satisfaction sets are dropped — they are
 // indexed by state and stale after any mutation — but the scratch buffers
 // and worklists keep their capacity, so repeated verification rounds over
-// a growing system avoid most reallocation.
+// a growing system avoid most reallocation. The []bool sets Sat returned
+// are reused from here on.
 func (c *Checker) Rebind(a *automata.Automaton) {
 	c.auto = a
 	clear(c.sat)
+	for _, b := range c.satBools {
+		c.boolPool = append(c.boolPool, b)
+	}
 	clear(c.satBools)
 	c.csr = nil
 	c.deadlocksSet = false
@@ -90,6 +97,9 @@ func (c *Checker) Rebind(a *automata.Automaton) {
 
 // Automaton returns the automaton under analysis.
 func (c *Checker) Automaton() *automata.Automaton { return c.auto }
+
+// search implements satEngine: the checker's counterexample search buffers.
+func (c *Checker) search() *searchScratch { return &c.scratch }
 
 // ensure binds the CSR snapshot (and the state count every bitset is sized
 // for). Fetched once per Rebind: the snapshot is only valid until the next
@@ -266,14 +276,20 @@ func (c *Checker) Holds(f Formula) bool {
 
 // Sat returns the satisfaction set of the formula as a boolean slice
 // indexed by state ID, materialized from the bitset evaluation. The
-// returned slice is shared with the cache and must not be mutated.
+// returned slice is shared with the cache and must not be mutated; it is
+// valid until the next Rebind, which recycles it.
 func (c *Checker) Sat(f Formula) []bool {
 	if cached, ok := c.satBools[f]; ok {
 		c.mSatCacheHits.Add(1)
 		return cached
 	}
 	bs := c.satBits(f)
-	out := make([]bool, c.n)
+	var out []bool
+	if k := len(c.boolPool); k > 0 {
+		out = c.boolPool[k-1]
+		c.boolPool = c.boolPool[:k-1]
+	}
+	out = slices.Grow(out[:0], c.n)[:c.n]
 	for i := range out {
 		out[i] = bs.test(i)
 	}

@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"fmt"
+	"slices"
 
 	"muml/internal/automata"
 )
@@ -15,6 +16,31 @@ type satEngine interface {
 	Sat(Formula) []bool
 	Automaton() *automata.Automaton
 	canceled() bool
+	search() *searchScratch
+}
+
+// searchScratch holds the counterexample search's per-state buffers. Each
+// engine keeps one between calls, so a check allocates no per-state
+// search state once the buffers have grown to the automaton's size.
+type searchScratch struct {
+	visited []bool
+	parent  []parentEdge
+	queue   []int32
+}
+
+// parentEdge is a search tree edge: the predecessor state and the index
+// of the edge in the predecessor's adjacency row.
+type parentEdge struct {
+	from, edge int32
+}
+
+// reset sizes the buffers for n states and marks every state unvisited.
+// Parents are written before they are read, so they are not cleared.
+func (sc *searchScratch) reset(n int) {
+	sc.visited = slices.Grow(sc.visited[:0], n)[:n]
+	clear(sc.visited)
+	sc.parent = slices.Grow(sc.parent[:0], n)[:n]
+	sc.queue = sc.queue[:0]
 }
 
 // Result is the outcome of a verification request.
@@ -188,40 +214,63 @@ type violation struct {
 
 // shortestViolations runs one BFS from the initial states and returns
 // shortest runs to up to max distinct reachable states violating f, in
-// BFS order, each extended with f's violation suffix. The search does not
+// BFS order, each extended with f's violation suffix. A state's parent is
+// the first edge in adjacency order that reached it. The search does not
 // explore past a violating state, and it stops early when the engine's
-// context is done.
+// context is done. Its buffers are the engine's (see searchScratch).
 func shortestViolations(e satEngine, f Formula, max int) []violation {
 	sat := e.Sat(f)
 	a := e.Automaton()
-	n := a.NumStates()
-	parent := make([]automata.Transition, n)
-	visited := make([]bool, n)
-	var queue []automata.StateID
+	sc := e.search()
+	sc.reset(a.NumStates())
+	queue := sc.queue
 	for _, q := range a.Initial() {
-		if !visited[q] {
-			visited[q] = true
-			parent[q] = automata.Transition{From: automata.NoState}
-			queue = append(queue, q)
+		if !sc.visited[q] {
+			sc.visited[q] = true
+			sc.parent[q] = parentEdge{from: -1}
+			queue = append(queue, int32(q))
 		}
 	}
 	var found []violation
 	for head := 0; head < len(queue) && len(found) < max && !e.canceled(); head++ {
-		s := queue[head]
+		s := automata.StateID(queue[head])
 		if !sat[s] {
-			run := reconstructPath(s, parent)
+			run := reconstructPath(a, s, sc.parent)
 			found = append(found, violation{run: run, target: s, extended: extendViolation(e, run, f)})
 			continue
 		}
-		for _, t := range a.TransitionsFrom(s) {
-			if !visited[t.To] {
-				visited[t.To] = true
-				parent[t.To] = t
-				queue = append(queue, t.To)
+		for i, t := range a.TransitionsFrom(s) {
+			if !sc.visited[t.To] {
+				sc.visited[t.To] = true
+				sc.parent[t.To] = parentEdge{from: int32(s), edge: int32(i)}
+				queue = append(queue, int32(t.To))
 			}
 		}
 	}
+	sc.queue = queue
 	return found
+}
+
+// reconstructPath returns the run along the search tree from an initial
+// state to target, allocated at its exact length.
+func reconstructPath(a *automata.Automaton, target automata.StateID, parent []parentEdge) *automata.Run {
+	steps := 0
+	for s := target; parent[s].from >= 0; s = automata.StateID(parent[s].from) {
+		steps++
+	}
+	run := &automata.Run{States: make([]automata.StateID, steps+1)}
+	if steps > 0 {
+		run.Steps = make([]automata.Interaction, steps)
+	}
+	s := target
+	for i := steps; i > 0; i-- {
+		p := parent[s]
+		run.States[i] = s
+		run.Steps[i-1] = a.TransitionsFrom(automata.StateID(p.from))[p.edge].Label
+		s = automata.StateID(p.from)
+	}
+	run.States[0] = s
+	return run
 }
 
 // extendViolation appends, to a run ending in a state violating f, a path

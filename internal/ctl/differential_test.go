@@ -85,11 +85,19 @@ func resultsEqual(a, b ctl.Result) bool {
 }
 
 // diffOne cross-checks one system against the reference engine for every
-// probe formula.
+// probe formula, on fresh engines.
 func diffOne(t *testing.T, label string, sys *automata.Automaton, property ctl.Formula) {
 	t.Helper()
-	ref := ctl.NewReference(sys)
-	checker := ctl.NewChecker(sys)
+	diffOn(t, label, ctl.NewReference(sys), ctl.NewChecker(sys), sys, property)
+}
+
+// diffOn is diffOne on engines that may have checked other systems: both
+// are rebound to sys first, so the buffers they keep between rounds are
+// reused at another size.
+func diffOn(t *testing.T, label string, ref *ctl.Reference, checker *ctl.Checker, sys *automata.Automaton, property ctl.Formula) {
+	t.Helper()
+	ref.Rebind(sys)
+	checker.Rebind(sys)
 	for _, f := range diffFormulas(sys, property) {
 		ctxt := fmt.Sprintf("%s formula=%s", label, f)
 
@@ -133,6 +141,9 @@ func diffOne(t *testing.T, label string, sys *automata.Automaton, property ctl.F
 }
 
 func TestBitsetDifferentialGenCorpus(t *testing.T) {
+	// One pair of engines serves every seed, rebound per system, so the
+	// Sat sets and search buffers they recycle grow and shrink.
+	ref, checker := ctl.NewReference(nil), ctl.NewChecker(nil)
 	for seed := int64(1); seed <= 25; seed++ {
 		inst, err := gen.New(seed, gen.DefaultConfig())
 		if err != nil {
@@ -142,7 +153,7 @@ func TestBitsetDifferentialGenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compose seed %d: %v", seed, err)
 		}
-		diffOne(t, fmt.Sprintf("default/seed=%d states=%d", seed, sys.NumStates()), sys, inst.Property)
+		diffOn(t, fmt.Sprintf("default/seed=%d states=%d", seed, sys.NumStates()), ref, checker, sys, inst.Property)
 	}
 }
 

@@ -1,7 +1,5 @@
 package ctl
 
-import "muml/internal/automata"
-
 // CheckMany evaluates the formula and, when it fails, returns up to max
 // *distinct* counterexamples — shortest paths to distinct violating
 // states. The paper's conclusion (§7) names exactly this as an
@@ -67,22 +65,4 @@ func topLevelAG(f Formula, holds func(Formula) bool) (Formula, bool) {
 		return topLevelAG(node.r, holds)
 	}
 	return nil, false
-}
-
-func reconstructPath(target automata.StateID, parent []automata.Transition) *automata.Run {
-	var rev []automata.Transition
-	for s := target; parent[s].From != automata.NoState; s = parent[s].From {
-		rev = append(rev, parent[s])
-	}
-	run := &automata.Run{}
-	start := target
-	if len(rev) > 0 {
-		start = rev[len(rev)-1].From
-	}
-	run.States = append(run.States, start)
-	for i := len(rev) - 1; i >= 0; i-- {
-		run.Steps = append(run.Steps, rev[i].Label)
-		run.States = append(run.States, rev[i].To)
-	}
-	return run
 }

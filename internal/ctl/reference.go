@@ -24,6 +24,7 @@ type Reference struct {
 	boolPool [][]bool           // scratch layers for the bounded operators
 	intPool  [][]int            // remaining-successor counters
 	queue    []automata.StateID // reused BFS worklist
+	scratch  searchScratch      // counterexample search buffers
 }
 
 // NewReference creates a frozen legacy checker for the automaton.
@@ -45,6 +46,9 @@ func (c *Reference) Automaton() *automata.Automaton { return c.auto }
 // canceled implements satEngine; the reference engine is never bounded by
 // a context.
 func (c *Reference) canceled() bool { return false }
+
+// search implements satEngine: the engine's counterexample search buffers.
+func (c *Reference) search() *searchScratch { return &c.scratch }
 
 // Holds reports whether the formula holds in every initial state.
 func (c *Reference) Holds(f Formula) bool { return holdsOn(c, f) }

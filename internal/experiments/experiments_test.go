@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -77,6 +79,37 @@ func TestRenderReport(t *testing.T) {
 			t.Fatalf("report missing %q", want)
 		}
 	}
+}
+
+// TestReportMatchesCommitted renders the report of every experiment, as
+// `go run ./cmd/experiments -all -report EXPERIMENTS.md` writes it, and
+// requires it to equal the committed EXPERIMENTS.md byte for byte: the
+// report holds no wall-clock figures, so any difference is a changed
+// result, and regenerating the file is the fix when the change is meant.
+func TestReportMatchesCommitted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment; skipped in -short mode")
+	}
+	results, err := RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := RenderReport(results)
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < min(len(gotLines), len(wantLines)); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("EXPERIMENTS.md line %d differs from the rendered report:\ncommitted: %s\nrendered:  %s",
+				i+1, wantLines[i], gotLines[i])
+		}
+	}
+	t.Fatalf("EXPERIMENTS.md has %d lines, the rendered report %d", len(wantLines), len(gotLines))
 }
 
 func TestGenerateScenarioWellFormed(t *testing.T) {
