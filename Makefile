@@ -4,7 +4,7 @@ GO ?= go
 
 all: check
 
-check: lint build perfbench-test perfbench-smoke race bench obs-smoke verifyd-smoke mbt-soak-wide mbt-soak-nondet
+check: lint build perfbench-test perfbench-smoke race bench obs-smoke verifyd-smoke mbt-soak mbt-soak-wide mbt-soak-nondet
 
 # Static checks only — no tests. CI's lint job runs exactly this.
 lint: fmt vet printcheck staticcheck
@@ -181,8 +181,10 @@ verifyd-smoke:
 
 # Model-based soundness soak: run the synthesis loop against SOAK_N
 # generated systems with known ground truth, checking every verdict
-# against the oracles in internal/mbt. Failures are shrunk and written
-# to the regression corpus. Replay one seed: go run ./cmd/mbt -seed S -n 1
+# against the oracles in internal/mbt, the incremental-equivalence oracle
+# (every patched product's names against a from-scratch build) included.
+# Failures are shrunk and written to the regression corpus. Under a
+# second; part of check. Replay one seed: go run ./cmd/mbt -seed S -n 1
 SOAK_SEED ?= 1
 SOAK_N ?= 200
 mbt-soak:

@@ -616,3 +616,41 @@ func BenchmarkPatchedCheck(b *testing.B) {
 	}
 	b.ReportMetric(float64(sys.NumStates()), "states")
 }
+
+// BenchmarkInitialBuild: the build layer of a gen-corpus instance's first
+// iteration, NewIncrementalSystemWith over the instance's context and its
+// initial model M_l⁰ (the initial state alone, labelled as the loop labels
+// it), with a memo that already holds the closure, as every instance of a
+// batch but the first finds it.
+func BenchmarkInitialBuild(b *testing.B) {
+	inst, err := gen.New(1<<20, gen.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	comp, err := inst.Component()
+	if err != nil {
+		b.Fatal(err)
+	}
+	iface := inst.Interface()
+	a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
+	init := legacy.InitialStateName(comp)
+	a.MarkInitial(a.MustAddState(init, core.QualifiedLabeler(iface.Name)(init)...))
+	model := automata.NewIncomplete(a)
+	memo := automata.NewMemoCache(nil)
+	universe := memo.Universe(automata.Universe(automata.UniverseSingleton), iface.Inputs, iface.Outputs)
+	build := func() *automata.IncrementalSystem {
+		ic, err := automata.NewIncrementalSystemWith(context.Background(), inst.Context, model, universe, memo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ic
+	}
+	build() // warms the memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ic *automata.IncrementalSystem
+	for i := 0; i < b.N; i++ {
+		ic = build()
+	}
+	b.ReportMetric(float64(ic.System().NumStates()), "states")
+}

@@ -32,7 +32,8 @@ type Transition struct {
 	To    StateID
 }
 
-// stateInfo stores per-state bookkeeping.
+// stateInfo stores per-state bookkeeping. A composed automaton gets one for
+// a state only when the state is first named (see product).
 type stateInfo struct {
 	name   string
 	labels []Proposition // sorted
@@ -65,9 +66,9 @@ type Automaton struct {
 	adj     [][]Transition
 	initial []StateID
 	leaves  []leafInfo
-	// nameSeq tracks, per base name, the next "#n" suffix to try when
-	// uniqueName must disambiguate a collision; avoids quadratic re-probing.
-	nameSeq map[string]int
+	// prod, set on a composed automaton only, holds its factors and the
+	// factor-state tuple of every state (product.go).
+	prod *product
 	// derived caches the CSR and flat-transition snapshots (csr.go);
 	// structural mutations invalidate it.
 	derived derivedViews
@@ -96,7 +97,7 @@ func (a *Automaton) Inputs() SignalSet { return a.inputs }
 func (a *Automaton) Outputs() SignalSet { return a.outputs }
 
 // NumStates returns |S|.
-func (a *Automaton) NumStates() int { return len(a.states) }
+func (a *Automaton) NumStates() int { return len(a.adj) }
 
 // NumTransitions returns |T|.
 func (a *Automaton) NumTransitions() int {
@@ -108,16 +109,15 @@ func (a *Automaton) NumTransitions() int {
 }
 
 // AddState adds a state with the given name and labels and returns its ID.
-// Adding a name twice returns an error.
+// Adding a name twice returns an error. A composed automaton becomes a
+// plain one first (see flatten).
 func (a *Automaton) AddState(name string, labels ...Proposition) (StateID, error) {
+	a.flatten()
 	if _, ok := a.index[name]; ok {
 		return NoState, fmt.Errorf("automata: duplicate state %q in %q", name, a.name)
 	}
 	id := StateID(len(a.states))
-	sorted := make([]Proposition, len(labels))
-	copy(sorted, labels)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	a.states = append(a.states, stateInfo{name: name, labels: dedupeProps(sorted), parts: []string{name}})
+	a.states = append(a.states, stateInfo{name: name, labels: sortedLabels(labels), parts: []string{name}})
 	a.index[name] = id
 	a.adj = append(a.adj, nil)
 	a.invalidateDerived()
@@ -136,6 +136,7 @@ func (a *Automaton) MustAddState(name string, labels ...Proposition) StateID {
 
 // State returns the ID of the named state, or NoState if absent.
 func (a *Automaton) State(name string) StateID {
+	a.materialize()
 	if id, ok := a.index[name]; ok {
 		return id
 	}
@@ -144,55 +145,53 @@ func (a *Automaton) State(name string) StateID {
 
 // StateName returns the name of the given state.
 func (a *Automaton) StateName(id StateID) string {
+	a.materialize()
 	return a.states[id].name
 }
 
 // StateParts returns, for a composed automaton, the leaf-state names of the
 // given state in leaf order; for a leaf automaton, the single state name.
 func (a *Automaton) StateParts(id StateID) []string {
+	a.materialize()
 	parts := make([]string, len(a.states[id].parts))
 	copy(parts, a.states[id].parts)
 	return parts
 }
 
-// StateByParts returns the state whose leaf-state provenance equals the
-// given parts, or NoState. For leaf automata this is a lookup by name.
-func (a *Automaton) StateByParts(parts []string) StateID {
-	for id := range a.states {
-		got := a.states[id].parts
-		if len(got) != len(parts) {
-			continue
-		}
-		match := true
-		for i := range got {
-			if got[i] != parts[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return StateID(id)
-		}
-	}
-	return NoState
-}
-
 // Labels returns the propositions labeling the given state, sorted.
 func (a *Automaton) Labels(id StateID) []Proposition {
+	a.materialize()
 	labels := make([]Proposition, len(a.states[id].labels))
 	copy(labels, a.states[id].labels)
 	return labels
 }
 
-// HasLabel reports whether the state is labeled with the proposition.
+// HasLabel reports whether the state is labeled with the proposition. A
+// composed state is labeled with its factor states' labels, which are read
+// through its tuple without naming it.
 func (a *Automaton) HasLabel(id StateID, p Proposition) bool {
+	if a.prod != nil {
+		for i, f := range a.prod.factors {
+			if f.HasLabel(a.prod.state(id, i), p) {
+				return true
+			}
+		}
+		return false
+	}
 	labels := a.states[id].labels
+	if len(labels) == 1 {
+		// The common case on the factors of a product: a context state
+		// labelled with its name, a closure copy with its model state's.
+		return labels[0] == p
+	}
 	i := sort.Search(len(labels), func(i int) bool { return labels[i] >= p })
 	return i < len(labels) && labels[i] == p
 }
 
-// AddLabel attaches a proposition to a state.
+// AddLabel attaches a proposition to a state. A composed automaton becomes
+// a plain one first (see flatten).
 func (a *Automaton) AddLabel(id StateID, p Proposition) {
+	a.flatten()
 	if a.HasLabel(id, p) {
 		return
 	}
@@ -205,6 +204,7 @@ func (a *Automaton) AddLabel(id StateID, p Proposition) {
 // where name is the automaton's component name. This is the convention used
 // by pattern constraints such as "rearRole.convoy".
 func (a *Automaton) LabelStatesByName() {
+	a.flatten()
 	for id := range a.states {
 		a.AddLabel(StateID(id), Proposition(a.name+"."+a.states[id].name))
 	}
@@ -213,6 +213,7 @@ func (a *Automaton) LabelStatesByName() {
 // AllPropositions returns the sorted union of all propositions used in the
 // labeling (the label set ℒ(M)).
 func (a *Automaton) AllPropositions() []Proposition {
+	a.materialize()
 	seen := make(map[Proposition]struct{})
 	for _, st := range a.states {
 		for _, p := range st.labels {
@@ -245,7 +246,7 @@ func (a *Automaton) AddTransition(from StateID, label Interaction, to StateID) e
 	for _, t := range a.adj[from] {
 		if t.To == to && t.Label.Equal(label) {
 			return fmt.Errorf("automata: %q: duplicate transition %s -%s-> %s",
-				a.name, a.states[from].name, label, a.states[to].name)
+				a.name, a.StateName(from), label, a.StateName(to))
 		}
 	}
 	a.adj[from] = append(a.adj[from], Transition{From: from, Label: label, To: to})
@@ -329,7 +330,7 @@ func (a *Automaton) IsDeadlock(id StateID) bool { return len(a.adj[id]) == 0 }
 // Deterministic reports whether for every state and interaction (A, B)
 // there is at most one successor (the determinism notion of Section 2.6).
 func (a *Automaton) Deterministic() bool {
-	for id := range a.states {
+	for id := range a.adj {
 		seen := make(map[string]struct{}, len(a.adj[id]))
 		for _, t := range a.adj[id] {
 			key := t.Label.Key()
@@ -345,7 +346,7 @@ func (a *Automaton) Deterministic() bool {
 // Reachable returns the set of states reachable from Q, as a boolean slice
 // indexed by StateID.
 func (a *Automaton) Reachable() []bool {
-	reached := make([]bool, len(a.states))
+	reached := make([]bool, a.NumStates())
 	queue := make([]StateID, 0, len(a.initial))
 	for _, q := range a.initial {
 		if !reached[q] {
@@ -369,7 +370,7 @@ func (a *Automaton) Reachable() []bool {
 // (the M ⊨ δ condition), returning one reachable deadlock state if so.
 func (a *Automaton) DeadlockReachable() (StateID, bool) {
 	reached := a.Reachable()
-	for id := range a.states {
+	for id := range a.adj {
 		if reached[id] && a.IsDeadlock(StateID(id)) {
 			return StateID(id), true
 		}
@@ -393,6 +394,7 @@ func (a *Automaton) Validate() error {
 // Trim returns a copy of the automaton restricted to the states reachable
 // from its initial states.
 func (a *Automaton) Trim(name string) *Automaton {
+	a.materialize()
 	reached := a.Reachable()
 	b := New(name, a.inputs, a.outputs)
 	b.leaves = append([]leafInfo(nil), a.leaves...)
@@ -437,6 +439,7 @@ func (a *Automaton) Rename(name string, mapping map[Signal]Signal) (*Automaton, 
 	if newIn.Len() != a.inputs.Len() || newOut.Len() != a.outputs.Len() {
 		return nil, errors.New("automata: rename merges distinct signals")
 	}
+	a.materialize()
 	b := New(name, newIn, newOut)
 	for id, st := range a.states {
 		sid := b.MustAddState(st.name, st.labels...)
@@ -474,6 +477,7 @@ func (a *Automaton) String() string {
 
 // Dot renders the automaton in Graphviz DOT format for inspection.
 func (a *Automaton) Dot() string {
+	a.materialize()
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", a.name)
 	initials := make(map[StateID]bool, len(a.initial))
@@ -495,10 +499,18 @@ func (a *Automaton) Dot() string {
 }
 
 func (a *Automaton) checkState(id StateID) error {
-	if id < 0 || int(id) >= len(a.states) {
+	if id < 0 || int(id) >= a.NumStates() {
 		return fmt.Errorf("automata: %q: state id %d out of range", a.name, id)
 	}
 	return nil
+}
+
+// sortedLabels returns a sorted, duplicate-free copy of labels.
+func sortedLabels(labels []Proposition) []Proposition {
+	sorted := make([]Proposition, len(labels))
+	copy(sorted, labels)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return dedupeProps(sorted)
 }
 
 func dedupeProps(sorted []Proposition) []Proposition {

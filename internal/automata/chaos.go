@@ -260,8 +260,16 @@ func ChaoticClosureLiteral(m *Incomplete, universe InteractionUniverse) *Automat
 
 // IsChaosState reports whether the composed or plain state involves a
 // chaotic state (s_all or s_delta) of a chaotic closure. For composed
-// automata every leaf part is inspected.
+// automata every leaf part is inspected, through the factors' states.
 func IsChaosState(a *Automaton, s StateID) bool {
+	if p := a.prod; p != nil {
+		for i, f := range p.factors {
+			if IsChaosState(f, p.state(s, i)) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, part := range a.states[s].parts {
 		if part == ChaosAllState || part == ChaosDeltaState {
 			return true

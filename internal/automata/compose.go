@@ -60,7 +60,10 @@ func (p *ctxPoll) stop() bool {
 //
 // Composed state labels are the union L(s) ∪ L'(s'). Composed states keep
 // per-leaf provenance so that runs render as in the paper's listings
-// ("shuttle1.noConvoy, shuttle2.s_all").
+// ("shuttle1.noConvoy, shuttle2.s_all"). A composed state is stored as the
+// pair of its operands' states and named ("s|s'"), labelled and attributed
+// from them only when read (see product), so the operands must not change
+// their states' names or labels once composed.
 //
 // The BFS inner loop runs on interned bitset labels, so the combined
 // alphabet must fit an Interner (at most 128 signals); a wider one is an
@@ -85,9 +88,7 @@ func ComposeCtx(ctx context.Context, name string, left, right *Automaton) (*Auto
 		return nil, fmt.Errorf("automata: compose %q‖%q: missing initial states", left.name, right.name)
 	}
 
-	c := New(name, left.inputs.Union(right.inputs), left.outputs.Union(right.outputs))
-	c.leaves = append(append([]leafInfo(nil), left.leaves...), right.leaves...)
-
+	c := newProduct(name, left, right)
 	in, err := NewInterner(c.inputs, c.outputs)
 	if err != nil {
 		return nil, fmt.Errorf("automata: compose %q‖%q: %w", left.name, right.name, err)
@@ -123,31 +124,27 @@ func composePair(c, left, right *Automaton, in *Interner, p *ctxPoll) error {
 	leftOut, _ := in.Mask(left.outputs)
 	rightOut, _ := in.Mask(right.outputs)
 
-	type pair struct{ l, r StateID }
-	ids := make(map[pair]StateID)
-	var queue []pair
-
-	addPair := func(p pair) StateID {
-		if id, ok := ids[p]; ok {
+	ids := make(map[[2]StateID]StateID)
+	addPair := func(l, r StateID) StateID {
+		if id, ok := ids[[2]StateID{l, r}]; ok {
 			return id
 		}
-		id := addComposedPairState(c, left, right, p.l, p.r)
-		ids[p] = id
-		queue = append(queue, p)
+		id := c.addTuple(l, r)
+		ids[[2]StateID{l, r}] = id
 		return id
 	}
 
 	for _, ql := range left.initial {
 		for _, qr := range right.initial {
-			c.MarkInitial(addPair(pair{ql, qr}))
+			c.MarkInitial(addPair(ql, qr))
 		}
 	}
 
-	for head := 0; head < len(queue) && !p.stop(); head++ {
-		pr := queue[head]
-		from := ids[pr]
-		for _, tl := range leftAdj[pr.l] {
-			for _, tr := range rightAdj[pr.r] {
+	// States are created in BFS order, so the state table is the queue.
+	for from := StateID(0); int(from) < c.NumStates() && !p.stop(); from++ {
+		l, r := c.prod.state(from, 0), c.prod.state(from, 1)
+		for _, tl := range leftAdj[l] {
+			for _, tr := range rightAdj[r] {
 				if tl.in.and(rightOut) != tr.out {
 					continue
 				}
@@ -155,23 +152,12 @@ func composePair(c, left, right *Automaton, in *Interner, p *ctxPoll) error {
 					continue
 				}
 				k := InternKey{In: tl.in.or(tr.in), Out: tl.out.or(tr.out)}
-				to := addPair(pair{tl.to, tr.to})
+				to := addPair(tl.to, tr.to)
 				c.adj[from] = append(c.adj[from], Transition{From: from, Label: in.Label(k), To: to})
 			}
 		}
 	}
 	return nil
-}
-
-// addComposedPairState adds the product state (l, r) to c with the joined
-// name, labels, and leaf provenance.
-func addComposedPairState(c, left, right *Automaton, l, r StateID) StateID {
-	obsComposedStates.Add(1)
-	name := left.states[l].name + "|" + right.states[r].name
-	labels := append(append([]Proposition(nil), left.states[l].labels...), right.states[r].labels...)
-	id := c.MustAddState(uniqueName(c, name), labels...)
-	c.states[id].parts = append(append([]string(nil), left.states[l].parts...), right.states[r].parts...)
-	return id
 }
 
 // MustCompose is Compose but panics on error.
@@ -230,17 +216,8 @@ func ComposeAllCtx(ctx context.Context, name string, parts ...*Automaton) (*Auto
 		}
 	}
 
-	allIn, allOut := EmptySet, EmptySet
-	var leaves []leafInfo
-	for _, p := range parts {
-		allIn = allIn.Union(p.inputs)
-		allOut = allOut.Union(p.outputs)
-		leaves = append(leaves, p.leaves...)
-	}
-	c := New(name, allIn, allOut)
-	c.leaves = leaves
-
-	in, err := NewInterner(allIn, allOut)
+	c := newProduct(name, parts...)
+	in, err := NewInterner(c.inputs, c.outputs)
 	if err != nil {
 		return nil, fmt.Errorf("automata: compose %q: %w", name, err)
 	}
@@ -284,16 +261,13 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) e
 	}
 
 	ids := make(map[string]StateID)
-	var queue [][]StateID
-
 	addTuple := func(states []StateID) StateID {
 		k := stateSetKey(states)
 		if id, ok := ids[k]; ok {
 			return id
 		}
-		id := addComposedTupleState(c, parts, states)
+		id := c.addTuple(states...)
 		ids[k] = id
-		queue = append(queue, states)
 		return id
 	}
 
@@ -307,8 +281,8 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) e
 	// tuple is added when first reached, which fixes every product
 	// state's ID, name and edge order.
 	chosen := make([]maskedTransition, len(parts))
+	next := make([]StateID, len(parts))
 	var from StateID
-	var cur []StateID
 	var choose func(i int, produced SetMask)
 	choose = func(i int, produced SetMask) {
 		if i == len(parts) {
@@ -321,7 +295,6 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) e
 				}
 				consumed = consumed.or(chosen[idx].in)
 			}
-			next := make([]StateID, len(parts))
 			for idx := range chosen {
 				next[idx] = chosen[idx].to
 			}
@@ -330,14 +303,15 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) e
 			c.adj[from] = append(c.adj[from], Transition{From: from, Label: in.Label(k), To: to})
 			return
 		}
-		for _, t := range ptAdj[i][cur[i]] {
+		for _, t := range ptAdj[i][c.prod.state(from, i)] {
 			chosen[i] = t
 			choose(i+1, produced.or(t.out))
 		}
 	}
 
-	for head, level := 0, 0; head < len(queue); level++ {
-		end := len(queue)
+	// States are created in BFS order, so the state table is the queue.
+	for head, level := 0, 0; head < c.NumStates(); level++ {
+		end := c.NumStates()
 		obsComposeLevels.Add(1)
 		obsComposeFrontierPeak.Observe(int64(end - head))
 		if obsJournal.Enabled() {
@@ -350,29 +324,11 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) e
 			if p.stop() {
 				return nil
 			}
-			cur = queue[head]
-			from = ids[stateSetKey(cur)]
+			from = StateID(head)
 			choose(0, SetMask{})
 		}
 	}
 	return nil
-}
-
-// addComposedTupleState adds the n-ary product state for the given leaf
-// state tuple with joined name, labels, and provenance.
-func addComposedTupleState(c *Automaton, parts []*Automaton, states []StateID) StateID {
-	obsComposedStates.Add(1)
-	names := make([]string, len(states))
-	var labels []Proposition
-	var partNames []string
-	for i, s := range states {
-		names[i] = parts[i].states[s].name
-		labels = append(labels, parts[i].states[s].labels...)
-		partNames = append(partNames, parts[i].states[s].parts...)
-	}
-	id := c.MustAddState(uniqueName(c, strings.Join(names, "|")), labels...)
-	c.states[id].parts = partNames
-	return id
 }
 
 // initialTuples returns the cartesian product of the parts' initial state
@@ -431,11 +387,11 @@ func (a *Automaton) ProjectRun(r Run, leaf string) (ProjectedRun, error) {
 	in, out := a.leaves[idx].inputs, a.leaves[idx].outputs
 	p := ProjectedRun{Leaf: leaf, Deadlock: r.Deadlock}
 	for _, s := range r.States {
-		parts := a.states[s].parts
-		if len(parts) != len(a.leaves) {
-			return ProjectedRun{}, fmt.Errorf("automata: state %q lacks provenance for projection", a.states[s].name)
+		part, ok := a.leafPart(s, idx)
+		if !ok {
+			return ProjectedRun{}, fmt.Errorf("automata: state %q lacks provenance for projection", a.StateName(s))
 		}
-		p.StateNames = append(p.StateNames, parts[idx])
+		p.StateNames = append(p.StateNames, part)
 	}
 	for _, step := range r.Steps {
 		p.Steps = append(p.Steps, Interaction{
@@ -471,16 +427,17 @@ func (p ProjectedRun) String() string {
 }
 
 // uniqueName returns base, or base with the first free "#n" suffix when the
-// base name is taken. A per-automaton next-suffix counter per base avoids
-// re-probing "#2, #3, …" from scratch on every collision.
+// base name is taken in the composed automaton a. A next-suffix counter per
+// base avoids re-probing "#2, #3, …" from scratch on every collision.
 func uniqueName(a *Automaton, base string) string {
 	if _, ok := a.index[base]; !ok {
 		return base
 	}
-	if a.nameSeq == nil {
-		a.nameSeq = make(map[string]int)
+	p := a.prod
+	if p.nameSeq == nil {
+		p.nameSeq = make(map[string]int)
 	}
-	i := a.nameSeq[base]
+	i := p.nameSeq[base]
 	if i < 2 {
 		i = 2
 	}
@@ -488,7 +445,7 @@ func uniqueName(a *Automaton, base string) string {
 		candidate := fmt.Sprintf("%s#%d", base, i)
 		i++
 		if _, ok := a.index[candidate]; !ok {
-			a.nameSeq[base] = i
+			p.nameSeq[base] = i
 			return candidate
 		}
 	}

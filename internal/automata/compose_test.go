@@ -192,8 +192,8 @@ func TestRenderStatesListingFormat(t *testing.T) {
 }
 
 func TestUniqueNameDisambiguates(t *testing.T) {
-	a := New("a", EmptySet, EmptySet)
-	a.MustAddState("x")
+	a := newProduct("a")
+	a.index["x"] = 0
 	if got := uniqueName(a, "x"); got == "x" {
 		t.Fatal("uniqueName returned a colliding name")
 	}

@@ -93,7 +93,7 @@ func (a *Automaton) CSR() *CSR {
 // of spare (an invalidated snapshot of a, or nil) where they are large
 // enough.
 func buildCSR(a *Automaton, spare *CSR) *CSR {
-	n := len(a.states)
+	n := a.NumStates()
 	m := 0
 	for _, row := range a.adj {
 		m += len(row)

@@ -50,6 +50,7 @@ func (h *fnv64) sum() uint64 { return uint64(*h) }
 // processes (no map iteration feeds the hash) and changes whenever any
 // observable aspect of the automaton changes.
 func (a *Automaton) Fingerprint() uint64 {
+	a.materialize()
 	h := newFNV()
 	h.str(a.name)
 	h.str(a.inputs.Key())

@@ -77,8 +77,9 @@ type IncrementalSystem struct {
 	ctxOut, closOut  SetMask
 	numModelInitials int
 
+	// product's state tuples are the (context state, closure state) pairs;
+	// pairID indexes them.
 	product   *Automaton
-	pairs     [][2]StateID // product id -> (context state, closure state)
 	pairID    map[[2]StateID]StateID
 	byClosure [][]StateID // closure state -> product ids with that closure part
 	reachable int         // reachable product states after the last build/patch
@@ -243,12 +244,9 @@ func (ic *IncrementalSystem) rebuild() error {
 		ic.closeState(StateID(f))
 	}
 
-	// Product BFS, replicating Compose's interned BFS while
-	// recording the (context, closure) pair of every product state.
-	ic.product = New("system", ic.context.inputs.Union(ic.closure.inputs),
-		ic.context.outputs.Union(ic.closure.outputs))
-	ic.product.leaves = append(append([]leafInfo(nil), ic.context.leaves...), ic.closure.leaves...)
-	ic.pairs = ic.pairs[:0]
+	// Product BFS, replicating Compose's interned BFS while indexing the
+	// (context, closure) pair of every product state.
+	ic.product = newProduct("system", ic.context, ic.closure)
 	ic.pairID = make(map[[2]StateID]StateID)
 	ic.byClosure = make([][]StateID, ic.closure.NumStates())
 
@@ -281,9 +279,8 @@ func (ic *IncrementalSystem) pairFor(c, z StateID) (StateID, bool) {
 	if id, ok := ic.pairID[key]; ok {
 		return id, false
 	}
-	id := addComposedPairState(ic.product, ic.context, ic.closure, c, z)
+	id := ic.product.addTuple(c, z)
 	ic.pairID[key] = id
-	ic.pairs = append(ic.pairs, key)
 	ic.byClosure[z] = append(ic.byClosure[z], id)
 	return id, true
 }
@@ -295,7 +292,7 @@ func (ic *IncrementalSystem) pairFor(c, z StateID) (StateID, bool) {
 // a from-scratch composition exactly, and for the same reason it never
 // emits a (label, target) twice.
 func (ic *IncrementalSystem) computePairAdjacency(pid StateID, queue []StateID) []StateID {
-	c, z := ic.pairs[pid][0], ic.pairs[pid][1]
+	c, z := ic.product.prod.state(pid, 0), ic.product.prod.state(pid, 1)
 	adj := ic.product.adj[pid][:0]
 	for _, tl := range ic.ctxMask[c] {
 		for _, tr := range ic.closMask[z] {
@@ -343,7 +340,7 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 		rebuildReason = "initial-states-changed"
 	case len(ic.closed)+len(delta.NewStates) != src.NumStates():
 		rebuildReason = "delta-state-mismatch"
-	case len(ic.pairs) > 2*ic.reachable+garbageRebuildSlack:
+	case ic.product.NumStates() > 2*ic.reachable+garbageRebuildSlack:
 		rebuildReason = "garbage-threshold"
 	default:
 		for i, s := range delta.NewStates {
@@ -565,6 +562,8 @@ func EquivalentReachable(got, want *Automaton) error {
 	if len(got.initial) != len(want.initial) {
 		return fmt.Errorf("initial state counts differ: %d vs %d", len(got.initial), len(want.initial))
 	}
+	got.materialize()
+	want.materialize()
 	// corr maps want-state -> got-state; inv guards injectivity.
 	corr := make(map[StateID]StateID)
 	inv := make(map[StateID]StateID)

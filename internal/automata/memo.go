@@ -229,8 +229,10 @@ func (c *MemoCache) Stats() (hits, misses, entries int64) {
 // changes only the clone. It keeps composed-state provenance (parts) and
 // the leaf decomposition, which Clone/Rename do not carry over; memoized
 // results need both, because counterexample classification (IsChaosState)
-// and run projection read them.
+// and run projection read them. A composed automaton is named first, and
+// its clone is a plain automaton.
 func (a *Automaton) shareRows(name string) *Automaton {
+	a.materialize()
 	b := &Automaton{
 		name:    name,
 		inputs:  a.inputs,

@@ -55,6 +55,7 @@ type memoEdgeJSON struct {
 // MarshalMemo serializes the automaton with full fidelity (provenance
 // parts and leaf decomposition included) for the persistent memo store.
 func MarshalMemo(a *Automaton) ([]byte, error) {
+	a.materialize()
 	doc := memoDocJSON{
 		V:       memoCodecVersion,
 		Name:    a.name,

@@ -356,10 +356,13 @@ type Stats struct {
 	// TestsRun counts the record/replay executions on the components;
 	// TestsPredicted the component tests the learned models predicted
 	// instead.
-	TestsRun           int
-	TestsPredicted     int
-	ProbesRun          int
-	ResetsUsed         int // component resets (≈ test executions incl. replays)
+	TestsRun       int
+	TestsPredicted int
+	ProbesRun      int
+	// ResetsUsed counts the resets the components saw: the initial-state
+	// read, one per record and per replay, and one per probe that could
+	// not step on from where its component stood (replay.Probe).
+	ResetsUsed         int
 	StatesLearned      int
 	TransitionsLearned int
 	RefusalsLearned    int
@@ -453,7 +456,7 @@ type Synthesizer struct {
 	// traceID names the run's trace in the journal (see Options.Journal).
 	traceID string
 
-	testsRun, resetsUsed int // the Stats counts no iteration records
+	testsRun int // the Stats count no iteration records (see also component.comp)
 
 	// inc carries the composed system across iterations; nil until the
 	// first iteration, or permanently when unsupported (several components,
@@ -481,7 +484,9 @@ type Synthesizer struct {
 // labeler naming the propositions of learned states ("iface.state"), and
 // the interaction universe over its alphabets, enumerated once.
 type component struct {
-	comp     legacy.Component
+	// comp is the black box, tracked so that a probe steps on from where
+	// it stands when it can (replay.Tracked); it counts the resets.
+	comp     *replay.Tracked
 	iface    legacy.Interface
 	model    *automata.Incomplete
 	labeler  func(string) []automata.Proposition
@@ -580,10 +585,9 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 	// the product is rebuilt from every model's closure each iteration.
 	s.incUnsupported = len(comps) > 1
 	for i, iface := range ifaces {
-		c := &component{comp: comps[i], iface: iface, labeler: QualifiedLabeler(iface.Name),
+		c := &component{comp: replay.Track(comps[i]), iface: iface, labeler: QualifiedLabeler(iface.Name),
 			universe: o.Memo.Universe(o.Universe, iface.Inputs, iface.Outputs)}
 		init := legacy.InitialStateName(c.comp)
-		s.resetsUsed++
 		a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
 		id := a.MustAddState(init, c.labeler(init)...)
 		a.MarkInitial(id)
@@ -639,7 +643,10 @@ func (s *Synthesizer) Run() (*Report, error) {
 			}
 			report.Model = report.Models[0]
 			report.Stats = sumStats(report.Iterations)
-			report.Stats.TestsRun, report.Stats.ResetsUsed = s.testsRun, s.resetsUsed
+			report.Stats.TestsRun = s.testsRun
+			for _, c := range s.comps {
+				report.Stats.ResetsUsed += c.comp.Resets()
+			}
 			if s.checker != nil {
 				report.Stats.CTLWordsScanned = s.checker.WordsScanned()
 			}
@@ -1106,7 +1113,6 @@ func (s *Synthesizer) testComponent(c *component, proj automata.ProjectedRun, it
 					return fmt.Errorf("core: nondet test aborted: %w", err)
 				}
 				s.testsRun++
-				s.resetsUsed++
 				if run, divs, err = replay.ReplayNondet(c.comp, rec, c.model); err != nil {
 					return fmt.Errorf("core: nondet replay failed: %w", err)
 				}
@@ -1127,7 +1133,6 @@ func (s *Synthesizer) testComponent(c *component, proj automata.ProjectedRun, it
 				}
 				rec = replay.Record(c.comp, c.iface, inputs)
 				s.testsRun++
-				s.resetsUsed += 2
 				if run, err = replay.Replay(c.comp, rec); err != nil {
 					return fmt.Errorf("core: deterministic replay failed: %w", err)
 				}
@@ -1439,7 +1444,6 @@ func (s *Synthesizer) probe(c *component, in automata.SignalSet, it *Iteration, 
 			runs = []automata.ObservedRun{run}
 		}
 		for _, run := range runs {
-			s.resetsUsed++
 			if err := s.learnObservation(c, run, it); err != nil {
 				return err
 			}
@@ -1559,22 +1563,17 @@ func finalState(run automata.ObservedRun) string {
 	return run.Initial
 }
 
-// ContextStateAt resolves the context automaton's own state matching the
-// context leaves of a composed system state. Exported for the model-based
-// soundness oracle (internal/mbt), which independently re-derives the
-// context's offers at the end of a violation witness to confirm a reported
-// deadlock against the ground-truth component.
+// ContextStateAt returns the context automaton's own state in a composed
+// system state: the system is composed over the context as its first
+// factor, so this is the first entry of the state's tuple. Exported for
+// the model-based soundness oracle (internal/mbt), which independently
+// re-derives the context's offers at the end of a violation witness to
+// confirm a reported deadlock against the ground-truth component.
 func ContextStateAt(context, sys *automata.Automaton, composed automata.StateID) (automata.StateID, error) {
-	parts := sys.StateParts(composed)
-	n := len(context.Leaves())
-	if len(parts) < n {
-		return automata.NoState, fmt.Errorf("core: composed state lacks context provenance")
+	if f := sys.Factors(); len(f) == 0 || f[0] != context {
+		return automata.NoState, fmt.Errorf("core: system %q is not composed over context %q", sys.Name(), context.Name())
 	}
-	id := context.StateByParts(parts[:n])
-	if id == automata.NoState {
-		return automata.NoState, fmt.Errorf("core: no context state with parts %v", parts[:n])
-	}
-	return id, nil
+	return sys.FactorState(composed, 0), nil
 }
 
 // runAvoidsChaos reports whether the run never visits a chaotic closure

@@ -84,14 +84,22 @@ type nondetVisit struct {
 // two separate visits of the same (state, input) is unrealizable
 // per-execution even though each transition is real.
 func openCopyDeadlocked(sys *automata.Automaton, final automata.StateID) bool {
-	// The closure is the last factor of the product, so the copy suffix
-	// sits at the end of the composed state name (e.g. "c0|s0·0").
-	name := sys.StateName(final)
+	// The closure is the last factor of the product; the sibling is found
+	// through the state tuples, without naming the product.
+	factors := sys.Factors()
+	last := len(factors) - 1
+	closure := factors[last]
+	name := closure.StateName(sys.FactorState(final, last))
 	if !strings.HasSuffix(name, automata.ChaosClosedSuffix) {
 		// The final state already assumes arbitrary further behavior.
 		return sys.IsDeadlock(final)
 	}
-	sib := sys.State(strings.TrimSuffix(name, automata.ChaosClosedSuffix) + automata.ChaosOpenSuffix)
+	tuple := make([]automata.StateID, len(factors))
+	for i := range tuple {
+		tuple[i] = sys.FactorState(final, i)
+	}
+	tuple[last] = closure.State(strings.TrimSuffix(name, automata.ChaosClosedSuffix) + automata.ChaosOpenSuffix)
+	sib := sys.StateOfFactors(tuple...)
 	return sib != automata.NoState && sys.IsDeadlock(sib)
 }
 

@@ -37,37 +37,38 @@ func trajectoryOf(seed int64, r *core.Report) trajectory {
 // a separate slice-based label path. Seeds 1–24 are consecutive and all end
 // in their first iteration; the other five need a second one, so their
 // product is delta-patched. Only tests and resets moved since, when the
-// tests the learned model predicts stopped executing.
+// tests the learned model predicts stopped executing, and resets again
+// when probes started stepping on from where the component stands.
 var wideTrajectories = []trajectory{
-	{1, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 1, 1, 61, 6, 4, "ctx.c0, impl.s0\n"},
+	{1, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 1, 1, 1, 61, 6, 4, "ctx.c0, impl.s0\n"},
 	{2, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 1, 0, 0, 0, 6, 2, "ctx.c0, impl.s0\n"},
-	{3, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 0, 0, 62, 6, 0, "ctx.c0, impl.s0\n"},
-	{4, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 0, 1, 61, 4, 4, "ctx.c0, impl.s0\n"},
-	{5, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 0, 0, 62, 4, 4, "ctx.c0, impl.s0\n"},
-	{6, core.VerdictViolation, core.ViolationConstraint, 1, 0, 3, 4, 0, 1, 92, 4, 5, "ctx.c0, impl.s0\n"},
+	{3, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 1, 0, 0, 62, 6, 0, "ctx.c0, impl.s0\n"},
+	{4, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 2, 0, 1, 61, 4, 4, "ctx.c0, impl.s0\n"},
+	{5, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 1, 0, 0, 62, 4, 4, "ctx.c0, impl.s0\n"},
+	{6, core.VerdictViolation, core.ViolationConstraint, 1, 0, 3, 2, 0, 1, 92, 4, 5, "ctx.c0, impl.s0\n"},
 	{7, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 1, 0, 0, 0, 6, 2, "ctx.c0, impl.s0\n"},
 	{8, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 1, 0, 0, 0, 8, 2, "ctx.c0, impl.s0\n"},
-	{9, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 2, 0, 0, 31, 4, 0, "ctx.c0, impl.s0\n"},
-	{10, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 0, 0, 62, 6, 4, "ctx.c0, impl.s0\n"},
-	{11, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 2, 0, 0, 31, 4, 4, "ctx.c0, impl.s0\n"},
+	{9, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 1, 0, 0, 31, 4, 0, "ctx.c0, impl.s0\n"},
+	{10, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 1, 0, 0, 62, 6, 4, "ctx.c0, impl.s0\n"},
+	{11, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 1, 0, 0, 31, 4, 4, "ctx.c0, impl.s0\n"},
 	{12, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 1, 0, 0, 0, 10, 2, "ctx.c0, impl.s0\n"},
-	{13, core.VerdictViolation, core.ViolationConstraint, 1, 0, 1, 2, 0, 0, 31, 8, 7, "ctx.c0, impl.s0\n"},
+	{13, core.VerdictViolation, core.ViolationConstraint, 1, 0, 1, 1, 0, 0, 31, 8, 7, "ctx.c0, impl.s0\n"},
 	{14, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 1, 0, 0, 0, 6, 2, "ctx.c0, impl.s0\n"},
-	{15, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 0, 0, 62, 4, 0, "ctx.c0, impl.s0\n"},
-	{16, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 0, 0, 62, 4, 0, "ctx.c0, impl.s0\n"},
-	{17, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 2, 0, 0, 31, 4, 3, "ctx.c0, impl.s0\n"},
-	{18, core.VerdictViolation, core.ViolationConstraint, 1, 0, 1, 2, 0, 0, 31, 4, 7, "ctx.c0, impl.s0\n"},
-	{19, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 1, 1, 61, 6, 5, "ctx.c0, impl.s0\n"},
+	{15, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 1, 0, 0, 62, 4, 0, "ctx.c0, impl.s0\n"},
+	{16, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 1, 0, 0, 62, 4, 0, "ctx.c0, impl.s0\n"},
+	{17, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 1, 0, 0, 31, 4, 3, "ctx.c0, impl.s0\n"},
+	{18, core.VerdictViolation, core.ViolationConstraint, 1, 0, 1, 1, 0, 0, 31, 4, 7, "ctx.c0, impl.s0\n"},
+	{19, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 1, 1, 1, 61, 6, 5, "ctx.c0, impl.s0\n"},
 	{20, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 1, 0, 0, 0, 8, 4, "ctx.c0, impl.s0\n"},
-	{21, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 3, 0, 1, 61, 4, 4, "ctx.c0, impl.s0\n"},
-	{22, core.VerdictViolation, core.ViolationConstraint, 1, 0, 1, 2, 0, 0, 31, 6, 6, "ctx.c0, impl.s0\n"},
-	{23, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 2, 0, 0, 31, 4, 2, "ctx.c0, impl.s0\n"},
-	{24, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 2, 0, 0, 31, 4, 2, "ctx.c0, impl.s0\n"},
-	{348, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 2, 3, 1, 1, 61, 6, 8, "ctx.c0, impl.s0\nτ\nctx.c0, impl.s1\n"},
-	{391, core.VerdictProven, core.ViolationNone, 2, 0, 1, 2, 0, 1, 30, 4, 6, ""},
-	{908, core.VerdictProven, core.ViolationNone, 2, 0, 2, 3, 0, 1, 61, 10, 4, ""},
-	{1317, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 3, 4, 0, 1, 61, 8, 0, "ctx.c0, impl.s0\nctx.i17!, impl.i17?\nctx.c1, impl.s0\n"},
-	{1389, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 6, 7, 1, 2, 184, 10, 0, "ctx.c0, impl.s0\nctx.i31!, impl.i31?\nctx.c0, impl.s1\n"},
+	{21, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 2, 0, 1, 61, 4, 4, "ctx.c0, impl.s0\n"},
+	{22, core.VerdictViolation, core.ViolationConstraint, 1, 0, 1, 1, 0, 0, 31, 6, 6, "ctx.c0, impl.s0\n"},
+	{23, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 1, 0, 0, 31, 4, 2, "ctx.c0, impl.s0\n"},
+	{24, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 1, 0, 0, 31, 4, 2, "ctx.c0, impl.s0\n"},
+	{348, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 2, 1, 1, 1, 61, 6, 8, "ctx.c0, impl.s0\nτ\nctx.c0, impl.s1\n"},
+	{391, core.VerdictProven, core.ViolationNone, 2, 0, 1, 1, 0, 1, 30, 4, 6, ""},
+	{908, core.VerdictProven, core.ViolationNone, 2, 0, 2, 1, 0, 1, 61, 10, 4, ""},
+	{1317, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 3, 2, 0, 1, 61, 8, 0, "ctx.c0, impl.s0\nctx.i17!, impl.i17?\nctx.c1, impl.s0\n"},
+	{1389, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 6, 2, 1, 2, 184, 10, 0, "ctx.c0, impl.s0\nctx.i31!, impl.i31?\nctx.c0, impl.s1\n"},
 }
 
 // TestWideTrajectoriesPinned runs the pinned wide instances on the
@@ -116,39 +117,41 @@ type multiTrajectory struct {
 // multiTrajectories pin seeds 1–12 (k = 2) and 1–8 (k = 3), which all end
 // in their first iteration, and the longer runs among seeds 1–400. They
 // were recorded while every test still executed; only tests and resets
-// moved when the tests the learned models predict stopped executing.
+// moved when the tests the learned models predict stopped executing, and
+// resets again when probes started stepping on from where each component
+// stands.
 var multiTrajectories = []multiTrajectory{
-	{2, trajectory{1, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 4, 2, 2, 4, 12, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
-	{2, trajectory{2, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 4, 0, 0, 6, 16, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
-	{2, trajectory{3, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 4, 1, 2, 4, 8, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
+	{2, trajectory{1, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 2, 2, 2, 4, 12, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
+	{2, trajectory{2, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 2, 0, 0, 6, 16, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
+	{2, trajectory{3, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 2, 1, 2, 4, 8, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
 	{2, trajectory{4, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 2, 0, 0, 0, 16, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
 	{2, trajectory{5, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 2, 0, 0, 0, 12, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
 	{2, trajectory{6, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 2, 0, 0, 0, 8, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
-	{2, trajectory{7, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 3, 5, 2, 2, 7, 12, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
-	{2, trajectory{8, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 4, 2, 2, 4, 20, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
+	{2, trajectory{7, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 3, 3, 2, 2, 7, 12, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
+	{2, trajectory{8, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 2, 2, 2, 2, 4, 20, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
 	{2, trajectory{9, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 2, 0, 0, 0, 8, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
 	{2, trajectory{10, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 2, 0, 0, 0, 8, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
-	{2, trajectory{11, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 3, 5, 0, 3, 6, 16, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
-	{2, trajectory{12, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 3, 0, 0, 3, 8, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
-	{2, trajectory{26, core.VerdictViolation, core.ViolationConstraint, 2, 0, 3, 5, 2, 3, 6, 24, 4, "ctx.c0, impl0.s0, impl1.s0\nctx.i1_02!, impl1.i1_02?\nctx.c1, impl0.s3, impl1.s1\n"}},
-	{2, trajectory{33, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 4, 6, 2, 3, 9, 12, 4, "ctx.c0, impl0.s0, impl1.s0\nimpl1.o1_01!, ctx.o1_01?\nctx.c0, impl0.s1, impl1.s1\n"}},
-	{2, trajectory{38, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 5, 7, 1, 3, 6, 20, 4, "ctx.c0, impl0.s0, impl1.s0\nimpl0.o0_01!, ctx.o0_01?\nctx.c1, impl0.s0, impl1.s0\n"}},
-	{2, trajectory{49, core.VerdictProven, core.ViolationNone, 3, 1, 3, 7, 0, 3, 9, 24, 6, ""}},
-	{2, trajectory{53, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 6, 8, 1, 3, 12, 16, 4, "ctx.c0, impl0.s0, impl1.s0\nimpl1.o1_00!, ctx.o1_00?\nctx.c2, impl0.s0, impl1.s4\n"}},
-	{2, trajectory{79, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 8, 10, 3, 4, 17, 12, 4, "ctx.c0, impl0.s0, impl1.s0\nctx.i0_00!, impl1.o1_01!, ctx.o1_01?, impl0.i0_00?\nctx.c1, impl0.s4, impl1.s0\n"}},
-	{2, trajectory{129, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 8, 10, 3, 5, 13, 12, 4, "ctx.c0, impl0.s0, impl1.s0\nctx.i1_02!, impl1.o1_01!, ctx.o1_01?, impl1.i1_02?\nctx.c0, impl0.s0, impl1.s4\n"}},
-	{2, trajectory{304, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 7, 9, 6, 6, 15, 20, 4, "ctx.c0, impl0.s0, impl1.s0\nctx.i1_02!, impl1.i1_02?\nctx.c1, impl0.s3, impl1.s2\n"}},
+	{2, trajectory{11, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 3, 3, 0, 3, 6, 16, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
+	{2, trajectory{12, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 2, 0, 0, 3, 8, 2, "ctx.c0, impl0.s0, impl1.s0\n"}},
+	{2, trajectory{26, core.VerdictViolation, core.ViolationConstraint, 2, 0, 3, 3, 2, 3, 6, 24, 4, "ctx.c0, impl0.s0, impl1.s0\nctx.i1_02!, impl1.i1_02?\nctx.c1, impl0.s3, impl1.s1\n"}},
+	{2, trajectory{33, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 4, 2, 2, 3, 9, 12, 4, "ctx.c0, impl0.s0, impl1.s0\nimpl1.o1_01!, ctx.o1_01?\nctx.c0, impl0.s1, impl1.s1\n"}},
+	{2, trajectory{38, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 5, 4, 1, 3, 6, 20, 4, "ctx.c0, impl0.s0, impl1.s0\nimpl0.o0_01!, ctx.o0_01?\nctx.c1, impl0.s0, impl1.s0\n"}},
+	{2, trajectory{49, core.VerdictProven, core.ViolationNone, 3, 1, 3, 5, 0, 3, 9, 24, 6, ""}},
+	{2, trajectory{53, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 6, 4, 1, 3, 12, 16, 4, "ctx.c0, impl0.s0, impl1.s0\nimpl1.o1_00!, ctx.o1_00?\nctx.c2, impl0.s0, impl1.s4\n"}},
+	{2, trajectory{79, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 8, 4, 3, 4, 17, 12, 4, "ctx.c0, impl0.s0, impl1.s0\nctx.i0_00!, impl1.o1_01!, ctx.o1_01?, impl0.i0_00?\nctx.c1, impl0.s4, impl1.s0\n"}},
+	{2, trajectory{129, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 8, 8, 3, 5, 13, 12, 4, "ctx.c0, impl0.s0, impl1.s0\nctx.i1_02!, impl1.o1_01!, ctx.o1_01?, impl1.i1_02?\nctx.c0, impl0.s0, impl1.s4\n"}},
+	{2, trajectory{304, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 7, 5, 6, 6, 15, 20, 4, "ctx.c0, impl0.s0, impl1.s0\nctx.i1_02!, impl1.i1_02?\nctx.c1, impl0.s3, impl1.s2\n"}},
 	{3, trajectory{1, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 3, 0, 0, 0, 24, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
 	{3, trajectory{2, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 3, 0, 0, 0, 16, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
-	{3, trajectory{3, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 4, 7, 2, 4, 8, 16, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
-	{3, trajectory{4, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 4, 0, 0, 3, 32, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
-	{3, trajectory{5, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 3, 6, 1, 3, 6, 48, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
+	{3, trajectory{3, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 4, 4, 2, 4, 8, 16, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
+	{3, trajectory{4, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 3, 0, 0, 3, 32, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
+	{3, trajectory{5, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 3, 3, 1, 3, 6, 48, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
 	{3, trajectory{6, core.VerdictViolation, core.ViolationConstraint, 1, 0, 0, 3, 0, 0, 0, 40, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
-	{3, trajectory{7, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 4, 0, 0, 3, 16, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
-	{3, trajectory{8, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 3, 6, 3, 3, 6, 16, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
-	{3, trajectory{205, core.VerdictViolation, core.ViolationConstraint, 2, 0, 5, 8, 3, 3, 12, 40, 4, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\nctx.i2_02!, impl2.i2_02?\nctx.c3, impl0.s3, impl1.s2, impl2.s1\n"}},
-	{3, trajectory{284, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 5, 8, 2, 4, 11, 32, 4, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\nτ\nctx.c1, impl0.s2, impl1.s1, impl2.s0\n"}},
-	{3, trajectory{342, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 5, 8, 2, 3, 12, 56, 4, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\nctx.i1_02!, impl0.o0_01!, ctx.o0_01?, impl1.i1_02?\nctx.c2, impl0.s2, impl1.s0, impl2.s1\n"}},
+	{3, trajectory{7, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 1, 3, 0, 0, 3, 16, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
+	{3, trajectory{8, core.VerdictViolation, core.ViolationDeadlock, 1, 0, 3, 3, 3, 3, 6, 16, 2, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\n"}},
+	{3, trajectory{205, core.VerdictViolation, core.ViolationConstraint, 2, 0, 5, 4, 3, 3, 12, 40, 4, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\nctx.i2_02!, impl2.i2_02?\nctx.c3, impl0.s3, impl1.s2, impl2.s1\n"}},
+	{3, trajectory{284, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 5, 3, 2, 4, 11, 32, 4, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\nτ\nctx.c1, impl0.s2, impl1.s1, impl2.s0\n"}},
+	{3, trajectory{342, core.VerdictViolation, core.ViolationDeadlock, 2, 0, 5, 4, 2, 3, 12, 56, 4, "ctx.c0, impl0.s0, impl1.s0, impl2.s0\nctx.i1_02!, impl0.o0_01!, ctx.o0_01?, impl1.i1_02?\nctx.c2, impl0.s2, impl1.s0, impl2.s1\n"}},
 }
 
 // TestMultiTrajectoriesPinned runs the pinned multi-component instances
@@ -191,32 +194,34 @@ func pinnedScenario(seed int64) *experiments.Scenario {
 
 // scenarioTrajectories pin scenario machines 0–23 (deadlock freedom only).
 // They were recorded while every test still executed; only tests and
-// resets moved when the tests the learned model predicts stopped executing.
+// resets moved when the tests the learned model predicts stopped executing,
+// and resets again when probes started stepping on from where the
+// component stands.
 var scenarioTrajectories = []trajectory{
-	{0, core.VerdictProven, core.ViolationNone, 17, 0, 18, 19, 15, 18, 36, 58, 0, ""},
-	{1, core.VerdictProven, core.ViolationNone, 13, 0, 13, 14, 11, 13, 26, 30, 0, ""},
-	{2, core.VerdictViolation, core.ViolationDeadlock, 11, 0, 13, 14, 10, 12, 27, 42, 0, "context.s0, legacy.s0\nlegacy.u!, context.u?\ncontext.s24, legacy.s24\ncontext.y!, legacy.u!, context.u?, legacy.y?\ncontext.s49, legacy.s49\nlegacy.u!, context.u?\ncontext.s41, legacy.s41\nτ\ncontext.s22, legacy.s22\nlegacy.u!, context.u?\ncontext.s35, legacy.s35\ncontext.y!, legacy.u!, context.u?, legacy.y?\ncontext.s39, legacy.s39\n"},
-	{3, core.VerdictProven, core.ViolationNone, 19, 0, 19, 20, 17, 19, 38, 44, 0, ""},
-	{4, core.VerdictProven, core.ViolationNone, 14, 0, 16, 17, 12, 16, 32, 34, 0, ""},
-	{5, core.VerdictViolation, core.ViolationDeadlock, 17, 0, 20, 21, 16, 20, 40, 54, 0, "context.s0, legacy.s0\ncontext.x!, legacy.u!, context.u?, legacy.x?\ncontext.s66, legacy.s66\ncontext.y!, legacy.y?\ncontext.s17, legacy.s17\ncontext.y!, legacy.y?\ncontext.s55, legacy.s55\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s12, legacy.s12\ncontext.y!, legacy.u!, context.u?, legacy.y?\ncontext.s22, legacy.s22\ncontext.y!, legacy.v!, context.v?, legacy.y?\ncontext.s19, legacy.s19\n"},
-	{6, core.VerdictProven, core.ViolationNone, 33, 0, 36, 37, 31, 36, 72, 124, 0, ""},
-	{7, core.VerdictProven, core.ViolationNone, 15, 0, 16, 17, 13, 16, 32, 48, 0, ""},
-	{8, core.VerdictViolation, core.ViolationDeadlock, 8, 0, 10, 11, 9, 10, 20, 42, 0, "context.s0, legacy.s0\nlegacy.u!, context.u?\ncontext.s28, legacy.s28\ncontext.x!, legacy.u!, context.u?, legacy.x?\ncontext.s33, legacy.s33\ncontext.x!, legacy.x?\ncontext.s53, legacy.s53\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s25, legacy.s25\n"},
-	{9, core.VerdictProven, core.ViolationNone, 24, 0, 24, 25, 22, 24, 48, 86, 0, ""},
-	{10, core.VerdictProven, core.ViolationNone, 27, 0, 27, 28, 25, 27, 54, 68, 0, ""},
-	{11, core.VerdictViolation, core.ViolationDeadlock, 24, 0, 25, 26, 23, 25, 50, 64, 0, "context.s0, legacy.s0\ncontext.x!, legacy.u!, context.u?, legacy.x?\ncontext.s29, legacy.s29\ncontext.y!, legacy.v!, context.v?, legacy.y?\ncontext.s72, legacy.s72\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s27, legacy.s27\ncontext.x!, legacy.x?\ncontext.s10, legacy.s10\ncontext.x!, legacy.u!, context.u?, legacy.x?\ncontext.s34, legacy.s34\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s67, legacy.s67\nτ\ncontext.s17, legacy.s17\ncontext.y!, legacy.y?\ncontext.s21, legacy.s21\nτ\ncontext.s41, legacy.s41\nlegacy.u!, context.u?\ncontext.s43, legacy.s43\nτ\ncontext.s1, legacy.s1\ncontext.y!, legacy.u!, context.u?, legacy.y?\ncontext.s58, legacy.s58\nτ\ncontext.s33, legacy.s33\n"},
-	{12, core.VerdictProven, core.ViolationNone, 33, 0, 37, 38, 31, 37, 74, 92, 0, ""},
-	{13, core.VerdictProven, core.ViolationNone, 32, 0, 33, 34, 30, 33, 66, 116, 0, ""},
-	{14, core.VerdictProven, core.ViolationNone, 20, 0, 20, 21, 18, 19, 41, 68, 0, ""},
-	{15, core.VerdictProven, core.ViolationNone, 34, 0, 36, 37, 32, 36, 72, 76, 0, ""},
-	{16, core.VerdictProven, core.ViolationNone, 32, 0, 37, 38, 30, 37, 74, 108, 0, ""},
-	{17, core.VerdictViolation, core.ViolationDeadlock, 7, 0, 9, 10, 7, 9, 18, 24, 0, "context.s0, legacy.s0\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s40, legacy.s40\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s31, legacy.s31\ncontext.x!, legacy.x?\ncontext.s19, legacy.s19\nlegacy.u!, context.u?\ncontext.s22, legacy.s22\n"},
-	{18, core.VerdictProven, core.ViolationNone, 17, 0, 18, 19, 15, 18, 36, 46, 0, ""},
-	{19, core.VerdictProven, core.ViolationNone, 12, 0, 12, 13, 10, 12, 24, 44, 0, ""},
-	{20, core.VerdictProven, core.ViolationNone, 7, 0, 8, 9, 5, 7, 17, 18, 0, ""},
-	{21, core.VerdictProven, core.ViolationNone, 12, 0, 13, 14, 10, 13, 26, 26, 0, ""},
-	{22, core.VerdictProven, core.ViolationNone, 25, 0, 25, 26, 23, 25, 50, 74, 0, ""},
-	{23, core.VerdictViolation, core.ViolationDeadlock, 3, 0, 4, 5, 3, 3, 9, 40, 0, "context.s0, legacy.s0\ncontext.x!, legacy.x?\ncontext.s30, legacy.s30\ncontext.y!, legacy.y?\ncontext.s2, legacy.s2\n"},
+	{0, core.VerdictProven, core.ViolationNone, 17, 0, 18, 15, 15, 18, 36, 58, 0, ""},
+	{1, core.VerdictProven, core.ViolationNone, 13, 0, 13, 7, 11, 13, 26, 30, 0, ""},
+	{2, core.VerdictViolation, core.ViolationDeadlock, 11, 0, 13, 12, 10, 12, 27, 42, 0, "context.s0, legacy.s0\nlegacy.u!, context.u?\ncontext.s24, legacy.s24\ncontext.y!, legacy.u!, context.u?, legacy.y?\ncontext.s49, legacy.s49\nlegacy.u!, context.u?\ncontext.s41, legacy.s41\nτ\ncontext.s22, legacy.s22\nlegacy.u!, context.u?\ncontext.s35, legacy.s35\ncontext.y!, legacy.u!, context.u?, legacy.y?\ncontext.s39, legacy.s39\n"},
+	{3, core.VerdictProven, core.ViolationNone, 19, 0, 19, 11, 17, 19, 38, 44, 0, ""},
+	{4, core.VerdictProven, core.ViolationNone, 14, 0, 16, 16, 12, 16, 32, 34, 0, ""},
+	{5, core.VerdictViolation, core.ViolationDeadlock, 17, 0, 20, 20, 16, 20, 40, 54, 0, "context.s0, legacy.s0\ncontext.x!, legacy.u!, context.u?, legacy.x?\ncontext.s66, legacy.s66\ncontext.y!, legacy.y?\ncontext.s17, legacy.s17\ncontext.y!, legacy.y?\ncontext.s55, legacy.s55\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s12, legacy.s12\ncontext.y!, legacy.u!, context.u?, legacy.y?\ncontext.s22, legacy.s22\ncontext.y!, legacy.v!, context.v?, legacy.y?\ncontext.s19, legacy.s19\n"},
+	{6, core.VerdictProven, core.ViolationNone, 33, 0, 36, 34, 31, 36, 72, 124, 0, ""},
+	{7, core.VerdictProven, core.ViolationNone, 15, 0, 16, 8, 13, 16, 32, 48, 0, ""},
+	{8, core.VerdictViolation, core.ViolationDeadlock, 8, 0, 10, 9, 9, 10, 20, 42, 0, "context.s0, legacy.s0\nlegacy.u!, context.u?\ncontext.s28, legacy.s28\ncontext.x!, legacy.u!, context.u?, legacy.x?\ncontext.s33, legacy.s33\ncontext.x!, legacy.x?\ncontext.s53, legacy.s53\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s25, legacy.s25\n"},
+	{9, core.VerdictProven, core.ViolationNone, 24, 0, 24, 12, 22, 24, 48, 86, 0, ""},
+	{10, core.VerdictProven, core.ViolationNone, 27, 0, 27, 24, 25, 27, 54, 68, 0, ""},
+	{11, core.VerdictViolation, core.ViolationDeadlock, 24, 0, 25, 22, 23, 25, 50, 64, 0, "context.s0, legacy.s0\ncontext.x!, legacy.u!, context.u?, legacy.x?\ncontext.s29, legacy.s29\ncontext.y!, legacy.v!, context.v?, legacy.y?\ncontext.s72, legacy.s72\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s27, legacy.s27\ncontext.x!, legacy.x?\ncontext.s10, legacy.s10\ncontext.x!, legacy.u!, context.u?, legacy.x?\ncontext.s34, legacy.s34\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s67, legacy.s67\nτ\ncontext.s17, legacy.s17\ncontext.y!, legacy.y?\ncontext.s21, legacy.s21\nτ\ncontext.s41, legacy.s41\nlegacy.u!, context.u?\ncontext.s43, legacy.s43\nτ\ncontext.s1, legacy.s1\ncontext.y!, legacy.u!, context.u?, legacy.y?\ncontext.s58, legacy.s58\nτ\ncontext.s33, legacy.s33\n"},
+	{12, core.VerdictProven, core.ViolationNone, 33, 0, 37, 36, 31, 37, 74, 92, 0, ""},
+	{13, core.VerdictProven, core.ViolationNone, 32, 0, 33, 24, 30, 33, 66, 116, 0, ""},
+	{14, core.VerdictProven, core.ViolationNone, 20, 0, 20, 1, 18, 19, 41, 68, 0, ""},
+	{15, core.VerdictProven, core.ViolationNone, 34, 0, 36, 29, 32, 36, 72, 76, 0, ""},
+	{16, core.VerdictProven, core.ViolationNone, 32, 0, 37, 37, 30, 37, 74, 108, 0, ""},
+	{17, core.VerdictViolation, core.ViolationDeadlock, 7, 0, 9, 7, 7, 9, 18, 24, 0, "context.s0, legacy.s0\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s40, legacy.s40\ncontext.x!, legacy.v!, context.v?, legacy.x?\ncontext.s31, legacy.s31\ncontext.x!, legacy.x?\ncontext.s19, legacy.s19\nlegacy.u!, context.u?\ncontext.s22, legacy.s22\n"},
+	{18, core.VerdictProven, core.ViolationNone, 17, 0, 18, 15, 15, 18, 36, 46, 0, ""},
+	{19, core.VerdictProven, core.ViolationNone, 12, 0, 12, 9, 10, 12, 24, 44, 0, ""},
+	{20, core.VerdictProven, core.ViolationNone, 7, 0, 8, 3, 5, 7, 17, 18, 0, ""},
+	{21, core.VerdictProven, core.ViolationNone, 12, 0, 13, 10, 10, 13, 26, 26, 0, ""},
+	{22, core.VerdictProven, core.ViolationNone, 25, 0, 25, 25, 23, 25, 50, 74, 0, ""},
+	{23, core.VerdictViolation, core.ViolationDeadlock, 3, 0, 4, 3, 3, 3, 9, 40, 0, "context.s0, legacy.s0\ncontext.x!, legacy.x?\ncontext.s30, legacy.s30\ncontext.y!, legacy.y?\ncontext.s2, legacy.s2\n"},
 }
 
 // TestScenarioTrajectoriesPinned runs the pinned scenario machines, the

@@ -40,6 +40,11 @@ type Checker struct {
 	queue    []int32  // reused frontier worklists
 	next     []int32
 	scratch  searchScratch // counterexample search buffers
+	// marks and markOff are evalAtom's scratch on a composed automaton:
+	// the factor states that carry the atom, factor i's state z at bit
+	// markOff[i]+z.
+	marks   bitset
+	markOff []int
 
 	// ctx, when non-nil, bounds the current evaluation: fixpoint loops
 	// poll it (rate-limited by polls) and unwind early once it is done.
@@ -385,21 +390,46 @@ func (c *Checker) satBits(f Formula) bitset {
 	return sat
 }
 
-// evalAtom builds the satisfaction word for an atomic proposition, one
-// 64-state word at a time.
+// evalAtom builds the satisfaction set of an atomic proposition. A
+// composed state carries the labels of its factors' states, so on a
+// composed automaton each factor's states that carry p are marked once and
+// the marks are read through the state tuples: no composed state is named
+// or labelled on the way.
 func (c *Checker) evalAtom(p automata.Proposition) bitset {
-	n := c.n
-	out := newBitset(n)
-	for w := range out {
-		base := w << 6
-		lim := min(64, n-base)
-		var word uint64
-		for k := 0; k < lim; k++ {
-			if c.auto.HasLabel(automata.StateID(base+k), p) {
-				word |= 1 << uint(k)
+	out := newBitset(c.n)
+	a := c.auto
+	factors := a.Factors()
+	if factors == nil {
+		for s := range c.n {
+			if a.HasLabel(automata.StateID(s), p) {
+				out.set(s)
 			}
 		}
-		out[w] = word
+		c.addWords(int64(len(out)))
+		return out
+	}
+	c.markOff = c.markOff[:0]
+	n := 0
+	for _, f := range factors {
+		c.markOff = append(c.markOff, n)
+		n += f.NumStates()
+	}
+	c.marks = slices.Grow(c.marks[:0], wordsFor(n))[:wordsFor(n)]
+	c.marks.zero()
+	for i, f := range factors {
+		for z := range f.NumStates() {
+			if f.HasLabel(automata.StateID(z), p) {
+				c.marks.set(c.markOff[i] + z)
+			}
+		}
+	}
+	for s := range c.n {
+		for i, off := range c.markOff {
+			if c.marks.test(off + int(a.FactorState(automata.StateID(s), i))) {
+				out.set(s)
+				break
+			}
+		}
 	}
 	c.addWords(int64(len(out)))
 	return out

@@ -62,6 +62,7 @@ func (d Divergence) String() string {
 // refusal is itself reported as a divergence when the recording accepted
 // that period.
 func ReplayNondet(comp legacy.Component, rec Recording, fragment *automata.Incomplete) (automata.ObservedRun, []Divergence, error) {
+	defer forget(comp)
 	if pa, ok := comp.(ProbeAware); ok {
 		pa.SetHeavyProbes(true)
 		defer pa.SetHeavyProbes(false)
@@ -138,6 +139,7 @@ func ProbeNondet(comp legacy.Component, rec Recording, in automata.SignalSet, wa
 	if tries < 1 {
 		tries = 1
 	}
+	defer forget(comp)
 	if pa, ok := comp.(ProbeAware); ok {
 		pa.SetHeavyProbes(true)
 		defer pa.SetHeavyProbes(false)

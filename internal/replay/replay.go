@@ -256,11 +256,16 @@ func ReplayTrace(iface legacy.Interface, run automata.ObservedRun, nondet bool) 
 	return t
 }
 
-// Probe resets the component, replays the recorded execution, and then
-// performs one additional step with the given input, reporting the
+// Probe brings the component to the end of the recorded execution and
+// then performs one additional step with the given input, reporting the
 // component's reaction. This is how the executor asks "what would the
 // component do next?" at the end of a counterexample without forking
-// state: every probe is a fresh deterministic re-execution.
+// state: a deterministic re-execution of the recording reaches the same
+// state every time. So a Tracked component whose record since its last
+// reset is a prefix of the recording (after a refused probe there, a
+// replay of it, or a probe at a shorter prefix) steps only the rest;
+// any other probe resets it and re-executes the whole recording. Either
+// way every recorded output is checked.
 func Probe(comp legacy.Component, rec Recording, in automata.SignalSet) (ProbeResult, error) {
 	if !rec.Completed() {
 		return ProbeResult{}, fmt.Errorf("replay: cannot probe past a blocked recording")
@@ -270,9 +275,15 @@ func Probe(comp legacy.Component, rec Recording, in automata.SignalSet) (ProbeRe
 		defer pa.SetHeavyProbes(false)
 	}
 	obsProbes.Add(1)
-	obsResets.Add(1)
-	comp.Reset()
-	for period, recIn := range rec.Inputs {
+	from := 0
+	if t, ok := comp.(*Tracked); ok && t.prefixOf(rec) {
+		from = len(t.inputs)
+	} else {
+		obsResets.Add(1)
+		comp.Reset()
+	}
+	for period := from; period < len(rec.Inputs); period++ {
+		recIn := rec.Inputs[period]
 		out, ok := comp.Step(recIn)
 		if !ok || !out.Equal(rec.Outputs[period]) {
 			return ProbeResult{}, fmt.Errorf("replay: probe replay diverged at period %d", period+1)
@@ -346,6 +357,84 @@ func appendMessageEvents(t *Trace, iface legacy.Interface, in, out automata.Sign
 		t.Events = append(t.Events, Event{
 			Kind: KindMessage, Name: string(sig), Port: iface.PortOf(sig), Dir: Outgoing, Count: period,
 		})
+	}
+}
+
+// Tracked wraps a legacy component and records what it has executed since
+// its last reset: the inputs it accepted and the outputs it answered, in
+// order. Probe reads the record to step a deterministic component on from
+// where it stands instead of resetting it. The record is kept only while
+// every step runs under heavy probes, the instrumentation Probe
+// re-executes under, and the nondeterministic drivers, whose re-executions
+// need not land where a recording did, clear it. Toward this package and
+// legacy.InitialStateName a Tracked behaves as the component alone: it
+// forwards the optional Introspector and ProbeAware interfaces.
+type Tracked struct {
+	comp legacy.Component
+	// inputs and outputs are the steps accepted since the last reset;
+	// known is false when they do not tell where the component stands.
+	inputs, outputs []automata.SignalSet
+	known           bool
+	heavy           bool
+	resets          int
+}
+
+// Track wraps a component in a Tracked; its position is unknown until its
+// first reset.
+func Track(comp legacy.Component) *Tracked { return &Tracked{comp: comp} }
+
+// Reset resets the component and starts an empty record.
+func (t *Tracked) Reset() {
+	t.comp.Reset()
+	t.resets++
+	t.inputs, t.outputs, t.known = t.inputs[:0], t.outputs[:0], true
+}
+
+// Step steps the component and records an accepted step; a refused one
+// leaves the component's state, and so the record, unchanged.
+func (t *Tracked) Step(in automata.SignalSet) (automata.SignalSet, bool) {
+	out, ok := t.comp.Step(in)
+	if ok {
+		t.inputs = append(t.inputs, in)
+		t.outputs = append(t.outputs, out)
+	}
+	t.known = t.known && t.heavy
+	return out, ok
+}
+
+// StateName reports the component's state as package replay reads it.
+func (t *Tracked) StateName() string { return stateName(t.comp) }
+
+// SetHeavyProbes forwards to a ProbeAware component and notes the mode.
+func (t *Tracked) SetHeavyProbes(enabled bool) {
+	t.heavy = enabled
+	if pa, ok := t.comp.(ProbeAware); ok {
+		pa.SetHeavyProbes(enabled)
+	}
+}
+
+// Resets returns the number of times the component has been reset.
+func (t *Tracked) Resets() int { return t.resets }
+
+// prefixOf reports whether the component stands in rec: what it executed
+// since its last reset is a prefix of rec's periods, outputs included.
+func (t *Tracked) prefixOf(rec Recording) bool {
+	if !t.known || len(t.inputs) > len(rec.Inputs) {
+		return false
+	}
+	for i, in := range t.inputs {
+		if !in.Equal(rec.Inputs[i]) || !t.outputs[i].Equal(rec.Outputs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// forget clears the record of a Tracked component, so that its next probe
+// resets it.
+func forget(comp legacy.Component) {
+	if t, ok := comp.(*Tracked); ok {
+		t.known = false
 	}
 }
 
