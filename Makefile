@@ -206,14 +206,16 @@ mbt-soak-wide:
 	$(GO) run ./cmd/mbt -wide -seed $(SOAK_SEED) -n 100 -corpus internal/mbt/testdata
 
 # Short randomized fuzzing pass over the model-based harness entry
-# points, the memo-store codec, the manifest intake, the journal decoder
-# and verifyd's job envelope; CI-sized, not a real fuzzing campaign.
+# points, the memo-store codec, the patched synthesis system against
+# from-scratch builds, the manifest intake, the journal decoder and
+# verifyd's job envelope; CI-sized, not a real fuzzing campaign.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/mbt -fuzz FuzzSynthesisSoundness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mbt -fuzz FuzzIocoSoundness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mbt -fuzz FuzzRefinementLaws -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzUnmarshalMemo -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/batch -run '^$$' -fuzz FuzzManifestItems -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzDecodeJSONL -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/verifyd -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)

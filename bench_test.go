@@ -622,8 +622,20 @@ func BenchmarkPatchedCheck(b *testing.B) {
 // initial model M_l⁰ (the initial state alone, labelled as the loop labels
 // it), with a memo that already holds the closure, as every instance of a
 // batch but the first finds it.
-func BenchmarkInitialBuild(b *testing.B) {
-	inst, err := gen.New(1<<20, gen.DefaultConfig())
+func BenchmarkInitialBuild(b *testing.B) { benchInitialBuild(b, gen.DefaultConfig(), true) }
+
+// BenchmarkInitialBuildWide is BenchmarkInitialBuild over a wide instance
+// (gen.WideConfig: 40+30 signals, 1,271 singleton labels), whose universe
+// also holds its label layout after the warm-up build.
+func BenchmarkInitialBuildWide(b *testing.B) { benchInitialBuild(b, gen.WideConfig(), true) }
+
+// BenchmarkInitialBuildWideCold is BenchmarkInitialBuildWide without a
+// memo, as NewIncrementalSystem and a core.Run without Options.Memo build:
+// every build compiles its universe and lays out its labels.
+func BenchmarkInitialBuildWideCold(b *testing.B) { benchInitialBuild(b, gen.WideConfig(), false) }
+
+func benchInitialBuild(b *testing.B, cfg gen.Config, warm bool) {
+	inst, err := gen.New(1<<20, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -639,7 +651,11 @@ func BenchmarkInitialBuild(b *testing.B) {
 	memo := automata.NewMemoCache(nil)
 	universe := memo.Universe(automata.Universe(automata.UniverseSingleton), iface.Inputs, iface.Outputs)
 	build := func() *automata.IncrementalSystem {
-		ic, err := automata.NewIncrementalSystemWith(context.Background(), inst.Context, model, universe, memo)
+		u, m := universe, memo
+		if !warm {
+			u, m = automata.CompileUniverse(automata.Universe(automata.UniverseSingleton), iface.Inputs, iface.Outputs), nil
+		}
+		ic, err := automata.NewIncrementalSystemWith(context.Background(), inst.Context, model, u, m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -653,4 +669,16 @@ func BenchmarkInitialBuild(b *testing.B) {
 		ic = build()
 	}
 	b.ReportMetric(float64(ic.System().NumStates()), "states")
+}
+
+// BenchmarkGenWide: generating one wide instance (gen.New over
+// gen.WideConfig), ground truth included, as batchverify and verifyd do
+// for every manifest entry.
+func BenchmarkGenWide(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := gen.New(int64(i+1), gen.WideConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

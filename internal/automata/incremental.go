@@ -24,17 +24,18 @@ import (
 //   - the embedded chaos states s_∀, s_δ never change.
 //
 // The closure is patched in its masked form, the one the product is built
-// from; its transition rows follow only when the closure is read
-// (Closure). The product is patched by recomputing, wholesale, the
-// adjacency of every product pair whose closure part changed, discovering
-// (and recursively processing) pairs that become newly reachable. Pairs
-// that lose their last incoming edge become garbage: they are kept (CTL
-// satisfaction at a state depends only on the states reachable *from* it,
-// and verdicts and counterexamples are computed from initial states only,
-// so stale unreachable states are invisible) and their adjacency stays
-// current because every pair with a changed closure part is recomputed
-// whether reachable or not. When garbage accumulates past a threshold the
-// system is rebuilt from scratch.
+// from, and a patch rewrites only learned prefixes and known-label bitsets
+// (the chaos tails are the universe's); its transition rows follow only
+// when the closure is read (Closure). The product is patched by
+// recomputing, wholesale, the adjacency of every product pair whose
+// closure part changed, discovering (and recursively processing) pairs
+// that become newly reachable. Pairs that lose their last incoming edge
+// become garbage: they are kept (CTL satisfaction at a state depends only
+// on the states reachable *from* it, and verdicts and counterexamples are
+// computed from initial states only, so stale unreachable states are
+// invisible) and their adjacency stays current because every pair with a
+// changed closure part is recomputed whether reachable or not. When
+// garbage accumulates past a threshold the system is rebuilt from scratch.
 //
 // Invariant (checked by Verify and the differential tests): after every
 // Apply, the reachable part of the patched closure and product is
@@ -43,7 +44,11 @@ import (
 // BFS tie-breaking over adjacency order — are unchanged.
 
 // IncrementalSystem carries the chaotic closure of a learned model and its
-// composition with a fixed context automaton across learn steps.
+// composition with a fixed context automaton across learn steps. Its
+// closure rows never copy the universe (closureRow), and the product join
+// reads their chaos tails through the universe's label layout for the
+// context (labelLayout), so systems over a shared compiled universe pay
+// for their learned states, not for the universe's labels.
 type IncrementalSystem struct {
 	context  *Automaton
 	model    *Incomplete
@@ -56,8 +61,8 @@ type IncrementalSystem struct {
 	runCtx context.Context
 	memo   *MemoCache
 
-	in        *Interner
-	labelKeys []InternKey // the universe labels under in, in enumeration order
+	in     *Interner
+	layout *labelLayout // the universe's labels under in, laid out for this context
 
 	closure      *Automaton
 	closed, open []StateID // model state -> closure copy IDs
@@ -67,13 +72,8 @@ type IncrementalSystem struct {
 	// the transitions from them when the closure is read.
 	stale []StateID
 
-	ctxMask  [][]maskedTransition
-	closMask [][]maskedTransition
-	// chaosMask is the masked row of s_∀: every universe label toward s_∀
-	// and s_δ. The open copy of a state with nothing learned or refused
-	// has the same row and shares it; masked rows are never written in
-	// place.
-	chaosMask        []maskedTransition
+	ctxMask          [][]maskedTransition
+	rows             []closureRow // closure state -> its masked row
 	ctxOut, closOut  SetMask
 	numModelInitials int
 
@@ -84,10 +84,9 @@ type IncrementalSystem struct {
 	byClosure [][]StateID // closure state -> product ids with that closure part
 	reachable int         // reachable product states after the last build/patch
 
-	// Worklists kept across Apply calls: the known labels of the state
-	// being closed, the changed model states, the product pairs to
-	// recompute, the BFS queue, and the reachability marks.
-	known    map[InternKey]struct{}
+	// Worklists kept across Apply calls: the changed model states, the
+	// product pairs to recompute, the BFS queue, and the reachability
+	// marks.
 	order    []StateID
 	affected []StateID
 	queue    []StateID
@@ -96,6 +95,44 @@ type IncrementalSystem struct {
 	// lastReason records how the most recent Apply (or the initial
 	// construction) obtained the system (see LastDecision).
 	lastReason string
+}
+
+// closureRow is the masked row of one closure state, in ChaoticClosure's
+// emission order: the learned prefix (each learned transition toward both
+// copies of its target) and, on an open copy and on s_∀, the chaos tail:
+// every universe label whose index is not in known, in universe order,
+// each toward s_∀ and then s_δ. The tail is never materialized; it is
+// read through the layout, and known is nil when nothing is known. A
+// closed copy has no tail, and s_δ has no row. Rows are never written in
+// place, so the two copies of a state share their prefix.
+type closureRow struct {
+	prefix []maskedTransition
+	tail   bool
+	known  []uint64
+}
+
+// tailHas reports whether the row's chaos tail holds universe label i.
+func (r *closureRow) tailHas(i int32) bool {
+	return r.tail && (r.known == nil || r.known[i>>6]&(1<<(i&63)) == 0)
+}
+
+// know returns the known-label bitset with the universe index of k set,
+// allocating it on the first label the universe holds; a label the
+// universe lacks leaves it as it is. k's index is found in k's join
+// bucket.
+func (l *labelLayout) know(known []uint64, k InternKey) []uint64 {
+	i := l.head(l.joinKey(k))
+	for i >= 0 && l.keys[i] != k {
+		i = l.next[i]
+	}
+	if i < 0 {
+		return known
+	}
+	if known == nil {
+		known = make([]uint64, (len(l.keys)+63)/64)
+	}
+	known[i>>6] |= 1 << (i & 63)
+	return known
 }
 
 // NewIncrementalSystem builds the closure and product from scratch and
@@ -134,25 +171,15 @@ func NewIncrementalSystemWith(ctx context.Context, ctxAuto *Automaton, model *In
 		runCtx:   ctx,
 		memo:     memo,
 		in:       in,
-		known:    make(map[InternKey]struct{}),
-	}
-	uk, err := universe.internedKeys()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := in.translation(uk.signals)
-	if err != nil {
-		return nil, fmt.Errorf("automata: incremental system: %w", err)
-	}
-	ic.labelKeys = make([]InternKey, len(uk.keys))
-	for i, k := range uk.keys {
-		ic.labelKeys[i] = tr.key(k)
 	}
 	if ic.ctxMask, err = maskAdjacency(ctxAuto, in); err != nil {
 		return nil, err
 	}
 	ic.ctxOut, _ = in.Mask(ctxAuto.outputs)
 	ic.closOut, _ = in.Mask(src.outputs)
+	if ic.layout, err = universe.layout(in, ic.ctxOut); err != nil {
+		return nil, fmt.Errorf("automata: incremental system: %w", err)
+	}
 	ic.lastReason = "initial-build"
 	if err := ic.rebuild(); err != nil {
 		return nil, err
@@ -184,8 +211,9 @@ func (ic *IncrementalSystem) Closure() *Automaton {
 	if len(ic.stale) > 0 {
 		slices.Sort(ic.stale)
 		for _, z := range slices.Compact(ic.stale) {
-			row := make([]Transition, len(ic.closMask[z]))
-			for i, t := range ic.closMask[z] {
+			masked := ic.expandRow(z)
+			row := make([]Transition, len(masked))
+			for i, t := range masked {
 				row[i] = Transition{From: z, Label: ic.in.Label(InternKey{In: t.in, Out: t.out}), To: t.to}
 			}
 			ic.closure.adj[z] = row
@@ -194,6 +222,21 @@ func (ic *IncrementalSystem) Closure() *Automaton {
 		ic.closure.invalidateDerived()
 	}
 	return ic.closure
+}
+
+// expandRow materializes the masked row of closure state z, chaos tail
+// included, as a fresh slice.
+func (ic *IncrementalSystem) expandRow(z StateID) []maskedTransition {
+	r := &ic.rows[z]
+	row := slices.Clone(r.prefix)
+	for i, k := range ic.layout.keys {
+		if r.tailHas(int32(i)) {
+			row = append(row,
+				maskedTransition{in: k.In, out: k.Out, to: ic.sAll},
+				maskedTransition{in: k.In, out: k.Out, to: ic.sDelta})
+		}
+	}
+	return row
 }
 
 // ClosureStates returns the number of closure states without deriving
@@ -230,16 +273,10 @@ func (ic *IncrementalSystem) rebuild() error {
 	ic.sDelta = ic.closure.State(ChaosDeltaState)
 	ic.numModelInitials = len(src.initial)
 
-	// Mask the closure from the model and the universe keys: only learned
-	// labels are interned here, never the universe's.
-	ic.chaosMask = make([]maskedTransition, 0, 2*len(ic.labelKeys))
-	for _, k := range ic.labelKeys {
-		ic.chaosMask = append(ic.chaosMask,
-			maskedTransition{in: k.In, out: k.Out, to: ic.sAll},
-			maskedTransition{in: k.In, out: k.Out, to: ic.sDelta})
-	}
-	ic.closMask = make([][]maskedTransition, closure.NumStates())
-	ic.closMask[ic.sAll] = ic.chaosMask
+	// Mask the closure from the model: only learned labels are interned
+	// here, and the chaos tails are read through the universe's layout.
+	ic.rows = make([]closureRow, closure.NumStates())
+	ic.rows[ic.sAll] = closureRow{tail: true}
 	for f := range src.states {
 		ic.closeState(StateID(f))
 	}
@@ -287,31 +324,48 @@ func (ic *IncrementalSystem) pairFor(c, z StateID) (StateID, bool) {
 
 // computePairAdjacency recomputes the full adjacency of one product pair
 // from the current context and closure adjacency, enqueueing pairs created
-// along the way onto queue (returned possibly grown). The construction is
-// the same double loop as Compose's, so per-state transition order matches
-// a from-scratch composition exactly, and for the same reason it never
-// emits a (label, target) twice.
+// along the way onto queue (returned possibly grown). It emits what
+// Compose's double loop over the context row and the expanded closure row
+// emits, in the same order: per context transition, the matching prefix
+// entries, then the tail's matches, which are its join bucket's labels
+// (labelLayout) in universe order minus the known ones. So per-state
+// transition order matches a from-scratch composition exactly, and for the
+// same reason it never emits a (label, target) twice.
 func (ic *IncrementalSystem) computePairAdjacency(pid StateID, queue []StateID) []StateID {
 	c, z := ic.product.prod.state(pid, 0), ic.product.prod.state(pid, 1)
+	row := &ic.rows[z]
 	adj := ic.product.adj[pid][:0]
 	for _, tl := range ic.ctxMask[c] {
-		for _, tr := range ic.closMask[z] {
-			if tl.in.and(ic.closOut) != tr.out {
-				continue
+		for _, tr := range row.prefix {
+			if tl.in.and(ic.closOut) == tr.out && tr.in.and(ic.ctxOut) == tl.out {
+				adj, queue = ic.appendEdge(adj, queue, pid, tl, tr)
 			}
-			if tr.in.and(ic.ctxOut) != tl.out {
-				continue
+		}
+		if !row.tail {
+			continue
+		}
+		for i := ic.layout.head(InternKey{In: tl.out, Out: tl.in.and(ic.closOut)}); i >= 0; i = ic.layout.next[i] {
+			if row.tailHas(i) {
+				k := ic.layout.keys[i]
+				adj, queue = ic.appendEdge(adj, queue, pid, tl, maskedTransition{in: k.In, out: k.Out, to: ic.sAll})
+				adj, queue = ic.appendEdge(adj, queue, pid, tl, maskedTransition{in: k.In, out: k.Out, to: ic.sDelta})
 			}
-			k := InternKey{In: tl.in.or(tr.in), Out: tl.out.or(tr.out)}
-			to, created := ic.pairFor(tl.to, tr.to)
-			if created {
-				queue = append(queue, to)
-			}
-			adj = append(adj, Transition{From: pid, Label: ic.in.Label(k), To: to})
 		}
 	}
 	ic.product.adj[pid] = adj
 	return queue
+}
+
+// appendEdge appends to pid's row the joint transition of the context
+// transition tl and the closure transition tr, creating (and enqueueing)
+// its target pair if absent.
+func (ic *IncrementalSystem) appendEdge(adj []Transition, queue []StateID, pid StateID, tl, tr maskedTransition) ([]Transition, []StateID) {
+	to, created := ic.pairFor(tl.to, tr.to)
+	if created {
+		queue = append(queue, to)
+	}
+	k := InternKey{In: tl.in.or(tr.in), Out: tl.out.or(tr.out)}
+	return append(adj, Transition{From: pid, Label: ic.in.Label(k), To: to}), queue
 }
 
 // garbageRebuildSlack bounds retraction garbage: a from-scratch rebuild
@@ -367,7 +421,7 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 		ic.closure.states[c1].parts = []string{st.name}
 		ic.closed = append(ic.closed, c0)
 		ic.open = append(ic.open, c1)
-		ic.closMask = append(ic.closMask, nil, nil)
+		ic.rows = append(ic.rows, closureRow{}, closureRow{})
 		ic.byClosure = append(ic.byClosure, nil, nil)
 	}
 
@@ -386,11 +440,10 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 	order = slices.Compact(order)
 	ic.order = order
 
-	// 3. Recompute the masked rows of both copies of every changed state,
-	// following ChaoticClosure's emission order exactly: the learned
-	// prefix in model adjacency order, then (open copy only) chaos edges
-	// for still-unknown interactions in universe order. Their transition
-	// rows are derived when the closure is read (Closure).
+	// 3. Recompute the masked rows of both copies of every changed state:
+	// the learned prefix in model adjacency order, and (open copy only) the
+	// labels known there, which the chaos tail skips. Their transition rows
+	// are derived when the closure is read (Closure).
 	for _, f := range order {
 		ic.closeState(f)
 		ic.stale = append(ic.stale, ic.closed[f], ic.open[f])
@@ -441,45 +494,30 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 }
 
 // closeState derives the masked rows of f's two closure copies from the
-// model's row at f and the universe keys, in ChaoticClosure's emission
-// order: the learned transitions toward both copies of each target, then,
-// from the open copy only, every universe label neither refused at f nor
-// learned there and known by the closure's rule (closureKnows), toward
-// s_∀ and s_δ. Masked rows are fresh allocations, never written in place
-// (the open copy of a state with nothing learned or refused shares s_∀'s).
+// model's row at f: the learned transitions toward both copies of each
+// target, and, for the open copy, a chaos tail without the universe labels
+// refused at f or learned there and known by the closure's rule
+// (closureKnows). Only f's own labels are interned; the tail stays the
+// universe's layout. Rows are fresh, never written in place.
 func (ic *IncrementalSystem) closeState(f StateID) {
 	learned := ic.model.auto.adj[f]
-	known := ic.known
-	clear(known)
-	closedMask := make([]maskedTransition, 0, 2*len(learned))
+	prefix := make([]maskedTransition, 0, 2*len(learned))
+	var known []uint64
 	for _, t := range learned {
 		k, _ := ic.in.Key(t.Label)
 		if ic.model.closureKnows(f, t.Label) {
-			known[k] = struct{}{}
+			known = ic.layout.know(known, k)
 		}
-		closedMask = append(closedMask,
+		prefix = append(prefix,
 			maskedTransition{in: k.In, out: k.Out, to: ic.closed[t.To]},
 			maskedTransition{in: k.In, out: k.Out, to: ic.open[t.To]})
 	}
 	for _, b := range ic.model.blocked[f] {
 		k, _ := ic.in.Key(b)
-		known[k] = struct{}{}
+		known = ic.layout.know(known, k)
 	}
-	// With nothing learned or refused at f, the open copy's masked row is
-	// s_∀'s. (Nothing known is not enough: a nondeterministic model's
-	// unsettled labels are learned but not known.)
-	openMask := ic.chaosMask
-	if len(known) > 0 || len(learned) > 0 {
-		openMask = append(make([]maskedTransition, 0, len(closedMask)+len(ic.chaosMask)), closedMask...)
-		for _, k := range ic.labelKeys {
-			if _, ok := known[k]; !ok {
-				openMask = append(openMask,
-					maskedTransition{in: k.In, out: k.Out, to: ic.sAll},
-					maskedTransition{in: k.In, out: k.Out, to: ic.sDelta})
-			}
-		}
-	}
-	ic.closMask[ic.closed[f]], ic.closMask[ic.open[f]] = closedMask, openMask
+	ic.rows[ic.closed[f]] = closureRow{prefix: prefix}
+	ic.rows[ic.open[f]] = closureRow{prefix: prefix, tail: true, known: known}
 }
 
 // countReachable returns the number of product states reachable from the
@@ -522,17 +560,18 @@ func (ic *IncrementalSystem) Verify() error {
 	if err := EquivalentReachable(patched, closure); err != nil {
 		return fmt.Errorf("automata: incremental closure diverged from rebuild: %w", err)
 	}
-	// The masked rows are derived from the model and the universe keys,
-	// not from the closure's labels; they must still encode those labels.
+	// The masked rows are derived from the model and the universe's
+	// layout, not from the closure's labels; expanded, they must still
+	// encode those labels.
 	masked, err := maskAdjacency(patched, ic.in)
 	if err != nil {
 		return fmt.Errorf("automata: verify closure masks: %w", err)
 	}
-	if len(ic.closMask) != len(masked) {
-		return fmt.Errorf("automata: %d masked closure rows for %d closure states", len(ic.closMask), len(masked))
+	if len(ic.rows) != len(masked) {
+		return fmt.Errorf("automata: %d masked closure rows for %d closure states", len(ic.rows), len(masked))
 	}
 	for z, row := range masked {
-		if !slices.Equal(ic.closMask[z], row) {
+		if !slices.Equal(ic.expandRow(StateID(z)), row) {
 			return fmt.Errorf("automata: masked closure row of %q differs from its transitions", ic.closure.states[z].name)
 		}
 	}

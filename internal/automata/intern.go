@@ -71,12 +71,9 @@ type Interner struct {
 // It returns an error wrapping ErrAlphabetTooWide when the union exceeds
 // 128 signals.
 func NewInterner(alphabets ...SignalSet) (*Interner, error) {
-	union := EmptySet
-	for _, a := range alphabets {
-		union = union.Union(a)
-	}
-	if union.Len() > MaxInternSignals {
-		return nil, fmt.Errorf("%w: %d signals", ErrAlphabetTooWide, union.Len())
+	union, err := alphabetUnion(alphabets)
+	if err != nil {
+		return nil, err
 	}
 	in := &Interner{
 		signals: union.signals,
@@ -90,6 +87,35 @@ func NewInterner(alphabets ...SignalSet) (*Interner, error) {
 	// The empty set is by far the most common label component.
 	in.sets[SetMask{}] = EmptySet
 	return in, nil
+}
+
+// CheckAlphabetWidth reports whether the union of the alphabets fits an
+// Interner, without building one: nil, or the error NewInterner returns.
+// Alphabets whose sizes sum to at most MaxInternSignals fit without
+// counting their distinct signals.
+func CheckAlphabetWidth(alphabets ...SignalSet) error {
+	n := 0
+	for _, a := range alphabets {
+		n += a.Len()
+	}
+	if n <= MaxInternSignals {
+		return nil
+	}
+	_, err := alphabetUnion(alphabets)
+	return err
+}
+
+// alphabetUnion returns the union of the alphabets, or an error wrapping
+// ErrAlphabetTooWide when it exceeds MaxInternSignals signals.
+func alphabetUnion(alphabets []SignalSet) (SignalSet, error) {
+	union := EmptySet
+	for _, a := range alphabets {
+		union = union.Union(a)
+	}
+	if union.Len() > MaxInternSignals {
+		return SignalSet{}, fmt.Errorf("%w: %d signals", ErrAlphabetTooWide, union.Len())
+	}
+	return union, nil
 }
 
 // Mask encodes the set as a bitset. The second result is false when the set

@@ -252,35 +252,44 @@ func Universe(kind UniverseKind) InteractionUniverse {
 
 type universeKind UniverseKind
 
+// Enumerate pairs every step set over the inputs with every step set over
+// the outputs, inputs major.
 func (k universeKind) Enumerate(inputs, outputs SignalSet) []Interaction {
-	switch UniverseKind(k) {
-	case UniversePowerSet:
-		ins := powerSet(inputs)
-		outs := powerSet(outputs)
-		labels := make([]Interaction, 0, len(ins)*len(outs))
-		for _, a := range ins {
-			for _, b := range outs {
-				labels = append(labels, Interaction{In: a, Out: b})
-			}
+	ins, outs := k.steps(inputs), k.steps(outputs)
+	labels := make([]Interaction, 0, len(ins)*len(outs))
+	for _, a := range ins {
+		for _, b := range outs {
+			labels = append(labels, Interaction{In: a, Out: b})
 		}
-		return labels
-	default: // UniverseSingleton
-		ins := []SignalSet{EmptySet}
-		for _, sig := range inputs.Signals() {
-			ins = append(ins, NewSignalSet(sig))
-		}
-		outs := []SignalSet{EmptySet}
-		for _, sig := range outputs.Signals() {
-			outs = append(outs, NewSignalSet(sig))
-		}
-		labels := make([]Interaction, 0, len(ins)*len(outs))
-		for _, a := range ins {
-			for _, b := range outs {
-				labels = append(labels, Interaction{In: a, Out: b})
-			}
-		}
-		return labels
 	}
+	return labels
+}
+
+// steps returns the signal sets one direction of a label may carry over
+// the alphabet: ℘(alphabet) in mask order for the power-set universe, and
+// the empty set followed by each signal alone for the singleton one.
+func (k universeKind) steps(alphabet SignalSet) []SignalSet {
+	if UniverseKind(k) == UniversePowerSet {
+		return powerSet(alphabet)
+	}
+	steps := make([]SignalSet, 1, alphabet.Len()+1)
+	for _, sig := range alphabet.signals {
+		steps = append(steps, SignalSet{signals: []Signal{sig}})
+	}
+	return steps
+}
+
+// InputSets returns the distinct input sets of the universe over the given
+// alphabets, in order of first appearance: what CompileUniverse(u, inputs,
+// outputs).InputSets() returns, without enumerating the labels of a
+// predefined universe, whose input sets depend on the input alphabet
+// alone. Every output alphabet admits the empty output, so each step set
+// appears.
+func InputSets(u InteractionUniverse, inputs, outputs SignalSet) []SignalSet {
+	if k, ok := u.(universeKind); ok {
+		return k.steps(inputs)
+	}
+	return CompileUniverse(u, inputs, outputs).InputSets()
 }
 
 // FixedUniverse is an explicit, caller-supplied interaction universe.
@@ -309,6 +318,13 @@ func (u FixedUniverse) Enumerate(inputs, outputs SignalSet) []Interaction {
 // refusal instead of re-enumerating. A compiled universe is shared by
 // concurrent instances (MemoCache.Universe); the universe fingerprint and
 // the interned labels are computed on first use, once.
+//
+// The universe also owns the chaos rows of every closure over it, in the
+// form of label layouts (see labelLayout): one per context alphabet the
+// component is composed with, built on first use and shared, immutable,
+// by every IncrementalSystem over this compiled universe. Instances that
+// share it (MemoCache.Universe) pay for their learned states and not for
+// the universe's labels.
 type CompiledUniverse struct {
 	inputs, outputs SignalSet
 	labels          []Interaction
@@ -320,6 +336,87 @@ type CompiledUniverse struct {
 
 	keysOnce sync.Once
 	keys     universeKeys
+
+	layoutMu sync.Mutex
+	layouts  map[layoutKey]*labelLayout
+}
+
+// labelLayout is a universe's labels laid out for the product join with one
+// context alphabet. keys are the labels under the system interner, in
+// enumeration order, and ctxOut is the context's output mask under it.
+// The labels are chained into join buckets: the bucket of join key {k.In ∩
+// ctxOut, k.Out} starts at heads[key] and continues through next (-1 ends
+// it), in ascending universe order. A context transition (in, out)
+// composes with a chaos edge on k exactly when k.In ∩ ctxOut = out and
+// k.Out = in ∩ closOut (the model's outputs), so bucket {out, in ∩
+// closOut} lists its partners in universe order. When the context leaves a
+// model input undriven, several labels share a bucket. A layout is
+// immutable once built.
+type labelLayout struct {
+	keys   []InternKey
+	ctxOut SetMask
+	heads  map[InternKey]int32
+	next   []int32
+}
+
+// joinKey returns the key of label k's join bucket.
+func (l *labelLayout) joinKey(k InternKey) InternKey {
+	return InternKey{In: k.In.and(l.ctxOut), Out: k.Out}
+}
+
+// head returns the first universe index of the bucket with join key b, or
+// -1 when no label has that key.
+func (l *labelLayout) head(b InternKey) int32 {
+	if i, ok := l.heads[b]; ok {
+		return i
+	}
+	return -1
+}
+
+// layoutKey identifies a layout: the key translation from the universe's
+// bits to the system interner's (as bytes), and the context's output mask
+// under that interner.
+type layoutKey struct {
+	tr     string
+	ctxOut SetMask
+}
+
+// layout returns the universe's label layout under the interner in for a
+// context with output mask ctxOut, building it on first use. The number of
+// layouts is bounded by the distinct context alphabets composed with the
+// universe's interface.
+func (cu *CompiledUniverse) layout(in *Interner, ctxOut SetMask) (*labelLayout, error) {
+	uk, err := cu.internedKeys()
+	if err != nil {
+		return nil, err
+	}
+	tr, err := in.translation(uk.signals)
+	if err != nil {
+		return nil, err
+	}
+	key := layoutKey{tr: string(tr), ctxOut: ctxOut}
+	cu.layoutMu.Lock()
+	defer cu.layoutMu.Unlock()
+	if l := cu.layouts[key]; l != nil {
+		return l, nil
+	}
+	n := len(uk.keys)
+	l := &labelLayout{keys: make([]InternKey, n), ctxOut: ctxOut,
+		heads: make(map[InternKey]int32, n), next: make([]int32, n)}
+	for i, k := range uk.keys {
+		l.keys[i] = tr.key(k)
+	}
+	// Chained from the last label back, each bucket runs in ascending order.
+	for i := n - 1; i >= 0; i-- {
+		b := l.joinKey(l.keys[i])
+		l.next[i] = l.head(b)
+		l.heads[b] = int32(i)
+	}
+	if cu.layouts == nil {
+		cu.layouts = make(map[layoutKey]*labelLayout)
+	}
+	cu.layouts[key] = l
+	return l, nil
 }
 
 // universeKeys are a universe's labels interned over the universe's own

@@ -282,3 +282,46 @@ func TestCompiledUniverse(t *testing.T) {
 		})
 	}
 }
+
+// TestInputSetsMatchCompiledUniverse checks that InputSets, which derives
+// a predefined universe's input sets from the input alphabet alone, lists
+// exactly what the compiled universe lists, in the same order, for both
+// predefined kinds and a FixedUniverse over several alphabets.
+func TestInputSetsMatchCompiledUniverse(t *testing.T) {
+	alphabets := []struct{ in, out SignalSet }{
+		{EmptySet, EmptySet},
+		{NewSignalSet("a"), EmptySet},
+		{EmptySet, NewSignalSet("x")},
+		{NewSignalSet("b", "a", "c"), NewSignalSet("y", "x")},
+		{NewSignalSet("i00", "i01", "i02", "i03", "i04", "i05"), NewSignalSet("o00", "o01", "o02")},
+	}
+	universes := map[string]InteractionUniverse{
+		"singleton": Universe(UniverseSingleton),
+		"powerset":  Universe(UniversePowerSet),
+		"fixed": FixedUniverse{
+			Interact([]Signal{"c"}, []Signal{"x"}),
+			Interact(nil, []Signal{"y"}),
+			Interact([]Signal{"a", "b"}, nil),
+			Interact([]Signal{"c"}, nil),
+			Interact([]Signal{"i03"}, []Signal{"o01"}),
+			Interact([]Signal{"a"}, []Signal{"absent"}),
+			Interact(nil, nil),
+		},
+	}
+	for name, u := range universes {
+		for _, ab := range alphabets {
+			got := InputSets(u, ab.in, ab.out)
+			want := CompileUniverse(u, ab.in, ab.out).InputSets()
+			if len(got) != len(want) {
+				t.Fatalf("%s over (%v, %v): %d input sets %v, compiled universe has %d %v",
+					name, ab.in, ab.out, len(got), got, len(want), want)
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("%s over (%v, %v): input set %d is %v, compiled universe has %v",
+						name, ab.in, ab.out, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -113,7 +113,7 @@ func ValidateMachine(a *automata.Automaton) error {
 // InputAlphabet returns the distinct input sets of the universe over the
 // machine's alphabets.
 func InputAlphabet(a *automata.Automaton, universe automata.InteractionUniverse) []automata.SignalSet {
-	return automata.CompileUniverse(universe, a.Inputs(), a.Outputs()).InputSets()
+	return automata.InputSets(universe, a.Inputs(), a.Outputs())
 }
 
 // StateCover returns, for every reachable state, a shortest access word

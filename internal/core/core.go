@@ -601,13 +601,9 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 		s.outputs = s.outputs.Union(iface.Outputs)
 	}
 	// Every construction of the loop interns the system's labels; an
-	// alphabet too wide for that fails here rather than mid-run. Alphabets
-	// whose sizes sum to at most MaxInternSignals fit without the check.
-	width := context.Inputs().Len() + context.Outputs().Len() + s.inputs.Len() + s.outputs.Len()
-	if width > automata.MaxInternSignals {
-		if _, err := automata.NewInterner(context.Inputs(), context.Outputs(), s.inputs, s.outputs); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	// alphabet too wide for that fails here rather than mid-run.
+	if err := automata.CheckAlphabetWidth(context.Inputs(), context.Outputs(), s.inputs, s.outputs); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return s, nil
 }

@@ -28,7 +28,7 @@ func ExploreComponent(
 	labeler func(string) []automata.Proposition,
 	maxStates int,
 ) *automata.Automaton {
-	inputs := automata.CompileUniverse(universe, iface.Inputs, iface.Outputs).InputSets()
+	inputs := automata.InputSets(universe, iface.Inputs, iface.Outputs)
 	a := automata.New(iface.Name, iface.Inputs, iface.Outputs)
 
 	type node struct {

@@ -86,7 +86,7 @@ func LearnComponent(
 ) (*automata.Automaton, Stats, error) {
 	var stats Stats
 	oracle := NewComponentOracle(comp, &stats)
-	alphabet := automata.CompileUniverse(universe, iface.Inputs, iface.Outputs).InputSets()
+	alphabet := automata.InputSets(universe, iface.Inputs, iface.Outputs)
 	learner := NewLearner(oracle, alphabet, &stats)
 	model, err := learner.Learn(equiv, maxRounds)
 	return model, stats, err
