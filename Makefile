@@ -206,7 +206,8 @@ mbt-soak-wide:
 	$(GO) run ./cmd/mbt -wide -seed $(SOAK_SEED) -n 100 -corpus internal/mbt/testdata
 
 # Short randomized fuzzing pass over the model-based harness entry
-# points, the memo-store codec, the patched synthesis system against
+# points, the bitset CTL checker against the Reference engine, the
+# memo-store codec, the patched synthesis system against
 # from-scratch builds, the manifest intake, the journal decoder and
 # verifyd's job envelope; CI-sized, not a real fuzzing campaign.
 FUZZTIME ?= 20s
@@ -214,6 +215,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mbt -fuzz FuzzSynthesisSoundness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mbt -fuzz FuzzIocoSoundness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mbt -fuzz FuzzRefinementLaws -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzBitsetEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzUnmarshalMemo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/batch -run '^$$' -fuzz FuzzManifestItems -fuzztime $(FUZZTIME)

@@ -170,13 +170,19 @@ func MustCompose(name string, left, right *Automaton) *Automaton {
 }
 
 // ComposeAll builds the simultaneous parallel composition of several
-// automata. For two automata it coincides with Compose; for more it is the
-// n-ary generalization of Definition 3: in every joint step each automaton
-// takes exactly one transition, and for every participant i the inputs it
-// draws from the other participants' output alphabets must equal exactly
-// the signals the others produce for it:
+// automata; two automata go through Compose. For more it is the n-ary
+// generalization of Definition 3: in every joint step each automaton takes
+// exactly one transition, for every participant i the inputs it draws from
+// the other participants' output alphabets must equal exactly the signals
+// the others produce for it, and every signal produced is read by some
+// participant:
 //
-//	Aᵢ ∩ (⋃_{j≠i} Oⱼ)  =  (⋃_{j≠i} Bⱼ) ∩ Iᵢ
+//	Aᵢ ∩ (⋃_{j≠i} Oⱼ)  =  (⋃_{j≠i} Bⱼ) ∩ Iᵢ        ⋃ⱼ Bⱼ  ⊆  ⋃ⱼ Aⱼ
+//
+// For two automata, each with disjoint inputs and outputs, these are
+// Definition 3's A ∩ O′ = B′ and A′ ∩ O = B; and an idle part (empty
+// alphabets, only empty steps) adds no joint step to a product and
+// removes none.
 //
 // Note that folding the binary Compose is *not* equivalent for three or
 // more parts: Definition 3 requires every output to be consumed by the
@@ -294,6 +300,9 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) e
 					return
 				}
 				consumed = consumed.or(chosen[idx].in)
+			}
+			if produced.and(consumed) != produced {
+				return // an output no part reads in this step
 			}
 			for idx := range chosen {
 				next[idx] = chosen[idx].to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -94,26 +95,96 @@ func TestComposeAllRejectsFoldSemantics(t *testing.T) {
 	}
 }
 
+// TestComposeAllMatchesBinaryForTwo runs the n-ary BFS on two parts, which
+// ComposeAll itself hands to Compose, and requires Compose's product: each
+// part reads one of the other's outputs and writes one no part reads.
 func TestComposeAllMatchesBinaryForTwo(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 40; i++ {
-		left := randomAutomaton(rng, "left", 3, 2)
-		rightBase := randomAutomaton(rng, "rightbase", 3, 2)
-		right, err := rightBase.Rename("right", map[Signal]Signal{"a": "p", "b": "q"})
+		left := randomIOAutomaton(rng, "left", 3, []Signal{"a", "y"}, []Signal{"x", "z"})
+		right := randomIOAutomaton(rng, "right", 3, []Signal{"b", "x"}, []Signal{"y", "w"})
+		bin, err := Compose("sys", left, right)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bin, errB := Compose("sys", left, right)
-		nary, errN := ComposeAll("sys", left, right)
-		if (errB == nil) != (errN == nil) {
-			t.Fatalf("iteration %d: error mismatch %v vs %v", i, errB, errN)
+		nary := newProduct("sys", left, right)
+		in, err := NewInterner(nary.inputs, nary.outputs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if errB != nil {
-			continue
+		if err := composeTuples(nary, []*Automaton{left, right}, in, nil); err != nil {
+			t.Fatal(err)
 		}
-		if bin.NumStates() != nary.NumStates() || bin.NumTransitions() != nary.NumTransitions() {
-			t.Fatalf("iteration %d: binary (%d/%d) vs n-ary (%d/%d)", i,
-				bin.NumStates(), bin.NumTransitions(), nary.NumStates(), nary.NumTransitions())
+		binJSON, err := EncodeJSON(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naryJSON, err := EncodeJSON(nary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(binJSON, naryJSON) {
+			t.Fatalf("iteration %d: binary (%d/%d) vs n-ary (%d/%d):\n%s\nwant:\n%s", i,
+				bin.NumStates(), bin.NumTransitions(), nary.NumStates(), nary.NumTransitions(),
+				nary.Dot(), bin.Dot())
+		}
+	}
+}
+
+// randomIOAutomaton is randomAutomaton over the given inputs and outputs:
+// each singleton-universe label leaves each state with probability 1/3.
+func randomIOAutomaton(rng *rand.Rand, name string, states int, ins, outs []Signal) *Automaton {
+	a := New(name, NewSignalSet(ins...), NewSignalSet(outs...))
+	for i := 0; i < states; i++ {
+		a.MustAddState(fmt.Sprintf("%s%d", name, i))
+	}
+	a.MarkInitial(0)
+	for s := 0; s < states; s++ {
+		for _, x := range Universe(UniverseSingleton).Enumerate(a.Inputs(), a.Outputs()) {
+			if rng.Intn(3) == 0 {
+				a.MustAddTransition(StateID(s), x, StateID(rng.Intn(states)))
+			}
+		}
+	}
+	return a
+}
+
+// TestComposeAllIdlePart checks the n-ary rule's consumption condition:
+// a joint step whose output no part reads is not a step, so an idle part
+// (one that only takes the empty step) changes no product, while a part
+// that reads the output enables the step.
+func TestComposeAllIdlePart(t *testing.T) {
+	a := New("a", EmptySet, NewSignalSet("x"))
+	a0, a1 := a.MustAddState("a0"), a.MustAddState("a1")
+	a.MustAddTransition(a0, Interact(nil, []Signal{"x"}), a1)
+	a.MarkInitial(a0)
+	idle := func(name string) *Automaton {
+		m := New(name, EmptySet, EmptySet)
+		s := m.MustAddState(name + "0")
+		m.MustAddTransition(s, Interaction{}, s)
+		m.MarkInitial(s)
+		return m
+	}
+	reader := New("r", NewSignalSet("x"), EmptySet)
+	r0 := reader.MustAddState("r0")
+	reader.MustAddTransition(r0, Interact([]Signal{"x"}, nil), r0)
+	reader.MarkInitial(r0)
+
+	for _, tc := range []struct {
+		parts         []*Automaton
+		states, edges int
+	}{
+		{[]*Automaton{a, idle("b")}, 1, 0},
+		{[]*Automaton{a, idle("b"), idle("c")}, 1, 0},
+		{[]*Automaton{a, idle("b"), reader}, 2, 1},
+	} {
+		sys, err := ComposeAll("sys", tc.parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.NumStates() != tc.states || sys.NumTransitions() != tc.edges {
+			t.Fatalf("%d parts: %d states and %d transitions, want %d and %d:\n%s",
+				len(tc.parts), sys.NumStates(), sys.NumTransitions(), tc.states, tc.edges, sys.Dot())
 		}
 	}
 }

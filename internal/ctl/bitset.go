@@ -24,7 +24,6 @@ func tailMask(n int) uint64 {
 func newBitset(n int) bitset { return make(bitset, wordsFor(n)) }
 
 func (b bitset) set(i int)       { b[i>>6] |= 1 << uint(i&63) }
-func (b bitset) clearBit(i int)  { b[i>>6] &^= 1 << uint(i&63) }
 func (b bitset) test(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 
 // copyFrom overwrites b with src (same length).

@@ -15,14 +15,19 @@ import (
 // bulk AND/OR/ANDNOT), the transition relation is walked through the
 // automaton's CSR snapshot (contiguous forward and reverse adjacency), and
 // the unbounded fixpoints are frontier-driven: each state is processed a
-// constant number of times instead of once per stabilization sweep. The
-// checker caches satisfaction sets per subformula, so evaluating several
+// constant number of times instead of once per stabilization sweep. There
+// is one kernel per dual pair (EX; EF and EU; AF and AU; the EF[lo,hi] and
+// AF[lo,hi] layers): AX, AG and EG, bounded or not, are the complements of
+// their duals over the complemented operand (see dual). The checker
+// caches satisfaction sets per subformula, so evaluating several
 // formulas over the same automaton reuses work, and it can be Rebound when
 // the automaton changes, keeping its allocations across verification
 // rounds. A checker runs on its caller's goroutine: the products it sees
 // hold tens to a few hundred states, so parallelism lives one level up,
 // across instances in the batch pool. The frozen pre-bitset engine
-// survives as Reference for differential testing and benchmarking.
+// survives as Reference for differential testing and benchmarking; it
+// still computes every operator directly, so each duality is checked
+// against an independent algorithm.
 type Checker struct {
 	auto *automata.Automaton
 	csr  *automata.CSR // fetched lazily from auto; dropped on Rebind
@@ -34,7 +39,7 @@ type Checker struct {
 	deadlocks    bitset // states with no outgoing transitions
 	deadlocksSet bool
 
-	bitsPool []bitset // scratch bitsets (bounded layers, AG complements)
+	bitsPool []bitset // scratch bitsets (bounded layers, dual complements)
 	intPool  [][]int32
 	boolPool [][]bool // Sat materializations released by Rebind
 	queue    []int32  // reused frontier worklists
@@ -349,34 +354,18 @@ func (c *Checker) satBits(f Formula) bitset {
 		sat = newBitset(n)
 		sat.complementOf(c.satBits(node.l), n)
 		sat.or(c.satBits(node.r))
-	case *axNode:
-		sat = c.preAll(c.satBits(node.f))
+	case *axNode: // AX f ≡ ¬EX ¬f
+		sat = c.dual(c.satBits(node.f), c.preSome)
 	case *exNode:
 		sat = c.preSome(c.satBits(node.f))
 	case *afNode:
-		if node.bound != nil {
-			sat = c.boundedAF(c.satBits(node.f), *node.bound)
-		} else {
-			sat = c.unboundedAF(c.satBits(node.f))
-		}
+		sat = c.af(c.satBits(node.f), node.bound)
 	case *efNode:
-		if node.bound != nil {
-			sat = c.boundedEF(c.satBits(node.f), *node.bound)
-		} else {
-			sat = c.unboundedEF(c.satBits(node.f))
-		}
-	case *agNode:
-		if node.bound != nil {
-			sat = c.boundedAG(c.satBits(node.f), *node.bound)
-		} else {
-			sat = c.unboundedAG(c.satBits(node.f))
-		}
-	case *egNode:
-		if node.bound != nil {
-			sat = c.boundedEG(c.satBits(node.f), *node.bound)
-		} else {
-			sat = c.unboundedEG(c.satBits(node.f))
-		}
+		sat = c.ef(c.satBits(node.f), node.bound)
+	case *agNode: // AG f ≡ ¬EF ¬f, bounded alike
+		sat = c.dual(c.satBits(node.f), func(nf bitset) bitset { return c.ef(nf, node.bound) })
+	case *egNode: // EG f ≡ ¬AF ¬f, bounded alike
+		sat = c.dual(c.satBits(node.f), func(nf bitset) bitset { return c.af(nf, node.bound) })
 	case *auNode:
 		sat = c.unboundedAU(c.satBits(node.l), c.satBits(node.r))
 	case *euNode:
@@ -435,31 +424,6 @@ func (c *Checker) evalAtom(p automata.Proposition) bitset {
 	return out
 }
 
-// preAll returns {s | s has no successor, or all successors satisfy X}:
-// the AX predecessor operator with vacuous truth at deadlocks.
-func (c *Checker) preAll(x bitset) bitset {
-	n := c.n
-	out := newBitset(n)
-	csr := c.csr
-	for w := range out {
-		base := w << 6
-		lim := min(64, n-base)
-		var word uint64
-	states:
-		for k := 0; k < lim; k++ {
-			for _, t := range csr.Succ(base + k) {
-				if !x.test(int(t)) {
-					continue states
-				}
-			}
-			word |= 1 << uint(k)
-		}
-		out[w] = word
-	}
-	c.addWords(int64(len(out)))
-	return out
-}
-
 // preSome returns {s | some successor satisfies X}: the EX predecessor
 // operator (false at deadlocks).
 func (c *Checker) preSome(x bitset) bitset {
@@ -484,10 +448,14 @@ func (c *Checker) preSome(x bitset) bitset {
 	return out
 }
 
-// unboundedEF computes μX. f ∨ EX X by backward reachability: a
-// level-synchronous frontier expansion over the reverse CSR. Each state
-// enters the frontier at most once, so the fixpoint is O(n + m).
-func (c *Checker) unboundedEF(f bitset) bitset {
+// ef computes EF[lo,hi] f by layers when b is non-nil, and otherwise
+// μX. f ∨ EX X by backward reachability: a level-synchronous frontier
+// expansion over the reverse CSR. Each state enters the frontier at most
+// once, so the fixpoint is O(n + m).
+func (c *Checker) ef(f bitset, b *Bound) bitset {
+	if b != nil {
+		return c.boundedEF(f, *b)
+	}
 	out := newBitset(c.n)
 	out.copyFrom(f)
 	c.frontierFixpoint(out, nil)
@@ -539,10 +507,14 @@ func (c *Checker) expandFrontier(out, filter bitset, frontier []int32) []int32 {
 	return next
 }
 
-// unboundedAF computes μX. f ∨ (¬deadlock ∧ AX X): every maximal path
-// reaches f. A state enters the set when its remaining-successor counter
-// hits zero — i.e. when every outgoing transition leads into the set.
-func (c *Checker) unboundedAF(f bitset) bitset {
+// af computes AF[lo,hi] f by layers when b is non-nil, and otherwise
+// μX. f ∨ (¬deadlock ∧ AX X): every maximal path reaches f. A state enters
+// the set when its remaining-successor counter hits zero — i.e. when every
+// outgoing transition leads into the set.
+func (c *Checker) af(f bitset, b *Bound) bitset {
+	if b != nil {
+		return c.boundedAF(f, *b)
+	}
 	return c.counterFixpoint(f, nil)
 }
 
@@ -602,74 +574,18 @@ func (c *Checker) expandCounters(out, filter bitset, cnt []int32, frontier []int
 	return next
 }
 
-// unboundedAG computes νX. f ∧ AX X. Under maximal-path semantics a
-// deadlock state satisfying f satisfies AG f, and AG f ≡ ¬EF ¬f: a state
-// violates AG f iff some ¬f state is reachable from it. Evaluating through
-// the EF frontier makes AG O(n + m) instead of one sweep per
-// stabilization round.
-func (c *Checker) unboundedAG(f bitset) bitset {
-	n := c.n
+// dual evaluates an operator as the complement of its dual over ¬f — AX
+// f ≡ ¬EX ¬f, AG f ≡ ¬EF ¬f, EG f ≡ ¬AF ¬f, and the bounded AG and EG
+// alike with the same window — which hold under the finite-maximal-path
+// semantics (AX vacuous and EX false at a deadlock; a path that ends in a
+// deadlock is maximal). ¬f lives in a pooled buffer, op's fresh result is
+// complemented in place, and both complements keep the tail zero.
+func (c *Checker) dual(f bitset, op func(bitset) bitset) bitset {
 	nf := c.getBits()
-	nf.complementOf(f, n)
-	out := c.unboundedEF(nf)
+	nf.complementOf(f, c.n)
+	out := op(nf)
 	c.putBits(nf)
-	out.complementOf(out, n)
-	return out
-}
-
-// unboundedEG computes νX. f ∧ (deadlock ∨ EX X): some maximal path stays
-// in f (a path ending in a deadlock is maximal). Greatest fixpoint by
-// deletion: start from the f-states, count each candidate's successors
-// inside the candidate set, and cascade removals of non-deadlock states
-// whose count reaches zero. Each state is removed at most once, so the
-// fixpoint is O(n + m).
-func (c *Checker) unboundedEG(f bitset) bitset {
-	n := c.n
-	out := newBitset(n)
-	out.copyFrom(f)
-	csr := c.csr
-	dead := c.deadlockSet()
-	cnt := c.getInts(n)
-	for w := range out {
-		base := int32(w << 6)
-		for word := out[w]; word != 0; word &= word - 1 {
-			s := int(base) + bits.TrailingZeros64(word)
-			k := int32(0)
-			for _, t := range csr.Succ(s) {
-				if out.test(int(t)) {
-					k++
-				}
-			}
-			cnt[s] = k
-		}
-	}
-	c.addWords(int64(len(out)))
-	removal := c.queue[:0]
-	for wi, word := range out {
-		base := int32(wi << 6)
-		for ; word != 0; word &= word - 1 {
-			s := base + int32(bits.TrailingZeros64(word))
-			if cnt[s] == 0 && !dead.test(int(s)) {
-				out.clearBit(int(s))
-				removal = append(removal, s)
-			}
-		}
-	}
-	for head := 0; head < len(removal) && !c.canceled(); head++ {
-		s := removal[head]
-		for _, p := range csr.Pred(int(s)) {
-			if !out.test(int(p)) {
-				continue
-			}
-			if cnt[p]--; cnt[p] == 0 && !dead.test(int(p)) {
-				out.clearBit(int(p))
-				removal = append(removal, p)
-			}
-		}
-	}
-	c.mFixpointIters.Add(int64(len(removal)))
-	c.queue = removal
-	c.putInts(cnt)
+	out.complementOf(out, c.n)
 	return out
 }
 
@@ -679,8 +595,8 @@ func (c *Checker) unboundedEG(f bitset) bitset {
 // sweep: f and the deadlock set contribute whole words, and only the
 // undecided bits scan their successor rows.
 //
-// Each bounded operator sweeps a layer in a plain function of its own
-// (afLayer and its siblings): inlined into the operator's depth loop, the
+// Each bounded kernel sweeps a layer in a plain function of its own
+// (afLayer, efLayer): inlined into the operator's depth loop, the
 // successor loop keeps its index and word on the stack.
 func (c *Checker) boundedAF(f bitset, b Bound) bitset {
 	n := c.n
@@ -758,99 +674,6 @@ func efLayer(cur, next, f bitset, csr *automata.CSR, mask uint64, jGeLo, jLtHi b
 						word |= 1 << uint(k)
 						break
 					}
-				}
-			}
-		}
-		cur[w] = word
-	}
-}
-
-// boundedAG computes AG[lo,hi] f: ag(s,j) ⇔ (j < lo ∨ f(s)) ∧ (j ≥ hi ∨
-// ∀succ ag(succ, j+1)). Paths ending before the window trivially satisfy
-// the remainder.
-func (c *Checker) boundedAG(f bitset, b Bound) bitset {
-	next := c.getBits()
-	next.fill(c.n)
-	cur := c.getBits()
-	mask := tailMask(c.n)
-	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
-		agLayer(cur, next, f, c.csr, mask, j < b.Lo, j < b.Hi)
-		cur, next = next, cur
-	}
-	return c.boundedResult(next, cur, b)
-}
-
-// agLayer computes layer cur of boundedAG from layer next.
-func agLayer(cur, next, f bitset, csr *automata.CSR, mask uint64, jLtLo, jLtHi bool) {
-	last := len(cur) - 1
-	for w := range cur {
-		var word uint64
-		if jLtLo {
-			word = ^uint64(0)
-			if w == last {
-				word = mask
-			}
-		} else {
-			word = f[w]
-		}
-		if jLtHi {
-			base := w << 6
-		states:
-			for cand := word; cand != 0; cand &= cand - 1 {
-				k := bits.TrailingZeros64(cand)
-				for _, t := range csr.Succ(base + k) {
-					if !next.test(int(t)) {
-						word &^= 1 << uint(k)
-						continue states
-					}
-				}
-			}
-		}
-		cur[w] = word
-	}
-}
-
-// boundedEG computes EG[lo,hi] f: eg(s,j) ⇔ (j < lo ∨ f(s)) ∧ (j ≥ hi ∨
-// deadlock(s) ∨ ∃succ eg(succ, j+1)).
-func (c *Checker) boundedEG(f bitset, b Bound) bitset {
-	next := c.getBits()
-	next.fill(c.n)
-	cur := c.getBits()
-	dead := c.deadlockSet()
-	mask := tailMask(c.n)
-	for j := b.Hi; j >= 0 && !c.canceled(); j-- {
-		egLayer(cur, next, f, dead, c.csr, mask, j < b.Lo, j < b.Hi)
-		cur, next = next, cur
-	}
-	return c.boundedResult(next, cur, b)
-}
-
-// egLayer computes layer cur of boundedEG from layer next.
-func egLayer(cur, next, f, dead bitset, csr *automata.CSR, mask uint64, jLtLo, jLtHi bool) {
-	last := len(cur) - 1
-	for w := range cur {
-		var word uint64
-		if jLtLo {
-			word = ^uint64(0)
-			if w == last {
-				word = mask
-			}
-		} else {
-			word = f[w]
-		}
-		if jLtHi {
-			base := w << 6
-			for cand := word &^ dead[w]; cand != 0; cand &= cand - 1 {
-				k := bits.TrailingZeros64(cand)
-				some := false
-				for _, t := range csr.Succ(base + k) {
-					if next.test(int(t)) {
-						some = true
-						break
-					}
-				}
-				if !some {
-					word &^= 1 << uint(k)
 				}
 			}
 		}

@@ -18,8 +18,9 @@ import (
 // pins the blame on the fixpoint rewrite.
 
 // diffFormulas builds the probe suite for a system: the instance property
-// (when present), deadlock freedom, and one formula per operator family
-// over the system's own propositions.
+// (when present), deadlock freedom, one formula per operator family over
+// the system's own propositions, and the window edges (lo = hi), δ
+// operands and fixpoint seeds of the derived AX, AG and EG.
 func diffFormulas(sys *automata.Automaton, property ctl.Formula) []ctl.Formula {
 	props := sys.AllPropositions()
 	atom := func(i int) ctl.Formula {
@@ -46,6 +47,16 @@ func diffFormulas(sys *automata.Automaton, property ctl.Formula) []ctl.Formula {
 		ctl.EU(ctl.Not(p), q),
 		ctl.Not(ctl.EF(ctl.And(p, q))),
 		ctl.And(ctl.AG(ctl.Or(p, ctl.Not(p))), ctl.AF(ctl.Or(q, ctl.Deadlock))),
+		// Window edges and δ operands of the operators the Checker
+		// evaluates as complements of their duals, and two such sets
+		// as the seeds of a fixpoint, which reads every set bit.
+		ctl.AGWithin(2, 2, p),
+		ctl.EGWithin(0, 0, q),
+		ctl.EG(ctl.Deadlock),
+		ctl.AX(ctl.Deadlock),
+		ctl.EGWithin(1, 3, ctl.Or(p, ctl.Deadlock)),
+		ctl.EF(ctl.AX(q)),
+		ctl.AF(ctl.EGWithin(1, 3, p)),
 	}
 	if property != nil {
 		fs = append(fs, property)

@@ -14,6 +14,8 @@ import "muml/internal/automata"
 // Bounded F and G operators dualize with the same bound. Implications are
 // rewritten to disjunctions. The dualities hold under the finite-maximal-
 // path semantics implemented by Check (AX vacuous at deadlocks, EX false).
+// The bitset Checker evaluates AX, AG and EG, bounded or not, through the
+// same dualities: each is the complement of its dual over ¬f.
 func NNF(f Formula) Formula {
 	return nnf(f, false)
 }

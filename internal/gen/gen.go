@@ -225,16 +225,6 @@ func makeSignals(prefix string, n int) automata.SignalSet {
 	return automata.NewSignalSet(signals...)
 }
 
-// singletonSteps returns the step alphabet of the singleton universe over
-// one direction: the empty set plus each single signal.
-func singletonSteps(set automata.SignalSet) []automata.SignalSet {
-	steps := []automata.SignalSet{automata.EmptySet}
-	for _, sig := range set.Signals() {
-		steps = append(steps, automata.NewSignalSet(sig))
-	}
-	return steps
-}
-
 // genLegacy builds a function-deterministic ground-truth automaton named
 // name: per (state, input) at most one transition, so legacy.WrapAutomaton
 // accepts it. Dead states refuse everything; live states refuse each input
@@ -249,8 +239,11 @@ func genLegacy(r *rand.Rand, cfg Config, name string, ins, outs automata.SignalS
 	}
 	a.MarkInitial(ids[0])
 
-	inputs := singletonSteps(ins)
-	outputs := singletonSteps(outs)
+	// The singleton universe's step sets: ∅, then each signal alone. The
+	// output steps are those the mirrored context takes as inputs.
+	u := automata.Universe(automata.UniverseSingleton)
+	inputs := automata.InputSets(u, ins, outs)
+	outputs := automata.InputSets(u, outs, ins)
 	for i, from := range ids {
 		if i != 0 && r.Float64() < cfg.DeadStateBias {
 			continue // dead region: every input refused
@@ -307,8 +300,9 @@ func genContext(r *rand.Rand, cfg Config, ins, outs automata.SignalSet) *automat
 	}
 	ctx.MarkInitial(ids[0])
 
-	expects := singletonSteps(outs) // what the legacy must send back
-	sends := singletonSteps(ins)    // what the context hands over
+	u := automata.Universe(automata.UniverseSingleton)
+	expects := automata.InputSets(u, outs, ins) // what the legacy must send back
+	sends := automata.InputSets(u, ins, outs)   // what the context hands over
 	pick := func(steps []automata.SignalSet) automata.SignalSet {
 		if r.Float64() < 0.5 {
 			return automata.EmptySet
