@@ -205,22 +205,28 @@ mbt-soak-nondet:
 mbt-soak-wide:
 	$(GO) run ./cmd/mbt -wide -seed $(SOAK_SEED) -n 100 -corpus internal/mbt/testdata
 
-# Short randomized fuzzing pass over the model-based harness entry
-# points, the bitset CTL checker against the Reference engine, the
-# memo-store codec, the patched synthesis system against
-# from-scratch builds, the manifest intake, the journal decoder and
-# verifyd's job envelope; CI-sized, not a real fuzzing campaign.
+# Short randomized fuzzing pass over every fuzz target of the module: the
+# model-based harness entry points, the bitset CTL checker against the
+# Reference engine, the CTL parser and checker, the JSON model decoder,
+# the memo-store codec, the patched synthesis system against from-scratch
+# builds, the manifest intake, the journal decoder and verifyd's job
+# envelope; CI-sized, not a real fuzzing campaign. -run '^$$' keeps each
+# line from running its package's tests first. TestFuzzSmokeListsEveryTarget
+# fails when a fuzz target is missing here.
 FUZZTIME ?= 20s
 fuzz-smoke:
-	$(GO) test ./internal/mbt -fuzz FuzzSynthesisSoundness -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mbt -fuzz FuzzIocoSoundness -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mbt -fuzz FuzzRefinementLaws -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ctl -run '^$$' -fuzz FuzzBitsetEquivalence -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzUnmarshalMemo -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/automata -run '^$$' -fuzz FuzzIncrementalEquivalence -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/batch -run '^$$' -fuzz FuzzManifestItems -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzDecodeJSONL -fuzztime $(FUZZTIME)
-	$(GO) test ./cmd/verifyd -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mbt -run '^$$' -fuzz '^FuzzSynthesisSoundness$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mbt -run '^$$' -fuzz '^FuzzIocoSoundness$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mbt -run '^$$' -fuzz '^FuzzRefinementLaws$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ctl -run '^$$' -fuzz '^FuzzBitsetEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ctl -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ctl -run '^$$' -fuzz '^FuzzCheck$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/automata -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/automata -run '^$$' -fuzz '^FuzzUnmarshalMemo$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/automata -run '^$$' -fuzz '^FuzzIncrementalEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/batch -run '^$$' -fuzz '^FuzzManifestItems$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzDecodeJSONL$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/verifyd -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime $(FUZZTIME)
 
 # All progress reporting goes through internal/obs; stray fmt.Print* in
 # internal/ (outside obs, trace, and tests) bypasses the journal.

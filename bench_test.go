@@ -456,7 +456,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	const instances = 32
 	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
 	if workerCounts[1] == 1 {
-		workerCounts[1] = 8 // still exercise the stealing/cache paths
+		workerCounts[1] = 8 // still exercise the concurrent pool and cache paths
 	}
 	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -473,8 +473,8 @@ func BenchmarkBatchThroughput(b *testing.B) {
 					b.Fatalf("%d instances errored", sum.Errored)
 				}
 				throughput = sum.Throughput()
-				if total := sum.CacheHits + sum.CacheMisses; total > 0 {
-					hitRate = float64(sum.CacheHits) / float64(total)
+				if total := sum.Cost.MemoHits + sum.Cost.MemoMisses; total > 0 {
+					hitRate = float64(sum.Cost.MemoHits) / float64(total)
 				}
 			}
 			b.ReportMetric(throughput, "instances/sec")
@@ -680,5 +680,53 @@ func BenchmarkGenWide(b *testing.B) {
 		if _, err := gen.New(int64(i+1), gen.WideConfig()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCompose: one product construction (automata.Compose) of a
+// context with its legacy ground truth, over gen default instances, wide
+// instances (70 signals) and scenario machines (48–128 legacy states).
+// Each op composes the next pair of its set; run a multiple of the set
+// size (-benchtime=640x) for a figure over whole sets.
+func BenchmarkCompose(b *testing.B) {
+	type pair struct{ context, legacy *automata.Automaton }
+	genPairs := func(cfg gen.Config, n int) []pair {
+		var out []pair
+		for seed := int64(1); seed <= int64(n); seed++ {
+			inst, err := gen.New(seed, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			truth, err := inst.Truth()
+			if err != nil {
+				b.Fatal(err)
+			}
+			out = append(out, pair{inst.Context, truth})
+		}
+		return out
+	}
+	var scenarios []pair
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 16; i++ {
+		sc := experiments.GenerateScenario(rng, 48+80*(i%17)/16, 2+(i/3)%3, 3)
+		scenarios = append(scenarios, pair{sc.Context, sc.Legacy})
+	}
+	for _, set := range []struct {
+		name  string
+		pairs []pair
+	}{
+		{"gen", genPairs(gen.DefaultConfig(), 64)},
+		{"wide", genPairs(gen.WideConfig(), 16)},
+		{"scenario", scenarios},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := set.pairs[i%len(set.pairs)]
+				if _, err := automata.Compose("truth", p.context, p.legacy); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,5 +1,5 @@
 // Command batchverify runs many independent synthesis instances
-// concurrently on the internal/batch work-stealing pool and reports
+// concurrently on the internal/batch worker pool and reports
 // per-instance verdicts plus aggregate throughput.
 //
 //	batchverify -seed 1 -n 64 -workers 8
@@ -224,9 +224,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout,
-		"batchverify: %d instances on %d workers in %v (%.1f/s, %d steals): %d proven, %d violations, %d timed out, %d errors\n",
+		"batchverify: %d instances on %d workers in %v (%.1f/s): %d proven, %d violations, %d timed out, %d errors\n",
 		len(sum.Results), sum.Workers, sum.Duration.Round(time.Millisecond), sum.Throughput(),
-		sum.Steals, sum.Proven, sum.Violations, sum.TimedOut, sum.Errored-sum.TimedOut)
+		sum.Proven, sum.Violations, sum.TimedOut, sum.Errored-sum.TimedOut)
 	if memo != nil {
 		hits, misses, entries := memo.Stats()
 		fmt.Fprintf(stdout, "batchverify: memo cache: %d hits, %d misses, %d entries\n", hits, misses, entries)

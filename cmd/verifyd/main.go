@@ -5,7 +5,7 @@
 //	verifyd -addr 127.0.0.1:8479 -store /var/lib/verifyd/store
 //
 // Jobs are submitted over HTTP and drained through a bounded queue into
-// the internal/batch range-stealing pool:
+// the internal/batch worker pool:
 //
 //	POST /jobs                 submit {"manifest": "...JSONL..."} or
 //	                           {"gen": {"seed":1,"n":64}} or

@@ -284,13 +284,15 @@ func (a *Automaton) TransitionsFrom(id StateID) []Transition {
 	return a.adj[id]
 }
 
-// Transitions returns all transitions in a deterministic order. The
-// returned slice is a fresh copy; iteration-only hot loops should use
-// TransitionsSnapshot instead.
+// Transitions returns all transitions in a deterministic order: the
+// states' transitions (TransitionsFrom) in state order. The returned slice
+// is a fresh copy, so a loop may change the automaton while it ranges
+// over it; a loop that only reads should range over TransitionsFrom.
 func (a *Automaton) Transitions() []Transition {
-	snap := a.TransitionsSnapshot()
-	all := make([]Transition, len(snap))
-	copy(all, snap)
+	all := make([]Transition, 0, a.NumTransitions())
+	for _, ts := range a.adj {
+		all = append(all, ts...)
+	}
 	return all
 }
 
@@ -408,11 +410,13 @@ func (a *Automaton) Trim(name string) *Automaton {
 		b.states[nid].parts = append([]string(nil), st.parts...)
 		mapping[id] = nid
 	}
-	for _, t := range a.TransitionsSnapshot() {
-		if mapping[t.From] == NoState || mapping[t.To] == NoState {
-			continue
+	for _, ts := range a.adj {
+		for _, t := range ts {
+			if mapping[t.From] == NoState || mapping[t.To] == NoState {
+				continue
+			}
+			b.MustAddTransition(mapping[t.From], t.Label, mapping[t.To])
 		}
-		b.MustAddTransition(mapping[t.From], t.Label, mapping[t.To])
 	}
 	for _, q := range a.initial {
 		if mapping[q] != NoState {
@@ -447,10 +451,12 @@ func (a *Automaton) Rename(name string, mapping map[Signal]Signal) (*Automaton, 
 			return nil, errors.New("automata: rename produced inconsistent state ids")
 		}
 	}
-	for _, t := range a.TransitionsSnapshot() {
-		label := Interaction{In: ren(t.Label.In), Out: ren(t.Label.Out)}
-		if err := b.AddTransition(t.From, label, t.To); err != nil {
-			return nil, err
+	for _, ts := range a.adj {
+		for _, t := range ts {
+			label := Interaction{In: ren(t.Label.In), Out: ren(t.Label.Out)}
+			if err := b.AddTransition(t.From, label, t.To); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for _, q := range a.initial {
@@ -491,8 +497,10 @@ func (a *Automaton) Dot() string {
 		}
 		fmt.Fprintf(&b, "  %d [label=%q shape=%s];\n", id, st.name, shape)
 	}
-	for _, t := range a.TransitionsSnapshot() {
-		fmt.Fprintf(&b, "  %d -> %d [label=%q];\n", t.From, t.To, t.Label.String())
+	for _, ts := range a.adj {
+		for _, t := range ts {
+			fmt.Fprintf(&b, "  %d -> %d [label=%q];\n", t.From, t.To, t.Label.String())
+		}
 	}
 	b.WriteString("}\n")
 	return b.String()

@@ -65,99 +65,12 @@ func (p *ctxPoll) stop() bool {
 // from them only when read (see product), so the operands must not change
 // their states' names or labels once composed.
 //
-// The BFS inner loop runs on interned bitset labels, so the combined
-// alphabet must fit an Interner (at most 128 signals); a wider one is an
-// error wrapping ErrAlphabetTooWide.
+// Compose is ComposeAll over the two automata: one product BFS builds
+// every composition. Its inner loop runs on interned bitset labels, so the
+// combined alphabet must fit an Interner (at most 128 signals); a wider
+// one is an error wrapping ErrAlphabetTooWide.
 func Compose(name string, left, right *Automaton) (*Automaton, error) {
-	return ComposeCtx(context.Background(), name, left, right)
-}
-
-// ComposeCtx is Compose under a context: the product BFS polls it and
-// aborts with its error once it is done. A background context costs
-// nothing.
-func ComposeCtx(ctx context.Context, name string, left, right *Automaton) (*Automaton, error) {
-	if !left.inputs.Disjoint(right.inputs) {
-		return nil, fmt.Errorf("automata: compose %q‖%q: shared inputs %v",
-			left.name, right.name, left.inputs.Intersect(right.inputs))
-	}
-	if !left.outputs.Disjoint(right.outputs) {
-		return nil, fmt.Errorf("automata: compose %q‖%q: shared outputs %v",
-			left.name, right.name, left.outputs.Intersect(right.outputs))
-	}
-	if len(left.initial) == 0 || len(right.initial) == 0 {
-		return nil, fmt.Errorf("automata: compose %q‖%q: missing initial states", left.name, right.name)
-	}
-
-	c := newProduct(name, left, right)
-	in, err := NewInterner(c.inputs, c.outputs)
-	if err != nil {
-		return nil, fmt.Errorf("automata: compose %q‖%q: %w", left.name, right.name, err)
-	}
-	p := newCtxPoll(ctx)
-	if err := composePair(c, left, right, in, p); err != nil {
-		return nil, err
-	}
-	if p != nil && p.err != nil {
-		return nil, p.err
-	}
-	return c, nil
-}
-
-// composePair runs the product BFS on interned labels. A stopped poller
-// aborts the BFS; the caller surfaces the context error.
-//
-// No joint transition is emitted twice: the operands' alphabets are
-// disjoint per direction, so a joint label fixes each operand's label (its
-// intersection with that operand's alphabets) and a product target fixes
-// each operand's target; a repeated (label, target) would need an operand
-// transition twice, which AddTransition, the closure and patch builders and
-// UnmarshalMemo all rule out.
-func composePair(c, left, right *Automaton, in *Interner, p *ctxPoll) error {
-	leftAdj, err := maskAdjacency(left, in)
-	if err != nil {
-		return err
-	}
-	rightAdj, err := maskAdjacency(right, in)
-	if err != nil {
-		return err
-	}
-	leftOut, _ := in.Mask(left.outputs)
-	rightOut, _ := in.Mask(right.outputs)
-
-	ids := make(map[[2]StateID]StateID)
-	addPair := func(l, r StateID) StateID {
-		if id, ok := ids[[2]StateID{l, r}]; ok {
-			return id
-		}
-		id := c.addTuple(l, r)
-		ids[[2]StateID{l, r}] = id
-		return id
-	}
-
-	for _, ql := range left.initial {
-		for _, qr := range right.initial {
-			c.MarkInitial(addPair(ql, qr))
-		}
-	}
-
-	// States are created in BFS order, so the state table is the queue.
-	for from := StateID(0); int(from) < c.NumStates() && !p.stop(); from++ {
-		l, r := c.prod.state(from, 0), c.prod.state(from, 1)
-		for _, tl := range leftAdj[l] {
-			for _, tr := range rightAdj[r] {
-				if tl.in.and(rightOut) != tr.out {
-					continue
-				}
-				if tr.in.and(leftOut) != tl.out {
-					continue
-				}
-				k := InternKey{In: tl.in.or(tr.in), Out: tl.out.or(tr.out)}
-				to := addPair(tl.to, tr.to)
-				c.adj[from] = append(c.adj[from], Transition{From: from, Label: in.Label(k), To: to})
-			}
-		}
-	}
-	return nil
+	return ComposeAll(name, left, right)
 }
 
 // MustCompose is Compose but panics on error.
@@ -170,18 +83,19 @@ func MustCompose(name string, left, right *Automaton) *Automaton {
 }
 
 // ComposeAll builds the simultaneous parallel composition of several
-// automata; two automata go through Compose. For more it is the n-ary
-// generalization of Definition 3: in every joint step each automaton takes
-// exactly one transition, for every participant i the inputs it draws from
-// the other participants' output alphabets must equal exactly the signals
-// the others produce for it, and every signal produced is read by some
-// participant:
+// automata, the n-ary generalization of Definition 3: in every joint step
+// each automaton takes exactly one transition, for every participant i the
+// inputs it draws from the other participants' output alphabets must equal
+// exactly the signals produced for it, and every signal produced is read
+// by some participant:
 //
-//	Aᵢ ∩ (⋃_{j≠i} Oⱼ)  =  (⋃_{j≠i} Bⱼ) ∩ Iᵢ        ⋃ⱼ Bⱼ  ⊆  ⋃ⱼ Aⱼ
+//	Aᵢ ∩ (⋃_{j≠i} Oⱼ)  =  (⋃ⱼ Bⱼ) ∩ Iᵢ        ⋃ⱼ Bⱼ  ⊆  ⋃ⱼ Aⱼ
 //
-// For two automata, each with disjoint inputs and outputs, these are
-// Definition 3's A ∩ O′ = B′ and A′ ∩ O = B; and an idle part (empty
-// alphabets, only empty steps) adds no joint step to a product and
+// For two automata these are exactly Definition 3's A ∩ O′ = B′ and
+// A′ ∩ O = B. The union on the right includes Bᵢ itself, so a step in
+// which a part emits a signal of its own input alphabet (only a composed
+// part has one) is no joint step, as Definition 3 has it. An idle part
+// (empty alphabets, only empty steps) adds no joint step to a product and
 // removes none.
 //
 // Note that folding the binary Compose is *not* equivalent for three or
@@ -193,17 +107,15 @@ func ComposeAll(name string, parts ...*Automaton) (*Automaton, error) {
 }
 
 // ComposeAllCtx is ComposeAll under a context: the product BFS polls it
-// once per dequeued state tuple, as ComposeCtx does, and aborts with its
-// error once it is done. The BFS runs level by level on the caller's
-// goroutine and journals one compose_level event per level.
+// once per dequeued state tuple and aborts with its error once it is done;
+// a background context costs nothing. The BFS runs level by level on the
+// caller's goroutine and journals one compose_level event per level.
 func ComposeAllCtx(ctx context.Context, name string, parts ...*Automaton) (*Automaton, error) {
 	switch len(parts) {
 	case 0:
 		return nil, fmt.Errorf("automata: compose: no automata given")
 	case 1:
 		return parts[0].Clone(name), nil
-	case 2:
-		return ComposeCtx(ctx, name, parts[0], parts[1])
 	}
 
 	for i := range parts {
@@ -212,12 +124,12 @@ func ComposeAllCtx(ctx context.Context, name string, parts ...*Automaton) (*Auto
 		}
 		for j := i + 1; j < len(parts); j++ {
 			if !parts[i].inputs.Disjoint(parts[j].inputs) {
-				return nil, fmt.Errorf("automata: compose %q: %q and %q share inputs",
-					name, parts[i].name, parts[j].name)
+				return nil, fmt.Errorf("automata: compose %q: %q and %q share inputs %v",
+					name, parts[i].name, parts[j].name, parts[i].inputs.Intersect(parts[j].inputs))
 			}
 			if !parts[i].outputs.Disjoint(parts[j].outputs) {
-				return nil, fmt.Errorf("automata: compose %q: %q and %q share outputs",
-					name, parts[i].name, parts[j].name)
+				return nil, fmt.Errorf("automata: compose %q: %q and %q share outputs %v",
+					name, parts[i].name, parts[j].name, parts[i].outputs.Intersect(parts[j].outputs))
 			}
 		}
 	}
@@ -237,85 +149,70 @@ func ComposeAllCtx(ctx context.Context, name string, parts ...*Automaton) (*Auto
 	return c, nil
 }
 
-// composeTuples is the interned n-ary product BFS. As in composePair, the
-// parts' pairwise disjoint alphabets make every emitted (label, target)
-// unique per state. A stopped poller aborts the BFS; the caller surfaces
+// composePart is one part of a product under construction: its rows on
+// interned labels, masked when the BFS first reaches them (a product
+// usually reaches only some of a large part's states), the union of the
+// other parts' output alphabets, and the target of the transition the
+// current joint step takes.
+type composePart struct {
+	a         *Automaton
+	rows      [][]maskedTransition // nil until masked
+	othersOut SetMask
+	to        StateID
+}
+
+// tupleBFS is the state of one product construction.
+type tupleBFS struct {
+	c     *Automaton
+	in    *Interner
+	parts []composePart
+	// next is the tuple being looked up and key its exact key
+	// (appendStateKey); ids maps the key of every product state's tuple to
+	// its ID.
+	next []StateID
+	key  []byte
+	ids  map[string]StateID
+	from StateID
+	err  error // the first row that failed to mask
+}
+
+// composeTuples is the interned product BFS of ComposeAllCtx, for any
+// number of parts. A stopped poller aborts the BFS; the caller surfaces
 // the context error.
+//
+// No joint transition is emitted twice: the parts' alphabets are pairwise
+// disjoint per direction, so a joint label fixes each part's label (its
+// intersection with that part's alphabets) and a product target fixes
+// each part's target; a repeated (label, target) would need a part's
+// transition twice, which AddTransition, the closure and patch builders and
+// UnmarshalMemo all rule out.
 func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) error {
-	ptAdj := make([][][]maskedTransition, len(parts))
+	b := tupleBFS{c: c, in: in, parts: make([]composePart, len(parts)),
+		next: make([]StateID, len(parts)), key: make([]byte, 0, 4*len(parts)), ids: make(map[string]StateID)}
 	for i, part := range parts {
-		adj, err := maskAdjacency(part, in)
-		if err != nil {
-			return err
-		}
-		ptAdj[i] = adj
-	}
-	// othersOut[i] = union of output alphabets of all parts except i;
-	// inMask[i] = input alphabet of part i.
-	othersOut := make([]SetMask, len(parts))
-	inMask := make([]SetMask, len(parts))
-	for i := range parts {
-		var o SetMask
+		b.parts[i].a = part
+		b.parts[i].rows = make([][]maskedTransition, part.NumStates())
 		for j := range parts {
 			if j != i {
-				m, _ := in.Mask(parts[j].outputs)
-				o = o.or(m)
+				o, _ := in.Mask(parts[j].outputs)
+				b.parts[i].othersOut = b.parts[i].othersOut.or(o)
 			}
 		}
-		othersOut[i] = o
-		inMask[i], _ = in.Mask(parts[i].inputs)
 	}
 
-	ids := make(map[string]StateID)
-	addTuple := func(states []StateID) StateID {
-		k := stateSetKey(states)
-		if id, ok := ids[k]; ok {
-			return id
-		}
-		id := c.addTuple(states...)
-		ids[k] = id
-		return id
+	// The initial states are the tuples of the parts' initial states, the
+	// first part's varying slowest.
+	n := 1
+	for _, part := range parts {
+		n *= len(part.initial)
 	}
-
-	for _, t := range initialTuples(parts) {
-		c.MarkInitial(addTuple(t))
-	}
-
-	// choose enumerates the joint transitions of tuple cur (state from)
-	// depth-first, one part at a time in the order each part lists its
-	// own transitions, and adds each to c as it is found. A successor
-	// tuple is added when first reached, which fixes every product
-	// state's ID, name and edge order.
-	chosen := make([]maskedTransition, len(parts))
-	next := make([]StateID, len(parts))
-	var from StateID
-	var choose func(i int, produced SetMask)
-	choose = func(i int, produced SetMask) {
-		if i == len(parts) {
-			var consumed SetMask
-			for idx := range chosen {
-				internal := chosen[idx].in.and(othersOut[idx])
-				delivered := produced.and(inMask[idx])
-				if internal != delivered {
-					return
-				}
-				consumed = consumed.or(chosen[idx].in)
-			}
-			if produced.and(consumed) != produced {
-				return // an output no part reads in this step
-			}
-			for idx := range chosen {
-				next[idx] = chosen[idx].to
-			}
-			k := InternKey{In: consumed, Out: produced}
-			to := addTuple(next)
-			c.adj[from] = append(c.adj[from], Transition{From: from, Label: in.Label(k), To: to})
-			return
+	for t := 0; t < n; t++ {
+		for i, r := len(parts)-1, t; i >= 0; i-- {
+			q := parts[i].initial
+			b.next[i] = q[r%len(q)]
+			r /= len(q)
 		}
-		for _, t := range ptAdj[i][c.prod.state(from, i)] {
-			chosen[i] = t
-			choose(i+1, produced.or(t.out))
-		}
+		c.MarkInitial(b.state())
 	}
 
 	// States are created in BFS order, so the state table is the queue.
@@ -330,30 +227,74 @@ func composeTuples(c *Automaton, parts []*Automaton, in *Interner, p *ctxPoll) e
 			}})
 		}
 		for ; head < end; head++ {
-			if p.stop() {
-				return nil
+			if p.stop() || b.err != nil {
+				return b.err
 			}
-			from = StateID(head)
-			choose(0, SetMask{})
+			b.from = StateID(head)
+			b.choose(0, SetMask{}, SetMask{}, SetMask{})
 		}
 	}
-	return nil
+	return b.err
 }
 
-// initialTuples returns the cartesian product of the parts' initial state
-// sets, in deterministic order.
-func initialTuples(parts []*Automaton) [][]StateID {
-	tuples := [][]StateID{nil}
-	for _, p := range parts {
-		var next [][]StateID
-		for _, t := range tuples {
-			for _, q := range p.initial {
-				next = append(next, append(append([]StateID(nil), t...), q))
-			}
+// choose enumerates the joint transitions of state b.from depth-first, one
+// part at a time in the order each part lists its own transitions, and
+// adds each to the product as it is found. A successor tuple is added
+// when first reached, which fixes every product state's ID, name and edge
+// order.
+//
+// The masks accumulate over the parts chosen so far: the inputs consumed,
+// the outputs produced, and the inputs drawn from the other parts' outputs,
+// internal = ⋃ᵢ Aᵢ ∩ (⋃_{j≠i} Oⱼ). The conditions of ComposeAll hold iff
+// internal = produced. Part i's condition compares two subsets of its
+// input alphabet Iᵢ (a label lies within its automaton's alphabet), and
+// the Iᵢ are pairwise disjoint, so all of them hold iff their unions
+// agree, internal = produced ∩ ⋃ᵢ Iᵢ; and internal ⊆ consumed ⊆ ⋃ᵢ Iᵢ, so
+// that equation with produced ⊆ consumed is internal = produced.
+func (b *tupleBFS) choose(i int, consumed, produced, internal SetMask) {
+	pt := &b.parts[i]
+	s := b.c.prod.state(b.from, i)
+	row := pt.rows[s]
+	if row == nil {
+		var err error
+		if row, err = maskRow(pt.a, s, b.in); err != nil {
+			b.err = err
+			return
 		}
-		tuples = next
+		pt.rows[s] = row
 	}
-	return tuples
+	if i+1 < len(b.parts) {
+		for _, t := range row {
+			pt.to = t.to
+			b.choose(i+1, consumed.or(t.in), produced.or(t.out), internal.or(t.in.and(pt.othersOut)))
+		}
+		return
+	}
+	for _, t := range row {
+		out := produced.or(t.out)
+		if internal.or(t.in.and(pt.othersOut)) != out {
+			continue
+		}
+		pt.to = t.to
+		for j := range b.parts {
+			b.next[j] = b.parts[j].to
+		}
+		to := b.state()
+		label := b.in.Label(InternKey{In: consumed.or(t.in), Out: out})
+		b.c.adj[b.from] = append(b.c.adj[b.from], Transition{From: b.from, Label: label, To: to})
+	}
+}
+
+// state returns the product state of the tuple b.next, adding it when
+// first reached.
+func (b *tupleBFS) state() StateID {
+	b.key = appendStateKey(b.key[:0], b.next...)
+	if id, ok := b.ids[string(b.key)]; ok {
+		return id
+	}
+	id := b.c.addTuple(b.next...)
+	b.ids[string(b.key)] = id
+	return id
 }
 
 // Leaves returns the names of the leaf automata of a (possibly composed)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 )
@@ -93,60 +91,6 @@ func TestComposeAllRejectsFoldSemantics(t *testing.T) {
 	if _, dead := nary.DeadlockReachable(); dead {
 		t.Fatal("n-ary product deadlocked")
 	}
-}
-
-// TestComposeAllMatchesBinaryForTwo runs the n-ary BFS on two parts, which
-// ComposeAll itself hands to Compose, and requires Compose's product: each
-// part reads one of the other's outputs and writes one no part reads.
-func TestComposeAllMatchesBinaryForTwo(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 40; i++ {
-		left := randomIOAutomaton(rng, "left", 3, []Signal{"a", "y"}, []Signal{"x", "z"})
-		right := randomIOAutomaton(rng, "right", 3, []Signal{"b", "x"}, []Signal{"y", "w"})
-		bin, err := Compose("sys", left, right)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nary := newProduct("sys", left, right)
-		in, err := NewInterner(nary.inputs, nary.outputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := composeTuples(nary, []*Automaton{left, right}, in, nil); err != nil {
-			t.Fatal(err)
-		}
-		binJSON, err := EncodeJSON(bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naryJSON, err := EncodeJSON(nary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(binJSON, naryJSON) {
-			t.Fatalf("iteration %d: binary (%d/%d) vs n-ary (%d/%d):\n%s\nwant:\n%s", i,
-				bin.NumStates(), bin.NumTransitions(), nary.NumStates(), nary.NumTransitions(),
-				nary.Dot(), bin.Dot())
-		}
-	}
-}
-
-// randomIOAutomaton is randomAutomaton over the given inputs and outputs:
-// each singleton-universe label leaves each state with probability 1/3.
-func randomIOAutomaton(rng *rand.Rand, name string, states int, ins, outs []Signal) *Automaton {
-	a := New(name, NewSignalSet(ins...), NewSignalSet(outs...))
-	for i := 0; i < states; i++ {
-		a.MustAddState(fmt.Sprintf("%s%d", name, i))
-	}
-	a.MarkInitial(0)
-	for s := 0; s < states; s++ {
-		for _, x := range Universe(UniverseSingleton).Enumerate(a.Inputs(), a.Outputs()) {
-			if rng.Intn(3) == 0 {
-				a.MustAddTransition(StateID(s), x, StateID(rng.Intn(states)))
-			}
-		}
-	}
-	return a
 }
 
 // TestComposeAllIdlePart checks the n-ary rule's consumption condition:

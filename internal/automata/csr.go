@@ -9,14 +9,13 @@ package automata
 // arrays — so pre-image scans walk contiguous memory and out-degrees are
 // O(1) subtractions.
 //
-// The snapshot (and the flat transition snapshot next to it) is built
-// lazily on first use and cached on the automaton; any structural
-// mutation (AddState, AddTransition, or the in-place adjacency rewrites
-// of the incremental system) invalidates it. The next build writes into
-// the invalidated snapshot's arrays, so a snapshot is valid only until
-// the automaton's next structural mutation: a holder must drop it then
-// (ctl.Checker does on Rebind). Building the view is read-only: it never
-// changes the automaton's fingerprint.
+// The snapshot is built lazily on first use and cached on the automaton;
+// any structural mutation (AddState, AddTransition, or the in-place
+// adjacency rewrites of the incremental system) invalidates it. The next
+// build writes into the invalidated snapshot's arrays, so a snapshot is
+// valid only until the automaton's next structural mutation: a holder
+// must drop it then (ctl.Checker does on Rebind). Building the view is
+// read-only: it never changes the automaton's fingerprint.
 
 import "sync"
 
@@ -60,10 +59,9 @@ type derivedViews struct {
 	// spare is the snapshot the last structural mutation invalidated: the
 	// next build reuses its arrays.
 	spare *CSR
-	flat  []Transition
 }
 
-// invalidateDerived drops the cached CSR and flat-transition snapshots.
+// invalidateDerived drops the cached CSR snapshot.
 // Every structural mutation path must call it (AddState/AddTransition do;
 // the incremental system calls it after its in-place adjacency rewrites).
 func (a *Automaton) invalidateDerived() {
@@ -71,7 +69,7 @@ func (a *Automaton) invalidateDerived() {
 	if a.derived.csr != nil {
 		a.derived.spare = a.derived.csr
 	}
-	a.derived.csr, a.derived.flat = nil, nil
+	a.derived.csr = nil
 	a.derived.mu.Unlock()
 }
 
@@ -142,22 +140,4 @@ func resizeInt32(buf []int32, n int) []int32 {
 		return buf[:n]
 	}
 	return make([]int32, n, n+n/4)
-}
-
-// TransitionsSnapshot returns all transitions in the same deterministic
-// order as Transitions, but as a cached slice shared across calls: hot
-// loops that only iterate should use this instead of Transitions, which
-// copies. The snapshot must not be mutated and is only valid until the
-// automaton's next structural mutation.
-func (a *Automaton) TransitionsSnapshot() []Transition {
-	a.derived.mu.Lock()
-	defer a.derived.mu.Unlock()
-	if a.derived.flat == nil {
-		flat := make([]Transition, 0, a.NumTransitions())
-		for _, ts := range a.adj {
-			flat = append(flat, ts...)
-		}
-		a.derived.flat = flat
-	}
-	return a.derived.flat
 }

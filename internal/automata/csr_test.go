@@ -86,12 +86,7 @@ func TestCSRCachedAndInvalidated(t *testing.T) {
 	if c2 := a.CSR(); c2 != c1 {
 		t.Fatal("CSR not cached across calls")
 	}
-	s1 := a.TransitionsSnapshot()
-	if s2 := a.TransitionsSnapshot(); &s2[0] != &s1[0] {
-		t.Fatal("TransitionsSnapshot not cached across calls")
-	}
-
-	// A structural mutation must drop both snapshots.
+	// A structural mutation must drop the snapshot.
 	extra := a.MustAddState("extra")
 	c3 := a.CSR()
 	if c3 == c1 {
@@ -108,9 +103,6 @@ func TestCSRCachedAndInvalidated(t *testing.T) {
 	if got := c4.OutDegree(int(extra)); got != 1 {
 		t.Fatalf("OutDegree(extra) = %d, want 1", got)
 	}
-	if len(a.TransitionsSnapshot()) != a.NumTransitions() {
-		t.Fatal("TransitionsSnapshot stale after mutation")
-	}
 }
 
 func TestCSRDoesNotPerturbFingerprintOrTransitions(t *testing.T) {
@@ -118,7 +110,6 @@ func TestCSRDoesNotPerturbFingerprintOrTransitions(t *testing.T) {
 	before := a.Fingerprint()
 	wantTrans := a.Transitions()
 	_ = a.CSR()
-	_ = a.TransitionsSnapshot()
 	if got := a.Fingerprint(); got != before {
 		t.Fatalf("Fingerprint changed by CSR build: %x != %x", got, before)
 	}
@@ -132,11 +123,11 @@ func TestCSRDoesNotPerturbFingerprintOrTransitions(t *testing.T) {
 			t.Fatalf("Transitions[%d] changed: %+v != %+v", i, g, w)
 		}
 	}
-	// Transitions must keep returning a fresh copy: callers historically
-	// mutate the returned slice.
+	// Transitions must keep returning a fresh copy: callers mutate the
+	// returned slice, and change the automaton while ranging over it.
 	gotTrans[0].To = NoState
-	if a.TransitionsSnapshot()[0].To == NoState {
-		t.Fatal("Transitions aliases the cached snapshot")
+	if a.Transitions()[0].To == NoState {
+		t.Fatal("Transitions aliases the adjacency")
 	}
 }
 

@@ -52,13 +52,15 @@ func toJSON(a *Automaton) automatonJSON {
 		s := StateID(i)
 		out.States = append(out.States, stateJSON{Name: a.StateName(s), Labels: a.Labels(s)})
 	}
-	for _, t := range a.TransitionsSnapshot() {
-		out.Transitions = append(out.Transitions, transitionJSON{
-			From: a.StateName(t.From),
-			In:   t.Label.In.Signals(),
-			Out:  t.Label.Out.Signals(),
-			To:   a.StateName(t.To),
-		})
+	for _, ts := range a.adj {
+		for _, t := range ts {
+			out.Transitions = append(out.Transitions, transitionJSON{
+				From: a.StateName(t.From),
+				In:   t.Label.In.Signals(),
+				Out:  t.Label.Out.Signals(),
+				To:   a.StateName(t.To),
+			})
+		}
 	}
 	for _, q := range a.Initial() {
 		out.Initial = append(out.Initial, a.StateName(q))

@@ -256,8 +256,10 @@ func (m *Incomplete) Dot() string {
 	if m.NumBlocked() > 0 {
 		b.WriteString("  refused [label=\"T̄\" shape=box style=dashed];\n")
 	}
-	for _, t := range m.auto.TransitionsSnapshot() {
-		fmt.Fprintf(&b, "  %d -> %d [label=%q];\n", t.From, t.To, t.Label.String())
+	for _, ts := range m.auto.adj {
+		for _, t := range ts {
+			fmt.Fprintf(&b, "  %d -> %d [label=%q];\n", t.From, t.To, t.Label.String())
+		}
 	}
 	for id := range m.auto.states {
 		for _, x := range m.BlockedAt(StateID(id)) {

@@ -484,7 +484,7 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 	ic.queue = queue
 
 	// The product adjacency was rewritten above, bypassing AddTransition;
-	// drop its cached CSR/flat snapshots.
+	// drop its cached CSR snapshot.
 	ic.product.invalidateDerived()
 
 	ic.reachable = ic.countReachable()

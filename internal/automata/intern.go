@@ -241,19 +241,25 @@ type maskedTransition struct {
 // builders and UnmarshalMemo all rule out — is reported as an error.
 func maskAdjacency(a *Automaton, in *Interner) ([][]maskedTransition, error) {
 	adj := make([][]maskedTransition, len(a.adj))
-	for s, ts := range a.adj {
-		if len(ts) == 0 {
-			continue
-		}
-		row := make([]maskedTransition, len(ts))
-		for i, t := range ts {
-			k, ok := in.Key(t.Label)
-			if !ok {
-				return nil, fmt.Errorf("automata: %q: label %v outside the alphabet", a.name, t.Label)
-			}
-			row[i] = maskedTransition{in: k.In, out: k.Out, to: t.To}
+	for s := range a.adj {
+		row, err := maskRow(a, StateID(s), in)
+		if err != nil {
+			return nil, err
 		}
 		adj[s] = row
 	}
 	return adj, nil
+}
+
+// maskRow is maskAdjacency for the one state s. The row is never nil.
+func maskRow(a *Automaton, s StateID, in *Interner) ([]maskedTransition, error) {
+	row := make([]maskedTransition, len(a.adj[s]))
+	for i, t := range a.adj[s] {
+		k, ok := in.Key(t.Label)
+		if !ok {
+			return nil, fmt.Errorf("automata: %q: label %v outside the alphabet", a.name, t.Label)
+		}
+		row[i] = maskedTransition{in: k.In, out: k.Out, to: t.To}
+	}
+	return row, nil
 }

@@ -189,11 +189,7 @@ func TestAlphabetBeyondInternerIsAnError(t *testing.T) {
 	singleton := Universe(UniverseSingleton)
 
 	checks := map[string]func() error{
-		"Compose": func() error { _, err := Compose("sys", left, right); return err },
-		"ComposeCtx": func() error {
-			_, err := ComposeCtx(context.Background(), "sys", left, right)
-			return err
-		},
+		"Compose":    func() error { _, err := Compose("sys", left, right); return err },
 		"ComposeAll": func() error { _, err := ComposeAll("sys", left, right, third); return err },
 		"ChaoticClosureCtx": func() error {
 			u := CompileUniverse(singleton, wideModel.Automaton().Inputs(), wideModel.Automaton().Outputs())

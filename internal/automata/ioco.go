@@ -81,16 +81,14 @@ func IocoRefines(impl, spec *Automaton) (bool, []Interaction, error) {
 	si, _ := SaturateQuiescence(impl, impl.name)
 	ss, _ := SaturateQuiescence(spec, spec.name)
 
-	type node struct {
-		s StateID
-		u string // canonical key of spec-state subset
-	}
 	type item struct {
 		s      StateID
 		states []StateID
 		trace  []Interaction
 	}
-	visited := make(map[node]struct{})
+	// visited holds the key of every explored pair (s, U): s, then U.
+	visited := make(map[string]struct{})
+	var key []byte
 	queue := make([]item, 0, len(si.Initial()))
 	specInit := normalizeStates(ss.Initial())
 	for _, q := range si.Initial() {
@@ -99,11 +97,11 @@ func IocoRefines(impl, spec *Automaton) (bool, []Interaction, error) {
 
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		key := node{cur.s, stateSetKey(cur.states)}
-		if _, ok := visited[key]; ok {
+		key = appendStateKey(appendStateKey(key[:0], cur.s), cur.states...)
+		if _, ok := visited[string(key)]; ok {
 			continue
 		}
-		visited[key] = struct{}{}
+		visited[string(key)] = struct{}{}
 
 		// Per input accepted by the spec set: the allowed out-set.
 		allowed := make(map[string]map[string]struct{})

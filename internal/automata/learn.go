@@ -192,17 +192,19 @@ func (m *Incomplete) ObservationConforming(impl *Automaton) error {
 			return fmt.Errorf("automata: learned initial state %q not initial in implementation", a.StateName(q))
 		}
 	}
-	for _, t := range a.TransitionsSnapshot() {
-		ok := false
-		for _, u := range impl.TransitionsFrom(toImpl[t.From]) {
-			if u.Label.Equal(t.Label) && u.To == toImpl[t.To] {
-				ok = true
-				break
+	for _, ts := range a.adj {
+		for _, t := range ts {
+			ok := false
+			for _, u := range impl.TransitionsFrom(toImpl[t.From]) {
+				if u.Label.Equal(t.Label) && u.To == toImpl[t.To] {
+					ok = true
+					break
+				}
 			}
-		}
-		if !ok {
-			return fmt.Errorf("automata: learned transition %s -%s-> %s not present in implementation",
-				a.StateName(t.From), t.Label, a.StateName(t.To))
+			if !ok {
+				return fmt.Errorf("automata: learned transition %s -%s-> %s not present in implementation",
+					a.StateName(t.From), t.Label, a.StateName(t.To))
+			}
 		}
 	}
 	for s, set := range m.blocked {

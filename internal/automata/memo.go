@@ -35,10 +35,21 @@ import (
 // A nil *MemoCache is a valid disabled cache: Lookup always misses and
 // Store is a no-op, so construction sites thread an optional cache without
 // branching.
+//
+// A cache counts the hits and misses of its own lookups (Stats). A handle
+// (Handle) shares everything else with the cache it was taken from and
+// also counts its lookups there.
 type MemoCache struct {
+	*memoShared
+	hits   atomic.Int64
+	misses atomic.Int64
+	// parent is the cache this one is a handle of, or nil.
+	parent *MemoCache
+}
+
+// memoShared is what a cache and its handles share.
+type memoShared struct {
 	shards  [memoShardCount]memoShard
-	hits    atomic.Int64
-	misses  atomic.Int64
 	journal *obs.Journal // set at construction; may be nil
 	// backend, when non-nil, is the second-level persistent store: memory
 	// misses fall through to it, and stores write through so a later
@@ -96,11 +107,38 @@ type memoKey struct {
 // one cache_hit event per Lookup hit (s: op; n: key_a, key_b, hits); pass
 // nil for an unobserved cache.
 func NewMemoCache(journal *obs.Journal) *MemoCache {
-	c := &MemoCache{journal: journal}
+	c := &MemoCache{memoShared: &memoShared{journal: journal}}
 	for i := range c.shards {
 		c.shards[i].m = make(map[memoKey]*Automaton)
 	}
 	return c
+}
+
+// Handle returns a view of the cache that shares its entries, backend and
+// compiled universes and counts its own lookups: its Stats report only the
+// lookups made through it, and every one of them also counts in c's. The
+// batch engine gives each instance a handle, so an instance's ledger holds
+// its own lookups however many instances run at once. A nil cache's handle
+// is nil.
+func (c *MemoCache) Handle() *MemoCache {
+	if c == nil {
+		return nil
+	}
+	return &MemoCache{memoShared: c.memoShared, parent: c}
+}
+
+// count records a lookup in the cache and every cache it is a handle of,
+// and returns the hit count of the last of them, the cache the handles
+// were taken from (zero on a miss).
+func (c *MemoCache) count(hit bool) (hits int64) {
+	for m := c; m != nil; m = m.parent {
+		if hit {
+			hits = m.hits.Add(1)
+		} else {
+			m.misses.Add(1)
+		}
+	}
+	return hits
 }
 
 // SetBackend attaches the persistent second-level store. Call it once,
@@ -147,10 +185,10 @@ func (c *MemoCache) lookup(a, b uint64, name string) (*Automaton, bool) {
 		}
 	}
 	if master == nil {
-		c.misses.Add(1)
+		c.count(false)
 		return nil, false
 	}
-	hits := c.hits.Add(1)
+	hits := c.count(true)
 	if c.journal.Enabled() {
 		c.journal.Emit(obs.Event{Kind: obs.KindCacheHit, Iter: -1,
 			S: map[string]string{"op": memoOp},
@@ -207,7 +245,8 @@ func (c *MemoCache) Universe(u InteractionUniverse, inputs, outputs SignalSet) *
 	return cu.(*CompiledUniverse)
 }
 
-// Stats returns the hit and miss counts and the number of cached entries.
+// Stats returns the hit and miss counts of the lookups made through c
+// (a cache's include its handles') and the number of cached entries.
 func (c *MemoCache) Stats() (hits, misses, entries int64) {
 	if c == nil {
 		return 0, 0, 0

@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -126,16 +127,14 @@ func Refines(impl, spec *Automaton) (bool, []Interaction, error) {
 	if err != nil {
 		return false, nil, fmt.Errorf("automata: refinement %q ⊑ %q: %w", impl.name, spec.name, err)
 	}
-	type node struct {
-		s StateID
-		u string // canonical key of spec-state subset
-	}
 	type entry struct {
 		states []StateID
 		trace  []Interaction
 	}
 	specInit := normalizeStates(spec.Initial())
-	visited := make(map[node]struct{})
+	// visited holds the key of every explored pair (s, U): s, then U.
+	visited := make(map[string]struct{})
+	var key []byte
 	queue := make([]struct {
 		s StateID
 		e entry
@@ -169,11 +168,11 @@ func Refines(impl, spec *Automaton) (bool, []Interaction, error) {
 
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		key := node{cur.s, stateSetKey(cur.e.states)}
-		if _, ok := visited[key]; ok {
+		key = appendStateKey(appendStateKey(key[:0], cur.s), cur.e.states...)
+		if _, ok := visited[string(key)]; ok {
 			continue
 		}
-		visited[key] = struct{}{}
+		visited[string(key)] = struct{}{}
 		if ok, cex := check(cur.s, cur.e.states, cur.e.trace); !ok {
 			return false, cex, nil
 		}
@@ -246,12 +245,15 @@ func normalizeStates(states []StateID) []StateID {
 	return out
 }
 
-func stateSetKey(states []StateID) string {
-	b := make([]byte, 0, len(states)*3)
+// appendStateKey appends the exact key of a state tuple or set to buf:
+// four little-endian bytes per state. The product BFS keys its tuples by
+// it, and Refines and IocoRefines their (state, subset) pairs; each looks
+// a key up as m[string(buf)] on a reused buffer, which allocates nothing.
+func appendStateKey(buf []byte, states ...StateID) []byte {
 	for _, s := range states {
-		b = append(b, byte(s), byte(s>>8), byte(s>>16))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
 	}
-	return string(b)
+	return buf
 }
 
 // labelsMatch reports whether an implementation state labeled implLabels

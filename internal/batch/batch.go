@@ -1,3 +1,8 @@
+// Package batch runs many independent synthesis instances concurrently on
+// a fixed set of workers, with per-instance deadlines, panic isolation,
+// and a shared memoization cache for identical chaotic closures
+// (DESIGN.md §9). It is the engine behind cmd/batchverify and
+// the concurrent lane the CI race detector exercises.
 package batch
 
 import (
@@ -6,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"muml/internal/automata"
@@ -50,9 +56,8 @@ type Item struct {
 // time is worker-seconds of attribution), AllocBytes (the process-global
 // allocation delta over the instance's window divided by the pool width,
 // exact at one worker and a documented approximation otherwise), and the
-// memo hit/miss deltas observed on the instance's worker (attribution is
-// approximate when concurrent instances interleave cache traffic; the
-// batch-level sums remain exact).
+// memo hits and misses of the instance's own lookups (counted on its
+// handle of the shared cache, so exact at any pool width).
 type Cost struct {
 	CPUNS      int64 `json:"cpu_ns"`
 	AllocBytes int64 `json:"alloc_bytes"`
@@ -116,9 +121,9 @@ type Options struct {
 	// iteration streams from concurrent runs would be unreadable and are
 	// available by re-running a single instance.
 	Journal *obs.Journal
-	// Metrics, when non-nil, receives batch.instances, batch.timeouts,
-	// batch.panics, batch.steals counters plus the batch.instance timer
-	// and latency histogram.
+	// Metrics, when non-nil, receives batch.instances, batch.timeouts and
+	// batch.panics counters plus the batch.instance timer and latency
+	// histogram.
 	Metrics *obs.Registry
 	// Progress, when non-nil, receives live per-instance start/finish
 	// updates; the HTTP /progress endpoint snapshots it while the batch
@@ -131,14 +136,11 @@ type Summary struct {
 	Results  []Result
 	Duration time.Duration
 	Workers  int
-	// Steals counts work-stealing events in the pool.
-	Steals                                          int
+	// The verdict and failure counts of Results.
 	Proven, Violations, Errored, TimedOut, Panicked int
-	// CacheHits/CacheMisses are the shared memo cache's counters (0/0
-	// without a cache).
-	CacheHits, CacheMisses int64
 	// Cost is the exact sum of the per-instance ledgers, journaled as the
-	// batch's cost_report event.
+	// batch's cost_report event; its memo figures are the batch's own
+	// lookups.
 	Cost Cost
 }
 
@@ -175,7 +177,6 @@ func Verify(items []Item, opts Options) (*Summary, error) {
 	mInstances := opts.Metrics.Counter("batch.instances")
 	mTimeouts := opts.Metrics.Counter("batch.timeouts")
 	mPanics := opts.Metrics.Counter("batch.panics")
-	mSteals := opts.Metrics.Counter("batch.steals")
 	tInstance := opts.Metrics.Timer("batch.instance")
 	hInstance := opts.Metrics.Histogram("batch.instance")
 
@@ -196,15 +197,18 @@ func Verify(items []Item, opts Options) (*Summary, error) {
 
 	start := time.Now()
 	results := make([]Result, len(items))
-	p := newPool(len(items), workers)
+	// The workers take the items in order from one shared counter. An
+	// instance runs for tens of microseconds to seconds, so one atomic add
+	// per instance is never contended.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for {
-				idx, ok := p.next(w)
-				if !ok {
+				idx := int(next.Add(1) - 1)
+				if idx >= len(items) {
 					return
 				}
 				if err := batchCtx.Err(); err != nil {
@@ -252,8 +256,7 @@ func Verify(items []Item, opts Options) (*Summary, error) {
 	}
 	wg.Wait()
 
-	sum := &Summary{Results: results, Duration: time.Since(start), Workers: workers, Steals: p.stolen()}
-	mSteals.Add(int64(sum.Steals))
+	sum := &Summary{Results: results, Duration: time.Since(start), Workers: workers}
 	for i := range results {
 		switch {
 		case results[i].Panicked:
@@ -270,7 +273,6 @@ func Verify(items []Item, opts Options) (*Summary, error) {
 			sum.Violations++
 		}
 	}
-	sum.CacheHits, sum.CacheMisses, _ = opts.Memo.Stats()
 	for i := range results {
 		sum.Cost.Add(results[i].Cost)
 	}
@@ -308,16 +310,14 @@ func runOne(batchCtx context.Context, item Item, idx, worker, workers int, opts 
 	res = Result{Index: idx, Name: item.Name, Worker: worker}
 	start := time.Now()
 	alloc0 := obs.ReadAllocBytes()
-	memoHits0, memoMisses0, _ := opts.Memo.Stats()
+	memo := opts.Memo.Handle()
 	defer func() {
 		res.Duration = time.Since(start)
 		res.Cost.CPUNS = res.Duration.Nanoseconds()
 		if d := obs.ReadAllocBytes() - alloc0; d > 0 && workers > 0 {
 			res.Cost.AllocBytes = d / int64(workers)
 		}
-		hits, misses, _ := opts.Memo.Stats()
-		res.Cost.MemoHits = hits - memoHits0
-		res.Cost.MemoMisses = misses - memoMisses0
+		res.Cost.MemoHits, res.Cost.MemoMisses, _ = memo.Stats()
 		if r := recover(); r != nil {
 			res.Panicked = true
 			res.Err = fmt.Errorf("batch: instance %q panicked: %v", item.Name, r)
@@ -344,7 +344,7 @@ func runOne(batchCtx context.Context, item Item, idx, worker, workers int, opts 
 		Property:      problem.Property,
 		MaxIterations: problem.MaxIterations,
 		Context:       ctx,
-		Memo:          opts.Memo,
+		Memo:          memo,
 		// The registry is shared across workers; counters are atomic, so
 		// the ctl.* and core.* instruments aggregate over the whole batch.
 		Metrics: opts.Metrics,

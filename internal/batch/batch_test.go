@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,29 +16,36 @@ import (
 	"muml/internal/gen"
 )
 
-// TestPoolCoversAllIndices checks that every index is handed out exactly
-// once regardless of which workers ask, including through steals.
-func TestPoolCoversAllIndices(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{1, 1}, {7, 3}, {64, 8}, {5, 8}, {100, 4},
-	} {
-		p := newPool(tc.n, tc.workers)
-		seen := make([]int, tc.n)
-		// Drain adversarially: worker 0 takes everything, forcing steals.
-		for {
-			idx, ok := p.next(0)
-			if !ok {
-				break
+// TestVerifyRunsEveryItemOnce checks that every item is built exactly once
+// and yields exactly one result, at its own index, at every pool width
+// from one to eight workers, including more workers than items.
+func TestVerifyRunsEveryItemOnce(t *testing.T) {
+	errBuild := errors.New("not built")
+	for _, n := range []int{1, 5, 37} {
+		for workers := 1; workers <= 8; workers++ {
+			builds := make([]atomic.Int32, n)
+			items := make([]Item, n)
+			for i := range items {
+				items[i] = Item{Name: fmt.Sprintf("item-%d", i), Build: func() (Problem, error) {
+					builds[i].Add(1)
+					return Problem{}, errBuild
+				}}
 			}
-			seen[idx]++
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d workers=%d: index %d handed out %d times", tc.n, tc.workers, i, c)
+			sum, err := Verify(items, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if tc.workers > 1 && tc.n > tc.workers && p.stolen() == 0 {
-			t.Fatalf("n=%d workers=%d: single-worker drain should have stolen", tc.n, tc.workers)
+			if len(sum.Results) != n {
+				t.Fatalf("n=%d workers=%d: %d results", n, workers, len(sum.Results))
+			}
+			for i, res := range sum.Results {
+				if res.Index != i || res.Name != items[i].Name || !errors.Is(res.Err, errBuild) {
+					t.Fatalf("n=%d workers=%d: result %d is %+v", n, workers, i, res)
+				}
+				if c := builds[i].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: item %d built %d times", n, workers, i, c)
+				}
+			}
 		}
 	}
 }

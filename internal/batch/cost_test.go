@@ -44,6 +44,25 @@ func TestCostSumsToSummary(t *testing.T) {
 	}
 }
 
+// TestCostMemoLedgerIsExact requires every instance's memo figures to be
+// its own lookups: over a fresh cache, the instance ledgers add up to the
+// cache's hits and misses at one, two and four workers, where concurrent
+// instances look closures up at the same time.
+func TestCostMemoLedgerIsExact(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		memo := automata.NewMemoCache(nil)
+		sum, err := Verify(GenItems(3, 256, gen.DefaultConfig()), Options{Workers: workers, Memo: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses, _ := memo.Stats()
+		if sum.Cost.MemoHits != hits || sum.Cost.MemoMisses != misses {
+			t.Errorf("workers=%d: instance ledgers sum to %d hits and %d misses, the cache counted %d and %d",
+				workers, sum.Cost.MemoHits, sum.Cost.MemoMisses, hits, misses)
+		}
+	}
+}
+
 // TestCostDeterministicFiguresAcrossWorkers pins the determinism split of
 // DESIGN.md §15: peak_states and ctl_words are byte-identity-safe, so
 // they must match instance-for-instance across worker counts and memo

@@ -22,7 +22,6 @@ type BatchRun struct {
 	Proven        int     `json:"proven"`
 	Violations    int     `json:"violations"`
 	Errored       int     `json:"errored"`
-	Steals        int     `json:"steals"`
 	CacheHits     int64   `json:"cache_hits"`
 	CacheMisses   int64   `json:"cache_misses"`
 }
@@ -74,9 +73,8 @@ func CollectBatchBench(seed int64, instances, workers int, journal *obs.Journal,
 			Proven:        sum.Proven,
 			Violations:    sum.Violations,
 			Errored:       sum.Errored,
-			Steals:        sum.Steals,
-			CacheHits:     sum.CacheHits,
-			CacheMisses:   sum.CacheMisses,
+			CacheHits:     sum.Cost.MemoHits,
+			CacheMisses:   sum.Cost.MemoMisses,
 		}
 		return run, sum, nil
 	}

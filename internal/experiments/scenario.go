@@ -148,9 +148,11 @@ func mirror(proto *automata.Automaton, name string) *automata.Automaton {
 	for _, q := range proto.Initial() {
 		m.MarkInitial(q)
 	}
-	for _, t := range proto.TransitionsSnapshot() {
-		label := automata.Interaction{In: t.Label.Out, Out: t.Label.In}
-		_ = m.AddTransition(t.From, label, t.To)
+	for s := 0; s < proto.NumStates(); s++ {
+		for _, t := range proto.TransitionsFrom(automata.StateID(s)) {
+			label := automata.Interaction{In: t.Label.Out, Out: t.Label.In}
+			_ = m.AddTransition(t.From, label, t.To)
+		}
 	}
 	return m
 }
@@ -174,16 +176,18 @@ func MutateScenario(rng *rand.Rand, s *Scenario) *Scenario {
 	// Pick a transition reachable in the composition: approximate with a
 	// transition of the sub-protocol (mirrored by the context).
 	var candidates []automata.Transition
-	for _, t := range s.Context.TransitionsSnapshot() {
-		// Context transition (In=B, Out=A) mirrors legacy (A, B).
-		legacyLabel := automata.Interaction{In: t.Label.Out, Out: t.Label.In}
-		from := mutated.State(s.Context.StateName(t.From))
-		if from == automata.NoState {
-			continue
-		}
-		for _, lt := range mutated.TransitionsFrom(from) {
-			if lt.Label.Equal(legacyLabel) {
-				candidates = append(candidates, lt)
+	for i := 0; i < s.Context.NumStates(); i++ {
+		for _, t := range s.Context.TransitionsFrom(automata.StateID(i)) {
+			// Context transition (In=B, Out=A) mirrors legacy (A, B).
+			legacyLabel := automata.Interaction{In: t.Label.Out, Out: t.Label.In}
+			from := mutated.State(s.Context.StateName(t.From))
+			if from == automata.NoState {
+				continue
+			}
+			for _, lt := range mutated.TransitionsFrom(from) {
+				if lt.Label.Equal(legacyLabel) {
+					candidates = append(candidates, lt)
+				}
 			}
 		}
 	}
@@ -196,20 +200,22 @@ func MutateScenario(rng *rand.Rand, s *Scenario) *Scenario {
 		rebuilt.MustAddState(mutated.StateName(automata.StateID(i)))
 	}
 	rebuilt.MarkInitial(mutated.Initial()[0])
-	for _, t := range mutated.TransitionsSnapshot() {
-		if t.From == victim.From && t.Label.Equal(victim.Label) && t.To == victim.To {
-			if rng.Intn(2) == 0 {
-				continue // drop the transition (component refuses now)
+	for i := 0; i < mutated.NumStates(); i++ {
+		for _, t := range mutated.TransitionsFrom(automata.StateID(i)) {
+			if t.From == victim.From && t.Label.Equal(victim.Label) && t.To == victim.To {
+				if rng.Intn(2) == 0 {
+					continue // drop the transition (component refuses now)
+				}
+				// Flip the output.
+				newOut := automata.NewSignalSet(scenarioOutputs[rng.Intn(len(scenarioOutputs))])
+				if newOut.Equal(t.Label.Out) {
+					newOut = automata.EmptySet
+				}
+				_ = rebuilt.AddTransition(t.From, automata.Interaction{In: t.Label.In, Out: newOut}, t.To)
+				continue
 			}
-			// Flip the output.
-			newOut := automata.NewSignalSet(scenarioOutputs[rng.Intn(len(scenarioOutputs))])
-			if newOut.Equal(t.Label.Out) {
-				newOut = automata.EmptySet
-			}
-			_ = rebuilt.AddTransition(t.From, automata.Interaction{In: t.Label.In, Out: newOut}, t.To)
-			continue
+			_ = rebuilt.AddTransition(t.From, t.Label, t.To)
 		}
-		_ = rebuilt.AddTransition(t.From, t.Label, t.To)
 	}
 	return &Scenario{
 		Legacy:         rebuilt,

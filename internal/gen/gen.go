@@ -258,17 +258,17 @@ func genLegacy(r *rand.Rand, cfg Config, name string, ins, outs automata.SignalS
 	}
 
 	// Nondeterministic augmentation: each base transition may sprout
-	// siblings under the same input. The pass runs over a snapshot so new
-	// siblings do not themselves sprout, which keeps per-(state, input)
-	// branching at ≤ 4 — comfortably inside the core loop's default
-	// completeness budget.
+	// siblings under the same input. The pass runs over a copy of the
+	// transitions so new siblings do not themselves sprout, which keeps
+	// per-(state, input) branching at ≤ 4 — comfortably inside the core
+	// loop's default completeness budget.
 	if cfg.OutputRace > 0 || cfg.DupSuccessor > 0 || cfg.LossyOutput > 0 {
 		addDistinct := func(from automata.StateID, label automata.Interaction, to automata.StateID) {
 			if !containsState(a.Successors(from, label), to) {
 				a.MustAddTransition(from, label, to)
 			}
 		}
-		for _, t := range a.TransitionsSnapshot() {
+		for _, t := range a.Transitions() {
 			if cfg.OutputRace > 0 && r.Float64() < cfg.OutputRace {
 				if out := outputs[r.Intn(len(outputs))]; !out.Equal(t.Label.Out) {
 					addDistinct(t.From, automata.Interaction{In: t.Label.In, Out: out}, ids[r.Intn(n)])

@@ -119,12 +119,14 @@ func TestNondetSurgerySeededSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: truth: %v", seed, name, err)
 			}
-			for _, tr := range truth.TransitionsSnapshot() {
-				from := v.Legacy.State(truth.StateName(tr.From))
-				to := v.Legacy.State(truth.StateName(tr.To))
-				if from == automata.NoState || to == automata.NoState ||
-					!containsState(v.Legacy.Successors(from, tr.Label), to) {
-					t.Fatalf("seed %d %s: truth transition %v not in surgered automaton", seed, name, tr)
+			for s := 0; s < truth.NumStates(); s++ {
+				for _, tr := range truth.TransitionsFrom(automata.StateID(s)) {
+					from := v.Legacy.State(truth.StateName(tr.From))
+					to := v.Legacy.State(truth.StateName(tr.To))
+					if from == automata.NoState || to == automata.NoState ||
+						!containsState(v.Legacy.Successors(from, tr.Label), to) {
+						t.Fatalf("seed %d %s: truth transition %v not in surgered automaton", seed, name, tr)
+					}
 				}
 			}
 			if _, err := v.TrueComposition(); err != nil {

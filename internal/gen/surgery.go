@@ -29,11 +29,13 @@ func DropState(a *automata.Automaton, victim automata.StateID) *automata.Automat
 		}
 		mapping[i] = b.MustAddState(a.StateName(id), a.Labels(id)...)
 	}
-	for _, t := range a.TransitionsSnapshot() {
-		if mapping[t.From] == automata.NoState || mapping[t.To] == automata.NoState {
-			continue
+	for s := 0; s < a.NumStates(); s++ {
+		for _, t := range a.TransitionsFrom(automata.StateID(s)) {
+			if mapping[t.From] == automata.NoState || mapping[t.To] == automata.NoState {
+				continue
+			}
+			b.MustAddTransition(mapping[t.From], t.Label, mapping[t.To])
 		}
-		b.MustAddTransition(mapping[t.From], t.Label, mapping[t.To])
 	}
 	initials := 0
 	for _, q := range a.Initial() {
@@ -56,11 +58,14 @@ func DropTransition(a *automata.Automaton, index int) *automata.Automaton {
 		id := automata.StateID(i)
 		b.MustAddState(a.StateName(id), a.Labels(id)...)
 	}
-	for i, t := range a.TransitionsSnapshot() {
-		if i == index {
-			continue
+	k := 0 // the index of t in a.Transitions()
+	for s := 0; s < a.NumStates(); s++ {
+		for _, t := range a.TransitionsFrom(automata.StateID(s)) {
+			if k != index {
+				b.MustAddTransition(t.From, t.Label, t.To)
+			}
+			k++
 		}
-		b.MustAddTransition(t.From, t.Label, t.To)
 	}
 	for _, q := range a.Initial() {
 		b.MarkInitial(q)
@@ -79,11 +84,13 @@ func DropSignal(a *automata.Automaton, sig automata.Signal) *automata.Automaton 
 		id := automata.StateID(i)
 		b.MustAddState(a.StateName(id), a.Labels(id)...)
 	}
-	for _, t := range a.TransitionsSnapshot() {
-		if t.Label.In.Contains(sig) || t.Label.Out.Contains(sig) {
-			continue
+	for s := 0; s < a.NumStates(); s++ {
+		for _, t := range a.TransitionsFrom(automata.StateID(s)) {
+			if t.Label.In.Contains(sig) || t.Label.Out.Contains(sig) {
+				continue
+			}
+			b.MustAddTransition(t.From, t.Label, t.To)
 		}
-		b.MustAddTransition(t.From, t.Label, t.To)
 	}
 	for _, q := range a.Initial() {
 		b.MarkInitial(q)
