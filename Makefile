@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak mbt-soak-nondet mbt-soak-wide fuzz-smoke
+.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke perfbench-ab race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak mbt-soak-nondet mbt-soak-wide fuzz-smoke
 
 all: check
 
@@ -44,6 +44,20 @@ perfbench-smoke:
 			--workload $$w --seed 1 --seconds 2 --trace 1 >"$(PERFBENCH_SMOKE_DIR)/$$w.out"; \
 		echo "perfbench-smoke: $$w ok"; \
 	done
+
+# A/B pairs of the repo benchmark: the merge base of HEAD and BASE against
+# the working tree, PAIRS alternating pairs of SECONDS-second windows at
+# SEED, with per-pair values, medians, the parent's IQR and the pairs that
+# moved the better way for every end-to-end metric of BENCHMARK.json
+# (scripts/perfbench_ab.sh; the parent builds in a temporary worktree).
+WORKLOAD ?= verifyd-wide
+PAIRS ?= 10
+SECONDS ?= 30
+SEED ?= 1
+BASE ?= HEAD
+perfbench-ab:
+	bash scripts/perfbench_ab.sh --workload "$(WORKLOAD)" --pairs "$(PAIRS)" \
+		--seconds "$(SECONDS)" --seed "$(SEED)" --base "$(BASE)"
 
 race:
 	$(GO) test -race ./...

@@ -308,6 +308,16 @@ func (a *Automaton) Successors(id StateID, label Interaction) []StateID {
 	return succ
 }
 
+// enables reports whether the state has a transition on the label.
+func (a *Automaton) enables(id StateID, label Interaction) bool {
+	for _, t := range a.adj[id] {
+		if t.Label.Equal(label) {
+			return true
+		}
+	}
+	return false
+}
+
 // EnabledInteractions returns the distinct interaction labels with at least
 // one outgoing transition from the state, in a deterministic order.
 func (a *Automaton) EnabledInteractions(id StateID) []Interaction {

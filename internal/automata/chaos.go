@@ -112,21 +112,20 @@ func ChaoticClosureCtx(ctx context.Context, m *Incomplete, universe *CompiledUni
 // chaoticClosure is the one closure construction, over the universe's
 // labels in enumeration order; a stopped poller aborts it with the
 // context's error. A label known at a state gets no chaos escape from its
-// open copy: refused labels always, learned ones by closureKnows unless
-// literal selects Definition 9's literal reading.
+// open copy: refused labels always, learned ones by the closure's rule
+// (Incomplete.orKnown) unless literal selects Definition 9's literal
+// reading.
 func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, literal bool) (*Automaton, error) {
 	src := m.auto
-	in, err := NewInterner(src.inputs, src.outputs)
-	if err != nil {
+	if err := CheckAlphabetWidth(src.inputs, src.outputs); err != nil {
 		return nil, fmt.Errorf("automata: chaotic closure of %q: %w", src.name, err)
 	}
 	// The universe is compiled over the model's alphabets (checked by the
-	// callers), so its keys are already keys under in.
-	uk, err := universe.internedKeys()
-	if err != nil {
+	// callers); interning its labels checks that they stay within them.
+	if _, err := universe.internedKeys(); err != nil {
 		return nil, err
 	}
-	labels, keys := universe.labels, uk.keys
+	labels := universe.labels
 	obsClosureBuilds.Add(1)
 	c := New(src.name, src.inputs, src.outputs)
 
@@ -179,29 +178,18 @@ func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, liter
 	// implement the evident intent; ChaoticClosureLiteral keeps the literal
 	// reading for the fidelity ablation.
 	//
-	// Known labels are collected per state into an interned key set, so
-	// the per-label membership test is a single map hit instead of a
-	// Successors scan plus a string-key allocation.
-	known := make(map[InternKey]struct{})
+	// The labels known at a state are a bitset over the universe's indices,
+	// so the per-label membership test is a bit test.
+	known := make([]uint64, (len(labels)+63)/64)
 	for id := range src.states {
 		if p.stop() {
 			return nil, p.err
 		}
 		s := StateID(id)
 		clear(known)
-		for _, t := range src.adj[s] {
-			if literal || !m.closureKnows(s, t.Label) {
-				continue
-			}
-			k, _ := in.Key(t.Label)
-			known[k] = struct{}{}
-		}
-		for _, x := range m.blocked[s] {
-			k, _ := in.Key(x)
-			known[k] = struct{}{}
-		}
+		known = m.orKnown(known, s, universe, literal)
 		for i, x := range labels {
-			if _, ok := known[keys[i]]; ok {
+			if hasBit(known, int32(i)) {
 				continue
 			}
 			appendTransitions(c, open[s],
@@ -222,15 +210,6 @@ func chaoticClosure(m *Incomplete, universe *CompiledUniverse, p *ctxPoll, liter
 		c.MarkInitial(open[q])
 	}
 	return c, nil
-}
-
-// closureKnows reports whether the learned label x at s counts as known to
-// the chaotic closure, so that the open copy of s has no chaos escape on
-// it: always on a deterministic model, and on a nondeterministic one only
-// once the label is settled. chaoticClosure and
-// IncrementalSystem.closeState both apply it.
-func (m *Incomplete) closureKnows(s StateID, x Interaction) bool {
-	return !m.nondet || m.IsSettled(s, x)
 }
 
 // appendTransitions appends pre-validated transitions to a state's adjacency

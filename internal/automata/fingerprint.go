@@ -1,7 +1,5 @@
 package automata
 
-import "sort"
-
 // This file computes structural fingerprints of automata: 64-bit FNV-1a
 // hashes over a canonical encoding of everything analysis can observe —
 // name, alphabets, state names/labels/provenance, leaf decomposition,
@@ -48,18 +46,20 @@ func (h *fnv64) sum() uint64 { return uint64(*h) }
 // alphabets, leaf decomposition, states (names, labels, provenance parts),
 // initial states in order, and adjacency in order. It is stable across
 // processes (no map iteration feeds the hash) and changes whenever any
-// observable aspect of the automaton changes.
+// observable aspect of the automaton changes. A signal set is hashed as
+// the bytes of its Key with a field terminator (setField), without
+// building the key.
 func (a *Automaton) Fingerprint() uint64 {
 	a.materialize()
 	h := newFNV()
 	h.str(a.name)
-	h.str(a.inputs.Key())
-	h.str(a.outputs.Key())
+	h.setField(a.inputs)
+	h.setField(a.outputs)
 	h.u64(uint64(len(a.leaves)))
 	for _, l := range a.leaves {
 		h.str(l.name)
-		h.str(l.inputs.Key())
-		h.str(l.outputs.Key())
+		h.setField(l.inputs)
+		h.setField(l.outputs)
 	}
 	h.u64(uint64(len(a.states)))
 	for _, st := range a.states {
@@ -80,8 +80,8 @@ func (a *Automaton) Fingerprint() uint64 {
 	for _, row := range a.adj {
 		h.u64(uint64(len(row)))
 		for _, t := range row {
-			h.str(t.Label.In.Key())
-			h.str(t.Label.Out.Key())
+			h.setField(t.Label.In)
+			h.setField(t.Label.Out)
 			h.u64(uint64(t.To))
 		}
 	}
@@ -94,35 +94,26 @@ func (a *Automaton) Fingerprint() uint64 {
 // and with the nondeterministic marker, which changes the closure rule. The
 // marker is hashed only when set, so the fingerprints of deterministic
 // models — and the memo store records keyed by them — stay as they were.
+// The label index does not enter the hash: a model hashes the same bound
+// to any universe or to none.
 func (m *Incomplete) Fingerprint() uint64 {
 	h := newFNV()
 	h.u64(m.auto.Fingerprint())
-	h.u64(uint64(m.NumBlocked()))
-	for id := range m.auto.states {
-		s := StateID(id)
-		blocked := m.BlockedAt(s)
-		if len(blocked) == 0 {
-			continue
-		}
-		h.u64(uint64(s))
-		for _, x := range blocked {
-			h.str(x.Key())
-		}
-	}
-	h.u64(uint64(m.NumSettled()))
-	for id := range m.auto.states {
-		set := m.settled[StateID(id)]
-		if len(set) == 0 {
-			continue
-		}
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		h.u64(uint64(id))
-		for _, k := range keys {
-			h.str(k)
+	var labels []Interaction
+	for _, part := range [2]struct {
+		n    int
+		rows [][]uint64
+	}{{m.numBlocked, m.blocked}, {m.numSettled, m.settled}} {
+		h.u64(uint64(part.n))
+		for s, set := range part.rows {
+			labels = m.appendSorted(labels[:0], set)
+			if len(labels) == 0 {
+				continue
+			}
+			h.u64(uint64(s))
+			for _, x := range labels {
+				h.label(x)
+			}
 		}
 	}
 	if m.nondet {
@@ -141,13 +132,23 @@ func universeFingerprint(labels []Interaction) uint64 {
 	h := newFNV()
 	h.u64(uint64(len(labels)))
 	for _, x := range labels {
-		// h.str(x.Key()), without building the key.
-		h.set(x.In)
-		h.byte('/')
-		h.set(x.Out)
-		h.byte(0xFF)
+		h.label(x)
 	}
 	return h.sum()
+}
+
+// label hashes h.str(x.Key()), without building the key.
+func (h *fnv64) label(x Interaction) {
+	h.set(x.In)
+	h.byte('/')
+	h.set(x.Out)
+	h.byte(0xFF)
+}
+
+// setField hashes h.str(s.Key()), without building the key.
+func (h *fnv64) setField(s SignalSet) {
+	h.set(s)
+	h.byte(0xFF)
 }
 
 // set hashes the bytes of s.Key() with no terminator.
@@ -159,5 +160,14 @@ func (h *fnv64) set(s SignalSet) {
 		for j := 0; j < len(sig); j++ {
 			h.byte(sig[j])
 		}
+	}
+}
+
+// hashSets hashes a tuple of signal sets: its length, then each set as a
+// field (setField).
+func hashSets(h *fnv64, sets []SignalSet) {
+	h.u64(uint64(len(sets)))
+	for _, s := range sets {
+		h.setField(s)
 	}
 }

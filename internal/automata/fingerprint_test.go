@@ -309,7 +309,7 @@ func TestMemoUniverseConcurrentLookups(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			got[w] = memo.Universe(Universe(UniverseSingleton), NewSignalSet("go", "stop"), NewSignalSet("done"))
-			_ = got[w].Under(NewSignalSet("go"))
+			_ = got[w].labelsUnder(NewSignalSet("go"))
 			fps[w] = got[w].fingerprint()
 			if _, err := got[w].internedKeys(); err != nil {
 				t.Error(err)

@@ -78,11 +78,17 @@ type IncrementalSystem struct {
 	numModelInitials int
 
 	// product's state tuples are the (context state, closure state) pairs;
-	// pairID indexes them.
+	// pairID indexes them. The pairs with closure part z form a chain:
+	// lastPair[z] is the latest, and nextPair[p] the one created before p
+	// (NoState ends it).
 	product   *Automaton
 	pairID    map[[2]StateID]StateID
-	byClosure [][]StateID // closure state -> product ids with that closure part
-	reachable int         // reachable product states after the last build/patch
+	lastPair  []StateID
+	nextPair  []StateID
+	reachable int // reachable product states after the last build/patch
+
+	// edges is computePairAdjacency's scratch row.
+	edges []Transition
 
 	// Worklists kept across Apply calls: the changed model states, the
 	// product pairs to recompute, the BFS queue, and the reachability
@@ -114,25 +120,6 @@ type closureRow struct {
 // tailHas reports whether the row's chaos tail holds universe label i.
 func (r *closureRow) tailHas(i int32) bool {
 	return r.tail && (r.known == nil || r.known[i>>6]&(1<<(i&63)) == 0)
-}
-
-// know returns the known-label bitset with the universe index of k set,
-// allocating it on the first label the universe holds; a label the
-// universe lacks leaves it as it is. k's index is found in k's join
-// bucket.
-func (l *labelLayout) know(known []uint64, k InternKey) []uint64 {
-	i := l.head(l.joinKey(k))
-	for i >= 0 && l.keys[i] != k {
-		i = l.next[i]
-	}
-	if i < 0 {
-		return known
-	}
-	if known == nil {
-		known = make([]uint64, (len(l.keys)+63)/64)
-	}
-	known[i>>6] |= 1 << (i & 63)
-	return known
 }
 
 // NewIncrementalSystem builds the closure and product from scratch and
@@ -282,12 +269,25 @@ func (ic *IncrementalSystem) rebuild() error {
 	}
 
 	// Product BFS, replicating Compose's interned BFS while indexing the
-	// (context, closure) pair of every product state.
+	// (context, closure) pair of every product state. A first build sizes
+	// the tables for the |context| × |closure| states the product can
+	// have; a later rebuild for the states the previous product reached.
+	// Past that they grow by append.
+	n := ic.context.NumStates() * closure.NumStates()
+	if ic.product != nil {
+		n = ic.reachable
+	}
 	ic.product = newProduct("system", ic.context, ic.closure)
-	ic.pairID = make(map[[2]StateID]StateID)
-	ic.byClosure = make([][]StateID, ic.closure.NumStates())
+	ic.product.adj = make([][]Transition, 0, n)
+	ic.product.prod.tuples = make([]StateID, 0, 2*n)
+	ic.pairID = make(map[[2]StateID]StateID, n)
+	ic.lastPair = make([]StateID, closure.NumStates())
+	for z := range ic.lastPair {
+		ic.lastPair[z] = NoState
+	}
+	ic.nextPair = make([]StateID, 0, n)
 
-	queue := ic.queue[:0]
+	queue := slices.Grow(ic.queue[:0], n)
 	for _, ql := range ic.context.initial {
 		for _, qr := range ic.closure.initial {
 			id, created := ic.pairFor(ql, qr)
@@ -318,7 +318,8 @@ func (ic *IncrementalSystem) pairFor(c, z StateID) (StateID, bool) {
 	}
 	id := ic.product.addTuple(c, z)
 	ic.pairID[key] = id
-	ic.byClosure[z] = append(ic.byClosure[z], id)
+	ic.nextPair = append(ic.nextPair, ic.lastPair[z])
+	ic.lastPair[z] = id
 	return id, true
 }
 
@@ -331,10 +332,14 @@ func (ic *IncrementalSystem) pairFor(c, z StateID) (StateID, bool) {
 // (labelLayout) in universe order minus the known ones. So per-state
 // transition order matches a from-scratch composition exactly, and for the
 // same reason it never emits a (label, target) twice.
+//
+// The row is built in the scratch row and then copied over the pair's
+// previous row when it fits, or else into a row of its exact length, so
+// no row grows by append.
 func (ic *IncrementalSystem) computePairAdjacency(pid StateID, queue []StateID) []StateID {
 	c, z := ic.product.prod.state(pid, 0), ic.product.prod.state(pid, 1)
 	row := &ic.rows[z]
-	adj := ic.product.adj[pid][:0]
+	adj := ic.edges[:0]
 	for _, tl := range ic.ctxMask[c] {
 		for _, tr := range row.prefix {
 			if tl.in.and(ic.closOut) == tr.out && tr.in.and(ic.ctxOut) == tl.out {
@@ -352,7 +357,12 @@ func (ic *IncrementalSystem) computePairAdjacency(pid StateID, queue []StateID) 
 			}
 		}
 	}
-	ic.product.adj[pid] = adj
+	ic.edges = adj
+	if dst := ic.product.adj[pid]; cap(dst) >= len(adj) {
+		ic.product.adj[pid] = append(dst[:0], adj...)
+	} else {
+		ic.product.adj[pid] = slices.Clone(adj)
+	}
 	return queue
 }
 
@@ -422,7 +432,7 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 		ic.closed = append(ic.closed, c0)
 		ic.open = append(ic.open, c1)
 		ic.rows = append(ic.rows, closureRow{}, closureRow{})
-		ic.byClosure = append(ic.byClosure, nil, nil)
+		ic.lastPair = append(ic.lastPair, NoState, NoState)
 	}
 
 	// 2. Model states whose closure adjacency changed, in ID order.
@@ -456,12 +466,15 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 
 	// 4. Recompute every product pair whose closure part changed, in
 	// product ID order; newly discovered pairs are processed FIFO with the
-	// same procedure, mirroring the from-scratch BFS. byClosure lists are
-	// disjoint per closure state, so no pair is listed twice.
+	// same procedure, mirroring the from-scratch BFS. A pair is on the
+	// chain of its one closure part, so no pair is listed twice.
 	affected := ic.affected[:0]
 	for _, f := range order {
-		affected = append(affected, ic.byClosure[ic.closed[f]]...)
-		affected = append(affected, ic.byClosure[ic.open[f]]...)
+		for _, z := range [2]StateID{ic.closed[f], ic.open[f]} {
+			for pid := ic.lastPair[z]; pid != NoState; pid = ic.nextPair[pid] {
+				affected = append(affected, pid)
+			}
+		}
 	}
 	slices.Sort(affected)
 	ic.affected = affected
@@ -496,28 +509,22 @@ func (ic *IncrementalSystem) Apply(delta LearnDelta) error {
 // closeState derives the masked rows of f's two closure copies from the
 // model's row at f: the learned transitions toward both copies of each
 // target, and, for the open copy, a chaos tail without the universe labels
-// refused at f or learned there and known by the closure's rule
-// (closureKnows). Only f's own labels are interned; the tail stays the
-// universe's layout. Rows are fresh, never written in place.
+// known at f — refused there, or learned and known by the closure's rule
+// (Incomplete.orKnown); a model bound to the system's universe ORs in its
+// refused and settled bits as they are. Only f's own learned labels are
+// interned; the tail stays the universe's layout. Rows are fresh, never
+// written in place.
 func (ic *IncrementalSystem) closeState(f StateID) {
 	learned := ic.model.auto.adj[f]
 	prefix := make([]maskedTransition, 0, 2*len(learned))
-	var known []uint64
 	for _, t := range learned {
 		k, _ := ic.in.Key(t.Label)
-		if ic.model.closureKnows(f, t.Label) {
-			known = ic.layout.know(known, k)
-		}
 		prefix = append(prefix,
 			maskedTransition{in: k.In, out: k.Out, to: ic.closed[t.To]},
 			maskedTransition{in: k.In, out: k.Out, to: ic.open[t.To]})
 	}
-	for _, b := range ic.model.blocked[f] {
-		k, _ := ic.in.Key(b)
-		known = ic.layout.know(known, k)
-	}
 	ic.rows[ic.closed[f]] = closureRow{prefix: prefix}
-	ic.rows[ic.open[f]] = closureRow{prefix: prefix, tail: true, known: known}
+	ic.rows[ic.open[f]] = closureRow{prefix: prefix, tail: true, known: ic.model.orKnown(nil, f, ic.universe, false)}
 }
 
 // countReachable returns the number of product states reachable from the

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 )
 
 // This file implements interaction interning: a dense integer encoding of
@@ -59,63 +61,168 @@ type InternKey struct {
 // Interner maps signals of one fixed alphabet to bit positions, and caches
 // the canonical SignalSet / Interaction value for every mask it has seen,
 // so decoding a mask back to the boundary types costs one map hit after
-// first use.
+// first use. The alphabet half is shared (internAlphabet); the decode
+// caches are the interner's own, allocated on its first decode.
 type Interner struct {
-	signals []Signal       // canonical (sorted) alphabet; index = bit
-	index   map[Signal]int // signal -> bit
-	sets    map[SetMask]SignalSet
-	labels  map[InternKey]Interaction
+	*internAlphabet
+	sets   map[SetMask]SignalSet
+	labels map[InternKey]Interaction
+}
+
+// internAlphabet is an interner's alphabet: the union of the alphabets it
+// was built over in canonical (sorted) order, where index = bit, and each
+// signal's bit. It is immutable, and every interner over the same tuple of
+// alphabets shares one (sharedAlphabet).
+type internAlphabet struct {
+	signals []Signal
+	index   map[Signal]int
 }
 
 // NewInterner builds an interner over the union of the given alphabets.
 // It returns an error wrapping ErrAlphabetTooWide when the union exceeds
 // 128 signals.
 func NewInterner(alphabets ...SignalSet) (*Interner, error) {
-	union, err := alphabetUnion(alphabets)
+	alpha, err := sharedAlphabet(alphabets)
 	if err != nil {
 		return nil, err
 	}
-	in := &Interner{
-		signals: union.signals,
-		index:   make(map[Signal]int, union.Len()),
-		sets:    make(map[SetMask]SignalSet),
-		labels:  make(map[InternKey]Interaction),
+	return &Interner{internAlphabet: alpha}, nil
+}
+
+// maxSharedAlphabets bounds the interner alphabets kept for reuse; past
+// it the cache starts over. A process builds few distinct tuples, each
+// many times: each perfbench workload 1 to 3 over 10^4 to 10^5
+// interners, `experiments -all` 13 over 226. Full, the cache holds about
+// 0.6 MB (64 tuples of 128 signals).
+const maxSharedAlphabets = 64
+
+// sharedAlphabets is the process's interner alphabets, each kept with the
+// tuple it was built over. The alphabets are pure functions of their
+// tuples, so sharing them changes no result.
+var sharedAlphabets = hashedCache[alphabetEntry]{limit: maxSharedAlphabets}
+
+type alphabetEntry struct {
+	tuple []SignalSet
+	alpha *internAlphabet
+}
+
+// sharedAlphabet returns the interner alphabet over the union of the
+// tuple, building it when no interner was built over an equal tuple yet.
+func sharedAlphabet(tuple []SignalSet) (*internAlphabet, error) {
+	h := newFNV()
+	hashSets(&h, tuple)
+	e, err := sharedAlphabets.get(h.sum(),
+		func(e alphabetEntry) bool { return slices.EqualFunc(e.tuple, tuple, SignalSet.Equal) },
+		func() (alphabetEntry, error) {
+			if err := CheckAlphabetWidth(tuple...); err != nil {
+				return alphabetEntry{}, err
+			}
+			union := EmptySet
+			for _, a := range tuple {
+				union = union.Union(a)
+			}
+			alpha := &internAlphabet{signals: union.signals, index: make(map[Signal]int, union.Len())}
+			for i, sig := range alpha.signals {
+				alpha.index[sig] = i
+			}
+			return alphabetEntry{tuple: slices.Clone(tuple), alpha: alpha}, nil
+		})
+	return e.alpha, err
+}
+
+// hashedCache holds values bucketed by a hash of their keys and matched
+// by exact equality of the keys, never by the hash alone. With a positive
+// limit it starts over when it holds limit values. It is safe for
+// concurrent use.
+type hashedCache[V any] struct {
+	limit   int
+	mu      sync.Mutex
+	buckets map[uint64][]V
+	size    int
+}
+
+// get returns the value of bucket h that is accepts, or else the one build
+// returns, kept for later gets. build runs unlocked; if a concurrent get
+// kept an accepted value meanwhile, get returns that one instead.
+func (c *hashedCache[V]) get(h uint64, is func(V) bool, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	v, ok := c.find(h, is)
+	c.mu.Unlock()
+	if ok {
+		return v, nil
 	}
-	for i, sig := range in.signals {
-		in.index[sig] = i
+	v, err := build()
+	if err != nil {
+		return v, err
 	}
-	// The empty set is by far the most common label component.
-	in.sets[SetMask{}] = EmptySet
-	return in, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if won, ok := c.find(h, is); ok {
+		return won, nil
+	}
+	if c.buckets == nil || (c.limit > 0 && c.size >= c.limit) {
+		c.buckets, c.size = make(map[uint64][]V), 0
+	}
+	c.buckets[h] = append(c.buckets[h], v)
+	c.size++
+	return v, nil
+}
+
+// find returns the accepted value of bucket h. The caller holds the lock.
+func (c *hashedCache[V]) find(h uint64, is func(V) bool) (V, bool) {
+	for _, v := range c.buckets[h] {
+		if is(v) {
+			return v, true
+		}
+	}
+	var zero V
+	return zero, false
 }
 
 // CheckAlphabetWidth reports whether the union of the alphabets fits an
 // Interner, without building one: nil, or the error NewInterner returns.
-// Alphabets whose sizes sum to at most MaxInternSignals fit without
-// counting their distinct signals.
+// It counts the union's signals by merging the sorted alphabets.
 func CheckAlphabetWidth(alphabets ...SignalSet) error {
 	n := 0
 	for _, a := range alphabets {
 		n += a.Len()
 	}
-	if n <= MaxInternSignals {
-		return nil
+	if n > MaxInternSignals {
+		n = distinctSignals(alphabets)
 	}
-	_, err := alphabetUnion(alphabets)
-	return err
+	if n > MaxInternSignals {
+		return fmt.Errorf("%w: %d signals", ErrAlphabetTooWide, n)
+	}
+	return nil
 }
 
-// alphabetUnion returns the union of the alphabets, or an error wrapping
-// ErrAlphabetTooWide when it exceeds MaxInternSignals signals.
-func alphabetUnion(alphabets []SignalSet) (SignalSet, error) {
-	union := EmptySet
-	for _, a := range alphabets {
-		union = union.Union(a)
+// distinctSignals counts the signals of the union of the alphabets, by a
+// merge of their sorted signals.
+func distinctSignals(alphabets []SignalSet) int {
+	var buf [8]int
+	pos := buf[:0]
+	for range alphabets {
+		pos = append(pos, 0)
 	}
-	if union.Len() > MaxInternSignals {
-		return SignalSet{}, fmt.Errorf("%w: %d signals", ErrAlphabetTooWide, union.Len())
+	n := 0
+	for {
+		var least Signal
+		found := false
+		for i, a := range alphabets {
+			if pos[i] < len(a.signals) && (!found || a.signals[pos[i]] < least) {
+				least, found = a.signals[pos[i]], true
+			}
+		}
+		if !found {
+			return n
+		}
+		n++
+		for i, a := range alphabets {
+			if pos[i] < len(a.signals) && a.signals[pos[i]] == least {
+				pos[i]++
+			}
+		}
 	}
-	return union, nil
 }
 
 // Mask encodes the set as a bitset. The second result is false when the set
@@ -149,9 +256,9 @@ func (in *Interner) Key(x Interaction) (InternKey, bool) {
 // Set decodes a mask into its canonical SignalSet. Decoded sets are cached,
 // so repeated decodes of the same mask share one allocation.
 func (in *Interner) Set(m SetMask) SignalSet {
-	if s, ok := in.sets[m]; ok {
+	if s, ok := in.sets[m]; ok || m == (SetMask{}) {
 		obsInternHits.Add(1)
-		return s
+		return s // the zero SignalSet for the empty mask
 	}
 	obsInternMisses.Add(1)
 	signals := make([]Signal, 0, m.count())
@@ -161,6 +268,9 @@ func (in *Interner) Set(m SetMask) SignalSet {
 		}
 	}
 	s := SignalSet{signals: signals}
+	if in.sets == nil {
+		in.sets = make(map[SetMask]SignalSet)
+	}
 	in.sets[m] = s
 	return s
 }
@@ -173,6 +283,9 @@ func (in *Interner) Label(k InternKey) Interaction {
 	}
 	obsInternMisses.Add(1)
 	x := Interaction{In: in.Set(k.In), Out: in.Set(k.Out)}
+	if in.labels == nil {
+		in.labels = make(map[InternKey]Interaction)
+	}
 	in.labels[k] = x
 	return x
 }

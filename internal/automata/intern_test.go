@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -213,5 +214,66 @@ func TestAlphabetBeyondInternerIsAnError(t *testing.T) {
 		if err := run(); !errors.Is(err, ErrAlphabetTooWide) {
 			t.Errorf("%s over 129 signals = %v, want ErrAlphabetTooWide", name, err)
 		}
+	}
+}
+
+// TestInternersShareAlphabets checks the shared alphabet part: interners
+// over equal alphabet tuples (equal sets in distinct slices) share one
+// alphabet, also when built concurrently (run under -race), a different
+// tuple gets its own, each interner keeps its own decode caches, and the
+// cache stays within its bound.
+func TestInternersShareAlphabets(t *testing.T) {
+	tuple := func() []SignalSet {
+		return []SignalSet{NewSignalSet("b", "a"), NewSignalSet("x"), NewSignalSet("c", "a")}
+	}
+	first, err := NewInterner(tuple()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	got := make([]*Interner, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			in, err := NewInterner(tuple()...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			in.Label(InternKey{In: SetMask{lo: 1}})
+			got[w] = in
+		}(w)
+	}
+	wg.Wait()
+	for w, in := range got {
+		if in == nil || in.internAlphabet != first.internAlphabet {
+			t.Fatalf("interner %d has its own alphabet", w)
+		}
+	}
+	if first.labels != nil || first.sets != nil {
+		t.Fatal("decoding on one interner filled another's caches")
+	}
+	other, err := NewInterner(NewSignalSet("a", "b", "c"), NewSignalSet("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.internAlphabet == first.internAlphabet {
+		t.Fatal("a different alphabet tuple shares an alphabet")
+	}
+	if fmt.Sprint(other.signals) != fmt.Sprint(first.signals) {
+		t.Fatalf("alphabets %v and %v of one union differ", other.signals, first.signals)
+	}
+	for i := 0; i < 2*maxSharedAlphabets; i++ {
+		if _, err := NewInterner(NewSignalSet(Signal(fmt.Sprintf("s%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharedAlphabets.mu.Lock()
+	size := sharedAlphabets.size
+	sharedAlphabets.mu.Unlock()
+	if size > maxSharedAlphabets {
+		t.Fatalf("the alphabet cache holds %d tuples, bound %d", size, maxSharedAlphabets)
 	}
 }

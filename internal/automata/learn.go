@@ -207,11 +207,11 @@ func (m *Incomplete) ObservationConforming(impl *Automaton) error {
 			}
 		}
 	}
-	for s, set := range m.blocked {
-		for _, x := range set {
-			if len(impl.Successors(toImpl[s], x)) > 0 {
+	for s := range m.blocked {
+		for _, x := range m.BlockedAt(StateID(s)) {
+			if impl.enables(toImpl[s], x) {
 				return fmt.Errorf("automata: learned refusal of %s at %q contradicts implementation",
-					x, a.StateName(s))
+					x, a.StateName(StateID(s)))
 			}
 		}
 	}

@@ -56,15 +56,9 @@ type memoShared struct {
 	// process warm-starts from disk (see SetBackend).
 	backend MemoBackend
 	// universes holds the compiled interaction universes (see Universe),
-	// keyed by universeKey.
-	universes sync.Map
-}
-
-// universeKey identifies a predefined universe over one pair of alphabets
-// (the alphabets' canonical SignalSet keys).
-type universeKey struct {
-	kind    universeKind
-	in, out string
+	// bucketed by the hash of their kind and alphabets and matched by
+	// exact equality of both.
+	universes hashedCache[*CompiledUniverse]
 }
 
 // MemoBackend is a second-level store layered under the in-memory cache —
@@ -237,12 +231,16 @@ func (c *MemoCache) Universe(u InteractionUniverse, inputs, outputs SignalSet) *
 	if c == nil || !predefined {
 		return CompileUniverse(u, inputs, outputs)
 	}
-	k := universeKey{kind: kind, in: inputs.Key(), out: outputs.Key()}
-	if cu, ok := c.universes.Load(k); ok {
-		return cu.(*CompiledUniverse)
-	}
-	cu, _ := c.universes.LoadOrStore(k, CompileUniverse(u, inputs, outputs))
-	return cu.(*CompiledUniverse)
+	h := newFNV()
+	h.u64(uint64(kind))
+	h.setField(inputs)
+	h.setField(outputs)
+	cu, _ := c.universes.get(h.sum(),
+		func(cu *CompiledUniverse) bool {
+			return cu.kind == kind && cu.inputs.Equal(inputs) && cu.outputs.Equal(outputs)
+		},
+		func() (*CompiledUniverse, error) { return CompileUniverse(u, inputs, outputs), nil })
+	return cu
 }
 
 // Stats returns the hit and miss counts of the lookups made through c

@@ -16,6 +16,7 @@ package automata
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -169,6 +170,10 @@ func (s SignalSet) Minus(other SignalSet) SignalSet {
 	return SignalSet{signals: rest}
 }
 
+// compareSets orders signal sets by their signals in canonical order,
+// lexicographically.
+func compareSets(a, b SignalSet) int { return slices.Compare(a.signals, b.signals) }
+
 // Disjoint reports whether s and other share no signal.
 func (s SignalSet) Disjoint(other SignalSet) bool {
 	return s.Intersect(other).IsEmpty()
@@ -210,6 +215,52 @@ func Interact(in []Signal, out []Signal) Interaction {
 
 // Key returns a canonical map key identifying the interaction.
 func (x Interaction) Key() string { return x.In.Key() + "/" + x.Out.Key() }
+
+// compareKeys orders interactions as their Key strings order, without
+// building them.
+func compareKeys(x, y Interaction) int {
+	a, b := keyBytes{x: x}, keyBytes{x: y}
+	for {
+		p, q := a.next(), b.next()
+		if p != q || p < 0 {
+			return p - q
+		}
+	}
+}
+
+// keyBytes reads the bytes of x.Key() one at a time: the input signals
+// joined by ',', then '/', then the output signals joined by ','.
+type keyBytes struct {
+	x        Interaction
+	out      bool // past the '/'
+	sig, off int  // the signal being read and the next byte in it
+}
+
+// next returns the next byte of the key, or -1 past its end.
+func (k *keyBytes) next() int {
+	for {
+		set := k.x.In
+		if k.out {
+			set = k.x.Out
+		}
+		if k.sig < len(set.signals) {
+			if sig := set.signals[k.sig]; k.off < len(sig) {
+				k.off++
+				return int(sig[k.off-1])
+			}
+			k.sig, k.off = k.sig+1, 0
+			if k.sig < len(set.signals) {
+				return ','
+			}
+			continue
+		}
+		if k.out {
+			return -1
+		}
+		k.out, k.sig, k.off = true, 0, 0
+		return '/'
+	}
+}
 
 // Equal reports whether both interactions have identical input and output
 // sets.
@@ -319,6 +370,12 @@ func (u FixedUniverse) Enumerate(inputs, outputs SignalSet) []Interaction {
 // concurrent instances (MemoCache.Universe); the universe fingerprint and
 // the interned labels are computed on first use, once.
 //
+// A label's position in enumeration order is its index: the index of the
+// label index of every model bound to the universe (Incomplete.BindUniverse),
+// whose refused and settled labels are bitsets over it, and of the
+// known-label bitsets of closure rows (closureRow). The input index is
+// searched, never hashed, so finding a label's index builds no key.
+//
 // The universe also owns the chaos rows of every closure over it, in the
 // form of label layouts (see labelLayout): one per context alphabet the
 // component is composed with, built on first use and shared, immutable,
@@ -326,10 +383,13 @@ func (u FixedUniverse) Enumerate(inputs, outputs SignalSet) []Interaction {
 // share it (MemoCache.Universe) pay for their learned states and not for
 // the universe's labels.
 type CompiledUniverse struct {
+	kind            universeKind // the predefined universe compiled, or 0
 	inputs, outputs SignalSet
 	labels          []Interaction
-	inputSets       []SignalSet              // distinct input sets, in order of first appearance
-	byInput         map[string][]Interaction // input set key -> labels under it, in enumeration order
+	inputSets       []SignalSet // distinct input sets, in order of first appearance
+	// byIn holds the label indices sorted stably by input set: the labels
+	// under one input set are a run of it, in enumeration order.
+	byIn []int32
 
 	fpOnce sync.Once
 	fp     uint64 // universeFingerprint(labels): the closure memo key's second half
@@ -430,26 +490,19 @@ type universeKeys struct {
 // CompileUniverse enumerates the universe over the given alphabets once.
 func CompileUniverse(u InteractionUniverse, inputs, outputs SignalSet) *CompiledUniverse {
 	labels := u.Enumerate(inputs, outputs)
-	cu := &CompiledUniverse{inputs: inputs, outputs: outputs, labels: labels,
-		byInput: make(map[string][]Interaction)}
-	// The predefined universes enumerate each input set's labels in one
-	// run, so a run is keyed once and indexed as a capacity-capped
-	// subslice of labels; a FixedUniverse that lists an input set in
-	// several runs gets a copy holding them all.
-	for start := 0; start < len(labels); {
-		in := labels[start].In
-		end := start + 1
-		for end < len(labels) && labels[end].In.Equal(in) {
-			end++
+	cu := &CompiledUniverse{inputs: inputs, outputs: outputs, labels: labels}
+	cu.kind, _ = u.(universeKind)
+	cu.byIn = make([]int32, len(labels))
+	for i := range cu.byIn {
+		cu.byIn[i] = int32(i)
+	}
+	slices.SortStableFunc(cu.byIn, func(a, b int32) int { return compareSets(labels[a].In, labels[b].In) })
+	for i, x := range labels {
+		// An input set appears first where it starts its run in byIn; the
+		// predefined universes list each input set in one run.
+		if (i == 0 || !x.In.Equal(labels[i-1].In)) && cu.labelsUnder(x.In)[0] == int32(i) {
+			cu.inputSets = append(cu.inputSets, x.In)
 		}
-		k := in.Key()
-		if prev, seen := cu.byInput[k]; seen {
-			cu.byInput[k] = append(prev, labels[start:end]...)
-		} else {
-			cu.inputSets = append(cu.inputSets, in)
-			cu.byInput[k] = labels[start:end:end]
-		}
-		start = end
 	}
 	return cu
 }
@@ -483,10 +536,42 @@ func (cu *CompiledUniverse) internedKeys() (*universeKeys, error) {
 // first appearance. The slice is shared; callers must not modify it.
 func (cu *CompiledUniverse) InputSets() []SignalSet { return cu.inputSets }
 
-// Under returns the universe's interactions whose input set is in, in
-// Enumerate order (nil when there are none). The slice is shared; callers
-// must not modify it.
-func (cu *CompiledUniverse) Under(in SignalSet) []Interaction { return cu.byInput[in.Key()] }
+// labelsUnder returns the indices of the universe's labels whose input set
+// is in, in enumeration order (nil when there are none). The slice is
+// shared; callers must not modify it.
+func (cu *CompiledUniverse) labelsUnder(in SignalSet) []int32 {
+	lo, hi := cu.bound(in, false), cu.bound(in, true)
+	if lo == hi {
+		return nil
+	}
+	return cu.byIn[lo:hi:hi]
+}
+
+// bound returns the first position of byIn whose label's input set is
+// not below in, or with past set, not at most in.
+func (cu *CompiledUniverse) bound(in SignalSet, past bool) int {
+	lo, hi := 0, len(cu.byIn)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c := compareSets(cu.labels[cu.byIn[mid]].In, in); c < 0 || past && c == 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// index returns the index of label x in the universe, or -1 when the
+// universe lacks it.
+func (cu *CompiledUniverse) index(x Interaction) int32 {
+	for _, i := range cu.labelsUnder(x.In) {
+		if cu.labels[i].Out.Equal(x.Out) {
+			return i
+		}
+	}
+	return -1
+}
 
 // checkAlphabets reports an error unless the universe was compiled over
 // a's alphabets.

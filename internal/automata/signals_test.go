@@ -261,8 +261,12 @@ func TestCompiledUniverse(t *testing.T) {
 						under = append(under, x)
 					}
 				}
-				if !reflect.DeepEqual(cu.Under(set), under) {
-					t.Fatalf("Under(%v) = %v, want %v", set, cu.Under(set), under)
+				var got []Interaction
+				for _, i := range cu.labelsUnder(set) {
+					got = append(got, cu.labels[i])
+				}
+				if !reflect.DeepEqual(got, under) {
+					t.Fatalf("labelsUnder(%v) = %v, want %v", set, got, under)
 				}
 				listed += len(under)
 			}
@@ -276,8 +280,8 @@ func TestCompiledUniverse(t *testing.T) {
 					}
 				}
 			}
-			if got := cu.Under(NewSignalSet("absent")); got != nil {
-				t.Fatalf("Under(absent input) = %v, want nil", got)
+			if got := cu.labelsUnder(NewSignalSet("absent")); got != nil {
+				t.Fatalf("labelsUnder(absent input) = %v, want nil", got)
 			}
 		})
 	}

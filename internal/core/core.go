@@ -596,6 +596,9 @@ func NewMulti(context *automata.Automaton, comps []legacy.Component, ifaces []le
 		} else {
 			c.model = automata.NewIncomplete(a)
 		}
+		if err := c.model.BindUniverse(c.universe); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 		s.comps = append(s.comps, c)
 		s.inputs = s.inputs.Union(iface.Inputs)
 		s.outputs = s.outputs.Union(iface.Outputs)
@@ -1522,33 +1525,16 @@ func (s *Synthesizer) learnObservation(c *component, observed automata.ObservedR
 // refused in entirely. settle additionally certifies the learned labels
 // under in as successor-complete (the nondeterministic path's
 // completeness rule), removing their chaos escapes from the next closure.
+//
+// The model is bound to c's universe (NewMulti), so the labels under in
+// are walked by their universe index and each is tested and recorded as a
+// bit of the state's T̄ or settled set (Incomplete.RefuseUnder).
 func (s *Synthesizer) refuse(c *component, state string, in automata.SignalSet, observed *automata.SignalSet, settle bool, it *Iteration) error {
 	id := c.model.Automaton().State(state)
 	if id == automata.NoState {
 		return fmt.Errorf("core: unknown learned state %q", state)
 	}
-	for _, x := range c.universe.Under(in) {
-		if observed != nil && x.Out.Equal(*observed) {
-			continue
-		}
-		if len(c.model.Automaton().Successors(id, x)) > 0 {
-			if settle && !c.model.IsSettled(id, x) {
-				if err := c.model.SettleLabel(id, x); err != nil {
-					return err
-				}
-				it.Delta.NewSettled = append(it.Delta.NewSettled, automata.BlockedEntry{State: id, Label: x})
-			}
-			continue
-		}
-		if c.model.IsBlocked(id, x) {
-			continue
-		}
-		if err := c.model.Block(id, x); err != nil {
-			return err
-		}
-		it.Delta.NewBlocked = append(it.Delta.NewBlocked, automata.BlockedEntry{State: id, Label: x})
-	}
-	return nil
+	return c.model.RefuseUnder(id, in, observed, settle, &it.Delta)
 }
 
 // finalState names the state an observed run ends in.

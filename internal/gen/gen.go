@@ -33,6 +33,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"muml/internal/automata"
 	"muml/internal/core"
@@ -200,13 +201,11 @@ func New(seed int64, cfg Config) (*Instance, error) {
 // Generate draws one instance from the distribution using the given PRNG.
 func Generate(r *rand.Rand, cfg Config) (*Instance, error) {
 	cfg = cfg.withDefaults()
-	ins := makeSignals("i", cfg.Inputs)
-	outs := makeSignals("o", cfg.Outputs)
-
+	alpha := alphabetFor("i", "o", cfg.Inputs, cfg.Outputs)
 	inst := &Instance{
 		Cfg:     cfg,
-		Legacy:  genLegacy(r, cfg, LegacyName, ins, outs),
-		Context: genContext(r, cfg, ins, outs),
+		Legacy:  genLegacy(r, cfg, LegacyName, alpha),
+		Context: genContext(r, cfg, alpha),
 	}
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("gen: generated invalid instance: %w", err)
@@ -215,6 +214,59 @@ func Generate(r *rand.Rand, cfg Config) (*Instance, error) {
 		return nil, err
 	}
 	return inst, nil
+}
+
+// alphabet is a component's alphabet as the generator draws from it: the
+// input and output signals, and the singleton universe's step sets over
+// each (∅, then each signal alone). The output steps are those the
+// mirrored context takes as inputs. An alphabet is immutable.
+type alphabet struct {
+	ins, outs         automata.SignalSet
+	inSteps, outSteps []automata.SignalSet
+}
+
+func newAlphabet(ins, outs automata.SignalSet) *alphabet {
+	u := automata.Universe(automata.UniverseSingleton)
+	return &alphabet{ins: ins, outs: outs,
+		inSteps: automata.InputSets(u, ins, outs), outSteps: automata.InputSets(u, outs, ins)}
+}
+
+// alphabetKey names an alphabet of makeSignals: the signal prefixes and
+// counts per direction.
+type alphabetKey struct {
+	inPrefix, outPrefix string
+	ins, outs           int
+}
+
+// maxAlphabets bounds the alphabets kept for reuse; past it the cache
+// starts over. A batch manifest names one of two configurations per
+// entry, each perfbench workload draws from one, and NewMulti keeps one
+// per component. Full, the cache holds about 250 KB (32 alphabets of
+// 64 + 64 signals).
+const maxAlphabets = 32
+
+// alphabets holds the alphabets built so far: every instance of a
+// configuration draws from one, built once.
+var alphabets struct {
+	sync.Mutex
+	m map[alphabetKey]*alphabet
+}
+
+// alphabetFor returns the alphabet of n input and m output signals named
+// inPrefix00, inPrefix01, … and outPrefix00, …, shared by every caller.
+func alphabetFor(inPrefix, outPrefix string, n, m int) *alphabet {
+	k := alphabetKey{inPrefix, outPrefix, n, m}
+	alphabets.Lock()
+	defer alphabets.Unlock()
+	if a := alphabets.m[k]; a != nil {
+		return a
+	}
+	if alphabets.m == nil || len(alphabets.m) >= maxAlphabets {
+		alphabets.m = make(map[alphabetKey]*alphabet)
+	}
+	a := newAlphabet(makeSignals(inPrefix, n), makeSignals(outPrefix, m))
+	alphabets.m[k] = a
+	return a
 }
 
 func makeSignals(prefix string, n int) automata.SignalSet {
@@ -230,20 +282,16 @@ func makeSignals(prefix string, n int) automata.SignalSet {
 // accepts it. Dead states refuse everything; live states refuse each input
 // with RefuseBias and otherwise react with a uniformly chosen output and
 // successor.
-func genLegacy(r *rand.Rand, cfg Config, name string, ins, outs automata.SignalSet) *automata.Automaton {
+func genLegacy(r *rand.Rand, cfg Config, name string, alpha *alphabet) *automata.Automaton {
 	n := 1 + r.Intn(cfg.MaxLegacyStates)
-	a := automata.New(name, ins, outs)
+	a := automata.New(name, alpha.ins, alpha.outs)
 	ids := make([]automata.StateID, n)
 	for i := range ids {
 		ids[i] = a.MustAddState(fmt.Sprintf("s%d", i))
 	}
 	a.MarkInitial(ids[0])
 
-	// The singleton universe's step sets: ∅, then each signal alone. The
-	// output steps are those the mirrored context takes as inputs.
-	u := automata.Universe(automata.UniverseSingleton)
-	inputs := automata.InputSets(u, ins, outs)
-	outputs := automata.InputSets(u, outs, ins)
+	inputs, outputs := alpha.inSteps, alpha.outSteps
 	for i, from := range ids {
 		if i != 0 && r.Float64() < cfg.DeadStateBias {
 			continue // dead region: every input refused
@@ -291,18 +339,17 @@ func genLegacy(r *rand.Rand, cfg Config, name string, ins, outs automata.SignalS
 // require the legacy's simultaneous outputs to match the context's
 // expectation exactly, and all-singleton labels would make live
 // compositions too rare to exercise the Proven path.
-func genContext(r *rand.Rand, cfg Config, ins, outs automata.SignalSet) *automata.Automaton {
+func genContext(r *rand.Rand, cfg Config, alpha *alphabet) *automata.Automaton {
 	m := 1 + r.Intn(cfg.MaxContextStates)
-	ctx := automata.New(ContextName, outs, ins)
+	ctx := automata.New(ContextName, alpha.outs, alpha.ins)
 	ids := make([]automata.StateID, m)
 	for i := range ids {
 		ids[i] = ctx.MustAddState(fmt.Sprintf("c%d", i))
 	}
 	ctx.MarkInitial(ids[0])
 
-	u := automata.Universe(automata.UniverseSingleton)
-	expects := automata.InputSets(u, outs, ins) // what the legacy must send back
-	sends := automata.InputSets(u, ins, outs)   // what the context hands over
+	expects := alpha.outSteps // what the legacy must send back
+	sends := alpha.inSteps    // what the context hands over
 	pick := func(steps []automata.SignalSet) automata.SignalSet {
 		if r.Float64() < 0.5 {
 			return automata.EmptySet

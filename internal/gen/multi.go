@@ -47,15 +47,14 @@ func NewMulti(seed int64, cfg Config, k int) (*MultiInstance, error) {
 	inst := &MultiInstance{Seed: seed, Cfg: cfg}
 	ins, outs := automata.EmptySet, automata.EmptySet
 	for j := 0; j < k; j++ {
-		in := makeSignals(fmt.Sprintf("i%d_", j), cfg.Inputs)
-		out := makeSignals(fmt.Sprintf("o%d_", j), cfg.Outputs)
-		inst.Legacies = append(inst.Legacies, genLegacy(r, cfg, fmt.Sprintf("%s%d", LegacyName, j), in, out))
-		ins, outs = ins.Union(in), outs.Union(out)
+		alpha := alphabetFor(fmt.Sprintf("i%d_", j), fmt.Sprintf("o%d_", j), cfg.Inputs, cfg.Outputs)
+		inst.Legacies = append(inst.Legacies, genLegacy(r, cfg, fmt.Sprintf("%s%d", LegacyName, j), alpha))
+		ins, outs = ins.Union(alpha.ins), outs.Union(alpha.outs)
 	}
 	// One context over the union alphabet. Composing per-pair contexts with
 	// the binary Compose would not do: that is closed composition, so the
 	// product would keep only the pairs' τ steps.
-	inst.Context = genContext(r, cfg, ins, outs)
+	inst.Context = genContext(r, cfg, newAlphabet(ins, outs))
 	j := r.Intn(k)
 	state := r.Intn(inst.Legacies[j].NumStates())
 	inst.Property = ctl.AG(ctl.Not(ctl.Atom(automata.Proposition(fmt.Sprintf("%s%d.s%d", LegacyName, j, state)))))
