@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke perfbench-ab race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak mbt-soak-nondet mbt-soak-wide fuzz-smoke
+.PHONY: all check lint fmt vet build test perfbench-test perfbench-smoke perfbench-ab verifyd-profile race bench timings batch-bench bench-ctl bench-check batch-smoke obs-smoke verifyd-smoke printcheck staticcheck mbt-soak mbt-soak-nondet mbt-soak-wide fuzz-smoke
 
 all: check
 
@@ -58,6 +58,14 @@ BASE ?= HEAD
 perfbench-ab:
 	bash scripts/perfbench_ab.sh --workload "$(WORKLOAD)" --pairs "$(PAIRS)" \
 		--seconds "$(SECONDS)" --seed "$(SEED)" --base "$(BASE)"
+
+# CPU and allocation profiles of the verifyd that serves a verifyd-wide
+# window: SECONDS seconds of CPU samples at SEED, written with their
+# `go tool pprof -top -cum` summaries to OUT (scripts/verifyd_profile.sh;
+# the benchmark builds in a temporary directory outside the checkout).
+OUT ?= /tmp/verifyd-profile
+verifyd-profile:
+	bash scripts/verifyd_profile.sh --seconds "$(SECONDS)" --seed "$(SEED)" --out "$(OUT)"
 
 race:
 	$(GO) test -race ./...

@@ -278,6 +278,15 @@ func (a *Automaton) Initial() []StateID {
 	return out
 }
 
+// InitialState returns the initial state when Q holds exactly one, and
+// NoState otherwise. Unlike Initial it copies nothing.
+func (a *Automaton) InitialState() StateID {
+	if len(a.initial) != 1 {
+		return NoState
+	}
+	return a.initial[0]
+}
+
 // TransitionsFrom returns the outgoing transitions of the state. The
 // returned slice must not be mutated.
 func (a *Automaton) TransitionsFrom(id StateID) []Transition {

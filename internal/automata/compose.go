@@ -134,11 +134,15 @@ func ComposeAllCtx(ctx context.Context, name string, parts ...*Automaton) (*Auto
 		}
 	}
 
-	c := newProduct(name, parts...)
-	in, err := NewInterner(c.inputs, c.outputs)
+	pairs := make([]SignalSet, 0, 2*len(parts))
+	for _, p := range parts {
+		pairs = append(pairs, p.inputs, p.outputs)
+	}
+	in, err := NewInterner(pairs...)
 	if err != nil {
 		return nil, fmt.Errorf("automata: compose %q: %w", name, err)
 	}
+	c := newProduct(name, in.internAlphabet, parts...)
 	p := newCtxPoll(ctx)
 	if err := composeTuples(c, parts, in, p); err != nil {
 		return nil, err

@@ -192,7 +192,7 @@ func TestRenderStatesListingFormat(t *testing.T) {
 }
 
 func TestUniqueNameDisambiguates(t *testing.T) {
-	a := newProduct("a")
+	a := newProduct("a", &internAlphabet{})
 	a.index["x"] = 0
 	if got := uniqueName(a, "x"); got == "x" {
 		t.Fatal("uniqueName returned a colliding name")

@@ -209,7 +209,8 @@ func (m *Incomplete) IsBlocked(s StateID, label Interaction) bool {
 // already in T̄ is added to T̄, except the one whose output set is *except
 // when except is non-nil (the component answered in with it). With settle
 // set, each learned label not yet settled is settled (SettleLabel). The
-// entries added are appended to delta's NewBlocked and NewSettled.
+// entries added are appended to delta's NewBlocked and NewSettled, each
+// list grown at most once per call, and not at all when nothing is added.
 func (m *Incomplete) RefuseUnder(s StateID, in SignalSet, except *SignalSet, settle bool, delta *LearnDelta) error {
 	if err := m.auto.checkState(s); err != nil {
 		return err
@@ -218,7 +219,8 @@ func (m *Incomplete) RefuseUnder(s StateID, in SignalSet, except *SignalSet, set
 	if cu == nil {
 		return fmt.Errorf("automata: cannot refuse at %q: no universe bound", m.auto.StateName(s))
 	}
-	for _, i := range cu.labelsUnder(in) {
+	under := cu.labelsUnder(in)
+	for k, i := range under {
 		x := cu.labels[i]
 		if except != nil && x.Out.Equal(*except) {
 			continue
@@ -226,14 +228,25 @@ func (m *Incomplete) RefuseUnder(s StateID, in SignalSet, except *SignalSet, set
 		if !m.auto.enables(s, x) {
 			if m.setBit(&m.blocked, s, i) {
 				m.numBlocked++
-				delta.NewBlocked = append(delta.NewBlocked, BlockedEntry{State: s, Label: x})
+				delta.NewBlocked = appendEntry(delta.NewBlocked, BlockedEntry{State: s, Label: x}, len(under)-k)
 			}
 		} else if settle && m.setBit(&m.settled, s, i) {
 			m.numSettled++
-			delta.NewSettled = append(delta.NewSettled, BlockedEntry{State: s, Label: x})
+			delta.NewSettled = appendEntry(delta.NewSettled, BlockedEntry{State: s, Label: x}, len(under)-k)
 		}
 	}
 	return nil
+}
+
+// appendEntry appends e to list. A full list first grows by rest, the
+// entries its caller may still append, or doubles if that is more: a loop
+// over rest labels grows it once at most, in one allocation (race builds
+// included, unlike slices.Grow).
+func appendEntry(list []BlockedEntry, e BlockedEntry, rest int) []BlockedEntry {
+	if len(list) == cap(list) {
+		list = append(make([]BlockedEntry, 0, max(2*len(list), len(list)+rest)), list...)
+	}
+	return append(list, e)
 }
 
 // BlockedAt returns the interactions blocked at the state, in canonical

@@ -277,7 +277,7 @@ func (ic *IncrementalSystem) rebuild() error {
 	if ic.product != nil {
 		n = ic.reachable
 	}
-	ic.product = newProduct("system", ic.context, ic.closure)
+	ic.product = newProduct("system", ic.in.internAlphabet, ic.context, ic.closure)
 	ic.product.adj = make([][]Transition, 0, n)
 	ic.product.prod.tuples = make([]StateID, 0, 2*n)
 	ic.pairID = make(map[[2]StateID]StateID, n)

@@ -73,9 +73,15 @@ type Interner struct {
 // was built over in canonical (sorted) order, where index = bit, and each
 // signal's bit. It is immutable, and every interner over the same tuple of
 // alphabets shares one (sharedAlphabet).
+//
+// Every caller builds its interner over (inputs, outputs) pairs, one per
+// automaton, so the alphabet also keeps the union of the tuple's even
+// members and that of its odd ones: the inputs and outputs of the product
+// of those automata, which newProduct takes from here.
 type internAlphabet struct {
-	signals []Signal
-	index   map[Signal]int
+	signals         []Signal
+	index           map[Signal]int
+	inputs, outputs SignalSet
 }
 
 // NewInterner builds an interner over the union of the given alphabets.
@@ -117,11 +123,17 @@ func sharedAlphabet(tuple []SignalSet) (*internAlphabet, error) {
 			if err := CheckAlphabetWidth(tuple...); err != nil {
 				return alphabetEntry{}, err
 			}
-			union := EmptySet
-			for _, a := range tuple {
-				union = union.Union(a)
+			in, out := EmptySet, EmptySet
+			for i, a := range tuple {
+				if i%2 == 0 {
+					in = in.Union(a)
+				} else {
+					out = out.Union(a)
+				}
 			}
-			alpha := &internAlphabet{signals: union.signals, index: make(map[Signal]int, union.Len())}
+			union := in.Union(out)
+			alpha := &internAlphabet{signals: union.signals, index: make(map[Signal]int, union.Len()),
+				inputs: in, outputs: out}
 			for i, sig := range alpha.signals {
 				alpha.index[sig] = i
 			}

@@ -217,6 +217,44 @@ func TestAlphabetBeyondInternerIsAnError(t *testing.T) {
 	}
 }
 
+// TestProductsShareAlphabets checks that two products over equal factor
+// alphabets (equal sets in distinct slices) share their input and output
+// sets, taken from the interner alphabet over the factors' pairs rather
+// than united per product, and that those are the unions of the factors'.
+func TestProductsShareAlphabets(t *testing.T) {
+	factors := func() []*Automaton {
+		left := New("left", NewSignalSet("a", "c"), NewSignalSet("x"))
+		right := New("right", NewSignalSet("b", "x"), NewSignalSet("c", "y"))
+		for _, m := range []*Automaton{left, right} {
+			m.MarkInitial(m.MustAddState("s0"))
+		}
+		return []*Automaton{left, right}
+	}
+	first, err := ComposeAll("first", factors()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ComposeAll("second", factors()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		first, second SignalSet
+		want          SignalSet
+	}{
+		{"inputs", first.Inputs(), second.Inputs(), NewSignalSet("a", "b", "c", "x")},
+		{"outputs", first.Outputs(), second.Outputs(), NewSignalSet("c", "x", "y")},
+	} {
+		if !c.first.Equal(c.want) || !c.second.Equal(c.want) {
+			t.Errorf("%s = %v and %v, want %v", c.name, c.first, c.second, c.want)
+		}
+		if &c.first.signals[0] != &c.second.signals[0] {
+			t.Errorf("the products' %s are separate copies", c.name)
+		}
+	}
+}
+
 // TestInternersShareAlphabets checks the shared alphabet part: interners
 // over equal alphabet tuples (equal sets in distinct slices) share one
 // alphabet, also when built concurrently (run under -race), a different

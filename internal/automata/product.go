@@ -44,16 +44,15 @@ type product struct {
 var materializations atomic.Int64
 
 // newProduct returns an empty composed automaton over the factors: inputs
-// and outputs are the unions of theirs, and its leaves are theirs in
-// order.
-func newProduct(name string, factors ...*Automaton) *Automaton {
-	in, out := EmptySet, EmptySet
+// and outputs are the unions of theirs, taken from alpha, the interner
+// alphabet over the factors' (inputs, outputs) pairs in order, and its
+// leaves are theirs in order.
+func newProduct(name string, alpha *internAlphabet, factors ...*Automaton) *Automaton {
 	var leaves []leafInfo
 	for _, f := range factors {
-		in, out = in.Union(f.inputs), out.Union(f.outputs)
 		leaves = append(leaves, f.leaves...)
 	}
-	c := New(name, in, out)
+	c := New(name, alpha.inputs, alpha.outputs)
 	c.leaves = leaves
 	c.prod = &product{factors: factors}
 	return c

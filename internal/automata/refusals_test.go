@@ -336,3 +336,48 @@ func TestRefusalReadsDoNotAllocate(t *testing.T) {
 		t.Error("a label the universe lacks and T̄ does not hold reads as blocked")
 	}
 }
+
+// TestRefuseUnderGrowsDeltaOnce checks that a refusal grows the learn
+// delta once at most: refusing all 31 labels under one input of a wide
+// alphabet, at a state whose T̄ bitset exists, allocates only the delta's
+// one growth, and refusing them again, which blocks nothing new,
+// allocates nothing.
+func TestRefuseUnderGrowsDeltaOnce(t *testing.T) {
+	inst, err := gen.New(7, gen.WideConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := automata.New(inst.Legacy.Name(), inst.Legacy.Inputs(), inst.Legacy.Outputs())
+	const states = 51
+	for i := 0; i < states; i++ {
+		a.MustAddState(fmt.Sprintf("s%d", i))
+	}
+	a.MarkInitial(0)
+	m := automata.NewIncomplete(a)
+	cu := automata.CompileUniverse(automata.Universe(automata.UniverseSingleton), a.Inputs(), a.Outputs())
+	if err := m.BindUniverse(cu); err != nil {
+		t.Fatal(err)
+	}
+	ins := a.Inputs().Signals()
+	var setup automata.LearnDelta
+	for s := 0; s < states; s++ { // every state's bitset, from a refusal under another input
+		if err := m.RefuseUnder(automata.StateID(s), automata.NewSignalSet(ins[0]), nil, false, &setup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := automata.NewSignalSet(ins[1])
+	want := 1 + a.Outputs().Len()
+	refuse := func(s automata.StateID, n int) {
+		var delta automata.LearnDelta
+		if err := m.RefuseUnder(s, in, nil, false, &delta); err != nil || len(delta.NewBlocked) != n {
+			t.Fatalf("refusal at s%d: %d labels blocked, err = %v; want %d", s, len(delta.NewBlocked), err, n)
+		}
+	}
+	next := automata.StateID(0)
+	if allocs := testing.AllocsPerRun(states-1, func() { refuse(next, want); next++ }); allocs > 1 {
+		t.Errorf("a %d-label refusal allocates %.0f times, want at most 1", want, allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { refuse(0, 0) }); allocs != 0 {
+		t.Errorf("a repeated refusal allocates %.0f times, want 0", allocs)
+	}
+}

@@ -92,16 +92,17 @@ func (s SignalSet) Equal(other SignalSet) bool {
 	return true
 }
 
-// SubsetOf reports whether every signal of s is also in other.
+// SubsetOf reports whether every signal of s is also in other. It
+// searches other for each signal of s, past the previous one's position:
+// s is mostly a label's one signal and other an alphabet.
 func (s SignalSet) SubsetOf(other SignalSet) bool {
-	i := 0
+	rest := other.signals
 	for _, sig := range s.signals {
-		for i < len(other.signals) && other.signals[i] < sig {
-			i++
-		}
-		if i >= len(other.signals) || other.signals[i] != sig {
+		i, found := slices.BinarySearch(rest, sig)
+		if !found {
 			return false
 		}
+		rest = rest[i+1:]
 	}
 	return true
 }
@@ -318,14 +319,16 @@ func (k universeKind) Enumerate(inputs, outputs SignalSet) []Interaction {
 
 // steps returns the signal sets one direction of a label may carry over
 // the alphabet: ℘(alphabet) in mask order for the power-set universe, and
-// the empty set followed by each signal alone for the singleton one.
+// the empty set followed by each signal alone for the singleton one. A
+// singleton set is a one-signal window into the alphabet's own signals,
+// which no set ever changes.
 func (k universeKind) steps(alphabet SignalSet) []SignalSet {
 	if UniverseKind(k) == UniversePowerSet {
 		return powerSet(alphabet)
 	}
 	steps := make([]SignalSet, 1, alphabet.Len()+1)
-	for _, sig := range alphabet.signals {
-		steps = append(steps, SignalSet{signals: []Signal{sig}})
+	for i := range alphabet.signals {
+		steps = append(steps, SignalSet{signals: alphabet.signals[i : i+1 : i+1]})
 	}
 	return steps
 }

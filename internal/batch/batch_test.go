@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -274,6 +275,28 @@ func TestManifestItems(t *testing.T) {
 	}
 	if items, err := ManifestItems(strings.NewReader("{\"seed\": 3} \t\r\n")); err != nil || len(items) != 1 {
 		t.Errorf("trailing blanks: %d items, err = %v", len(items), err)
+	}
+}
+
+// TestManifestLineCap checks the line-length cap: a line of
+// maxManifestLine bytes (an entry padded with blanks) parses, with or
+// without a newline after it, and a line one byte longer fails with an
+// error that names its line.
+func TestManifestLineCap(t *testing.T) {
+	const entry = `{"seed": 7}`
+	line := func(n int) string { return entry + strings.Repeat(" ", n-len(entry)) }
+	for _, manifest := range []string{
+		"{\"seed\": 3}\n" + line(maxManifestLine) + "\n",
+		"{\"seed\": 3}\n" + line(maxManifestLine),
+	} {
+		items, err := ManifestItems(strings.NewReader(manifest))
+		if err != nil || len(items) != 2 || items[1].Name != "gen-7" {
+			t.Fatalf("line of %d bytes: %d items, err = %v", maxManifestLine, len(items), err)
+		}
+	}
+	_, err := ManifestItems(strings.NewReader("{\"seed\": 3}\n" + line(maxManifestLine+1) + "\n"))
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("line of %d bytes: err = %v, want a line-2 ErrTooLong", maxManifestLine+1, err)
 	}
 }
 

@@ -83,15 +83,23 @@ type manifestEntry struct {
 	MaxStates int `json:"max_states,omitempty"`
 }
 
+// maxManifestLine is the longest manifest line ManifestItems accepts, in
+// bytes without its newline: just under 1 MiB.
+const maxManifestLine = 1<<20 - 1
+
 // ManifestItems parses a JSONL manifest (one entry per line; blank lines
 // and #-comment lines skipped) into batch items. A line holds exactly one
-// JSON object; anything after it but blanks is an error. Example line:
+// JSON object; anything after it but blanks is an error, and so is a line
+// longer than maxManifestLine. Example line:
 //
 //	{"seed": 42, "config": "wide", "max_states": 5}
 func ManifestItems(r io.Reader) ([]Item, error) {
 	var items []Item
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// The buffer starts at bufio's default size, which holds a typical
+	// entry of some 40 bytes, and grows up to the longest line plus its
+	// newline.
+	sc.Buffer(nil, maxManifestLine+1)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -134,7 +142,7 @@ func ManifestItems(r io.Reader) ([]Item, error) {
 		items = append(items, Item{Name: name, Build: genBuild(e.Seed, cfg)})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("batch: manifest: %w", err)
+		return nil, fmt.Errorf("batch: manifest line %d: %w", line+1, err)
 	}
 	return items, nil
 }

@@ -188,9 +188,25 @@ type Instance struct {
 	TrueDeadlockFree  bool
 }
 
+// rngs holds PRNGs for reuse. New and NewMulti reseed one per instance
+// rather than allocating a source (about 5 KB) each time: Seed resets the
+// source and the read position, so a reseeded PRNG draws exactly the
+// stream of a fresh one.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// seeded returns a pooled PRNG seeded with seed; put it back in rngs when
+// done.
+func seeded(seed int64) *rand.Rand {
+	r := rngs.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
 // New generates the instance identified by (seed, cfg).
 func New(seed int64, cfg Config) (*Instance, error) {
-	inst, err := Generate(rand.New(rand.NewSource(seed)), cfg)
+	r := seeded(seed)
+	defer rngs.Put(r)
+	inst, err := Generate(r, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -388,6 +404,11 @@ func containsState(states []automata.StateID, id automata.StateID) bool {
 	return false
 }
 
+// checkers holds property checkers for reuse: genProperty rebinds one to
+// each true composition, so its formula cache and scratch buffers are
+// grown once rather than per instance.
+var checkers = sync.Pool{New: func() any { return ctl.NewChecker(nil) }}
+
 // genProperty draws PropertyCandidates ACTL formulas from the pattern
 // helpers, classifies each against the true composition, and selects one
 // so that provable and violated outcomes both occur regularly.
@@ -396,7 +417,12 @@ func genProperty(r *rand.Rand, cfg Config, inst *Instance) error {
 	if err != nil {
 		return err
 	}
-	checker := ctl.NewChecker(sys)
+	checker := checkers.Get().(*ctl.Checker)
+	checker.Rebind(sys)
+	defer func() {
+		checker.Rebind(nil) // keep no composition alive in the pool
+		checkers.Put(checker)
+	}()
 	inst.TrueDeadlockFree = checker.Holds(ctl.NoDeadlock())
 
 	implProp := func() ctl.Formula {
@@ -426,9 +452,6 @@ func genProperty(r *rand.Rand, cfg Config, inst *Instance) error {
 	var held, violated []ctl.Formula
 	for i := 0; i < cfg.PropertyCandidates; i++ {
 		f := draw()
-		if !ctl.IsACTL(f) {
-			continue // defensive: every pattern above is ACTL
-		}
 		if checker.Holds(f) {
 			held = append(held, f)
 		} else {
@@ -440,6 +463,9 @@ func genProperty(r *rand.Rand, cfg Config, inst *Instance) error {
 	for _, pool := range [2][]ctl.Formula{pools[first], pools[1-first]} {
 		if len(pool) > 0 {
 			inst.Property = pool[r.Intn(len(pool))]
+			if !ctl.IsACTL(inst.Property) { // every pattern above is ACTL
+				return fmt.Errorf("gen: drew property %s, which is not ACTL", inst.Property)
+			}
 			inst.TruePropertyHolds = checker.Holds(inst.Property)
 			return nil
 		}
@@ -477,13 +503,14 @@ func (inst *Instance) Component() (legacy.Component, error) {
 	return legacy.WrapAutomaton(inst.Legacy)
 }
 
-// Truth explores the component exhaustively into its reachable behavior
-// automaton, labeled with the same qualified scheme the synthesis loop
-// uses ("impl.sK"), so learned models and ground truth are comparable.
-// For a nondeterministic ground truth the black-box exploration is
-// replaced by trimming the known automaton to its reachable part — the
-// generator owns M_r, and single-run exploration cannot enumerate
-// out-sets.
+// Truth returns the component's reachable behavior automaton, labeled
+// with the same qualified scheme the synthesis loop uses ("impl.sK"), so
+// learned models and ground truth are comparable. The generator owns M_r,
+// so it reads the behavior off M_r's rows (see behavior) instead of
+// executing the component: the result is byte for byte what black-box
+// exploration (core.ExploreComponent) of the wrapped component returns.
+// For a nondeterministic ground truth, which single-run exploration cannot
+// enumerate, it is M_r trimmed to its reachable part.
 func (inst *Instance) Truth() (*automata.Automaton, error) {
 	if inst.Nondet() {
 		truth := inst.Legacy.Trim(LegacyName)
@@ -496,17 +523,58 @@ func (inst *Instance) Truth() (*automata.Automaton, error) {
 		}
 		return truth, nil
 	}
-	comp, err := inst.Component()
-	if err != nil {
+	if _, err := legacy.WrapAutomaton(inst.Legacy); err != nil {
 		return nil, err
 	}
-	return core.ExploreComponent(comp, inst.Interface(),
-		automata.Universe(automata.UniverseSingleton),
-		core.QualifiedLabeler(LegacyName), inst.Legacy.NumStates()+1), nil
+	return behavior(inst.Legacy, LegacyName), nil
 }
 
-// TrueComposition composes the context with the explored ground truth:
-// the real integrated system M_a^c ‖ M_r that every verdict is about.
+// behavior returns the reachable behavior of m, an automaton that
+// legacy.WrapAutomaton accepts, as core.ExploreComponent finds it over
+// the singleton universe with states labeled by
+// core.QualifiedLabeler(prefix): the states in breadth-first order from
+// the initial one, under m's names, and each state's transitions in the
+// order of automata.InputSets, the order in which exploration probes the
+// inputs. A transition whose input set is no step of the universe is never
+// probed, so it is not read either.
+func behavior(m *automata.Automaton, prefix string) *automata.Automaton {
+	steps := automata.InputSets(automata.Universe(automata.UniverseSingleton), m.Inputs(), m.Outputs())
+	labeler := core.QualifiedLabeler(prefix)
+	a := automata.New(m.Name(), m.Inputs(), m.Outputs())
+	ids := make([]automata.StateID, m.NumStates()) // m's state → a's, once reached
+	order := make([]automata.StateID, 0, m.NumStates())
+	reach := func(s automata.StateID) automata.StateID {
+		name := m.StateName(s)
+		ids[s] = a.MustAddState(name, labeler(name)...)
+		order = append(order, s)
+		return ids[s]
+	}
+	for s := range ids {
+		ids[s] = automata.NoState
+	}
+	a.MarkInitial(reach(m.InitialState()))
+	for head := 0; head < len(order); head++ {
+		s := order[head]
+		row := m.TransitionsFrom(s)
+		for _, in := range steps {
+			for _, t := range row {
+				if !t.Label.In.Equal(in) {
+					continue
+				}
+				to := ids[t.To]
+				if to == automata.NoState {
+					to = reach(t.To)
+				}
+				a.MustAddTransition(ids[s], t.Label, to)
+				break
+			}
+		}
+	}
+	return a
+}
+
+// TrueComposition composes the context with the ground truth (Truth): the
+// real integrated system M_a^c ‖ M_r that every verdict is about.
 func (inst *Instance) TrueComposition() (*automata.Automaton, error) {
 	truth, err := inst.Truth()
 	if err != nil {

@@ -2,10 +2,8 @@ package gen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"muml/internal/automata"
-	"muml/internal/core"
 	"muml/internal/ctl"
 	"muml/internal/legacy"
 )
@@ -42,7 +40,8 @@ func NewMulti(seed int64, cfg Config, k int) (*MultiInstance, error) {
 	if cfg.OutputRace > 0 || cfg.DupSuccessor > 0 || cfg.LossyOutput > 0 {
 		return nil, fmt.Errorf("gen: multi-component instances must be deterministic")
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := seeded(seed)
+	defer rngs.Put(r)
 	cfg = cfg.withDefaults()
 	inst := &MultiInstance{Seed: seed, Cfg: cfg}
 	ins, outs := automata.EmptySet, automata.EmptySet
@@ -83,20 +82,19 @@ func (inst *MultiInstance) Components() ([]legacy.Component, error) {
 	return comps, nil
 }
 
-// TrueComposition composes the context with every explored ground truth
-// under the n-ary product of Definition 3: the real integrated system
-// M_a^c ‖ M_r^0 ‖ … ‖ M_r^{k-1}, labeled like the learned models
-// ("implJ.sK").
+// TrueComposition composes the context with every ground truth's
+// reachable behavior under the n-ary product of Definition 3: the real
+// integrated system M_a^c ‖ M_r^0 ‖ … ‖ M_r^{k-1}, labeled like the
+// learned models ("implJ.sK"). Each behavior is read off M_r^j as
+// Instance.Truth reads it, byte for byte what black-box exploration of the
+// wrapped component returns.
 func (inst *MultiInstance) TrueComposition() (*automata.Automaton, error) {
-	comps, err := inst.Components()
-	if err != nil {
-		return nil, err
-	}
 	parts := []*automata.Automaton{inst.Context}
-	for j, iface := range inst.Interfaces() {
-		parts = append(parts, core.ExploreComponent(comps[j], iface,
-			automata.Universe(automata.UniverseSingleton),
-			core.QualifiedLabeler(iface.Name), inst.Legacies[j].NumStates()+1))
+	for _, a := range inst.Legacies {
+		if _, err := legacy.WrapAutomaton(a); err != nil {
+			return nil, err
+		}
+		parts = append(parts, behavior(a, a.Name()))
 	}
 	return automata.ComposeAll("truth", parts...)
 }

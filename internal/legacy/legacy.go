@@ -94,27 +94,43 @@ var (
 
 // WrapAutomaton validates and wraps the automaton.
 func WrapAutomaton(a *automata.Automaton) (*AutomatonComponent, error) {
-	if len(a.Initial()) != 1 {
+	init := a.InitialState()
+	if init == automata.NoState {
 		return nil, fmt.Errorf("legacy: automaton %q must have exactly one initial state", a.Name())
 	}
-	for i := 0; i < a.NumStates(); i++ {
-		seen := make(map[string]automata.Interaction)
-		for _, t := range a.TransitionsFrom(automata.StateID(i)) {
-			key := t.Label.In.Key()
-			if prev, ok := seen[key]; ok && !prev.Equal(t.Label) {
-				return nil, fmt.Errorf(
-					"legacy: automaton %q is not function-deterministic at %q for input %v",
-					a.Name(), a.StateName(automata.StateID(i)), t.Label.In)
+	if err := checkDeterministic(a); err != nil {
+		return nil, err
+	}
+	return &AutomatonComponent{auto: a, cur: init, init: init}, nil
+}
+
+// checkDeterministic is the determinism requirement of WrapAutomaton and
+// FunctionDeterministic: per (state, input set) at most one transition.
+// It compares the transitions within each row and reports the first
+// violation in row order: a transition whose input set an earlier one of
+// its row took with another output, or one whose label a later one
+// repeats to another successor. (Reaching a transition, every earlier one
+// of its row has an input set of its own, so an earlier one on the same
+// input set differs in its output.)
+func checkDeterministic(a *automata.Automaton) error {
+	for s := 0; s < a.NumStates(); s++ {
+		row := a.TransitionsFrom(automata.StateID(s))
+		for j, t := range row {
+			for _, u := range row[:j] {
+				if u.Label.In.Equal(t.Label.In) {
+					return fmt.Errorf("legacy: automaton %q is not function-deterministic at %q for input %v",
+						a.Name(), a.StateName(automata.StateID(s)), t.Label.In)
+				}
 			}
-			seen[key] = t.Label
-			if len(a.Successors(automata.StateID(i), t.Label)) != 1 {
-				return nil, fmt.Errorf("legacy: automaton %q is nondeterministic at %q on %v",
-					a.Name(), a.StateName(automata.StateID(i)), t.Label)
+			for _, u := range row[j+1:] {
+				if u.Label.Equal(t.Label) {
+					return fmt.Errorf("legacy: automaton %q is nondeterministic at %q on %v",
+						a.Name(), a.StateName(automata.StateID(s)), t.Label)
+				}
 			}
 		}
 	}
-	init := a.Initial()[0]
-	return &AutomatonComponent{auto: a, cur: init, init: init}, nil
+	return nil
 }
 
 // MustWrapAutomaton is WrapAutomaton but panics on error.

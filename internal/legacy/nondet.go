@@ -26,22 +26,7 @@ import (
 // FunctionDeterministic reports whether the automaton satisfies the
 // determinism requirement WrapAutomaton enforces: per (state, input set) at
 // most one full interaction label, with exactly one successor.
-func FunctionDeterministic(a *automata.Automaton) bool {
-	for i := 0; i < a.NumStates(); i++ {
-		seen := make(map[string]automata.Interaction)
-		for _, t := range a.TransitionsFrom(automata.StateID(i)) {
-			key := t.Label.In.Key()
-			if prev, ok := seen[key]; ok && !prev.Equal(t.Label) {
-				return false
-			}
-			seen[key] = t.Label
-			if len(a.Successors(automata.StateID(i), t.Label)) != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
+func FunctionDeterministic(a *automata.Automaton) bool { return checkDeterministic(a) == nil }
 
 // NondetComponent wraps an arbitrary automaton — duplicate successors,
 // output races, lossy branches — as a Component with fair round-robin
@@ -76,10 +61,10 @@ var (
 // WrapNondet wraps the automaton. Unlike WrapAutomaton it accepts any
 // branching structure; only the single-initial-state requirement remains.
 func WrapNondet(a *automata.Automaton) (*NondetComponent, error) {
-	if len(a.Initial()) != 1 {
+	init := a.InitialState()
+	if init == automata.NoState {
 		return nil, fmt.Errorf("legacy: automaton %q must have exactly one initial state", a.Name())
 	}
-	init := a.Initial()[0]
 	return &NondetComponent{
 		auto: a, cur: init, init: init,
 		turn: make(map[nondetKey][]int),
